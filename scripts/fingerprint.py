@@ -13,8 +13,9 @@ random values in [0, 2], every fourth pair with small integer values
 itself.  Three pairs of 41 vertices (n = m = 40 segments) are solved
 without path recording.  Each solve contributes its value, path points,
 path annotations and total piece count; ``--edges`` adds every edge cost
-function (coefficients and domains) with its provenance.  Floats are
-written with repr, so equal output means bit-identical results.
+function (coefficients and domains) with its provenance, and ``--grid``
+adds ``cdtw_grid`` at resolutions 4, 16 and 64 for the 60 small pairs.
+Floats are written with repr, so equal output means bit-identical results.
 """
 
 import argparse
@@ -22,9 +23,10 @@ import json
 import random
 import sys
 
-from cdtw import EngineConfig, build_curve, cdtw_exact
+from cdtw import EngineConfig, GridConfig, build_curve, cdtw_exact, cdtw_grid
 
 SEED = 20261017
+GRID_RESOLUTIONS = (4, 16, 64)
 
 
 def _values(rng: random.Random, n: int, integers: bool) -> list:
@@ -50,8 +52,9 @@ def corpus(seed: int = SEED) -> list:
     return pairs
 
 
-def fingerprint(a: list, b: list, record_path: bool, edges: bool) -> dict:
-    result = cdtw_exact(build_curve(a), build_curve(b), EngineConfig(record_path=record_path))
+def fingerprint(a: list, b: list, record_path: bool, edges: bool, grid: bool) -> dict:
+    P, Q = build_curve(a), build_curve(b)
+    result = cdtw_exact(P, Q, EngineConfig(record_path=record_path))
     out = {"value": result.value, "total_pieces": result.stats.total_pieces}
     if result.path is not None:
         out["path"] = [list(p) for p in result.path.points]
@@ -66,6 +69,8 @@ def fingerprint(a: list, b: list, record_path: bool, edges: bool) -> dict:
             for name, table in (("top", run.top), ("right", run.right))
             for key, bc in table.items()
         }
+    if grid and record_path:
+        out["grid"] = [cdtw_grid(P, Q, GridConfig(resolution=r)) for r in GRID_RESOLUTIONS]
     return out
 
 
@@ -73,8 +78,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=SEED)
     parser.add_argument("--edges", action="store_true", help="include every edge function")
+    parser.add_argument(
+        "--grid", action="store_true", help="include the grid oracle on the small pairs"
+    )
     args = parser.parse_args()
-    prints = [fingerprint(a, b, rec, args.edges) for a, b, rec in corpus(args.seed)]
+    prints = [fingerprint(a, b, rec, args.edges, args.grid) for a, b, rec in corpus(args.seed)]
     json.dump(prints, sys.stdout)
     sys.stdout.write("\n")
     return 0

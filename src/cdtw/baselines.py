@@ -13,8 +13,9 @@ straight line).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -22,11 +23,9 @@ from .curves import Curve
 from .errors import EmptyInput, ResolutionZero, TooLarge
 
 
-def dtw(p_vertices: Sequence[float], q_vertices: Sequence[float]) -> float:
-    """Discrete dynamic time warping: min over monotone vertex alignments
-    of the summed pointwise distances."""
-    if len(p_vertices) == 0 or len(q_vertices) == 0:
-        raise EmptyInput("dtw needs nonempty vertex lists")
+def _alignment_dp(p_vertices, q_vertices, combine: Callable[[float, float], float]) -> float:
+    """Min over monotone vertex alignments of the pointwise distances
+    folded with combine (sum for DTW, max for discrete Frechet)."""
     n, m = len(p_vertices), len(q_vertices)
     inf = float("inf")
     prev = [inf] * m
@@ -42,9 +41,17 @@ def dtw(p_vertices: Sequence[float], q_vertices: Sequence[float]) -> float:
                     best = min(best, prev[j], prev[j - 1] if j > 0 else inf)
                 if j > 0:
                     best = min(best, cur[j - 1])
-            cur[j] = c + best
+            cur[j] = combine(c, best)
         prev = cur
     return prev[m - 1]
+
+
+def dtw(p_vertices: Sequence[float], q_vertices: Sequence[float]) -> float:
+    """Discrete dynamic time warping: min over monotone vertex alignments
+    of the summed pointwise distances."""
+    if len(p_vertices) == 0 or len(q_vertices) == 0:
+        raise EmptyInput("dtw needs nonempty vertex lists")
+    return _alignment_dp(p_vertices, q_vertices, operator.add)
 
 
 def discrete_frechet(p_vertices: Sequence[float], q_vertices: Sequence[float]) -> float:
@@ -52,24 +59,7 @@ def discrete_frechet(p_vertices: Sequence[float], q_vertices: Sequence[float]) -
     the maximum pointwise distance."""
     if len(p_vertices) == 0 or len(q_vertices) == 0:
         raise EmptyInput("discrete_frechet needs nonempty vertex lists")
-    n, m = len(p_vertices), len(q_vertices)
-    inf = float("inf")
-    prev = [inf] * m
-    for i in range(n):
-        cur = [inf] * m
-        for j in range(m):
-            c = abs(p_vertices[i] - q_vertices[j])
-            if i == 0 and j == 0:
-                best = 0.0
-            else:
-                best = inf
-                if i > 0:
-                    best = min(best, prev[j], prev[j - 1] if j > 0 else inf)
-                if j > 0:
-                    best = min(best, cur[j - 1])
-            cur[j] = max(c, best)
-        prev = cur
-    return prev[m - 1]
+    return _alignment_dp(p_vertices, q_vertices, max)
 
 
 @dataclass(frozen=True)
@@ -77,12 +67,10 @@ class GridConfig:
     """Lattice density for the sampled approximation.
 
     resolution counts lattice points per unit of arc length before
-    rounding each segment's subdivision up to a power of two; moves lists
-    the admissible steps between adjacent lattice nodes.
+    rounding each segment's subdivision up to a power of two.
     """
 
     resolution: int
-    moves: Tuple[str, ...] = ("right", "up", "diagonal")
 
 
 def _pow2_at_least(x: float) -> int:
@@ -105,42 +93,57 @@ def _axis_ticks(curve: Curve, res: float, pow2: bool) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _seg_weight(a0: np.ndarray, a1: np.ndarray, length) -> np.ndarray:
-    """Exact integral of |linear| along a segment with endpoint signed
-    heights a0, a1 and L1 length given."""
-    s = np.abs(a0) + np.abs(a1)
-    same = a0 * a1 >= 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        crossing = (a0 * a0 + a1 * a1) / (2.0 * s)
-    crossing = np.where(s > 0, crossing, 0.0)
-    return length * np.where(same, 0.5 * s, crossing)
+def _seg_weight(a0: np.ndarray, a1: np.ndarray, s: np.ndarray, length) -> np.ndarray:
+    """Exact integral of |linear| along segments with endpoint signed
+    heights a0, a1, s = |a0| + |a1| and L1 length given.
+
+    Where the height keeps its sign the integral is the trapezoid
+    length * s / 2; only the few segments where it crosses zero
+    (a0 * a1 < 0, so s > 0) take the two-triangle closed form.
+    """
+    w = 0.5 * s
+    k = np.flatnonzero(a0 * a1 < 0)
+    if k.size:
+        c0, c1 = a0[k], a1[k]
+        w[k] = (c0 * c0 + c1 * c1) / (2.0 * s[k])
+    return length * w
 
 
 def _lattice_value(P: Curve, Q: Curve, xs: np.ndarray, ys: np.ndarray) -> float:
-    """Shortest monotone path value on the lattice, column by column."""
+    """Shortest monotone path value on the lattice, column by column.
+
+    Each x-tick is one vectorised step over the column of y-ticks: the
+    horizontal and diagonal edges from the previous column, then a prefix
+    sweep up the vertical edges of the new one.
+    """
     pv = np.interp(xs, P.prefix_lengths, P.vertices)
     qv = np.interp(ys, Q.prefix_lengths, Q.vertices)
     dy = np.diff(ys)
     m = len(ys)
+    cum_up = np.zeros(m)
+
+    def sweep_up(cand: np.ndarray, h: np.ndarray, abs_h: np.ndarray) -> np.ndarray:
+        """Best value at each node of a column, entering it from cand or
+        from any node below by vertical edges."""
+        w_up = _seg_weight(h[:-1], h[1:], abs_h[:-1] + abs_h[1:], dy)
+        np.cumsum(w_up, out=cum_up[1:])
+        return cum_up + np.minimum.accumulate(cand - cum_up)
 
     h_left = pv[0] - qv
-    w_up = _seg_weight(h_left[:-1], h_left[1:], dy)
-    cum_up = np.concatenate(([0.0], np.cumsum(w_up)))
+    abs_left = np.abs(h_left)
     cand = np.full(m, np.inf)
     cand[0] = 0.0
-    dp = cum_up + np.minimum.accumulate(cand - cum_up)
+    dp = sweep_up(cand, h_left, abs_left)
 
     for a in range(len(xs) - 1):
         h_right = pv[a + 1] - qv
+        abs_right = np.abs(h_right)
         dx = xs[a + 1] - xs[a]
-        w_h = _seg_weight(h_left, h_right, dx)
-        w_d = _seg_weight(h_left[:-1], h_right[1:], dx + dy)
-        cand = dp + w_h
-        cand[1:] = np.minimum(cand[1:], dp[:-1] + w_d)
-        w_up = _seg_weight(h_right[:-1], h_right[1:], dy)
-        cum_up = np.concatenate(([0.0], np.cumsum(w_up)))
-        dp = cum_up + np.minimum.accumulate(cand - cum_up)
-        h_left = h_right
+        cand = dp + _seg_weight(h_left, h_right, abs_left + abs_right, dx)
+        w_d = _seg_weight(h_left[:-1], h_right[1:], abs_left[:-1] + abs_right[1:], dx + dy)
+        np.minimum(cand[1:], dp[:-1] + w_d, out=cand[1:])
+        dp = sweep_up(cand, h_right, abs_right)
+        h_left, abs_left = h_right, abs_right
     return float(dp[-1])
 
 

@@ -279,10 +279,18 @@ def _trace(run: SolveRun) -> WarpPath:
 
 
 def _polish_path(P: Curve, Q: Curve, rev_pts: List[Tuple[float, float]]) -> WarpPath:
-    """Reverse, deduplicate, clamp drift, and annotate the legs."""
+    """Reverse, deduplicate, clamp drift, and annotate the legs.
+
+    Points are clamped into [0, len(P)] x [0, len(Q)] first: a cell edge
+    coordinate and the curve length can round to neighbouring floats, and
+    a point one ulp beyond the end would make the last leg step back.
+    """
     scale = 1.0 + P.length + Q.length
     tol = 1e-9 * scale
-    pts = list(reversed(rev_pts))
+    pts = [
+        (min(max(x, 0.0), P.length), min(max(y, 0.0), Q.length))
+        for x, y in reversed(rev_pts)
+    ]
     pts[0] = (0.0, 0.0)
     pts[-1] = (P.length, Q.length)
     clean: List[Tuple[float, float]] = [pts[0]]

@@ -7,6 +7,7 @@ import pytest
 from cdtw import build_curve
 from cdtw.baselines import (
     GridConfig,
+    _axis_ticks,
     cdtw_bruteforce_small,
     cdtw_grid,
     discrete_frechet,
@@ -19,7 +20,39 @@ from helpers import (
     brute_discrete_frechet,
     brute_dtw,
     random_curve,
+    reference_lattice_value,
 )
+
+
+def _lattice_corpus():
+    """(P, Q, resolutions) on a seeded corpus: random and integer-valued
+    curves (integer values put h == 0 exactly on lattice nodes), curves
+    against themselves, and value scales from 1e-3 to 1e3.  The lattice
+    grows as (resolution x arc length)^2, so large scales get low
+    resolutions and short curves."""
+    rng = random.Random(97)
+    plan = [(1.0, (1, 3, 4, 16, 64))] * 8 + [
+        (1e-3, (1, 3, 4, 16)),
+        (1e-1, (1, 3, 4, 16)),
+        (10.0, (1, 3, 4)),
+        (1e2, (1,)),
+        (1e3, (1,)),
+    ] * 2
+    out = []
+    for k, (scale, resolutions) in enumerate(plan):
+        size = 4 if scale <= 1.0 else 2
+        integers = k % 3 == 0
+        curves = []
+        while len(curves) < 2:
+            vals = [
+                scale * (rng.randint(0, 4) if integers else rng.uniform(0.0, 2.0))
+                for _ in range(rng.randint(2, size))
+            ]
+            if len(set(vals)) == len(vals):
+                curves.append(build_curve(vals))
+        P, Q = curves
+        out.append((P, P if k % 4 == 1 else Q, resolutions))
+    return out
 
 
 class TestDtw:
@@ -131,15 +164,17 @@ class TestGrid:
             grid = cdtw_grid(P, Q, GridConfig(resolution=64))
             assert grid >= exact - 1e-9 * (1 + exact)
 
-    def test_no_diagonal_moves_cost_more(self):
-        rng = random.Random(93)
-        P = random_curve(rng, 3)
-        Q = random_curve(rng, 3)
-        full = cdtw_grid(P, Q, GridConfig(resolution=16))
-        manhattan = cdtw_grid(
-            P, Q, GridConfig(resolution=16, moves=("right", "up"))
-        )
-        assert manhattan >= full - 1e-12
+    def test_bit_identical_to_reference_lattice(self):
+        for P, Q, resolutions in _lattice_corpus():
+            for r in resolutions:
+                want = reference_lattice_value(
+                    P, Q, _axis_ticks(P, float(r), True), _axis_ticks(Q, float(r), True)
+                )
+                assert cdtw_grid(P, Q, GridConfig(resolution=r)) == want
+                want = reference_lattice_value(
+                    P, Q, _axis_ticks(P, float(r), False), _axis_ticks(Q, float(r), False)
+                )
+                assert cdtw_bruteforce_small(P, Q, r) == want
 
 
 class TestBruteforceSmall:

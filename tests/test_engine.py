@@ -98,6 +98,24 @@ class TestPathCertificates:
             cost = path_cost(P, Q, pts, samples_per_leg=512)
             assert cost == pytest.approx(res.value, abs=2e-5 * (1 + res.value))
 
+    def test_last_leg_never_steps_back(self):
+        # A cell edge sits at y = 8.0 while len(Q) rounds to
+        # 7.999999999999999; unclamped, the last leg ended one ulp below
+        # the point before it.
+        p = [0.0, -0.47668846274811905, 0.11303847149710455, -0.3232889636984945,
+             0.2950938274605612, -0.06204005059183637, -1.0238755212564592,
+             -0.6478962798525238, -1.0606321046207028, -2.2408999729693635,
+             -1.4846269465424138, -0.7703641585177214, 0.3500221204448426]
+        q = [0.0, -0.7314605771759091, -0.019690222356746667, -0.852232776594723,
+             -1.730060465451537, -2.13146270617762, -1.1791999368093526,
+             -1.5038673936087905, -2.483911712041177, -2.0606384054436075,
+             -1.1090834094490423, -0.731554120473191, -0.2958896724572136]
+        P, Q = build_curve(p), build_curve(q)
+        pts = reconstruct_path(cdtw_exact(P, Q)).points
+        assert pts[-1] == (P.length, Q.length)
+        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+            assert x1 >= x0 and y1 >= y0
+
     def test_annotations_cover_every_leg(self):
         rng = random.Random(53)
         P = random_curve(rng, 4)
