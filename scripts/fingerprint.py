@@ -7,6 +7,13 @@ for byte to show that a change leaves the solver's results bit-identical:
     PYTHONPATH=../parent/src python scripts/fingerprint.py > before.json
     cmp before.json after.json
 
+Where a change is allowed to move results by rounding, compare instead
+of printing: ``--against before.json`` (with the flags that made it)
+lists the pairs and edges that differ and the worst relative difference
+in values, path points, grid values and edge functions (each edge
+function compared at every breakpoint and piece midpoint of either
+side), and exits 1 if any of them is above 1e-12.
+
 The corpus has 60 pairs of 2 to 12 vertices, solved with path recording:
 random values in [0, 2], every fourth pair with small integer values
 (exact ties and degenerate valleys), and every tenth pair a curve against
@@ -20,6 +27,7 @@ Floats are written with repr, so equal output means bit-identical results.
 
 import argparse
 import json
+import math
 import random
 import sys
 
@@ -27,6 +35,7 @@ from cdtw import EngineConfig, GridConfig, build_curve, cdtw_exact, cdtw_grid
 
 SEED = 20261017
 GRID_RESOLUTIONS = (4, 16, 64)
+MAX_REL_DIFF = 1e-12
 
 
 def _values(rng: random.Random, n: int, integers: bool) -> list:
@@ -74,6 +83,93 @@ def fingerprint(a: list, b: list, record_path: bool, edges: bool, grid: bool) ->
     return out
 
 
+def _rel(x: float, y: float, scale: float) -> float:
+    """|x - y| relative to scale (the largest magnitude of the item)."""
+    if x == y:
+        return 0.0
+    return abs(x - y) / scale if scale > 0 else math.inf
+
+
+def _value_at(pieces: list, s: float) -> float:
+    """Value of [[a, b, c, lo, hi], ...] at s, clamped into its domain; a
+    breakpoint resolves to the left piece."""
+    s = min(max(s, pieces[0][3]), pieces[-1][4])
+    for a, b, c, _, hi in pieces:
+        if s <= hi:
+            break
+    return (a * s + b) * s + c
+
+
+def _edge_diff(before: list, after: list) -> float:
+    """Worst relative difference of two edge functions at every breakpoint
+    and piece midpoint of either."""
+    xs = set()
+    for pieces in (before, after):
+        for _, _, _, lo, hi in pieces:
+            xs.update((lo, 0.5 * (lo + hi), hi))
+    vals = [(_value_at(before, x), _value_at(after, x)) for x in sorted(xs)]
+    scale = max(max(abs(u), abs(v)) for u, v in vals)
+    return max(_rel(u, v, scale) for u, v in vals)
+
+
+def compare(before: list, after: list) -> int:
+    """Print what differs between two fingerprints; 1 if anything moved by
+    more than MAX_REL_DIFF (or changed shape), else 0."""
+    if len(before) != len(after):
+        print(f"pair count differs: {len(before)} vs {len(after)}")
+        return 1
+    worst = dict.fromkeys(("value", "path", "edges", "grid"), 0.0)
+    n_edges = n_prov = 0
+    for k, (b, a) in enumerate(zip(before, after)):
+        notes = []
+        vb, va = b["value"], a["value"]
+        if vb != va:
+            worst["value"] = max(worst["value"], _rel(vb, va, max(abs(vb), abs(va))))
+            notes.append(f"value {vb!r} -> {va!r}")
+        if b["total_pieces"] != a["total_pieces"]:
+            notes.append(f"total_pieces {b['total_pieces']} -> {a['total_pieces']}")
+        bp, ap = b.get("path", []), a.get("path", [])
+        if b.get("annotations") != a.get("annotations") or len(bp) != len(ap):
+            worst["path"] = math.inf
+            notes.append("path shape differs")
+        elif bp != ap:
+            scale = max(abs(x) for pt in bp + ap for x in pt)
+            d = max(_rel(x, y, scale) for p, q in zip(bp, ap) for x, y in zip(p, q))
+            worst["path"] = max(worst["path"], d)
+            notes.append(f"path points differ by {d:.3g} relative")
+        gb, ga = b.get("grid", []), a.get("grid", [])
+        if gb != ga:
+            d = math.inf
+            if len(gb) == len(ga):
+                d = max(_rel(x, y, max(abs(x), abs(y))) for x, y in zip(gb, ga))
+            worst["grid"] = max(worst["grid"], d)
+            notes.append(f"grid values differ by {d:.3g} relative")
+        eb, ea = b.get("edges", {}), a.get("edges", {})
+        if eb.keys() != ea.keys():
+            worst["edges"] = math.inf
+            notes.append("edge sets differ")
+        for key in sorted(eb.keys() & ea.keys()):
+            (pb, prov_b), (pa, prov_a) = eb[key], ea[key]
+            if pb == pa and prov_b == prov_a:
+                continue
+            n_edges += 1
+            what = []
+            if pb != pa:
+                d = _edge_diff(pb, pa)
+                worst["edges"] = max(worst["edges"], d)
+                what.append(f"{d:.3g} relative")
+            if prov_b != prov_a:
+                n_prov += 1
+                what.append("provenance")
+            notes.append(f"edge {key}: {len(pb)} -> {len(pa)} pieces, {', '.join(what)}")
+        for note in notes:
+            print(f"pair {k}: {note}")
+    if n_edges:
+        print(f"{n_edges} edge functions differ, {n_prov} of them in provenance")
+    print("worst relative difference: " + ", ".join(f"{k} {v:.3g}" for k, v in worst.items()))
+    return 1 if max(worst.values()) > MAX_REL_DIFF else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=SEED)
@@ -81,8 +177,18 @@ def main() -> int:
     parser.add_argument(
         "--grid", action="store_true", help="include the grid oracle on the small pairs"
     )
+    parser.add_argument(
+        "--against",
+        metavar="BEFORE.json",
+        help="compare with an earlier output (made with the same flags) instead of printing",
+    )
     args = parser.parse_args()
     prints = [fingerprint(a, b, rec, args.edges, args.grid) for a, b, rec in corpus(args.seed)]
+    if args.against:
+        with open(args.against) as fh:
+            before = json.load(fh)
+        # Round-trip through JSON so both sides hold the same types.
+        return compare(before, json.loads(json.dumps(prints)))
     json.dump(prints, sys.stdout)
     sys.stdout.write("\n")
     return 0

@@ -29,11 +29,7 @@ from .errors import (
     TooLarge,
     WrongCellType,
 )
-from .piecewise import (
-    PiecewiseQuadratic,
-    Quadratic,
-    set_tolerance,
-)
+from .piecewise import PiecewiseQuadratic, Quadratic
 
 __all__ = [
     "build_curve",
@@ -56,7 +52,6 @@ __all__ = [
     "GridConfig",
     "Quadratic",
     "PiecewiseQuadratic",
-    "set_tolerance",
     "CdtwError",
     "InsufficientVertices",
     "OutOfDomain",

@@ -14,7 +14,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence, Tuple
 
-from . import piecewise as pw
 from .baselines import GridConfig, cdtw_grid, discrete_frechet, dtw
 from .curves import Curve, build_curve, cell_info, point_at
 from .engine import EngineConfig, cdtw_exact, reconstruct_path
@@ -315,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
             default="cdtw",
         )
         p.add_argument("--resolution", type=float, default=None)
-        p.add_argument("--epsilon", type=float, default=1e-9)
 
     p = sub.add_parser("compute", help="distance between two series files")
     p.add_argument("a")
@@ -343,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[4, 16, 64, 256],
     )
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=1e-9)
     p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("heatmap", help="dump height grid, path, and valleys as CSV")
@@ -358,11 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "epsilon", None) is not None:
-        if args.epsilon <= 0:
-            print("error: --epsilon must be positive", file=sys.stderr)
-            return EXIT_USAGE
-        pw.set_tolerance(args.epsilon)
     try:
         return args.func(args)
     except _UsageError as exc:

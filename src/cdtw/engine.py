@@ -41,12 +41,13 @@ class SolveStats:
 
     total_pieces counts quadratic pieces over all edge cost functions;
     pieces_per_level groups them by cell level (base-case edges count
-    towards the level of the only cell they feed).
+    towards the level of the only cell they feed); max_distinct_ab is the
+    largest number of distinct leading-coefficient pairs on one edge.
     """
 
     total_pieces: int = 0
     pieces_per_level: Dict[int, int] = field(default_factory=dict)
-    max_distinct_ab_per_edge: Dict[str, int] = field(default_factory=dict)
+    max_distinct_ab: int = 0
     wall_time: float = 0.0
     cells_solved: int = 0
     flags: List[str] = field(default_factory=list)
@@ -55,7 +56,7 @@ class SolveStats:
         return {
             "total_pieces": self.total_pieces,
             "pieces_per_level": {str(k): v for k, v in sorted(self.pieces_per_level.items())},
-            "max_distinct_ab_per_edge": dict(sorted(self.max_distinct_ab_per_edge.items())),
+            "max_distinct_ab": self.max_distinct_ab,
             "wall_time": self.wall_time,
             "cells_solved": self.cells_solved,
             "flags": list(self.flags),
@@ -113,11 +114,13 @@ def _distinct_ab(f: pw.PiecewiseQuadratic) -> int:
     return len({(round(p[0] / AB_BUCKET), round(p[1] / AB_BUCKET)) for p in f.raw})
 
 
-def _count_edge(stats: SolveStats, key: str, level: int, f: pw.PiecewiseQuadratic) -> None:
+def _count_edge(stats: SolveStats, level: int, f: pw.PiecewiseQuadratic) -> None:
     n = len(f.raw)
     stats.total_pieces += n
     stats.pieces_per_level[level] = stats.pieces_per_level.get(level, 0) + n
-    stats.max_distinct_ab_per_edge[key] = _distinct_ab(f)
+    distinct = _distinct_ab(f)
+    if distinct > stats.max_distinct_ab:
+        stats.max_distinct_ab = distinct
 
 
 def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> CdtwResult:
@@ -133,9 +136,9 @@ def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> Cdt
     bottoms, lefts = base_case(P, Q)
     n, m = P.num_segments, Q.num_segments
     for i, bc in enumerate(bottoms, start=1):
-        _count_edge(stats, f"bottom:{i},1", i + 1, bc.cost)
+        _count_edge(stats, i + 1, bc.cost)
     for j, bc in enumerate(lefts, start=1):
-        _count_edge(stats, f"left:1,{j}", j + 1, bc.cost)
+        _count_edge(stats, j + 1, bc.cost)
 
     top: Dict[Tuple[int, int], BoundaryCost] = {}
     right: Dict[Tuple[int, int], BoundaryCost] = {}
@@ -156,8 +159,8 @@ def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> Cdt
             right[(i, j)] = r_bc
             records[(i, j)] = rec
             stats.cells_solved += 1
-            _count_edge(stats, f"top:{i},{j}", k, t_bc.cost)
-            _count_edge(stats, f"right:{i},{j}", k, r_bc.cost)
+            _count_edge(stats, k, t_bc.cost)
+            _count_edge(stats, k, r_bc.cost)
 
     p_len, q_len = P.length, Q.length
     v_right = right[(n, m)].cost.value(q_len)
@@ -172,6 +175,7 @@ def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> Cdt
     value = max(value, 0.0)
 
     run = SolveRun(P, Q, cfg, top, right, bottoms, lefts, records, stats)
+    collect_stats(run)
     stats.wall_time = time.perf_counter() - t_start
     result = CdtwResult(value=value, stats=stats, run=run)
     if cfg.record_path:

@@ -2,12 +2,13 @@
 
 Boundary cost functions of the warping dynamic program are continuous
 piecewise quadratics.  This module implements the operations the solver
-needs: evaluation, affine substitution of the argument, pointwise addition
-of quadratics, integrals of |linear| functions, the cumulative minimum
-g(t) = min_{s <= t} f(s), an offset variant of it, and the lower envelope
-(pointwise minimum) of a set of partially overlapping fragments.
+needs: evaluation, affine substitution of the argument, pointwise addition,
+restriction, integrals of |linear| functions, the cumulative minimum
+g(t) = min_{s <= t} f(s), and the lower envelope (pointwise minimum) of a
+set of partially overlapping fragments.  Operations that take per-piece
+tags carry them through to the pieces of their result.
 
-All arithmetic is binary64 with a configurable tolerance used for
+All arithmetic is binary64 with one fixed tolerance, TOLERANCE, used for
 breakpoint merging, continuity checks, and quadratic-intersection roots.
 Exact rational arithmetic is not an option here: envelope breakpoints are
 roots of quadratics and irrational in general.
@@ -20,21 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CoverageGap, InvariantViolation, OutOfDomain
 
 TOLERANCE = 1e-9
 
 Raw = Tuple[float, float, float, float, float]
-
-
-def set_tolerance(value: float) -> None:
-    """Set the global numeric tolerance (breakpoints, roots, continuity)."""
-    global TOLERANCE
-    if value <= 0:
-        raise ValueError("tolerance must be positive")
-    TOLERANCE = float(value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,13 +46,6 @@ class Quadratic:
     def deriv(self, s: float) -> float:
         return 2.0 * self.a * s + self.b
 
-    def shifted(self, dc: float) -> "Quadratic":
-        return Quadratic(self.a, self.b, self.c + dc, self.lo, self.hi)
-
-
-def _raw_of(pieces: Iterable[Quadratic]) -> List[Raw]:
-    return [(p.a, p.b, p.c, p.lo, p.hi) for p in pieces]
-
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class PiecewiseQuadratic:
@@ -72,7 +58,7 @@ class PiecewiseQuadratic:
     raw: Tuple[Raw, ...]
 
     def __init__(self, pieces: Sequence[Quadratic]) -> None:
-        _set_raw(self, tuple(_raw_of(pieces)))
+        _set_raw(self, tuple([(p.a, p.b, p.c, p.lo, p.hi) for p in pieces]))
 
     def __repr__(self) -> str:
         return f"PiecewiseQuadratic(pieces={self.pieces!r})"
@@ -102,8 +88,6 @@ class PiecewiseQuadratic:
 
 _set_raw = PiecewiseQuadratic.raw.__set__
 
-PwqLike = Union[Quadratic, PiecewiseQuadratic]
-
 
 def from_raw(raw: Iterable[Raw]) -> PiecewiseQuadratic:
     """PiecewiseQuadratic over raw pieces taken as they are."""
@@ -120,28 +104,18 @@ def constant(value: float, lo: float, hi: float) -> PiecewiseQuadratic:
 # construction hygiene
 
 
-def normalize(
-    pieces: Sequence[Quadratic],
-    tags: Optional[Sequence[Any]] = None,
-) -> Tuple[List[Quadratic], Optional[List[Any]]]:
-    """Snap abutting domains, drop sub-tolerance slivers, merge equal pieces.
-
-    When tags are supplied (one per piece) merging only happens between
-    pieces with equal tags, and the surviving tag list is returned.
-    """
-    if len(pieces) < 2:
-        return list(pieces), (None if tags is None else list(tags))
-    clean, out_tags = normalize_raw(_raw_of(pieces), tags)
-    return [Quadratic(*r) for r in clean], out_tags
-
-
 def normalize_raw(
     pieces: Sequence[Raw],
     tags: Optional[Sequence[Any]] = None,
 ) -> Tuple[List[Raw], Optional[List[Any]]]:
-    """normalize on raw pieces, in one pass: drop each sliver (widening the
-    next piece down to its start, or the last kept piece up to the end),
-    snap the piece to the last kept one and merge it into that one."""
+    """Snap abutting domains, drop sub-tolerance slivers, merge equal pieces.
+
+    One pass: drop each sliver (widening the next piece down to its start,
+    or the last kept piece up to the end), snap the piece to the last kept
+    one and merge it into that one.  When tags are supplied (one per piece)
+    merging only happens between pieces with equal tags, and the surviving
+    tag list is returned.
+    """
     n = len(pieces)
     if n < 2:
         return list(pieces), (None if tags is None else list(tags))
@@ -191,26 +165,21 @@ def normalize_raw(
 
 
 def build_raw(pieces: Sequence[Raw]) -> PiecewiseQuadratic:
-    """build for raw pieces."""
+    """Normalise a sorted raw piece list into a PiecewiseQuadratic."""
     clean, _ = normalize_raw(pieces)
     if not clean:
         raise InvariantViolation("cannot build an empty piecewise function")
     return from_raw(clean)
 
 
-def build(pieces: Sequence[Quadratic]) -> PiecewiseQuadratic:
-    """Normalise a sorted piece list into a PiecewiseQuadratic."""
-    return build_raw(_raw_of(pieces))
-
-
-def validate(f: PiecewiseQuadratic, tol: Optional[float] = None) -> None:
+def validate(f: PiecewiseQuadratic) -> None:
     """Check tiling, continuity, and the concave-kink rule.
 
     The kink rule requires the left derivative at every interior breakpoint
     to be at least the right derivative (minus tolerance): boundary cost
     functions never kink convexly.
     """
-    tol = TOLERANCE if tol is None else tol
+    tol = TOLERANCE
     pieces = f.pieces
     if not pieces:
         raise InvariantViolation("empty piecewise function")
@@ -258,14 +227,9 @@ def evaluate(f: PiecewiseQuadratic, s: float) -> float:
     return (p[0] * s + p[1]) * s + p[2]
 
 
-def piece_at(f: PiecewiseQuadratic, s: float) -> Tuple[int, Quadratic]:
-    """Index and piece covering s (breakpoints resolve to the left piece)."""
-    k = locate(f.raw, s)
-    return k, Quadratic(*f.raw[k])
-
-
 def locate(raw: Sequence[Raw], s: float) -> int:
-    """piece_at's index, on raw pieces; OutOfDomain outside the domain."""
+    """Index of the piece covering s (breakpoints resolve to the left piece);
+    OutOfDomain outside the domain."""
     lo, hi = raw[0][3], raw[-1][4]
     tol = TOLERANCE * (1.0 + abs(lo) + abs(hi))
     if s < lo - tol or s > hi + tol:
@@ -296,15 +260,8 @@ def minimum(f: PiecewiseQuadratic) -> Tuple[float, float]:
 # affine substitution and addition
 
 
-def affine_substitute(
-    f: PiecewiseQuadratic, alpha: float, beta: float
-) -> PiecewiseQuadratic:
-    """g(t) = f(alpha * t + beta); piece count unchanged, order flips if alpha < 0."""
-    return from_raw(affine_raw(f.raw, alpha, beta))
-
-
 def affine_raw(f: Sequence[Raw], alpha: float, beta: float) -> List[Raw]:
-    """affine_substitute on raw pieces."""
+    """g(t) = f(alpha * t + beta); piece count unchanged, order flips if alpha < 0."""
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
     out: List[Raw] = []
@@ -320,31 +277,13 @@ def affine_raw(f: Sequence[Raw], alpha: float, beta: float) -> List[Raw]:
     return normalize_raw(out)[0]
 
 
-def add_quadratic(f: PiecewiseQuadratic, g: PwqLike) -> PiecewiseQuadratic:
-    """Pointwise sum; breakpoints are the union of both breakpoint sets."""
-    h, _ = add_tagged(f, None, g)
-    return h
-
-
-def add_tagged(
-    f: PiecewiseQuadratic,
-    tags: Optional[Sequence[Any]],
-    g: PwqLike,
-    sign: float = 1.0,
-) -> Tuple[PiecewiseQuadratic, Optional[List[Any]]]:
-    """f + sign * g, carrying f's per-piece tags through breakpoint refinement."""
-    graw = _raw_of([g]) if isinstance(g, Quadratic) else g.raw
-    pieces, out_tags = add_raw(f.raw, tags, graw, sign)
-    return from_raw(pieces), out_tags
-
-
 def add_raw(
     f: Sequence[Raw],
     tags: Optional[Sequence[Any]],
     g: Sequence[Raw],
     sign: float = 1.0,
 ) -> Tuple[List[Raw], Optional[List[Any]]]:
-    """add_tagged on raw pieces.
+    """f + sign * g, carrying f's per-piece tags through breakpoint refinement.
 
     Cuts are the union of both breakpoint sets, with cuts closer than the
     tolerance merged; each span takes the pieces of f and g covering its
@@ -357,7 +296,7 @@ def add_raw(
         raise InvariantViolation(
             f"domain mismatch in addition: [{lo},{hi}] vs [{glo},{ghi}]"
         )
-    if len(f) == 1 and len(g) == 1 and glo <= lo < hi <= ghi and hi - lo > tol:
+    if len(f) == 1 and len(g) == 1 and glo <= lo < hi <= ghi:
         # One span, both pieces covering it: the loop below, unrolled.
         pf, pg = f[0], g[0]
         piece = (pf[0] + sign * pg[0], pf[1] + sign * pg[1], pf[2] + sign * pg[2], lo, hi)
@@ -373,10 +312,9 @@ def add_raw(
     for p in g:
         if inner_lo < p[4] < inner_hi:
             cuts.append(p[4])
-    if len(cuts) == 2 and lo < hi:
-        if not hi - lo > tol:
-            cuts = [hi]
-    else:
+    # Without inner cuts, as on any domain narrower than the tolerance,
+    # the sum is one span, [lo, hi].
+    if len(cuts) > 2:
         cuts = sorted(set(cuts))
         merged = [cuts[0]]
         for x in cuts[1:]:
@@ -537,35 +475,36 @@ def _root_of_piece(p: Quadratic, target: float, lo: float, hi: float) -> float:
 # cumulative minimum
 
 
-def cumulative_min(f: PiecewiseQuadratic) -> PiecewiseQuadratic:
-    """g(t) = min over s <= t of f(s)."""
-    g, _ = cumulative_min_annotated(f)
-    return g
-
-
-def cumulative_min_annotated(
+def cumulative_min(
     f: PiecewiseQuadratic,
-) -> Tuple[PiecewiseQuadratic, List[Optional[float]]]:
-    """Cumulative minimum plus per-piece argmin annotations.
+    tags: Optional[Sequence[Any]] = None,
+) -> Tuple[PiecewiseQuadratic, List[Optional[float]], Optional[List[Any]]]:
+    """g(t) = min over s <= t of f(s), with per-piece argmin annotations.
 
     Annotation None means the output piece follows f itself (the minimum at
     t is attained at t); a float s* means the piece is flat and the minimum
-    was attained earlier, at s*.
+    was attained earlier, at s*.  With tags (one per piece of f), a follow
+    piece carries the tag of the piece it follows and a flat piece the tag
+    of the piece covering s* (a breakpoint resolves to the left piece, as
+    in locate); pieces merge only where annotation and tag both agree.
     """
     tol = TOLERANCE
+    raw = f.raw
     out: List[Raw] = []
-    tags: List[Optional[float]] = []
+    keys: List[Tuple[Optional[float], Any]] = []  # (annotation, tag) per piece
     m = math.inf
     m_arg = f.lo
 
-    def emit(piece: Raw, tag: Optional[float]) -> None:
+    def emit(piece: Raw, arg: Optional[float]) -> None:
         if piece[4] - piece[3] < 0:
             return
         out.append(piece)
-        tags.append(tag)
+        if tags is None:
+            keys.append((arg, None))
+        else:  # k: the piece of f being split, in the loop below
+            keys.append((arg, tags[k if arg is None else locate(raw, arg)]))
 
-    raw = f.raw
-    for p in raw:
+    for k, p in enumerate(raw):
         a, b, c, l, h = p
         # Split the piece into monotone stages of its own prefix minimum:
         # 'follow' stages where the prefix minimum is the piece itself
@@ -623,7 +562,7 @@ def cumulative_min_annotated(
                 emit((a, b, c, x, sh), None)
                 m, m_arg = v_end, sh
 
-    pieces, tags = normalize_raw(out, tags)
+    pieces, keys = normalize_raw(out, keys)
     if len(pieces) > len(raw) + 1:
         distinct = {(round(p[0] / 1e-7), round(p[1] / 1e-7)) for p in raw}
         if len(pieces) > len(raw) + len(distinct) + 1:
@@ -631,29 +570,8 @@ def cumulative_min_annotated(
                 f"cumulative minimum grew from {len(raw)} to {len(pieces)} pieces "
                 f"with only {len(distinct)} distinct coefficient pairs"
             )
-    return from_raw(pieces), tags
-
-
-def offset_cumulative_min(
-    f: PiecewiseQuadratic, qc: PwqLike
-) -> PiecewiseQuadratic:
-    """g(t) = min over s <= t of (f(s) - qc(s)) + qc(t).
-
-    With qc constant 0 this is the plain cumulative minimum.  qc may be a
-    single Quadratic or a piecewise one (edge height integrals have a
-    breakpoint where the zero line crosses the edge).
-    """
-    g, _ = offset_cumulative_min_annotated(f, qc)
-    return g
-
-
-def offset_cumulative_min_annotated(
-    f: PiecewiseQuadratic, qc: PwqLike
-) -> Tuple[PiecewiseQuadratic, List[Optional[float]]]:
-    diff, _ = add_tagged(f, None, qc, sign=-1.0)
-    dmin, args = cumulative_min_annotated(diff)
-    g, args = add_tagged(dmin, args, qc, sign=1.0)
-    return g, list(args or [])
+    args = [key[0] for key in keys]
+    return from_raw(pieces), args, (None if tags is None else [key[1] for key in keys])
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +665,7 @@ def _env_insert(env: List[tuple], q: tuple) -> List[tuple]:
     return out
 
 
-def lower_envelope_tagged(
+def lower_envelope(
     items: Sequence[Tuple[PiecewiseQuadratic, Sequence[Any]]],
     lo: Optional[float] = None,
     hi: Optional[float] = None,
@@ -790,37 +708,4 @@ def lower_envelope_tagged(
     a0, b0, c0, l0, _ = pieces[-1]
     pieces[-1] = (a0, b0, c0, l0, hi)
     pieces, tags = normalize_raw(pieces, tags)
-    return from_raw(pieces), list(tags or [])
-
-
-def lower_envelope_ordered(
-    candidates: Sequence[PiecewiseQuadratic],
-    lo: Optional[float] = None,
-    hi: Optional[float] = None,
-) -> PiecewiseQuadratic:
-    """Pointwise minimum of candidate fragments over their joint interval."""
-    items = [
-        (f, [(-float(k), None)] * len(f)) for k, f in enumerate(candidates)
-    ]
-    env, _ = lower_envelope_tagged(items, lo, hi)
-    return env
-
-
-# ---------------------------------------------------------------------------
-# serialisation
-
-
-def to_json(f: PiecewiseQuadratic) -> List[dict]:
-    """Debug serialisation: list of {a, b, c, lo, hi} dicts."""
-    return [
-        {"a": p.a, "b": p.b, "c": p.c, "lo": p.lo, "hi": p.hi} for p in f.pieces
-    ]
-
-
-def from_json(data: Iterable[dict]) -> PiecewiseQuadratic:
-    pieces = tuple(
-        Quadratic(d["a"], d["b"], d["c"], d["lo"], d["hi"]) for d in data
-    )
-    if not pieces:
-        raise InvariantViolation("empty serialised piecewise function")
-    return PiecewiseQuadratic(pieces)
+    return from_raw(pieces), tags

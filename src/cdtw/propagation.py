@@ -337,10 +337,10 @@ def propagate_type_b(
     b1_left, _ = pw.add_raw(fl, None, (walk,))
     tags_l = [(PREF_LEFT, Prov("B1", "left"))] * len(b1_left)
 
-    valley_env, vtags = pw.lower_envelope_tagged(
+    valley_env, vtags = pw.lower_envelope(
         [(pw.from_raw(b1_bottom), tags_b), (pw.from_raw(b1_left), tags_l)], vx0, vx1
     )
-    b2, argmins = pw.cumulative_min_annotated(valley_env)
+    b2, argmins, _ = pw.cumulative_min(valley_env)
 
     out: Dict[str, List[Fragment]] = {"top": [], "right": []}
     src = len(b2.raw)
@@ -528,36 +528,20 @@ def apply_edge_travel(
     """Allow paths to continue along the output edge after any exit.
 
     g(t) = min over s <= t of (env(s) + integral of h between s and t along
-    the edge), computed as an offset cumulative minimum against the running
-    edge integral.  Ties prefer the direct fragment (no travel).
+    the edge): subtract the running edge integral, take the tagged
+    cumulative minimum, and add the integral back.  Ties prefer the direct
+    fragment (no travel).
     """
     edge = q_edge.raw
-    diff_raw, dtags = pw.add_raw(env.raw, tags, edge, sign=-1.0)
-    diff = pw.from_raw(diff_raw)
-    dmin, args = pw.cumulative_min_annotated(diff)
-    # The untagged cumulative minimum can merge equal-coefficient spans that
-    # carry different provenance; split follow pieces back at the source
-    # breakpoints so every sub-piece gets the tag it actually follows.
-    pieces: List[pw.Raw] = []
-    new_tags: List[Tuple[float, Prov]] = []
-    tol = pw.TOLERANCE * (1.0 + abs(diff.lo) + abs(diff.hi))
-    for (pa, pb, pc, lo, hi), arg in zip(dmin.raw, args):
-        if arg is None:
-            a = lo
-            for p in diff_raw:
-                b = p[4]
-                if lo + tol < b < hi - tol:
-                    pieces.append((pa, pb, pc, a, b))
-                    new_tags.append(dtags[pw.locate(diff_raw, 0.5 * (a + b))])
-                    a = b
-            pieces.append((pa, pb, pc, a, hi))
-            new_tags.append(dtags[pw.locate(diff_raw, 0.5 * (a + hi))])
-        else:
-            pieces.append((pa, pb, pc, lo, hi))
-            pref, prov = dtags[pw.locate(diff_raw, arg)]
-            new_tags.append((pref, Prov("travel", "", (arg,), prov)))
-    g, gtags = pw.add_raw(pieces, new_tags, edge, sign=1.0)
-    return pw.from_raw(g), list(gtags or [])
+    diff, dtags = pw.add_raw(env.raw, tags, edge, sign=-1.0)
+    dmin, args, mtags = pw.cumulative_min(pw.from_raw(diff), dtags)
+    # A flat piece departs from the argmin s*: wrap its source's provenance.
+    new_tags = [
+        tag if arg is None else (tag[0], Prov("travel", "", (arg,), tag[1]))
+        for arg, tag in zip(args, mtags)
+    ]
+    g, gtags = pw.add_raw(dmin.raw, new_tags, edge)
+    return pw.from_raw(g), gtags
 
 
 def _pin_end(
@@ -614,8 +598,8 @@ def solve_cell(
             frags_top.extend(cands["top"])
             frags_right.extend(cands["right"])
 
-    env_top, tags_top = pw.lower_envelope_tagged(frags_top, x0, x1)
-    env_right, tags_right = pw.lower_envelope_tagged(frags_right, y0, y1)
+    env_top, tags_top = pw.lower_envelope(frags_top, x0, x1)
+    env_right, tags_right = pw.lower_envelope(frags_right, y0, y1)
 
     fin_top, prov_top = apply_edge_travel(env_top, tags_top, ride_top)
     fin_right, prov_right = apply_edge_travel(env_right, tags_right, ride_right)

@@ -10,7 +10,6 @@ from cdtw import build_curve
 from cdtw import piecewise as pw
 from cdtw.baselines import GridConfig, cdtw_grid, discrete_frechet, dtw
 from cdtw.engine import EngineConfig, cdtw_exact, reconstruct_path
-from cdtw.piecewise import Quadratic
 
 from helpers import (
     brute_discrete_frechet,
@@ -183,13 +182,8 @@ def test_envelope_micro_oracle():
     for _ in range(500):
         lo, hi = 0.0, rng.uniform(0.5, 2.0)
         cands = [
-            pw.build(
-                [
-                    Quadratic(
-                        rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2),
-                        lo, hi,
-                    )
-                ]
+            pw.from_raw(
+                [(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2), lo, hi)]
             )
         ]
         for _ in range(rng.randint(2, 6)):
@@ -200,16 +194,12 @@ def test_envelope_micro_oracle():
             if b < a:
                 a, b = b, a
             cands.append(
-                pw.build(
-                    [
-                        Quadratic(
-                            rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2),
-                            a, b,
-                        )
-                    ]
+                pw.from_raw(
+                    [(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2), a, b)]
                 )
             )
-        env = pw.lower_envelope_ordered(cands, lo, hi)
+        ranked = [(c, [(-float(k), None)]) for k, c in enumerate(cands)]
+        env, _ = pw.lower_envelope(ranked, lo, hi)
         for k in range(1000):
             s = lo + (hi - lo) * k / 999.0
             want = min(

@@ -74,6 +74,19 @@ class TestCompute:
         out = json.loads(capsys.readouterr().out)
         assert out["stats"]["cells_solved"] == 1
         assert out["stats"]["total_pieces"] > 0
+        assert out["stats"]["max_distinct_ab"] >= 1
+        assert out["stats"]["flags"] == []
+
+    def test_sub_tolerance_segment(self, tmp_path, capsys):
+        # The fifth vertex lies 3.9e-9 above the fourth.
+        a = write(tmp_path, "a.csv", "\n".join([
+            "0.7252509730769274", "0.2963912686699557", "0.5513527531057241",
+            "1.405213468449474", "1.4052134723299892", "1.3719316619157789",
+            "0.6123421367627049",
+        ]))
+        b = write(tmp_path, "b.csv", "1.2536115370522147\n1.4422700805839088\n0.6186071633804859\n")
+        assert main(["compute", a, b]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] >= 0.0
 
     def test_timestamp_column_warns_once(self, tmp_path, capsys):
         a = write(tmp_path, "ts.csv", "0,1000\n1,1001\n")

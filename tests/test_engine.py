@@ -8,7 +8,8 @@ import random
 import numpy as np
 import pytest
 
-from cdtw import build_curve
+from cdtw import build_curve, engine
+from cdtw.baselines import GridConfig, cdtw_grid
 from cdtw.engine import (
     EngineConfig,
     CdtwResult,
@@ -179,7 +180,7 @@ class TestStats:
         s = SolveStats()
         assert s.total_pieces == 0
         assert s.pieces_per_level == {}
-        assert s.max_distinct_ab_per_edge == {}
+        assert s.max_distinct_ab == 0
         assert s.cells_solved == 0
         assert s.flags == []
 
@@ -220,8 +221,44 @@ class TestStats:
         P = random_curve(rng, 6)
         Q = random_curve(rng, 5)
         res = cdtw_exact(P, Q)
-        for key, count in res.stats.max_distinct_ab_per_edge.items():
-            assert count >= 1
+        run = res.run
+        edges = [*run.top.values(), *run.right.values(), *run.bottoms, *run.lefts]
+        most = max(
+            len({(round(p.a / 1e-7), round(p.b / 1e-7)) for p in bc.cost.pieces})
+            for bc in edges
+        )
+        assert res.stats.max_distinct_ab == most >= 1
+
+    def test_flags_name_levels_over_the_bound(self, monkeypatch):
+        # Inflate the level-3 count past 2 * 3^4 and the total past
+        # 2 (n + m)^5: the finished solve must report both.
+        original = engine._count_edge
+
+        def inflated(stats, level, f):
+            original(stats, level, f)
+            if level == 3:
+                stats.pieces_per_level[3] += 2 * 3**4
+                stats.total_pieces += 2 * 4**5
+
+        monkeypatch.setattr(engine, "_count_edge", inflated)
+        flags = solve([0, 1, 0], [0, 1, 0.5]).stats.flags
+        assert any(flag.startswith("level 3: ") for flag in flags)
+        assert any(flag.startswith("total pieces ") for flag in flags)
+        assert not any(flag.startswith("level 2: ") for flag in flags)
+
+
+class TestRobustness:
+    def test_sub_tolerance_segment_inside_sandwich(self):
+        # P[3] -> P[4] is a 3.9e-9 segment: adding its edge integral once
+        # gave an empty function and a bare IndexError.
+        P = build_curve([
+            0.7252509730769274, 0.2963912686699557, 0.5513527531057241,
+            1.405213468449474, 1.4052134723299892, 1.3719316619157789,
+            0.6123421367627049,
+        ])
+        Q = build_curve([1.2536115370522147, 1.4422700805839088, 0.6186071633804859])
+        exact = cdtw_exact(P, Q).value
+        assert 0.0 <= exact <= cdtw_grid(P, Q, GridConfig(resolution=256))
 
 
 class TestProvenanceControl:

@@ -1,7 +1,6 @@
 """Piecewise-quadratic algebra: evaluation, substitution, addition,
 |linear| integrals, cumulative minima, and the lower envelope."""
 
-import json
 import math
 import random
 
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 from cdtw import piecewise as pw
 from cdtw.errors import CoverageGap, OutOfDomain
 from cdtw.piecewise import PiecewiseQuadratic, Quadratic
+from cdtw.propagation import Prov, apply_edge_travel
 
 from helpers import numeric_cumulative_min, numeric_integral, pwq_prefix_min
 
@@ -37,6 +37,19 @@ def random_pwq(rng, lo=0.0, hi=1.0, max_pieces=5, amp=2.0):
     return PiecewiseQuadratic(tuple(pieces))
 
 
+def ranked(cands):
+    """Envelope items tagging each candidate's pieces with its rank in
+    cands, so that on ties the earlier candidate wins."""
+    return [(f, [(-float(k), None)] * len(f)) for k, f in enumerate(cands)]
+
+
+def travel(f, qc):
+    """apply_edge_travel of f along an edge whose running integral is the
+    single piece qc: min over s <= t of (f(s) - qc(s)) + qc(t)."""
+    g, _ = apply_edge_travel(f, [(1.0, Prov("base", "bottom"))] * len(f), pw.from_raw([qc]))
+    return g
+
+
 class TestEvaluate:
     def test_single_piece(self):
         f = pwq((1, 0, 0, 0, 1))
@@ -56,21 +69,21 @@ class TestEvaluate:
 class TestAffineSubstitute:
     def test_shift(self):
         f = pwq((1, 0, 0, 0, 1))
-        g = pw.affine_substitute(f, 1.0, 0.5)
+        g = pw.from_raw(pw.affine_raw(f.raw, 1.0, 0.5))
         assert g.lo == pytest.approx(-0.5)
         assert g.hi == pytest.approx(0.5)
         assert g.value(0.25) == pytest.approx(0.75**2)
 
     def test_reflect(self):
         f = pwq((0, 1, 0, 0, 1))
-        g = pw.affine_substitute(f, -1.0, 1.0)
+        g = pw.from_raw(pw.affine_raw(f.raw, -1.0, 1.0))
         assert g.lo == pytest.approx(0.0)
         assert g.hi == pytest.approx(1.0)
         assert g.value(0.25) == pytest.approx(0.75)
 
     def test_identity(self):
         f = pwq((1, 2, 3, 0, 1), (0, 4, 2, 1, 2))
-        g = pw.affine_substitute(f, 1.0, 0.0)
+        g = pw.from_raw(pw.affine_raw(f.raw, 1.0, 0.0))
         for s in (0.0, 0.5, 1.0, 1.7, 2.0):
             assert g.value(s) == pytest.approx(f.value(s))
 
@@ -80,7 +93,7 @@ class TestAffineSubstitute:
             f = random_pwq(rng)
             alpha = rng.choice([1.0, -1.0])
             beta = rng.uniform(-1, 1)
-            g = pw.affine_substitute(f, alpha, beta)
+            g = pw.from_raw(pw.affine_raw(f.raw, alpha, beta))
             for _ in range(20):
                 t = rng.uniform(g.lo, g.hi)
                 assert g.value(t) == pytest.approx(
@@ -91,19 +104,19 @@ class TestAffineSubstitute:
 class TestAddQuadratic:
     def test_add_single(self):
         f = pwq((0, 1, 0, 0, 1))
-        g = pw.add_quadratic(f, Quadratic(1, 0, 0, 0, 1))
+        g = pw.from_raw(pw.add_raw(f.raw, None, [(1, 0, 0, 0, 1)])[0])
         assert g.value(0.5) == pytest.approx(0.75)
 
     def test_add_zero(self):
         f = pwq((2, -1, 0.5, 0, 1))
-        g = pw.add_quadratic(f, Quadratic(0, 0, 0, 0, 1))
+        g = pw.from_raw(pw.add_raw(f.raw, None, [(0, 0, 0, 0, 1)])[0])
         for s in (0, 0.3, 1):
             assert g.value(s) == pytest.approx(f.value(s))
 
     def test_breakpoint_union(self):
         f = pw.constant(0.0, 0.0, 1.0)
         g = pw.integrate_abs_linear(1.0, -0.5, 0.0, 1.0)
-        h = pw.add_quadratic(f, g)
+        h = pw.from_raw(pw.add_raw(f.raw, None, g.raw)[0])
         assert len(h) == 2
         assert h.value(1.0) == pytest.approx(0.25)
 
@@ -112,7 +125,7 @@ class TestAddQuadratic:
         for _ in range(40):
             f = random_pwq(rng)
             g = random_pwq(rng)
-            s = pw.add_quadratic(f, g)
+            s = pw.from_raw(pw.add_raw(f.raw, None, g.raw)[0])
             for _ in range(10):
                 x = rng.uniform(0, 1)
                 assert s.value(x) == pytest.approx(f.value(x) + g.value(x), abs=1e-9)
@@ -166,20 +179,20 @@ class TestIntegrateAbsLinear:
 class TestCumulativeMin:
     def test_vertex_then_flat(self):
         f = pwq((1, -2, 0, 0, 3))
-        g = pw.cumulative_min(f)
+        g, _, _ = pw.cumulative_min(f)
         assert g.value(0.5) == pytest.approx(f.value(0.5))
         assert g.value(2.0) == pytest.approx(-1.0)
         assert g.value(3.0) == pytest.approx(-1.0)
 
     def test_increasing_becomes_constant(self):
         f = pwq((0, 1, 0, 0, 1))
-        g = pw.cumulative_min(f)
+        g, _, _ = pw.cumulative_min(f)
         for s in (0, 0.4, 1):
             assert g.value(s) == pytest.approx(0.0, abs=1e-12)
 
     def test_decreasing_unchanged(self):
         f = pwq((0, -1, 1, 0, 1))
-        g = pw.cumulative_min(f)
+        g, _, _ = pw.cumulative_min(f)
         for s in (0, 0.4, 1):
             assert g.value(s) == pytest.approx(f.value(s))
 
@@ -187,7 +200,7 @@ class TestCumulativeMin:
         rng = random.Random(21)
         for _ in range(60):
             f = random_pwq(rng)
-            g = pw.cumulative_min(f)
+            g, _, _ = pw.cumulative_min(f)
             for _ in range(15):
                 t = rng.uniform(0, 1)
                 expect = pwq_prefix_min(f.pieces, t)
@@ -197,7 +210,7 @@ class TestCumulativeMin:
         rng = random.Random(25)
         for _ in range(20):
             f = random_pwq(rng)
-            g = pw.cumulative_min(f)
+            g, _, _ = pw.cumulative_min(f)
             for _ in range(5):
                 t = rng.uniform(0, 1)
                 expect = numeric_cumulative_min(f.value, 0.0, 1.0, t, 3000)
@@ -207,8 +220,8 @@ class TestCumulativeMin:
         rng = random.Random(22)
         for _ in range(30):
             f = random_pwq(rng)
-            g1 = pw.cumulative_min(f)
-            g2 = pw.cumulative_min(g1)
+            g1, _, _ = pw.cumulative_min(f)
+            g2, _, _ = pw.cumulative_min(g1)
             for _ in range(10):
                 t = rng.uniform(0, 1)
                 assert g2.value(t) == pytest.approx(g1.value(t), abs=1e-12)
@@ -217,7 +230,7 @@ class TestCumulativeMin:
         rng = random.Random(23)
         for _ in range(30):
             f = random_pwq(rng)
-            g = pw.cumulative_min(f)
+            g, _, _ = pw.cumulative_min(f)
             last = math.inf
             for k in range(50):
                 t = k / 49.0
@@ -230,7 +243,7 @@ class TestCumulativeMin:
         rng = random.Random(24)
         for _ in range(40):
             f = random_pwq(rng)
-            g, args = pw.cumulative_min_annotated(f)
+            g, args, _ = pw.cumulative_min(f)
             for piece, arg in zip(g.pieces, args):
                 t = 0.5 * (piece.lo + piece.hi)
                 if arg is None:
@@ -240,29 +253,74 @@ class TestCumulativeMin:
                     assert g.value(t) == pytest.approx(f.value(arg), abs=1e-6)
 
 
+    def test_untagged_returns_no_tags(self):
+        f = pwq((1, -2, 0, 0, 3))
+        _, args, tags = pw.cumulative_min(f)
+        assert args == [None, 1.0]
+        assert tags is None
+
+    def test_tags_follow_source_pieces_and_argmins(self):
+        rng = random.Random(26)
+        for _ in range(60):
+            f = random_pwq(rng)
+            tags = [f"piece{k}" for k in range(len(f))]
+            g, args, out_tags = pw.cumulative_min(f, tags)
+            g0, args0, _ = pw.cumulative_min(f)
+            assert len(out_tags) == len(g) == len(args)
+            for piece, arg, tag in zip(g.raw, args, out_tags):
+                # a follow piece lies inside the piece it follows; a flat one
+                # names the piece covering its argmin, left at a breakpoint
+                src = pw.locate(f.raw, 0.5 * (piece[3] + piece[4]) if arg is None else arg)
+                assert tag == tags[src]
+            for k in range(40):
+                t = k / 39.0
+                assert g.value(t) == pytest.approx(g0.value(t), abs=1e-12)
+                ka, kb = pw.locate(g.raw, t), pw.locate(g0.raw, t)
+                assert (args[ka] is None) == (args0[kb] is None)
+
+    def test_argmin_on_a_breakpoint_takes_the_left_tag(self):
+        # The minimum 0 sits on the breakpoint s = 1 of two linear pieces.
+        f = pwq((0, -1, 1, 0, 1), (0, 1, -1, 1, 2))
+        g, args, tags = pw.cumulative_min(f, ["down", "up"])
+        assert args == [None, 1.0]
+        assert tags == ["down", "down"]
+        assert g.value(1.5) == pytest.approx(0.0)
+
+    def test_merges_only_equal_tags(self):
+        # One decreasing line cut in two: the pieces merge without tags and
+        # with equal tags, and stay apart with different tags.
+        f = pwq((0, -1, 1, 0, 0.5), (0, -1, 1, 0.5, 1))
+        assert len(pw.cumulative_min(f)[0]) == 1
+        assert pw.cumulative_min(f, ["a", "a"])[2] == ["a"]
+        g, args, tags = pw.cumulative_min(f, ["a", "b"])
+        assert g.breakpoints() == [0, 0.5, 1]
+        assert args == [None, None]
+        assert tags == ["a", "b"]
+
+
 class TestOffsetCumulativeMin:
     def test_zero_offset_reduction(self):
         rng = random.Random(31)
         for _ in range(30):
             f = random_pwq(rng)
-            qc = Quadratic(0, 0, 0, 0, 1)
-            g = pw.offset_cumulative_min(f, qc)
-            ref = pw.cumulative_min(f)
+            qc = (0, 0, 0, 0, 1)
+            g = travel(f, qc)
+            ref, _, _ = pw.cumulative_min(f)
             for k in range(25):
                 t = k / 24.0
                 assert g.value(t) == pytest.approx(ref.value(t), abs=1e-12)
 
     def test_flat_input_cancels(self):
         f = pw.constant(0.0, 0.0, 1.0)
-        qc = Quadratic(1, 0, 0, 0, 1)
-        g = pw.offset_cumulative_min(f, qc)
+        qc = (1, 0, 0, 0, 1)
+        g = travel(f, qc)
         for t in (0, 0.5, 1):
             assert g.value(t) == pytest.approx(0.0, abs=1e-12)
 
     def test_matching_slopes_identity(self):
         f = pwq((0, 1, 0, 0, 1))
-        qc = Quadratic(0, 1, 0, 0, 1)
-        g = pw.offset_cumulative_min(f, qc)
+        qc = (0, 1, 0, 0, 1)
+        g = travel(f, qc)
         for t in (0, 0.5, 1):
             assert g.value(t) == pytest.approx(f.value(t), abs=1e-12)
 
@@ -277,7 +335,7 @@ class TestOffsetCumulativeMin:
                 Quadratic(p.a - qc.a, p.b - qc.b, p.c - qc.c, p.lo, p.hi)
                 for p in f.pieces
             ]
-            g = pw.offset_cumulative_min(f, qc)
+            g = travel(f, (qc.a, qc.b, qc.c, qc.lo, qc.hi))
             for _ in range(10):
                 t = rng.uniform(0, 1)
                 expect = pwq_prefix_min(diff, t) + qc.value(t)
@@ -288,7 +346,7 @@ class TestLowerEnvelope:
     def test_two_parabolas(self):
         f1 = pwq((1, 0, 0, 0, 1))
         f2 = pwq((1, -2, 1, 0, 1))
-        env = pw.lower_envelope_ordered([f1, f2])
+        env, _ = pw.lower_envelope(ranked([f1, f2]))
         assert env.value(0.25) == pytest.approx(0.0625)
         assert env.value(0.75) == pytest.approx(0.0625)
         bks = env.breakpoints()
@@ -296,14 +354,14 @@ class TestLowerEnvelope:
 
     def test_single_candidate(self):
         f = pwq((2, -1, 0.3, 0, 1))
-        env = pw.lower_envelope_ordered([f])
+        env, _ = pw.lower_envelope(ranked([f]))
         for s in (0, 0.5, 1):
             assert env.value(s) == pytest.approx(f.value(s))
 
     def test_uniform_domination(self):
         f1 = pwq((1, 0, 1, 0, 1))
         f2 = pwq((1, 0, 0, 0, 1))
-        env = pw.lower_envelope_ordered([f1, f2])
+        env, _ = pw.lower_envelope(ranked([f1, f2]))
         for s in (0, 0.5, 1):
             assert env.value(s) == pytest.approx(f2.value(s))
 
@@ -311,12 +369,12 @@ class TestLowerEnvelope:
         f1 = pwq((0, 0, 1, 0.0, 0.4))
         f2 = pwq((0, 0, 1, 0.6, 1.0))
         with pytest.raises(CoverageGap):
-            pw.lower_envelope_ordered([f1, f2], 0.0, 1.0)
+            pw.lower_envelope(ranked([f1, f2]), 0.0, 1.0)
 
     def test_partial_fragments_compose(self):
         f1 = pwq((0, 0, 2, 0.0, 0.7))
         f2 = pwq((0, 0, 1, 0.3, 1.0))
-        env = pw.lower_envelope_ordered([f1, f2], 0.0, 1.0)
+        env, _ = pw.lower_envelope(ranked([f1, f2]), 0.0, 1.0)
         assert env.value(0.1) == pytest.approx(2.0)
         assert env.value(0.5) == pytest.approx(1.0)
         assert env.value(0.9) == pytest.approx(1.0)
@@ -327,7 +385,7 @@ class TestLowerEnvelope:
         f1 = pwq((0, 1, 0, 0.6, 1.0))
         f2 = pwq((0, 0, 3, 0.0, 0.3))
         f3 = pwq((0, 0, 2, 0.3, 0.6))
-        env = pw.lower_envelope_ordered([f1, f2, f3], 0.0, 1.0)
+        env, _ = pw.lower_envelope(ranked([f1, f2, f3]), 0.0, 1.0)
         assert env.breakpoints() == [0.0, 0.3, 0.6, 1.0]
         for s, expect in ((0.1, 3.0), (0.45, 2.0), (0.8, 0.8)):
             assert env.value(s) == pytest.approx(expect)
@@ -341,7 +399,7 @@ class TestLowerEnvelope:
                 b = rng.uniform(-3, 3)
                 c = rng.uniform(-3, 3)
                 cands.append(pwq((a, b, c, 0.0, 1.0)))
-            env = pw.lower_envelope_ordered(cands)
+            env, _ = pw.lower_envelope(ranked(cands))
             for k in range(200):
                 s = (k + 0.5) / 200
                 expect = min(f.value(s) for f in cands)
@@ -352,7 +410,7 @@ class TestLowerEnvelope:
         rng = random.Random(42)
         for _ in range(30):
             cands = [random_pwq(rng) for _ in range(rng.randint(1, 8))]
-            env = pw.lower_envelope_ordered(cands)
+            env, _ = pw.lower_envelope(ranked(cands))
             for k in range(100):
                 s = (k + 0.5) / 100
                 expect = min(f.value(s) for f in cands)
@@ -361,20 +419,13 @@ class TestLowerEnvelope:
     def test_tie_break_prefers_higher_pref(self):
         f1 = pwq((1, 0, 0, 0, 1))
         f2 = pwq((1, 0, 0, 0, 1))
-        env, tags = pw.lower_envelope_tagged(
+        env, tags = pw.lower_envelope(
             [(f1, [(0.0, "low")]), (f2, [(1.0, "high")])]
         )
         assert all(t[1] == "high" for t in tags)
 
 
 class TestValidateAndSerialise:
-    def test_json_round_trip(self):
-        f = pw.integrate_abs_linear(1.0, -0.5, 0.0, 1.0)
-        data = json.loads(json.dumps(pw.to_json(f)))
-        g = pw.from_json(data)
-        for s in (0, 0.25, 0.5, 0.75, 1):
-            assert g.value(s) == pytest.approx(f.value(s))
-
     def test_validate_accepts_continuous(self):
         f = pw.integrate_abs_linear(1.0, -0.5, 0.0, 1.0)
         pw.validate(f)
@@ -400,7 +451,7 @@ class TestValidateAndSerialise:
 def test_envelope_of_random_pwqs_hypothesis(seed):
     rng = random.Random(seed)
     cands = [random_pwq(rng, max_pieces=3) for _ in range(rng.randint(1, 6))]
-    env = pw.lower_envelope_ordered(cands)
+    env, _ = pw.lower_envelope(ranked(cands))
     for k in range(40):
         s = (k + 0.5) / 40
         expect = min(f.value(s) for f in cands)
@@ -412,7 +463,7 @@ def test_envelope_of_random_pwqs_hypothesis(seed):
 def test_cumulative_min_hypothesis(seed):
     rng = random.Random(seed)
     f = random_pwq(rng, max_pieces=4)
-    g = pw.cumulative_min(f)
+    g, _, _ = pw.cumulative_min(f)
     last = math.inf
     for k in range(60):
         t = k / 59.0

@@ -11,12 +11,12 @@ from cdtw import build_curve, cell_info
 from cdtw import piecewise as pw
 from cdtw.curves import Cell
 from cdtw.errors import InvariantViolation, WrongCellType
-from cdtw.piecewise import PiecewiseQuadratic, Quadratic
 from cdtw.propagation import (
     PREF_BOTTOM,
     PREF_LEFT,
     BoundaryCost,
     Prov,
+    _lifted,
     abs_band,
     apply_edge_travel,
     base_case,
@@ -59,12 +59,13 @@ def random_consistent_input(rng, cell: Cell, side: str) -> BoundaryCost:
         s0 = rng.uniform(lo, hi)
         qb = -2 * qa * s0
         qc = rng.uniform(0, 1.5) + qa * s0 * s0
-        items.append((pw.build([Quadratic(qa, qb, qc, lo, hi)]), [0]))
-    f, _ = pw.lower_envelope_tagged(items, lo, hi)
-    f = pw.offset_cumulative_min(f, edge_height_running(cell, side))
-    mn, _ = pw.minimum(f)
-    f = PiecewiseQuadratic(tuple(p.shifted(0.1 - min(mn, 0.0)) for p in f.pieces))
+        items.append((pw.from_raw([(qa, qb, qc, lo, hi)]), [0]))
+    f, _ = pw.lower_envelope(items, lo, hi)
     pref = PREF_BOTTOM if side == "bottom" else PREF_LEFT
+    tags = [(pref, Prov("base", side))] * len(f)
+    f, _ = apply_edge_travel(f, tags, edge_height_running(cell, side))
+    mn, _ = pw.minimum(f)
+    f = _lifted(f, 0.1 - min(mn, 0.0))
     tags = tuple((pref, Prov("base", side)) for _ in f.pieces)
     return BoundaryCost((side, cell.i, cell.j), f, tags)
 
@@ -74,7 +75,7 @@ def random_cell_inputs(rng, cell: Cell):
     left = random_consistent_input(rng, cell, "left")
     # both edges meet at (x0, y0); force agreement there
     d = bottom.cost.value(cell.x_range[0]) - left.cost.value(cell.y_range[0])
-    lc = PiecewiseQuadratic(tuple(p.shifted(d) for p in left.cost.pieces))
+    lc = _lifted(left.cost, d)
     return bottom, BoundaryCost(left.edge, lc, left.prov)
 
 
@@ -255,11 +256,8 @@ class TestTypeA:
         _, _, cell = random_cell(rng, want_same=False)
         x0, x1 = cell.x_range
         eps = 1e-13
-        pieces = (
-            Quadratic(0.0, 0.0, 1.0, x0, x0 + eps),
-            Quadratic(0.0, 0.0, 1.0, x0 + eps, x1),
-        )
-        f, _ = pw.normalize(list(pieces))
+        pieces = [(0.0, 0.0, 1.0, x0, x0 + eps), (0.0, 0.0, 1.0, x0 + eps, x1)]
+        f, _ = pw.normalize_raw(pieces)
         assert len(f) == 1  # hygiene collapses the sliver before propagation
 
 
@@ -282,7 +280,7 @@ class TestTypeB:
         # the pre-travel B fragment reaches (1, 0.5) at cost 0.125
         assert right.cost.value(0.5) == pytest.approx(0.125, abs=1e-9)
         # winner at the corner rides the edge after a valley exit
-        k, _ = pw.piece_at(right.cost, 1.0)
+        k = pw.locate(right.cost.raw, 1.0)
         prov = right.prov[k][1]
         assert prov.kind == "travel" and prov.inner.kind == "B"
 
@@ -395,7 +393,7 @@ class TestTypeC:
         tags = list(bottom.prov)
         zero = pw.constant(0.0, f.lo, f.hi)
         out, _prov = apply_edge_travel(f, tags, zero)
-        want = pw.cumulative_min(f)
+        want, _, _ = pw.cumulative_min(f)
         for s in np.linspace(f.lo, f.hi, 200):
             assert out.value(s) == pytest.approx(want.value(s), abs=1e-9)
 
@@ -535,11 +533,11 @@ class TestSolveCell:
                     assert y0 - tol <= s <= y1 + tol
                 elif prov.kind == "B":
                     v_exit = t if prov.data[0] == "top" else t + c
-                    kb, _ = pw.piece_at(rec.b.b2, v_exit)
+                    kb = pw.locate(rec.b.b2.raw, v_exit)
                     arg = rec.b.argmins[kb]
                     v_in = v_exit if arg is None else min(arg, v_exit)
                     assert v_in <= v_exit + tol
-                    kv, _ = pw.piece_at(rec.b.valley_env, v_in)
+                    kv = pw.locate(rec.b.valley_env.raw, v_in)
                     side = rec.b.vtags[kv][1].side
                     assert side in ("bottom", "left")
 
@@ -571,6 +569,6 @@ class TestSolveCell:
     def test_fragment_piece_budget_enforced(self):
         from cdtw.propagation import _frag
 
-        f = pw.build([Quadratic(0.0, 0.0, float(k), k, k + 1) for k in range(9)])
+        f = pw.build_raw([(0.0, 0.0, float(k), k, k + 1) for k in range(9)])
         with pytest.raises(InvariantViolation):
             _frag(f, 1.0, Prov("C1", "left"), 1)
