@@ -23,8 +23,6 @@ EXIT_USAGE = 2
 EXIT_INVARIANT = 3
 EXIT_SANDWICH = 4
 
-_warned_files = set()
-
 
 class _UsageError(Exception):
     pass
@@ -40,7 +38,10 @@ def _round(v: float) -> float:
 
 
 def load_series(path: str, warn: bool = True) -> List[float]:
-    """Parse one series file; raises _UsageError naming file and line."""
+    """Parse one series file; raises _UsageError naming file and line.
+
+    With warn, a CSV file with a timestamp column gets a warning on stderr.
+    """
     if not os.path.exists(path):
         raise _UsageError(f"{path}: no such file")
     if path.endswith(".json"):
@@ -75,10 +76,15 @@ def load_series(path: str, warn: bool = True) -> List[float]:
                 raise _UsageError(
                     f"{path}:{lineno}: could not parse value {fields[0]!r}"
                 )
-    if saw_timestamp and warn and path not in _warned_files:
-        _warned_files.add(path)
+    if saw_timestamp and warn:
         print(f"warning: {path}: ignoring second column (timestamp)", file=sys.stderr)
     return values
+
+
+def _load_pair(args: argparse.Namespace) -> Tuple[List[float], List[float]]:
+    """Both series of a two-file command; a file given twice warns once."""
+    a = load_series(args.a)
+    return a, load_series(args.b, warn=args.b != args.a)
 
 
 def _curve_from(path: str, values: Sequence[float]) -> Curve:
@@ -119,8 +125,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         raise _UsageError("--measure cdtw-grid requires --resolution")
     if args.measure != "cdtw" and (args.stats or args.path):
         raise _UsageError("--stats and --path are only available with --measure cdtw")
-    a = load_series(args.a)
-    b = load_series(args.b)
+    a, b = _load_pair(args)
 
     out = {"measure": args.measure, "n": len(a), "m": len(b)}
     stats = path = None
@@ -219,8 +224,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         raise _UsageError("resolutions must be positive")
     if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
         raise _UsageError("resolutions must be strictly ascending")
-    a = load_series(args.a)
-    b = load_series(args.b)
+    a, b = _load_pair(args)
     P = _curve_from(args.a, a)
     Q = _curve_from(args.b, b)
     exact = cdtw_exact(P, Q, config=EngineConfig(record_path=False)).value
@@ -250,8 +254,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 def cmd_heatmap(args: argparse.Namespace) -> int:
     if args.samples <= 0:
         raise _UsageError("--samples must be positive")
-    a = load_series(args.a)
-    b = load_series(args.b)
+    a, b = _load_pair(args)
     P = _curve_from(args.a, a)
     Q = _curve_from(args.b, b)
 

@@ -16,13 +16,7 @@ from typing import Dict, List, Optional, Tuple
 from .curves import Cell, Curve, cell_info
 from .errors import InvariantViolation, ProvenanceMissing
 from . import piecewise as pw
-from .propagation import (
-    BoundaryCost,
-    CellRecord,
-    Prov,
-    base_case,
-    solve_cell,
-)
+from .propagation import BoundaryCost, BRecord, Prov, base_case, solve_cell
 
 # Bucket width for counting distinct leading-coefficient pairs; exact float
 # equality would fragment counts meaninglessly.
@@ -83,16 +77,19 @@ class WarpPath:
 
 @dataclass
 class SolveRun:
-    """Everything produced by one solve, kept for backtracking and stats."""
+    """Everything produced by one solve, kept for backtracking and stats.
+
+    records holds the valley record of every cell the B family rides, and
+    only in a solve with path recording.
+    """
 
     P: Curve
     Q: Curve
-    config: EngineConfig
     top: Dict[Tuple[int, int], BoundaryCost]
     right: Dict[Tuple[int, int], BoundaryCost]
     bottoms: List[BoundaryCost]
     lefts: List[BoundaryCost]
-    records: Dict[Tuple[int, int], Optional[CellRecord]]
+    records: Dict[Tuple[int, int], BRecord]
     stats: SolveStats
 
 
@@ -142,7 +139,7 @@ def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> Cdt
 
     top: Dict[Tuple[int, int], BoundaryCost] = {}
     right: Dict[Tuple[int, int], BoundaryCost] = {}
-    records: Dict[Tuple[int, int], Optional[CellRecord]] = {}
+    records: Dict[Tuple[int, int], BRecord] = {}
     for k in range(2, n + m + 1):
         for i in range(max(1, k - m), min(n, k - 1) + 1):
             j = k - i
@@ -150,14 +147,13 @@ def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> Cdt
             b_in = top[(i, j - 1)] if j > 1 else bottoms[i - 1]
             l_in = right[(i - 1, j)] if i > 1 else lefts[j - 1]
             try:
-                t_bc, r_bc, rec = solve_cell(
-                    cell, b_in, l_in, record=cfg.record_path, validate=cfg.validate
-                )
+                t_bc, r_bc, rec = solve_cell(cell, b_in, l_in, validate=cfg.validate)
             except InvariantViolation as exc:
                 raise InvariantViolation(f"cell ({i},{j}): {exc}") from exc
             top[(i, j)] = t_bc
             right[(i, j)] = r_bc
-            records[(i, j)] = rec
+            if rec is not None and cfg.record_path:
+                records[(i, j)] = rec
             stats.cells_solved += 1
             _count_edge(stats, k, t_bc.cost)
             _count_edge(stats, k, r_bc.cost)
@@ -174,7 +170,7 @@ def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> Cdt
         raise InvariantViolation(f"negative distance {value}")
     value = max(value, 0.0)
 
-    run = SolveRun(P, Q, cfg, top, right, bottoms, lefts, records, stats)
+    run = SolveRun(P, Q, top, right, bottoms, lefts, records, stats)
     collect_stats(run)
     stats.wall_time = time.perf_counter() - t_start
     result = CdtwResult(value=value, stats=stats, run=run)
@@ -244,10 +240,9 @@ def _trace(run: SolveRun) -> WarpPath:
             pts.append((x0, sig))
             nxt = ("left", sig)
         elif prov.kind == "B":
-            rec = run.records.get((i, j))
-            if rec is None or rec.b is None:
+            brec = run.records.get((i, j))
+            if brec is None:
                 raise ProvenanceMissing(f"no valley record for cell ({i},{j})")
-            brec = rec.b
             v_exit = t if prov.data[0] == "top" else t + c
             pts.append((v_exit, v_exit - c))
             kb = pw.locate(brec.b2.raw, v_exit)
@@ -333,11 +328,9 @@ def reconstruct_path(result: CdtwResult) -> WarpPath:
     equal-cost paths the construction prefers sources with the larger
     y coordinate and direct fragments over edge travel.
     """
-    if result.path is not None:
-        return result.path
-    if result.run is None or not result.run.config.record_path:
+    if result.path is None:
         raise ProvenanceMissing("solve ran without path recording")
-    return _trace(result.run)
+    return result.path
 
 
 # ---------------------------------------------------------------------------

@@ -81,10 +81,6 @@ class PiecewiseQuadratic:
     def value(self, s: float) -> float:
         return evaluate(self, s)
 
-    def breakpoints(self) -> List[float]:
-        raw = self.raw
-        return [p[3] for p in raw] + [raw[-1][4]]
-
 
 _set_raw = PiecewiseQuadratic.raw.__set__
 
@@ -260,15 +256,23 @@ def minimum(f: PiecewiseQuadratic) -> Tuple[float, float]:
 # affine substitution and addition
 
 
+def compose_linear(
+    qa: float, qb: float, qc: float, alpha: float, beta: float
+) -> Tuple[float, float, float]:
+    """Coefficients of q(alpha * t + beta) as a quadratic in t."""
+    a = qa * alpha * alpha
+    b = 2.0 * qa * alpha * beta + qb * alpha
+    c = (qa * beta + qb) * beta + qc
+    return a, b, c
+
+
 def affine_raw(f: Sequence[Raw], alpha: float, beta: float) -> List[Raw]:
     """g(t) = f(alpha * t + beta); piece count unchanged, order flips if alpha < 0."""
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
     out: List[Raw] = []
     for pa, pb, pc, lo, hi in f:
-        a = pa * alpha * alpha
-        b = 2.0 * pa * alpha * beta + pb * alpha
-        c = (pa * beta + pb) * beta + pc
+        a, b, c = compose_linear(pa, pb, pc, alpha, beta)
         t0 = (lo - beta) / alpha
         t1 = (hi - beta) / alpha
         out.append((a, b, c, min(t0, t1), max(t0, t1)))
@@ -579,12 +583,7 @@ def cumulative_min(
 #
 # The envelope under construction is a list of (a, b, c, lo, hi, tag)
 # entries, sorted by lo and tiling the part of the interval covered so far.
-
-
-def _tag_pref(tag: Any) -> float:
-    if isinstance(tag, tuple) and tag and isinstance(tag[0], (int, float)):
-        return float(tag[0])
-    return 0.0
+# A tag is a tuple whose first item is its preference number.
 
 
 def _compare_span(e: tuple, q: tuple, a: float, b: float) -> List[tuple]:
@@ -610,7 +609,7 @@ def _compare_span(e: tuple, q: tuple, a: float, b: float) -> List[tuple]:
         d = (da * mid + db) * mid + dc
         scale = 1.0 + abs((ea * mid + eb) * mid + ec) + abs((qa * mid + qb) * mid + qc)
         if abs(d) <= tol * scale:
-            take_q = _tag_pref(q[5]) > _tag_pref(e[5])
+            take_q = q[5][0] > e[5][0]
         else:
             take_q = d < 0.0
         w = q if take_q else e
@@ -666,15 +665,16 @@ def _env_insert(env: List[tuple], q: tuple) -> List[tuple]:
 
 
 def lower_envelope(
-    items: Sequence[Tuple[PiecewiseQuadratic, Sequence[Any]]],
+    items: Sequence[Tuple[PiecewiseQuadratic, Tuple]],
     lo: Optional[float] = None,
     hi: Optional[float] = None,
-) -> Tuple[PiecewiseQuadratic, List[Any]]:
-    """Pointwise minimum of fragments with per-piece tags.
+) -> Tuple[PiecewiseQuadratic, List[Tuple]]:
+    """Pointwise minimum of (fragment, tag) items, with one tag per
+    output piece: the tag of the fragment that piece comes from.
 
-    Fragments may cover only parts of [lo, hi]; jointly they must cover it
-    (CoverageGap otherwise).  Ties go to the tag with the larger leading
-    preference number.
+    A tag is a tuple led by a preference number; ties go to the larger
+    one.  Fragments may cover only parts of [lo, hi]; jointly they must
+    cover it (CoverageGap otherwise).
     """
     if not items:
         raise CoverageGap("no candidate fragments")
@@ -683,8 +683,8 @@ def lower_envelope(
     if hi is None:
         hi = max(f.hi for f, _ in items)
     env: List[tuple] = []
-    for f, tags in items:
-        for p, tag in zip(f.raw, tags):
+    for f, tag in items:
+        for p in f.raw:
             a = lo if lo > p[3] else p[3]
             b = hi if hi < p[4] else p[4]
             if b - a <= 0:

@@ -27,7 +27,7 @@ is optimal; the families above cover all optimal shapes.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import piecewise as pw
 from .curves import Cell, Curve, cell_info
@@ -82,12 +82,8 @@ class BRecord(NamedTuple):
     argmins: Tuple
 
 
-class CellRecord(NamedTuple):
-    cell: Cell
-    b: Optional[BRecord]
-
-
-Fragment = Tuple[PiecewiseQuadratic, List[Tuple[float, Prov]]]
+# A candidate cost over part of an output edge, tagged (pref, provenance).
+Fragment = Tuple[PiecewiseQuadratic, Tuple[float, Prov]]
 
 
 def _frag(pwq: PiecewiseQuadratic, pref: float, prov: Prov, src_pieces: int) -> Fragment:
@@ -96,7 +92,7 @@ def _frag(pwq: PiecewiseQuadratic, pref: float, prov: Prov, src_pieces: int) -> 
         raise InvariantViolation(
             f"fragment with {n} pieces from {src_pieces} source pieces"
         )
-    return (pwq, [(pref, prov)] * n)
+    return (pwq, (pref, prov))
 
 
 def _lifted(f: PiecewiseQuadratic, dc: float) -> PiecewiseQuadratic:
@@ -113,24 +109,14 @@ def _s_halfsq(u: float) -> float:
     return u * abs(u) / 2.0
 
 
-def s_combination(
-    terms: Sequence[Tuple[float, float, float]],
-    const: float,
-    lo: float,
-    hi: float,
-) -> PiecewiseQuadratic:
-    """Piecewise quadratic sum(coef * S(sgn*t + p)) + const on [lo, hi],
-    where S(u) = u|u|/2.  Each term contributes one potential breakpoint."""
-    return pw.from_raw(_s_combination_raw(terms, const, lo, hi))
-
-
 def _s_combination_raw(
     terms: Sequence[Tuple[float, float, float]],
     const: float,
     lo: float,
     hi: float,
 ) -> List[pw.Raw]:
-    """s_combination as normalised raw pieces."""
+    """Normalised raw pieces of sum(coef * S(sgn*t + p)) + const on [lo, hi],
+    where S(u) = u|u|/2.  Each term contributes one potential breakpoint."""
     tol = pw.TOLERANCE * (1.0 + abs(lo) + abs(hi))
     inner_lo, inner_hi = lo + tol, hi - tol
     xs = [lo, hi]
@@ -160,19 +146,14 @@ def _s_combination_raw(
     return pieces
 
 
-def abs_band(sgn: float, p0: float, p1: float, lo: float, hi: float) -> PiecewiseQuadratic:
-    """F(t) = S(sgn*t + p0) - S(sgn*t + p1) with p0 >= p1: the integral of
-    the in-cell height across a full edge band, as a function of the
-    transported coordinate t."""
-    return s_combination([(1.0, sgn, p0), (-1.0, sgn, p1)], 0.0, lo, hi)
-
-
 def _across(
     f: PiecewiseQuadratic, sgn: float, p0: float, p1: float, lo: float, hi: float
 ) -> PiecewiseQuadratic:
-    """f + abs_band(sgn, p0, p1, lo, hi): the cost after a straight
-    transport across the cell from every point of f's edge."""
-    pieces, _ = pw.add_raw(f.raw, None, abs_band(sgn, p0, p1, lo, hi).raw)
+    """The cost after a straight transport across the cell from every point
+    t of f's edge: f(t) + S(sgn*t + p0) - S(sgn*t + p1) with p0 >= p1, the
+    band term being the integral of the in-cell height along the transport."""
+    band = _s_combination_raw([(1.0, sgn, p0), (-1.0, sgn, p1)], 0.0, lo, hi)
+    pieces, _ = pw.add_raw(f.raw, None, band)
     return pw.from_raw(pieces)
 
 
@@ -246,52 +227,39 @@ def base_case(P: Curve, Q: Curve) -> Tuple[List[BoundaryCost], List[BoundaryCost
 
 def propagate_type_a(
     cell: Cell,
-    input_bc: BoundaryCost,
-    side: str,
-    ride: Optional[PiecewiseQuadratic] = None,
-) -> Dict[str, List[Fragment]]:
-    """Fragments from one input edge of an opposite-direction cell.
+    bottom: BoundaryCost,
+    left: BoundaryCost,
+    ride_top: PiecewiseQuadratic,
+    ride_right: PiecewiseQuadratic,
+) -> Tuple[List[Fragment], List[Fragment]]:
+    """(top, right) fragments of an opposite-direction cell.
 
     All monotone paths between two fixed boundary points cost the same
     here, so a vertical transport (bottom to top), a horizontal transport
     (left to right), and the corner route (bottom to right through the
     bottom-right corner, left to top through the top-left corner)
-    represent every optimum.  ride is edge_height_running of the edge the
-    corner route ends on (right for a bottom input, top for a left one),
-    computed here when not given.
+    represent every optimum.  ride_top and ride_right are the
+    edge_height_running of the output edges the corner routes end on.
     """
     if cell.same_direction:
         raise WrongCellType("type A applies to opposite-direction cells")
     x0, x1 = cell.x_range
     y0, y1 = cell.y_range
     cp = cell.offset
-    f = input_bc.cost
-    out: Dict[str, List[Fragment]] = {"top": [], "right": []}
-    if side == "bottom":
-        lifted = _across(f, 1.0, y1 - cp, y0 - cp, x0, x1)
-        out["top"].append(
-            _frag(lifted, PREF_BOTTOM, Prov("Av", "bottom"), len(f.raw))
-        )
-        if ride is None:
-            ride = edge_height_running(cell, "right")
-        cost = _lifted(ride, f.value(x1))
-        out["right"].append(
-            _frag(cost, PREF_BOTTOM, Prov("corner", "bottom", (x1, y0)), 1)
-        )
-    elif side == "left":
-        lifted = _across(f, 1.0, x1 - cp, x0 - cp, y0, y1)
-        out["right"].append(
-            _frag(lifted, PREF_LEFT, Prov("Ah", "left"), len(f.raw))
-        )
-        if ride is None:
-            ride = edge_height_running(cell, "top")
-        cost = _lifted(ride, f.value(y1))
-        out["top"].append(
-            _frag(cost, PREF_LEFT, Prov("corner", "left", (x0, y1)), 1)
-        )
-    else:
-        raise ValueError(f"unknown input side {side!r}")
-    return out
+    fb, fl = bottom.cost, left.cost
+    av = _across(fb, 1.0, y1 - cp, y0 - cp, x0, x1)
+    ah = _across(fl, 1.0, x1 - cp, x0 - cp, y0, y1)
+    corner_top = _lifted(ride_top, fl.value(y1))
+    corner_right = _lifted(ride_right, fb.value(x1))
+    top = [
+        _frag(av, PREF_BOTTOM, Prov("Av", "bottom"), len(fb.raw)),
+        _frag(corner_top, PREF_LEFT, Prov("corner", "left", (x0, y1)), 1),
+    ]
+    right = [
+        _frag(corner_right, PREF_BOTTOM, Prov("corner", "bottom", (x1, y0)), 1),
+        _frag(ah, PREF_LEFT, Prov("Ah", "left"), len(fl.raw)),
+    ]
+    return top, right
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +277,10 @@ def _valley_span(cell: Cell) -> Optional[Tuple[float, float]]:
 
 def propagate_type_b(
     cell: Cell, bottom: BoundaryCost, left: BoundaryCost
-) -> Tuple[Dict[str, List[Fragment]], BRecord]:
-    """Valley-riding fragments: transport both inputs to the valley,
-    take the cumulative minimum along it, and transport to the outputs.
+) -> Tuple[List[Fragment], List[Fragment], BRecord]:
+    """(top, right) valley-riding fragments and the valley record: transport
+    both inputs to the valley, take the cumulative minimum along it, and
+    transport to the outputs.
 
     The transport cost from the valley to an output point does not depend
     on where the path leaves the valley (any reachable exit gives the same
@@ -329,48 +298,38 @@ def propagate_type_b(
     fb = pw.restrict_raw(bottom.cost.raw, vx0, vx1)
     climb = (0.5, -(y0 + c), (y0 + c) ** 2 / 2.0, vx0, vx1)
     b1_bottom, _ = pw.add_raw(fb, None, (climb,))
-    tags_b = [(PREF_BOTTOM, Prov("B1", "bottom"))] * len(b1_bottom)
 
     # Entry from the left edge at (x0, v - c), moving right to the valley.
     fl = pw.restrict_raw(pw.affine_raw(left.cost.raw, 1.0, -c), vx0, vx1)
     walk = (0.5, -x0, x0 * x0 / 2.0, vx0, vx1)
     b1_left, _ = pw.add_raw(fl, None, (walk,))
-    tags_l = [(PREF_LEFT, Prov("B1", "left"))] * len(b1_left)
 
     valley_env, vtags = pw.lower_envelope(
-        [(pw.from_raw(b1_bottom), tags_b), (pw.from_raw(b1_left), tags_l)], vx0, vx1
+        [
+            (pw.from_raw(b1_bottom), (PREF_BOTTOM, Prov("B1", "bottom"))),
+            (pw.from_raw(b1_left), (PREF_LEFT, Prov("B1", "left"))),
+        ],
+        vx0,
+        vx1,
     )
     b2, argmins, _ = pw.cumulative_min(valley_env)
 
-    out: Dict[str, List[Fragment]] = {"top": [], "right": []}
     src = len(b2.raw)
     # Exit upward to the top edge at (t, y1): transport (y1 - t + c)^2 / 2.
     up = (0.5, -(y1 + c), (y1 + c) ** 2 / 2.0, vx0, vx1)
     b3_top, _ = pw.add_raw(b2.raw, None, (up,))
-    out["top"].append(_frag(pw.from_raw(b3_top), PREF_B, Prov("B", "", ("top",)), src))
+    top = [_frag(pw.from_raw(b3_top), PREF_B, Prov("B", "", ("top",)), src)]
     # Exit rightward to (x1, tau): valley coordinate tau + c.
     shifted = pw.affine_raw(b2.raw, 1.0, c)
     t_lo, t_hi = vx0 - c, vx1 - c
     side = (0.5, -(x1 - c), (x1 - c) ** 2 / 2.0, t_lo, t_hi)
     b3_right, _ = pw.add_raw(shifted, None, (side,))
-    out["right"].append(_frag(pw.from_raw(b3_right), PREF_B, Prov("B", "", ("right",)), src))
-
-    record = BRecord(valley_env, tuple(vtags), b2, tuple(argmins))
-    return out, record
+    right = [_frag(pw.from_raw(b3_right), PREF_B, Prov("B", "", ("right",)), src)]
+    return top, right, BRecord(valley_env, tuple(vtags), b2, tuple(argmins))
 
 
 # ---------------------------------------------------------------------------
 # type C: straight transports and single-turn paths
-
-
-def _compose_quad_linear(
-    qa: float, qb: float, qc: float, alpha: float, beta: float
-) -> Tuple[float, float, float]:
-    """Coefficients of q(alpha*t + beta) as a quadratic in t."""
-    a = qa * alpha * alpha
-    b = 2.0 * qa * alpha * beta + qb * alpha
-    c = (qa * beta + qb) * beta + qc
-    return a, b, c
 
 
 def _c2_catalogue(
@@ -419,7 +378,7 @@ def _c2_catalogue(
         d_lo = max(p_lo - C, Y0)
         d_hi = min(p_hi - C, Y1)
         if d_hi - d_lo > tol:
-            qa, qb, qc = _compose_quad_linear(pa, pb, pc, 1.0, C)
+            qa, qb, qc = pw.compose_linear(pa, pb, pc, 1.0, C)
             # add (t - Y0)^2 / 2 for the climb to the turn
             qa += 0.5
             qb += -Y0
@@ -463,12 +422,12 @@ def _c2_catalogue(
                         t_hi = min(t_hi, bound)
                 if t_hi - t_lo <= tol:
                     continue
-                qa, qb, qc = _compose_quad_linear(pa, pb, pc, alpha, beta)
-                ea, eb, ec = _compose_quad_linear(
+                qa, qb, qc = pw.compose_linear(pa, pb, pc, alpha, beta)
+                ea, eb, ec = pw.compose_linear(
                     sig_s * 0.5, -sig_s * y0c, sig_s * y0c ** 2 / 2.0, alpha, beta
                 )
                 # -2 * sig_d * (s(t) - t - C)^2 / 2 with s(t) linear
-                da, db, dc = _compose_quad_linear(
+                da, db, dc = pw.compose_linear(
                     -sig_d, 0.0, 0.0, alpha - 1.0, beta - C
                 )
                 base = _s_combination_raw([ride], 0.0, t_lo, t_hi)
@@ -482,38 +441,30 @@ def _c2_catalogue(
 
 def propagate_type_c(
     cell: Cell, bottom: BoundaryCost, left: BoundaryCost
-) -> Dict[str, List[Fragment]]:
-    """Straight transports (C1 families) and single-turn paths (C2 families)
-    for a same-direction cell; valid with or without a valley."""
+) -> Tuple[List[Fragment], List[Fragment]]:
+    """(top, right) fragments of the straight transports (C1 families) and
+    single-turn paths (C2 families) of a same-direction cell; valid with or
+    without a valley."""
     if not cell.same_direction:
         raise WrongCellType("type C applies to same-direction cells")
     x0, x1 = cell.x_range
     y0, y1 = cell.y_range
     c = cell.offset
-    out: Dict[str, List[Fragment]] = {"top": [], "right": []}
-
-    # C1: left to right, horizontal transport across the full cell width.
-    lifted = _across(left.cost, -1.0, x1 - c, x0 - c, y0, y1)
-    out["right"].append(
-        _frag(lifted, PREF_LEFT, Prov("C1", "left"), len(left.cost.raw))
-    )
-
+    fb, fl = bottom.cost, left.cost
     # C1 transposed: bottom to top, vertical transport.
-    lifted = _across(bottom.cost, 1.0, -(y0 + c), -(y1 + c), x0, x1)
-    out["top"].append(
-        _frag(lifted, PREF_BOTTOM, Prov("C1T", "bottom"), len(bottom.cost.raw))
-    )
-
+    c1t = _across(fb, 1.0, -(y0 + c), -(y1 + c), x0, x1)
+    top = [_frag(c1t, PREF_BOTTOM, Prov("C1T", "bottom"), len(fb.raw))]
+    # C1: left to right, horizontal transport across the full cell width.
+    c1 = _across(fl, -1.0, x1 - c, x0 - c, y0, y1)
+    right = [_frag(c1, PREF_LEFT, Prov("C1", "left"), len(fl.raw))]
     # C2: bottom to right, single turn.  These fragments have at most three
     # pieces (two S terms), so the piece budget of _frag cannot bind.
-    for frag, alpha, beta in _c2_catalogue(bottom.cost, x0, x1, y0, y1, c):
-        tag = (PREF_BOTTOM, Prov("C2", "bottom", (alpha, beta)))
-        out["right"].append((frag, [tag] * len(frag.raw)))
+    for frag, alpha, beta in _c2_catalogue(fb, x0, x1, y0, y1, c):
+        right.append((frag, (PREF_BOTTOM, Prov("C2", "bottom", (alpha, beta)))))
     # C2 transposed: left to top (swap axes, negate the valley offset).
-    for frag, alpha, beta in _c2_catalogue(left.cost, y0, y1, x0, x1, -c):
-        tag = (PREF_LEFT, Prov("C2T", "left", (alpha, beta)))
-        out["top"].append((frag, [tag] * len(frag.raw)))
-    return out
+    for frag, alpha, beta in _c2_catalogue(fl, y0, y1, x0, x1, -c):
+        top.append((frag, (PREF_LEFT, Prov("C2T", "left", (alpha, beta)))))
+    return top, right
 
 
 # ---------------------------------------------------------------------------
@@ -572,31 +523,24 @@ def solve_cell(
     cell: Cell,
     bottom: BoundaryCost,
     left: BoundaryCost,
-    record: bool = False,
     validate: bool = False,
-) -> Tuple[BoundaryCost, BoundaryCost, Optional[CellRecord]]:
-    """Output-edge boundary costs of one cell from its input-edge costs."""
+) -> Tuple[BoundaryCost, BoundaryCost, Optional[BRecord]]:
+    """Output-edge boundary costs of one cell from its input-edge costs,
+    and the valley record of a cell the B family rides (None elsewhere)."""
     x0, x1 = cell.x_range
     y0, y1 = cell.y_range
-    frags_top: List[Fragment] = []
-    frags_right: List[Fragment] = []
     b_rec: Optional[BRecord] = None
     ride_top = edge_height_running(cell, "top")
     ride_right = edge_height_running(cell, "right")
 
-    if cell.same_direction:
-        cands = propagate_type_c(cell, bottom, left)
-        frags_top.extend(cands["top"])
-        frags_right.extend(cands["right"])
-        if _valley_span(cell) is not None:
-            bcands, b_rec = propagate_type_b(cell, bottom, left)
-            frags_top.extend(bcands["top"])
-            frags_right.extend(bcands["right"])
+    if not cell.same_direction:
+        frags_top, frags_right = propagate_type_a(cell, bottom, left, ride_top, ride_right)
     else:
-        for bc, side, ride in ((bottom, "bottom", ride_right), (left, "left", ride_top)):
-            cands = propagate_type_a(cell, bc, side, ride)
-            frags_top.extend(cands["top"])
-            frags_right.extend(cands["right"])
+        frags_top, frags_right = propagate_type_c(cell, bottom, left)
+        if _valley_span(cell) is not None:
+            b_top, b_right, b_rec = propagate_type_b(cell, bottom, left)
+            frags_top += b_top
+            frags_right += b_right
 
     env_top, tags_top = pw.lower_envelope(frags_top, x0, x1)
     env_right, tags_right = pw.lower_envelope(frags_right, y0, y1)
@@ -618,5 +562,4 @@ def solve_cell(
 
     top_bc = BoundaryCost(("top", cell.i, cell.j), fin_top, tuple(prov_top))
     right_bc = BoundaryCost(("right", cell.i, cell.j), fin_right, tuple(prov_right))
-    rec = CellRecord(cell, b_rec) if record else None
-    return top_bc, right_bc, rec
+    return top_bc, right_bc, b_rec

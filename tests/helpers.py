@@ -36,6 +36,11 @@ def random_curve(rng: random.Random, n: int, lo: float = 0.0, hi: float = 2.0) -
     return build_curve(random_values(rng, n, lo, hi))
 
 
+def breakpoints(f) -> List[float]:
+    """Piece boundaries of a PiecewiseQuadratic, from its raw pieces."""
+    return [p[3] for p in f.raw] + [f.raw[-1][4]]
+
+
 # ---------------------------------------------------------------------------
 # numeric integration of the height along paths
 

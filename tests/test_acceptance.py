@@ -198,7 +198,7 @@ def test_envelope_micro_oracle():
                     [(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2), a, b)]
                 )
             )
-        ranked = [(c, [(-float(k), None)]) for k, c in enumerate(cands)]
+        ranked = [(c, (-float(k), None)) for k, c in enumerate(cands)]
         env, _ = pw.lower_envelope(ranked, lo, hi)
         for k in range(1000):
             s = lo + (hi - lo) * k / 999.0

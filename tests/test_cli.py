@@ -96,6 +96,18 @@ class TestCompute:
         assert err.count("ignoring second column") == 1
         assert "ts.csv" in err
 
+    def test_timestamp_warning_once_per_command(self, tmp_path, capsys):
+        # Each command warns for itself, also about a file an earlier
+        # command in the same process warned about; a file given twice
+        # warns once.
+        a = write(tmp_path, "ts.csv", "0,1000\n1,1001\n")
+        b = write(tmp_path, "plain.csv", "0\n1\n")
+        for argv in (["compute", a, b], ["compute", a, b], ["compute", a, a]):
+            assert main(argv) == 0
+            err = capsys.readouterr().err
+            assert err.count("ignoring second column") == 1
+            assert "ts.csv" in err
+
     def test_parse_error_names_file_and_line(self, tmp_path, capsys):
         a = write(tmp_path, "bad.csv", "0\nnope\n")
         b = write(tmp_path, "ok.csv", "0\n1\n")

@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from cdtw import build_curve, engine
+from cdtw import build_curve, cell_info, engine
 from cdtw.baselines import GridConfig, cdtw_grid
 from cdtw.engine import (
     EngineConfig,
@@ -20,6 +20,7 @@ from cdtw.engine import (
     reconstruct_path,
 )
 from cdtw.errors import InsufficientVertices, ProvenanceMissing
+from cdtw.propagation import BRecord, _valley_span
 
 from helpers import path_cost, random_curve
 
@@ -273,6 +274,20 @@ class TestProvenanceControl:
         p1 = reconstruct_path(res)
         p2 = reconstruct_path(res)
         assert p1 is p2
+
+    def test_records_hold_valley_cells_only(self):
+        # One BRecord per cell the B family rides, and none without path
+        # recording.
+        rng = random.Random(73)
+        P = random_curve(rng, 6)
+        Q = random_curve(rng, 6)
+        cells = [(i, j) for i in range(1, 6) for j in range(1, 6)]
+        valleys = {c for c in cells if _valley_span(cell_info(P, Q, *c)) is not None}
+        assert valleys and len(valleys) < len(cells)
+        records = cdtw_exact(P, Q).run.records
+        assert set(records) == valleys
+        assert all(isinstance(rec, BRecord) for rec in records.values())
+        assert cdtw_exact(P, Q, EngineConfig(record_path=False)).run.records == {}
 
     def test_validate_mode_passes(self):
         rng = random.Random(71)

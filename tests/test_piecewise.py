@@ -13,7 +13,7 @@ from cdtw.errors import CoverageGap, OutOfDomain
 from cdtw.piecewise import PiecewiseQuadratic, Quadratic
 from cdtw.propagation import Prov, apply_edge_travel
 
-from helpers import numeric_cumulative_min, numeric_integral, pwq_prefix_min
+from helpers import breakpoints, numeric_cumulative_min, numeric_integral, pwq_prefix_min
 
 
 def pwq(*specs):
@@ -38,9 +38,9 @@ def random_pwq(rng, lo=0.0, hi=1.0, max_pieces=5, amp=2.0):
 
 
 def ranked(cands):
-    """Envelope items tagging each candidate's pieces with its rank in
-    cands, so that on ties the earlier candidate wins."""
-    return [(f, [(-float(k), None)] * len(f)) for k, f in enumerate(cands)]
+    """Envelope items tagging each candidate with its rank in cands, so
+    that on ties the earlier candidate wins."""
+    return [(f, (-float(k), None)) for k, f in enumerate(cands)]
 
 
 def travel(f, qc):
@@ -293,7 +293,7 @@ class TestCumulativeMin:
         assert len(pw.cumulative_min(f)[0]) == 1
         assert pw.cumulative_min(f, ["a", "a"])[2] == ["a"]
         g, args, tags = pw.cumulative_min(f, ["a", "b"])
-        assert g.breakpoints() == [0, 0.5, 1]
+        assert breakpoints(g) == [0, 0.5, 1]
         assert args == [None, None]
         assert tags == ["a", "b"]
 
@@ -349,7 +349,7 @@ class TestLowerEnvelope:
         env, _ = pw.lower_envelope(ranked([f1, f2]))
         assert env.value(0.25) == pytest.approx(0.0625)
         assert env.value(0.75) == pytest.approx(0.0625)
-        bks = env.breakpoints()
+        bks = breakpoints(env)
         assert any(abs(b - 0.5) < 1e-9 for b in bks)
 
     def test_single_candidate(self):
@@ -386,7 +386,7 @@ class TestLowerEnvelope:
         f2 = pwq((0, 0, 3, 0.0, 0.3))
         f3 = pwq((0, 0, 2, 0.3, 0.6))
         env, _ = pw.lower_envelope(ranked([f1, f2, f3]), 0.0, 1.0)
-        assert env.breakpoints() == [0.0, 0.3, 0.6, 1.0]
+        assert breakpoints(env) == [0.0, 0.3, 0.6, 1.0]
         for s, expect in ((0.1, 3.0), (0.45, 2.0), (0.8, 0.8)):
             assert env.value(s) == pytest.approx(expect)
 
@@ -420,7 +420,7 @@ class TestLowerEnvelope:
         f1 = pwq((1, 0, 0, 0, 1))
         f2 = pwq((1, 0, 0, 0, 1))
         env, tags = pw.lower_envelope(
-            [(f1, [(0.0, "low")]), (f2, [(1.0, "high")])]
+            [(f1, (0.0, "low")), (f2, (1.0, "high"))]
         )
         assert all(t[1] == "high" for t in tags)
 

@@ -16,15 +16,15 @@ from cdtw.propagation import (
     PREF_LEFT,
     BoundaryCost,
     Prov,
+    _across,
     _lifted,
-    abs_band,
+    _s_combination_raw,
     apply_edge_travel,
     base_case,
     edge_height_running,
     propagate_type_a,
     propagate_type_b,
     propagate_type_c,
-    s_combination,
     solve_cell,
 )
 
@@ -59,7 +59,7 @@ def random_consistent_input(rng, cell: Cell, side: str) -> BoundaryCost:
         s0 = rng.uniform(lo, hi)
         qb = -2 * qa * s0
         qc = rng.uniform(0, 1.5) + qa * s0 * s0
-        items.append((pw.from_raw([(qa, qb, qc, lo, hi)]), [0]))
+        items.append((pw.from_raw([(qa, qb, qc, lo, hi)]), (0,)))
     f, _ = pw.lower_envelope(items, lo, hi)
     pref = PREF_BOTTOM if side == "bottom" else PREF_LEFT
     tags = [(pref, Prov("base", side))] * len(f)
@@ -100,7 +100,7 @@ class TestBandIntegrals:
             ]
             lo = rng.uniform(-1, 0)
             hi = lo + rng.uniform(0.5, 2)
-            f = s_combination(terms, 0.3, lo, hi)
+            f = pw.from_raw(_s_combination_raw(terms, 0.3, lo, hi))
 
             def direct(t):
                 v = 0.3
@@ -119,7 +119,8 @@ class TestBandIntegrals:
         cell = cell_info(P, Q, 1, 1)
         y0, y1 = cell.y_range
         c = cell.offset
-        band = abs_band(1.0, -(y0 + c), -(y1 + c), *cell.x_range)
+        zero = pw.constant(0.0, *cell.x_range)
+        band = _across(zero, 1.0, -(y0 + c), -(y1 + c), *cell.x_range)
         for t in np.linspace(*cell.x_range, 17):
             want = integrate_height_on_leg(P, Q, (t, y0), (t, y1), samples=4096)
             assert band.value(t) == pytest.approx(want, abs=1e-6)
@@ -206,9 +207,11 @@ class TestTypeA:
     def test_wrong_cell_type(self):
         rng = random.Random(9)
         _, _, cell = random_cell(rng, want_same=True)
-        bottom, _ = random_cell_inputs(rng, cell)
+        bottom, left = random_cell_inputs(rng, cell)
+        ride_top = edge_height_running(cell, "top")
+        ride_right = edge_height_running(cell, "right")
         with pytest.raises(WrongCellType):
-            propagate_type_a(cell, bottom, "bottom")
+            propagate_type_a(cell, bottom, left, ride_top, ride_right)
 
     def test_opposite_pair_corner_value(self):
         P = build_curve([0, 1])
@@ -226,8 +229,11 @@ class TestTypeA:
         cell = cell_info(P, Q, 1, 1)
         zero = pw.constant(0.0, *cell.x_range)
         bc = BoundaryCost(("bottom", 1, 1), zero, ((PREF_BOTTOM, Prov("base", "bottom")),))
-        frags = propagate_type_a(cell, bc, "bottom")
-        (lifted, _tags) = frags["top"][0]
+        zero_l = pw.constant(0.0, *cell.y_range)
+        left = BoundaryCost(("left", 1, 1), zero_l, ((PREF_LEFT, Prov("base", "left")),))
+        rides = edge_height_running(cell, "top"), edge_height_running(cell, "right")
+        top, _right = propagate_type_a(cell, bc, left, *rides)
+        (lifted, _tag) = top[0]
         for t in np.linspace(*cell.x_range, 15):
             want = integrate_height_on_leg(P, Q, (t, 0), (t, 1), samples=4096)
             assert lifted.value(t) == pytest.approx(want, abs=1e-6)
@@ -274,7 +280,7 @@ class TestTypeB:
         Q = build_curve([0.5, 1.5])
         bottoms, lefts = base_case(P, Q)
         cell = cell_info(P, Q, 1, 1)
-        top, right, rec = solve_cell(cell, bottoms[0], lefts[0], record=True)
+        top, right, rec = solve_cell(cell, bottoms[0], lefts[0])
         assert right.cost.value(1.0) == pytest.approx(0.25, abs=1e-9)
         assert top.cost.value(1.0) == pytest.approx(0.25, abs=1e-9)
         # the pre-travel B fragment reaches (1, 0.5) at cost 0.125
@@ -293,8 +299,8 @@ class TestTypeB:
         zero_l = pw.constant(0.0, *cell.y_range)
         bottom = BoundaryCost(("bottom", 1, 1), zero_b, ((PREF_BOTTOM, Prov("base", "bottom")),))
         left = BoundaryCost(("left", 1, 1), zero_l, ((PREF_LEFT, Prov("base", "left")),))
-        frags, rec = propagate_type_b(cell, bottom, left)
-        (b3_top, _), = frags["top"]
+        top, _right, rec = propagate_type_b(cell, bottom, left)
+        (b3_top, _), = top
         # exit at top coordinate t costs only the climb from the valley
         c = cell.offset
         y1 = cell.y_range[1]
@@ -313,7 +319,7 @@ class TestTypeB:
                 continue
             bottom, left = random_cell_inputs(rng, cell)
             try:
-                frags, rec = propagate_type_b(cell, bottom, left)
+                _top, _right, rec = propagate_type_b(cell, bottom, left)
             except WrongCellType:
                 continue
             done += 1
@@ -342,9 +348,9 @@ class TestTypeC:
         const_b = pw.constant(0.0, *cell.x_range)
         bottom = BoundaryCost(("bottom", 0, 0), const_b, ((PREF_BOTTOM, Prov("base", "bottom")),))
         left = BoundaryCost(("left", 0, 0), const_l, ((PREF_LEFT, Prov("base", "left")),))
-        frags = propagate_type_c(cell, bottom, left)
+        _top, right = propagate_type_c(cell, bottom, left)
         c1 = next(
-            (f, t) for f, t in frags["right"] if t[0][1].kind == "C1"
+            (f, t) for f, t in right if t[1].kind == "C1"
         )[0]
         x0, x1 = cell.x_range
         c = cell.offset
@@ -361,10 +367,10 @@ class TestTypeC:
         while checked < 6:
             P, Q, cell = random_cell(rng, want_same=True)
             bottom, left = random_cell_inputs(rng, cell)
-            frags = propagate_type_c(cell, bottom, left)
+            _top, right = propagate_type_c(cell, bottom, left)
             x0, x1 = cell.x_range
             y0, y1 = cell.y_range
-            bots = [(f, t) for f, t in frags["right"] if t[0][1].kind == "C2"]
+            bots = [(f, t) for f, t in right if t[1].kind == "C2"]
             if not bots:
                 continue
             checked += 1
@@ -514,7 +520,7 @@ class TestSolveCell:
         for _ in range(25):
             P, Q, cell = random_cell(rng)
             bottom, left = random_cell_inputs(rng, cell)
-            top, right, rec = solve_cell(cell, bottom, left, record=True)
+            top, right, rec = solve_cell(cell, bottom, left)
             x0, x1 = cell.x_range
             y0, y1 = cell.y_range
             c = cell.offset
@@ -533,12 +539,12 @@ class TestSolveCell:
                     assert y0 - tol <= s <= y1 + tol
                 elif prov.kind == "B":
                     v_exit = t if prov.data[0] == "top" else t + c
-                    kb = pw.locate(rec.b.b2.raw, v_exit)
-                    arg = rec.b.argmins[kb]
+                    kb = pw.locate(rec.b2.raw, v_exit)
+                    arg = rec.argmins[kb]
                     v_in = v_exit if arg is None else min(arg, v_exit)
                     assert v_in <= v_exit + tol
-                    kv = pw.locate(rec.b.valley_env.raw, v_in)
-                    side = rec.b.vtags[kv][1].side
+                    kv = pw.locate(rec.valley_env.raw, v_in)
+                    side = rec.vtags[kv][1].side
                     assert side in ("bottom", "left")
 
             for bc in (top, right):
@@ -554,7 +560,7 @@ class TestSolveCell:
             P, Q, cell = random_cell(rng, want_same=True)
             bottom, left = random_cell_inputs(rng, cell)
             try:
-                _, rec = propagate_type_b(cell, bottom, left)
+                _top, _right, rec = propagate_type_b(cell, bottom, left)
             except WrongCellType:
                 continue
             seen += 1
