@@ -11,8 +11,7 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .baselines import GridConfig, cdtw_grid, discrete_frechet, dtw
 from .curves import Curve, build_curve, cell_info, point_at
@@ -94,30 +93,30 @@ def _curve_from(path: str, values: Sequence[float]) -> Curve:
         raise _UsageError(f"{path}: {exc}")
 
 
-def _one_distance(
-    measure: str, resolution: Optional[float], a: Sequence[float], b: Sequence[float],
-    pa: str, pb: str,
-) -> float:
+# a measure's input: the values for the discrete measures, the curve otherwise
+_Input = Union[List[float], Curve]
+
+
+def _measure_input(measure: str, path: str, values: List[float]) -> _Input:
+    return values if measure in ("dtw", "dfrechet") else _curve_from(path, values)
+
+
+def _one_distance(measure: str, resolution: Optional[float], a: _Input, b: _Input) -> float:
     if measure == "dtw":
         return dtw(a, b)
     if measure == "dfrechet":
         return discrete_frechet(a, b)
-    P = _curve_from(pa, a)
-    Q = _curve_from(pb, b)
     if measure == "cdtw-grid":
         try:
-            return cdtw_grid(P, Q, GridConfig(resolution=resolution))
+            return cdtw_grid(a, b, GridConfig(resolution=resolution))
         except ResolutionZero as exc:
             raise _UsageError(str(exc))
-    return cdtw_exact(P, Q, config=EngineConfig(record_path=False)).value
+    return cdtw_exact(a, b, config=EngineConfig(record_path=False)).value
 
 
 # module level so matrix workers can be pickled
-def _matrix_task(args: Tuple[str, Optional[float], str, str]) -> float:
-    measure, resolution, pa, pb = args
-    a = load_series(pa, warn=False)
-    b = load_series(pb, warn=False)
-    return _one_distance(measure, resolution, a, b, pa, pb)
+def _matrix_task(args: Tuple[str, Optional[float], _Input, _Input]) -> float:
+    return _one_distance(*args)
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -128,11 +127,11 @@ def cmd_compute(args: argparse.Namespace) -> int:
     a, b = _load_pair(args)
 
     out = {"measure": args.measure, "n": len(a), "m": len(b)}
+    a = _measure_input(args.measure, args.a, a)
+    b = _measure_input(args.measure, args.b, b)
     stats = path = None
     if args.measure == "cdtw":
-        P = _curve_from(args.a, a)
-        Q = _curve_from(args.b, b)
-        res = cdtw_exact(P, Q, config=EngineConfig(record_path=bool(args.path)))
+        res = cdtw_exact(a, b, config=EngineConfig(record_path=bool(args.path)))
         out["value"] = _round(res.value)
         if args.stats:
             stats = res.stats.to_json()
@@ -144,9 +143,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
             with open(args.path, "w") as fh:
                 json.dump(path, fh)
     else:
-        out["value"] = _round(
-            _one_distance(args.measure, args.resolution, a, b, args.a, args.b)
-        )
+        out["value"] = _round(_one_distance(args.measure, args.resolution, a, b))
 
     if args.format == "json":
         print(json.dumps(out))
@@ -182,15 +179,18 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     ]
     if len(files) < 2:
         raise _UsageError(f"{args.dir}: need at least 2 series files, found {len(files)}")
-    for path in files:
-        load_series(path)  # validate up front, warn once here
-
+    series = [load_series(path) for path in files]  # parse each file once, warn once here
+    inputs = [_measure_input(args.measure, path, v) for path, v in zip(files, series)]
     pairs = [
-        (args.measure, args.resolution, files[i], files[j])
+        (args.measure, args.resolution, inputs[i], inputs[j])
         for i in range(len(files))
         for j in range(i + 1, len(files))
     ]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        if args.measure == "cdtw-grid":
+            from . import lattice  # noqa: F401  (forked workers inherit numpy)
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             values = list(pool.map(_matrix_task, pairs))
     else:

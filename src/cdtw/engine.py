@@ -115,9 +115,9 @@ def _count_edge(stats: SolveStats, level: int, f: pw.PiecewiseQuadratic) -> None
     n = len(f.raw)
     stats.total_pieces += n
     stats.pieces_per_level[level] = stats.pieces_per_level.get(level, 0) + n
-    distinct = _distinct_ab(f)
-    if distinct > stats.max_distinct_ab:
-        stats.max_distinct_ab = distinct
+    # an edge has no more distinct (a, b) pairs than pieces
+    if n > stats.max_distinct_ab:
+        stats.max_distinct_ab = max(stats.max_distinct_ab, _distinct_ab(f))
 
 
 def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> CdtwResult:

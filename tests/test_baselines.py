@@ -7,7 +7,6 @@ import pytest
 from cdtw import build_curve
 from cdtw.baselines import (
     GridConfig,
-    _axis_ticks,
     cdtw_bruteforce_small,
     cdtw_grid,
     discrete_frechet,
@@ -15,6 +14,7 @@ from cdtw.baselines import (
 )
 from cdtw.engine import cdtw_exact
 from cdtw.errors import EmptyInput, ResolutionZero, TooLarge
+from cdtw.lattice import _axis_ticks
 
 from helpers import (
     brute_discrete_frechet,

@@ -2,11 +2,16 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+from cdtw import cli
 from cdtw.baselines import dtw
 from cdtw.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def write(tmp_path, name, text):
@@ -203,6 +208,55 @@ class TestMatrix:
     def test_too_few_files(self, tmp_path, capsys):
         write(tmp_path, "only.csv", "0\n1\n")
         assert main(["matrix", str(tmp_path)]) == 2
+
+    def test_each_file_parsed_once(self, tmp_path, monkeypatch, capsys):
+        for k, vals in enumerate(("0\n1\n", "0.5\n1.5\n", "1\n0\n", "0\n2\n1\n")):
+            write(tmp_path, f"s{k}.csv", vals)
+        parsed = []
+        original = cli.load_series
+
+        def counted(path, warn=True):
+            parsed.append(os.path.basename(path))
+            return original(path, warn)
+
+        monkeypatch.setattr(cli, "load_series", counted)
+        assert main(["matrix", str(tmp_path), "--jobs", "1"]) == 0
+        assert sorted(parsed) == ["s0.csv", "s1.csv", "s2.csv", "s3.csv"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_one_value_file_named(self, tmp_path, capsys, jobs):
+        write(tmp_path, "a.csv", "0\n1\n")
+        write(tmp_path, "b.csv", "0.5\n")
+        write(tmp_path, "c.csv", "1\n0\n")
+        assert main(["matrix", str(tmp_path), "--measure", "cdtw", "--jobs", jobs]) == 2
+        assert "b.csv" in capsys.readouterr().err
+
+
+def test_exact_commands_never_load_numpy(tmp_path):
+    """A fresh interpreter runs compute and matrix without numpy; the grid
+    oracle loads it when first called."""
+    a = write(tmp_path, "a.csv", "0\n1\n2\n")
+    b = write(tmp_path, "b.json", "[0.5, 1.5, 0.0]")
+    code = (
+        "import sys\n"
+        "import cdtw, cdtw.cli\n"
+        "a, b, d = sys.argv[1:]\n"
+        "assert cdtw.cli.main(['compute', a, b]) == 0\n"
+        "assert cdtw.cli.main(['matrix', d, '--jobs', '1']) == 0\n"
+        "print('numpy' in sys.modules)\n"
+        "P, Q = cdtw.build_curve([0.0, 1.0]), cdtw.build_curve([0.5, 1.5])\n"
+        "print(cdtw.cdtw_grid(P, Q, cdtw.GridConfig(resolution=1)))\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, a, b, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *_, before, grid, after = proc.stdout.splitlines()
+    assert (before, after) == ("False", "True")
+    assert float(grid) == pytest.approx(0.5, abs=1e-9)
 
 
 class TestOracleCheck:
