@@ -190,7 +190,8 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         if args.measure == "cdtw-grid":
-            from . import lattice  # noqa: F401  (forked workers inherit numpy)
+            # numpy once, before the fork, rather than once in every worker
+            from . import lattice  # noqa: F401
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             values = list(pool.map(_matrix_task, pairs))
     else:
