@@ -42,7 +42,7 @@ def _alignment_dp(p_vertices, q_vertices, combine: Callable[[float, float], floa
                     best = min(best, cur[j - 1])
             cur[j] = combine(c, best)
         prev = cur
-    return prev[m - 1]
+    return float(prev[m - 1])
 
 
 def dtw(p_vertices: Sequence[float], q_vertices: Sequence[float]) -> float:

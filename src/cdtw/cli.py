@@ -9,6 +9,7 @@ numeric array).
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import List, Optional, Sequence, Tuple, Union
@@ -98,7 +99,11 @@ _Input = Union[List[float], Curve]
 
 
 def _measure_input(measure: str, path: str, values: List[float]) -> _Input:
-    return values if measure in ("dtw", "dfrechet") else _curve_from(path, values)
+    if measure not in ("dtw", "dfrechet"):
+        return _curve_from(path, values)
+    if not values or not all(map(math.isfinite, values)):
+        raise _UsageError(f"{path}: expected a nonempty series of finite values")
+    return values
 
 
 def _one_distance(measure: str, resolution: Optional[float], a: _Input, b: _Input) -> float:
@@ -168,6 +173,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
 def cmd_matrix(args: argparse.Namespace) -> int:
     if args.measure == "cdtw-grid" and args.resolution is None:
         raise _UsageError("--measure cdtw-grid requires --resolution")
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     try:
         entries = sorted(os.listdir(args.dir))
     except OSError as exc:

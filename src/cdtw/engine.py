@@ -13,20 +13,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .curves import Cell, Curve, cell_info
+from .curves import Curve, cell_info, height
 from .errors import InvariantViolation, ProvenanceMissing
 from . import piecewise as pw
 from .propagation import BoundaryCost, BRecord, Prov, base_case, solve_cell
-
-# Bucket width for counting distinct leading-coefficient pairs; exact float
-# equality would fragment counts meaninglessly.
-AB_BUCKET = 1e-7
 
 
 @dataclass
 class EngineConfig:
     record_path: bool = True
-    validate: bool = False
 
 
 @dataclass
@@ -107,17 +102,13 @@ class CdtwResult:
         return out
 
 
-def _distinct_ab(f: pw.PiecewiseQuadratic) -> int:
-    return len({(round(p[0] / AB_BUCKET), round(p[1] / AB_BUCKET)) for p in f.raw})
-
-
 def _count_edge(stats: SolveStats, level: int, f: pw.PiecewiseQuadratic) -> None:
     n = len(f.raw)
     stats.total_pieces += n
     stats.pieces_per_level[level] = stats.pieces_per_level.get(level, 0) + n
     # an edge has no more distinct (a, b) pairs than pieces
     if n > stats.max_distinct_ab:
-        stats.max_distinct_ab = max(stats.max_distinct_ab, _distinct_ab(f))
+        stats.max_distinct_ab = max(stats.max_distinct_ab, pw.distinct_ab(f.raw))
 
 
 def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> CdtwResult:
@@ -147,7 +138,7 @@ def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> Cdt
             b_in = top[(i, j - 1)] if j > 1 else bottoms[i - 1]
             l_in = right[(i - 1, j)] if i > 1 else lefts[j - 1]
             try:
-                t_bc, r_bc, rec = solve_cell(cell, b_in, l_in, validate=cfg.validate)
+                t_bc, r_bc, rec = solve_cell(cell, b_in, l_in)
             except InvariantViolation as exc:
                 raise InvariantViolation(f"cell ({i},{j}): {exc}") from exc
             top[(i, j)] = t_bc
@@ -306,8 +297,6 @@ def _polish_path(P: Curve, Q: Curve, rev_pts: List[Tuple[float, float]]) -> Warp
     clean[-1] = (P.length, Q.length)
 
     annots: List[str] = []
-    from .curves import height
-
     for (ax, ay), (bx, by) in zip(clean, clean[1:]):
         dx, dy = bx - ax, by - ay
         if dx <= tol or dy <= tol:

@@ -2,7 +2,7 @@
 
 Boundary cost functions of the warping dynamic program are continuous
 piecewise quadratics.  This module implements the operations the solver
-needs: evaluation, affine substitution of the argument, pointwise addition,
+needs: evaluation, a shift of the argument, pointwise addition,
 restriction, integrals of |linear| functions, the cumulative minimum
 g(t) = min_{s <= t} f(s), and the lower envelope (pointwise minimum) of a
 set of partially overlapping fragments.  Operations that take per-piece
@@ -26,6 +26,10 @@ from typing import Any, Iterable, List, Optional, Sequence, Tuple
 from .errors import CoverageGap, InvariantViolation, OutOfDomain
 
 TOLERANCE = 1e-9
+
+# Bucket width for counting distinct leading-coefficient pairs; exact float
+# equality would fragment counts meaninglessly.
+AB_BUCKET = 1e-7
 
 Raw = Tuple[float, float, float, float, float]
 
@@ -53,12 +57,10 @@ class PiecewiseQuadratic:
 
     The pieces are stored as raw tuples, which the operations of this
     module read; ``pieces`` builds Quadratic objects on each access.
+    Build one with ``from_raw``.
     """
 
     raw: Tuple[Raw, ...]
-
-    def __init__(self, pieces: Sequence[Quadratic]) -> None:
-        _set_raw(self, tuple([(p.a, p.b, p.c, p.lo, p.hi) for p in pieces]))
 
     def __repr__(self) -> str:
         return f"PiecewiseQuadratic(pieces={self.pieces!r})"
@@ -237,6 +239,11 @@ def locate(raw: Sequence[Raw], s: float) -> int:
     return len(raw) - 1
 
 
+def distinct_ab(raw: Sequence[Raw]) -> int:
+    """Distinct (a, b) coefficient pairs among raw pieces, in AB_BUCKET buckets."""
+    return len({(round(p[0] / AB_BUCKET), round(p[1] / AB_BUCKET)) for p in raw})
+
+
 def minimum(f: PiecewiseQuadratic) -> Tuple[float, float]:
     """(min value, argmin) over the whole domain."""
     best, arg = math.inf, f.lo
@@ -253,7 +260,7 @@ def minimum(f: PiecewiseQuadratic) -> Tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# affine substitution and addition
+# substitution and addition
 
 
 def compose_linear(
@@ -266,18 +273,12 @@ def compose_linear(
     return a, b, c
 
 
-def affine_raw(f: Sequence[Raw], alpha: float, beta: float) -> List[Raw]:
-    """g(t) = f(alpha * t + beta); piece count unchanged, order flips if alpha < 0."""
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
+def shift_raw(f: Sequence[Raw], beta: float) -> List[Raw]:
+    """g(t) = f(t + beta) on the domain moved by -beta."""
     out: List[Raw] = []
     for pa, pb, pc, lo, hi in f:
-        a, b, c = compose_linear(pa, pb, pc, alpha, beta)
-        t0 = (lo - beta) / alpha
-        t1 = (hi - beta) / alpha
-        out.append((a, b, c, min(t0, t1), max(t0, t1)))
-    if alpha < 0:
-        out.reverse()
+        a, b, c = compose_linear(pa, pb, pc, 1.0, beta)
+        out.append((a, b, c, lo - beta, hi - beta))
     return normalize_raw(out)[0]
 
 
@@ -568,11 +569,11 @@ def cumulative_min(
 
     pieces, keys = normalize_raw(out, keys)
     if len(pieces) > len(raw) + 1:
-        distinct = {(round(p[0] / 1e-7), round(p[1] / 1e-7)) for p in raw}
-        if len(pieces) > len(raw) + len(distinct) + 1:
+        distinct = distinct_ab(raw)
+        if len(pieces) > len(raw) + distinct + 1:
             raise InvariantViolation(
                 f"cumulative minimum grew from {len(raw)} to {len(pieces)} pieces "
-                f"with only {len(distinct)} distinct coefficient pairs"
+                f"with only {distinct} distinct coefficient pairs"
             )
     args = [key[0] for key in keys]
     return from_raw(pieces), args, (None if tags is None else [key[1] for key in keys])
@@ -666,8 +667,8 @@ def _env_insert(env: List[tuple], q: tuple) -> List[tuple]:
 
 def lower_envelope(
     items: Sequence[Tuple[PiecewiseQuadratic, Tuple]],
-    lo: Optional[float] = None,
-    hi: Optional[float] = None,
+    lo: float,
+    hi: float,
 ) -> Tuple[PiecewiseQuadratic, List[Tuple]]:
     """Pointwise minimum of (fragment, tag) items, with one tag per
     output piece: the tag of the fragment that piece comes from.
@@ -678,10 +679,6 @@ def lower_envelope(
     """
     if not items:
         raise CoverageGap("no candidate fragments")
-    if lo is None:
-        lo = min(f.lo for f, _ in items)
-    if hi is None:
-        hi = max(f.hi for f, _ in items)
     env: List[tuple] = []
     for f, tag in items:
         for p in f.raw:

@@ -41,9 +41,6 @@ PREF_BOTTOM = 1.0
 PREF_B = 1.5
 PREF_LEFT = 2.0
 
-# A fragment derived from one input piece stays below this many pieces.
-MAX_FRAGMENT_PIECES = 6
-
 
 # The records below are named tuples rather than dataclasses: the solver
 # makes tens of them per cell, and a named tuple is both quicker to build
@@ -68,7 +65,6 @@ class Prov(NamedTuple):
 class BoundaryCost(NamedTuple):
     """Cost function along one cell edge plus per-piece provenance."""
 
-    edge: Tuple
     cost: PiecewiseQuadratic
     prov: Tuple
 
@@ -84,15 +80,6 @@ class BRecord(NamedTuple):
 
 # A candidate cost over part of an output edge, tagged (pref, provenance).
 Fragment = Tuple[PiecewiseQuadratic, Tuple[float, Prov]]
-
-
-def _frag(pwq: PiecewiseQuadratic, pref: float, prov: Prov, src_pieces: int) -> Fragment:
-    n = len(pwq.raw)
-    if n > src_pieces + MAX_FRAGMENT_PIECES:
-        raise InvariantViolation(
-            f"fragment with {n} pieces from {src_pieces} source pieces"
-        )
-    return (pwq, (pref, prov))
 
 
 def _lifted(f: PiecewiseQuadratic, dc: float) -> PiecewiseQuadratic:
@@ -158,28 +145,20 @@ def _across(
 
 
 def edge_height_running(cell: Cell, side: str) -> PiecewiseQuadratic:
-    """Running integral of h along one cell edge, from the edge's start."""
+    """Running integral of h along one cell edge, from the edge's start.
+
+    h is |x - y - c| in a same-direction cell and |x + y - c'| otherwise.
+    """
     x0, x1 = cell.x_range
     y0, y1 = cell.y_range
     c = cell.offset
-    if cell.same_direction:
-        if side == "right":  # h(x1, y) = |x1 - y - c|, y in [y0, y1]
-            return pw.integrate_abs_linear(-1.0, x1 - c, y0, y1)
-        if side == "left":
-            return pw.integrate_abs_linear(-1.0, x0 - c, y0, y1)
-        if side == "top":  # h(x, y1) = |x - y1 - c|, x in [x0, x1]
-            return pw.integrate_abs_linear(1.0, -(y1 + c), x0, x1)
-        if side == "bottom":
-            return pw.integrate_abs_linear(1.0, -(y0 + c), x0, x1)
-    else:
-        if side == "right":  # h(x1, y) = |x1 + y - c'|
-            return pw.integrate_abs_linear(1.0, x1 - c, y0, y1)
-        if side == "left":
-            return pw.integrate_abs_linear(1.0, x0 - c, y0, y1)
-        if side == "top":  # h(x, y1) = |x + y1 - c'|
-            return pw.integrate_abs_linear(1.0, y1 - c, x0, x1)
-        if side == "bottom":
-            return pw.integrate_abs_linear(1.0, y0 - c, x0, x1)
+    same = cell.same_direction
+    if side in ("right", "left"):  # h(x, y) at fixed x, y in [y0, y1]
+        x = x1 if side == "right" else x0
+        return pw.integrate_abs_linear(-1.0 if same else 1.0, x - c, y0, y1)
+    if side in ("top", "bottom"):  # h(x, y) at fixed y, x in [x0, x1]
+        y = y1 if side == "top" else y0
+        return pw.integrate_abs_linear(1.0, -(y + c) if same else y - c, x0, x1)
     raise ValueError(f"unknown side {side!r}")
 
 
@@ -194,31 +173,24 @@ def base_case(P: Curve, Q: Curve) -> Tuple[List[BoundaryCost], List[BoundaryCost
     the running integral of h(z, 0); the y axis is symmetric.  Returns one
     BoundaryCost per bottom edge of row 1 and per left edge of column 1.
     """
-    bottoms: List[BoundaryCost] = []
-    acc = 0.0
-    q0 = Q.vertices[0]
-    for i in range(1, P.num_segments + 1):
-        x0, x1 = P.prefix_lengths[i - 1], P.prefix_lengths[i]
-        d = P.segment_dir(i)
-        # h(z, 0) = |d*z + (P_{i-1} - d*x0 - Q(0))| on this segment
-        beta = P.vertices[i - 1] - d * x0 - q0
-        cost = _lifted(pw.integrate_abs_linear(float(d), beta, x0, x1), acc)
-        acc = cost.value(x1)
-        prov = ((PREF_BOTTOM, Prov("base", "bottom")),) * len(cost)
-        bottoms.append(BoundaryCost(("bottom", i, 1), cost, prov))
-
-    lefts: List[BoundaryCost] = []
-    acc = 0.0
-    p0 = P.vertices[0]
-    for j in range(1, Q.num_segments + 1):
-        y0, y1 = Q.prefix_lengths[j - 1], Q.prefix_lengths[j]
-        d = Q.segment_dir(j)
-        beta = p0 - (Q.vertices[j - 1] - d * y0)
-        cost = _lifted(pw.integrate_abs_linear(float(-d), beta, y0, y1), acc)
-        acc = cost.value(y1)
-        prov = ((PREF_LEFT, Prov("base", "left")),) * len(cost)
-        lefts.append(BoundaryCost(("left", 1, j), cost, prov))
-    return bottoms, lefts
+    axes = []
+    for R, start, sgn, tag in (
+        (P, Q.vertices[0], 1.0, (PREF_BOTTOM, Prov("base", "bottom"))),
+        (Q, P.vertices[0], -1.0, (PREF_LEFT, Prov("base", "left"))),
+    ):
+        costs: List[BoundaryCost] = []
+        acc = 0.0
+        for k in range(1, R.num_segments + 1):
+            u0, u1 = R.prefix_lengths[k - 1], R.prefix_lengths[k]
+            d = R.segment_dir(k)
+            # R(u) = d*u + line here; h on the axis is |R(u) - start|
+            line = R.vertices[k - 1] - d * u0
+            beta = line - start if sgn > 0 else start - line
+            cost = _lifted(pw.integrate_abs_linear(sgn * d, beta, u0, u1), acc)
+            acc = cost.value(u1)
+            costs.append(BoundaryCost(cost, (tag,) * len(cost)))
+        axes.append(costs)
+    return axes[0], axes[1]
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +224,12 @@ def propagate_type_a(
     corner_top = _lifted(ride_top, fl.value(y1))
     corner_right = _lifted(ride_right, fb.value(x1))
     top = [
-        _frag(av, PREF_BOTTOM, Prov("Av", "bottom"), len(fb.raw)),
-        _frag(corner_top, PREF_LEFT, Prov("corner", "left", (x0, y1)), 1),
+        (av, (PREF_BOTTOM, Prov("Av", "bottom"))),
+        (corner_top, (PREF_LEFT, Prov("corner", "left", (x0, y1)))),
     ]
     right = [
-        _frag(corner_right, PREF_BOTTOM, Prov("corner", "bottom", (x1, y0)), 1),
-        _frag(ah, PREF_LEFT, Prov("Ah", "left"), len(fl.raw)),
+        (corner_right, (PREF_BOTTOM, Prov("corner", "bottom", (x1, y0)))),
+        (ah, (PREF_LEFT, Prov("Ah", "left"))),
     ]
     return top, right
 
@@ -300,7 +272,7 @@ def propagate_type_b(
     b1_bottom, _ = pw.add_raw(fb, None, (climb,))
 
     # Entry from the left edge at (x0, v - c), moving right to the valley.
-    fl = pw.restrict_raw(pw.affine_raw(left.cost.raw, 1.0, -c), vx0, vx1)
+    fl = pw.restrict_raw(pw.shift_raw(left.cost.raw, -c), vx0, vx1)
     walk = (0.5, -x0, x0 * x0 / 2.0, vx0, vx1)
     b1_left, _ = pw.add_raw(fl, None, (walk,))
 
@@ -314,17 +286,16 @@ def propagate_type_b(
     )
     b2, argmins, _ = pw.cumulative_min(valley_env)
 
-    src = len(b2.raw)
     # Exit upward to the top edge at (t, y1): transport (y1 - t + c)^2 / 2.
     up = (0.5, -(y1 + c), (y1 + c) ** 2 / 2.0, vx0, vx1)
     b3_top, _ = pw.add_raw(b2.raw, None, (up,))
-    top = [_frag(pw.from_raw(b3_top), PREF_B, Prov("B", "", ("top",)), src)]
+    top = [(pw.from_raw(b3_top), (PREF_B, Prov("B", "", ("top",))))]
     # Exit rightward to (x1, tau): valley coordinate tau + c.
-    shifted = pw.affine_raw(b2.raw, 1.0, c)
+    shifted = pw.shift_raw(b2.raw, c)
     t_lo, t_hi = vx0 - c, vx1 - c
     side = (0.5, -(x1 - c), (x1 - c) ** 2 / 2.0, t_lo, t_hi)
     b3_right, _ = pw.add_raw(shifted, None, (side,))
-    right = [_frag(pw.from_raw(b3_right), PREF_B, Prov("B", "", ("right",)), src)]
+    right = [(pw.from_raw(b3_right), (PREF_B, Prov("B", "", ("right",))))]
     return top, right, BRecord(valley_env, tuple(vtags), b2, tuple(argmins))
 
 
@@ -453,12 +424,11 @@ def propagate_type_c(
     fb, fl = bottom.cost, left.cost
     # C1 transposed: bottom to top, vertical transport.
     c1t = _across(fb, 1.0, -(y0 + c), -(y1 + c), x0, x1)
-    top = [_frag(c1t, PREF_BOTTOM, Prov("C1T", "bottom"), len(fb.raw))]
+    top = [(c1t, (PREF_BOTTOM, Prov("C1T", "bottom")))]
     # C1: left to right, horizontal transport across the full cell width.
     c1 = _across(fl, -1.0, x1 - c, x0 - c, y0, y1)
-    right = [_frag(c1, PREF_LEFT, Prov("C1", "left"), len(fl.raw))]
-    # C2: bottom to right, single turn.  These fragments have at most three
-    # pieces (two S terms), so the piece budget of _frag cannot bind.
+    right = [(c1, (PREF_LEFT, Prov("C1", "left")))]
+    # C2: bottom to right, single turn.
     for frag, alpha, beta in _c2_catalogue(fb, x0, x1, y0, y1, c):
         right.append((frag, (PREF_BOTTOM, Prov("C2", "bottom", (alpha, beta)))))
     # C2 transposed: left to top (swap axes, negate the valley offset).
@@ -523,7 +493,6 @@ def solve_cell(
     cell: Cell,
     bottom: BoundaryCost,
     left: BoundaryCost,
-    validate: bool = False,
 ) -> Tuple[BoundaryCost, BoundaryCost, Optional[BRecord]]:
     """Output-edge boundary costs of one cell from its input-edge costs,
     and the valley record of a cell the B family rides (None elsewhere)."""
@@ -556,10 +525,6 @@ def solve_cell(
     fin_top = _pin_end(fin_top, "hi", shared)
     fin_right = _pin_end(fin_right, "hi", shared)
 
-    if validate:
-        pw.validate(fin_top)
-        pw.validate(fin_right)
-
-    top_bc = BoundaryCost(("top", cell.i, cell.j), fin_top, tuple(prov_top))
-    right_bc = BoundaryCost(("right", cell.i, cell.j), fin_right, tuple(prov_right))
+    top_bc = BoundaryCost(fin_top, tuple(prov_top))
+    right_bc = BoundaryCost(fin_right, tuple(prov_right))
     return top_bc, right_bc, b_rec

@@ -96,6 +96,10 @@ class TestDiscreteFrechet:
     def test_single_points(self):
         assert discrete_frechet([0], [5]) == pytest.approx(5.0)
 
+    def test_integer_input_gives_float(self):
+        value = discrete_frechet([0, 1, 2], [0, 2])
+        assert type(value) is float and value == 1.0
+
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             discrete_frechet([], [0.0])

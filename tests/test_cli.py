@@ -132,6 +132,14 @@ class TestCompute:
         assert main(["compute", a, b]) == 2
         assert "numeric array" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("measure", ["cdtw", "dtw", "dfrechet"])
+    @pytest.mark.parametrize("name,text", [("bad.csv", ""), ("bad.json", "[0.5, NaN]")])
+    def test_empty_or_nan_series_names_file(self, tmp_path, capsys, measure, name, text):
+        a = write(tmp_path, name, text)
+        b = write(tmp_path, "b.csv", "0\n1\n")
+        assert main(["compute", a, b, "--measure", measure]) == 2
+        assert "bad." in capsys.readouterr().err
+
     def test_too_short_series(self, tmp_path, capsys):
         a = write(tmp_path, "a.csv", "1\n1\n1\n")
         b = write(tmp_path, "b.csv", "0\n1\n")
@@ -204,6 +212,13 @@ class TestMatrix:
         assert main(["matrix", str(tmp_path), "--out", target]) == 0
         text = open(target).read()
         assert text.startswith(",a.csv,b.csv")
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        write(tmp_path, "a.csv", "0\n1\n")
+        write(tmp_path, "b.csv", "0.5\n1.5\n")
+        assert main(["matrix", str(tmp_path), "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_too_few_files(self, tmp_path, capsys):
         write(tmp_path, "only.csv", "0\n1\n")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cdtw import build_curve, cell_info, engine
+from cdtw import piecewise as pw
 from cdtw.baselines import GridConfig, cdtw_grid
 from cdtw.engine import (
     EngineConfig,
@@ -290,10 +291,13 @@ class TestProvenanceControl:
         assert cdtw_exact(P, Q, EngineConfig(record_path=False)).run.records == {}
 
     def test_validate_mode_passes(self):
+        # every output edge function of a solve passes pw.validate
         rng = random.Random(71)
         P = random_curve(rng, 4)
         Q = random_curve(rng, 4)
-        res = cdtw_exact(P, Q, config=EngineConfig(validate=True))
+        res = cdtw_exact(P, Q)
+        for bc in [*res.run.top.values(), *res.run.right.values()]:
+            pw.validate(bc.cost)
         assert res.value >= 0
 
 

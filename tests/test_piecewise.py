@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cdtw import piecewise as pw
 from cdtw.errors import CoverageGap, OutOfDomain
-from cdtw.piecewise import PiecewiseQuadratic, Quadratic
+from cdtw.piecewise import Quadratic
 from cdtw.propagation import Prov, apply_edge_travel
 
 from helpers import breakpoints, numeric_cumulative_min, numeric_integral, pwq_prefix_min
@@ -18,7 +18,7 @@ from helpers import breakpoints, numeric_cumulative_min, numeric_integral, pwq_p
 
 def pwq(*specs):
     """Build a PiecewiseQuadratic from (a, b, c, lo, hi) tuples."""
-    return PiecewiseQuadratic(tuple(Quadratic(*s) for s in specs))
+    return pw.from_raw(specs)
 
 
 def random_pwq(rng, lo=0.0, hi=1.0, max_pieces=5, amp=2.0):
@@ -34,7 +34,7 @@ def random_pwq(rng, lo=0.0, hi=1.0, max_pieces=5, amp=2.0):
         qc = value - (qa * a0 + qb) * a0
         pieces.append(Quadratic(qa, qb, qc, a0, b0))
         value = pieces[-1].value(b0)
-    return PiecewiseQuadratic(tuple(pieces))
+    return pw.from_raw((p.a, p.b, p.c, p.lo, p.hi) for p in pieces)
 
 
 def ranked(cands):
@@ -69,21 +69,14 @@ class TestEvaluate:
 class TestAffineSubstitute:
     def test_shift(self):
         f = pwq((1, 0, 0, 0, 1))
-        g = pw.from_raw(pw.affine_raw(f.raw, 1.0, 0.5))
+        g = pw.from_raw(pw.shift_raw(f.raw, 0.5))
         assert g.lo == pytest.approx(-0.5)
         assert g.hi == pytest.approx(0.5)
         assert g.value(0.25) == pytest.approx(0.75**2)
 
-    def test_reflect(self):
-        f = pwq((0, 1, 0, 0, 1))
-        g = pw.from_raw(pw.affine_raw(f.raw, -1.0, 1.0))
-        assert g.lo == pytest.approx(0.0)
-        assert g.hi == pytest.approx(1.0)
-        assert g.value(0.25) == pytest.approx(0.75)
-
     def test_identity(self):
         f = pwq((1, 2, 3, 0, 1), (0, 4, 2, 1, 2))
-        g = pw.from_raw(pw.affine_raw(f.raw, 1.0, 0.0))
+        g = pw.from_raw(pw.shift_raw(f.raw, 0.0))
         for s in (0.0, 0.5, 1.0, 1.7, 2.0):
             assert g.value(s) == pytest.approx(f.value(s))
 
@@ -91,14 +84,11 @@ class TestAffineSubstitute:
         rng = random.Random(2)
         for _ in range(50):
             f = random_pwq(rng)
-            alpha = rng.choice([1.0, -1.0])
             beta = rng.uniform(-1, 1)
-            g = pw.from_raw(pw.affine_raw(f.raw, alpha, beta))
+            g = pw.from_raw(pw.shift_raw(f.raw, beta))
             for _ in range(20):
                 t = rng.uniform(g.lo, g.hi)
-                assert g.value(t) == pytest.approx(
-                    f.value(alpha * t + beta), abs=1e-9
-                )
+                assert g.value(t) == pytest.approx(f.value(t + beta), abs=1e-9)
 
 
 class TestAddQuadratic:
@@ -346,7 +336,7 @@ class TestLowerEnvelope:
     def test_two_parabolas(self):
         f1 = pwq((1, 0, 0, 0, 1))
         f2 = pwq((1, -2, 1, 0, 1))
-        env, _ = pw.lower_envelope(ranked([f1, f2]))
+        env, _ = pw.lower_envelope(ranked([f1, f2]), 0.0, 1.0)
         assert env.value(0.25) == pytest.approx(0.0625)
         assert env.value(0.75) == pytest.approx(0.0625)
         bks = breakpoints(env)
@@ -354,14 +344,14 @@ class TestLowerEnvelope:
 
     def test_single_candidate(self):
         f = pwq((2, -1, 0.3, 0, 1))
-        env, _ = pw.lower_envelope(ranked([f]))
+        env, _ = pw.lower_envelope(ranked([f]), 0.0, 1.0)
         for s in (0, 0.5, 1):
             assert env.value(s) == pytest.approx(f.value(s))
 
     def test_uniform_domination(self):
         f1 = pwq((1, 0, 1, 0, 1))
         f2 = pwq((1, 0, 0, 0, 1))
-        env, _ = pw.lower_envelope(ranked([f1, f2]))
+        env, _ = pw.lower_envelope(ranked([f1, f2]), 0.0, 1.0)
         for s in (0, 0.5, 1):
             assert env.value(s) == pytest.approx(f2.value(s))
 
@@ -399,7 +389,7 @@ class TestLowerEnvelope:
                 b = rng.uniform(-3, 3)
                 c = rng.uniform(-3, 3)
                 cands.append(pwq((a, b, c, 0.0, 1.0)))
-            env, _ = pw.lower_envelope(ranked(cands))
+            env, _ = pw.lower_envelope(ranked(cands), 0.0, 1.0)
             for k in range(200):
                 s = (k + 0.5) / 200
                 expect = min(f.value(s) for f in cands)
@@ -410,7 +400,7 @@ class TestLowerEnvelope:
         rng = random.Random(42)
         for _ in range(30):
             cands = [random_pwq(rng) for _ in range(rng.randint(1, 8))]
-            env, _ = pw.lower_envelope(ranked(cands))
+            env, _ = pw.lower_envelope(ranked(cands), 0.0, 1.0)
             for k in range(100):
                 s = (k + 0.5) / 100
                 expect = min(f.value(s) for f in cands)
@@ -420,7 +410,7 @@ class TestLowerEnvelope:
         f1 = pwq((1, 0, 0, 0, 1))
         f2 = pwq((1, 0, 0, 0, 1))
         env, tags = pw.lower_envelope(
-            [(f1, (0.0, "low")), (f2, (1.0, "high"))]
+            [(f1, (0.0, "low")), (f2, (1.0, "high"))], 0.0, 1.0
         )
         assert all(t[1] == "high" for t in tags)
 
@@ -451,7 +441,7 @@ class TestValidateAndSerialise:
 def test_envelope_of_random_pwqs_hypothesis(seed):
     rng = random.Random(seed)
     cands = [random_pwq(rng, max_pieces=3) for _ in range(rng.randint(1, 6))]
-    env, _ = pw.lower_envelope(ranked(cands))
+    env, _ = pw.lower_envelope(ranked(cands), 0.0, 1.0)
     for k in range(40):
         s = (k + 0.5) / 40
         expect = min(f.value(s) for f in cands)

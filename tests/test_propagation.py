@@ -10,7 +10,7 @@ import pytest
 from cdtw import build_curve, cell_info
 from cdtw import piecewise as pw
 from cdtw.curves import Cell
-from cdtw.errors import InvariantViolation, WrongCellType
+from cdtw.errors import WrongCellType
 from cdtw.propagation import (
     PREF_BOTTOM,
     PREF_LEFT,
@@ -67,7 +67,7 @@ def random_consistent_input(rng, cell: Cell, side: str) -> BoundaryCost:
     mn, _ = pw.minimum(f)
     f = _lifted(f, 0.1 - min(mn, 0.0))
     tags = tuple((pref, Prov("base", side)) for _ in f.pieces)
-    return BoundaryCost((side, cell.i, cell.j), f, tags)
+    return BoundaryCost(f, tags)
 
 
 def random_cell_inputs(rng, cell: Cell):
@@ -76,7 +76,7 @@ def random_cell_inputs(rng, cell: Cell):
     # both edges meet at (x0, y0); force agreement there
     d = bottom.cost.value(cell.x_range[0]) - left.cost.value(cell.y_range[0])
     lc = _lifted(left.cost, d)
-    return bottom, BoundaryCost(left.edge, lc, left.prov)
+    return bottom, BoundaryCost(lc, left.prov)
 
 
 def random_cell(rng, want_same=None, nmax=4):
@@ -228,9 +228,9 @@ class TestTypeA:
         Q = build_curve([1, 0])
         cell = cell_info(P, Q, 1, 1)
         zero = pw.constant(0.0, *cell.x_range)
-        bc = BoundaryCost(("bottom", 1, 1), zero, ((PREF_BOTTOM, Prov("base", "bottom")),))
+        bc = BoundaryCost(zero, ((PREF_BOTTOM, Prov("base", "bottom")),))
         zero_l = pw.constant(0.0, *cell.y_range)
-        left = BoundaryCost(("left", 1, 1), zero_l, ((PREF_LEFT, Prov("base", "left")),))
+        left = BoundaryCost(zero_l, ((PREF_LEFT, Prov("base", "left")),))
         rides = edge_height_running(cell, "top"), edge_height_running(cell, "right")
         top, _right = propagate_type_a(cell, bc, left, *rides)
         (lifted, _tag) = top[0]
@@ -297,8 +297,8 @@ class TestTypeB:
         (vx0, vy0), (vx1, vy1) = cell.valley
         zero_b = pw.constant(0.0, *cell.x_range)
         zero_l = pw.constant(0.0, *cell.y_range)
-        bottom = BoundaryCost(("bottom", 1, 1), zero_b, ((PREF_BOTTOM, Prov("base", "bottom")),))
-        left = BoundaryCost(("left", 1, 1), zero_l, ((PREF_LEFT, Prov("base", "left")),))
+        bottom = BoundaryCost(zero_b, ((PREF_BOTTOM, Prov("base", "bottom")),))
+        left = BoundaryCost(zero_l, ((PREF_LEFT, Prov("base", "left")),))
         top, _right, rec = propagate_type_b(cell, bottom, left)
         (b3_top, _), = top
         # exit at top coordinate t costs only the climb from the valley
@@ -346,8 +346,8 @@ class TestTypeC:
         y0, y1 = cell.y_range
         const_l = pw.constant(k, y0, y1)
         const_b = pw.constant(0.0, *cell.x_range)
-        bottom = BoundaryCost(("bottom", 0, 0), const_b, ((PREF_BOTTOM, Prov("base", "bottom")),))
-        left = BoundaryCost(("left", 0, 0), const_l, ((PREF_LEFT, Prov("base", "left")),))
+        bottom = BoundaryCost(const_b, ((PREF_BOTTOM, Prov("base", "bottom")),))
+        left = BoundaryCost(const_l, ((PREF_LEFT, Prov("base", "left")),))
         _top, right = propagate_type_c(cell, bottom, left)
         c1 = next(
             (f, t) for f, t in right if t[1].kind == "C1"
@@ -418,7 +418,7 @@ class TestSolveCell:
         for _ in range(30):
             P, Q, cell = random_cell(rng)
             bottom, left = random_cell_inputs(rng, cell)
-            top, right, _ = solve_cell(cell, bottom, left, validate=True)
+            top, right, _ = solve_cell(cell, bottom, left)
             assert top.cost.lo == pytest.approx(cell.x_range[0], abs=1e-9)
             assert top.cost.hi == pytest.approx(cell.x_range[1], abs=1e-9)
             assert right.cost.lo == pytest.approx(cell.y_range[0], abs=1e-9)
@@ -547,9 +547,9 @@ class TestSolveCell:
                     side = rec.vtags[kv][1].side
                     assert side in ("bottom", "left")
 
-            for bc in (top, right):
+            for edge, bc in (("top", top), ("right", right)):
                 for piece, (_pref, prov) in zip(bc.cost.pieces, bc.prov):
-                    check(prov, 0.5 * (piece.lo + piece.hi), bc.edge[0])
+                    check(prov, 0.5 * (piece.lo + piece.hi), edge)
 
     def test_valley_argmins_nondecreasing(self):
         # the cumulative minimum along the valley can only look backwards,
@@ -572,9 +572,29 @@ class TestSolveCell:
                     assert arg <= piece.lo + 1e-9
                 last = src
 
-    def test_fragment_piece_budget_enforced(self):
-        from cdtw.propagation import _frag
-
-        f = pw.build_raw([(0.0, 0.0, float(k), k, k + 1) for k in range(9)])
-        with pytest.raises(InvariantViolation):
-            _frag(f, 1.0, Prov("C1", "left"), 1)
+    def test_fragments_within_source_pieces_plus_two(self):
+        # A transport adds a band of at most three pieces to its source, a
+        # corner route is the two-piece edge integral, a single turn has at
+        # most three pieces, and a valley exit adds one piece to b2.
+        rng = random.Random(45)
+        kinds = set()
+        for _ in range(60):
+            P, Q, cell = random_cell(rng)
+            bottom, left = random_cell_inputs(rng, cell)
+            sources = {"bottom": len(bottom.cost), "left": len(left.cost)}
+            if cell.same_direction:
+                top, right = propagate_type_c(cell, bottom, left)
+                try:
+                    b_top, b_right, rec = propagate_type_b(cell, bottom, left)
+                except WrongCellType:
+                    pass
+                else:
+                    top, right = top + b_top, right + b_right
+                    sources[""] = len(rec.b2)
+            else:
+                rides = edge_height_running(cell, "top"), edge_height_running(cell, "right")
+                top, right = propagate_type_a(cell, bottom, left, *rides)
+            for frag, (_pref, prov) in top + right:
+                kinds.add(prov.kind)
+                assert len(frag) <= sources[prov.side] + 2, prov
+        assert kinds == {"Av", "Ah", "corner", "B", "C1", "C1T", "C2", "C2T"}
