@@ -610,6 +610,15 @@ def _compare_span(e: tuple, q: tuple, a: float, b: float) -> List[tuple]:
         d = (da * mid + db) * mid + dc
         scale = 1.0 + abs((ea * mid + eb) * mid + ec) + abs((qa * mid + qb) * mid + qc)
         if abs(d) <= tol * scale:
+            # A difference that only touches zero (its discriminant rounded
+            # below zero, so no root split the span) ties at its vertex,
+            # which can sit at the midpoint; the end farther from zero
+            # decides, and only a tie there too goes to the preference.
+            d0 = (da * s0 + db) * s0 + dc
+            d1 = (da * s1 + db) * s1 + dc
+            x, d = (s0, d0) if abs(d0) > abs(d1) else (s1, d1)
+            scale = 1.0 + abs((ea * x + eb) * x + ec) + abs((qa * x + qb) * x + qc)
+        if abs(d) <= tol * scale:
             take_q = q[5][0] > e[5][0]
         else:
             take_q = d < 0.0

@@ -22,11 +22,17 @@ Path shapes inside one cell:
 
 Every emitted fragment is the exact cost of a realisable path family, so
 the envelope is a true upper bound everywhere and tight where some family
-is optimal; the families above cover all optimal shapes.
+is optimal; the families above cover all optimal shapes.  Work that cannot
+change a cell's output is skipped: the single-turn families emit entry
+points only where the minimum over entries can lie (stationary points,
+domain ends, convex kinks of the input; see _c2_catalogue), and the travel
+pass returns the envelope as it is when the envelope minus the edge
+integral never rises, since then no departure earlier on the edge wins.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import piecewise as pw
@@ -319,11 +325,26 @@ def _c2_catalogue(
 
         pathcost(s, t) = f(s) + S(s - Y0 - C) + S(X1 - t - C) - 2 S(s - t - C)
 
-    with S(u) = u|u|/2.  For each input piece this emits: the interior
-    stationary solution s(t) of d pathcost / d s = 0 (linear per sign
-    region), the fixed-endpoint candidates, and the valley-grazing
-    diagonal s = t + C.  Each returned entry is (cost fragment over t,
-    alpha, beta) with source coordinate s = alpha * t + beta.
+    with S(u) = u|u|/2.  Since S'(u) = |u|, pathcost is C^1 in s wherever
+    f is, so for each t its minimum over s lies at a stationary point
+    inside a stretch where pathcost is one convex quadratic in s, at a
+    domain end, or at a convex kink of f.  This emits exactly those:
+
+    * per input piece and sign region of s - Y0 - C and s - t - C, the
+      stationary solution s(t) of d pathcost / d s = 0 where the
+      curvature is positive (linear in t);
+    * fixed entries at both domain ends (X1 is the corner route; X0 is
+      kept because in the transposed frame it wins ties under the
+      larger-y convention) and at every inner breakpoint where f kinks
+      convexly.
+
+    Nothing else can win: a minimum cannot sit at a concave kink, and at
+    the sign breaklines s = Y0 + C and s = t + C pathcost is C^1, so a
+    minimum there is a stationary point of the region on its left.  The
+    valley-grazing path (s = t + C) is also a B path that leaves the
+    valley at once, and B wins its ties.  Each returned entry is (cost
+    fragment over t, alpha, beta) with source coordinate
+    s = alpha * t + beta.
 
     The transposed frame (swap axes, negate C) yields the left-to-top
     family, which is required for exactness and symmetric to this one.
@@ -333,31 +354,20 @@ def _c2_catalogue(
     y0c = Y0 + C
     ride = (1.0, -1.0, X1 - C)  # the S(X1 - t - C) term of every family
 
-    # Fixed entry coordinates: piece boundaries plus the sign breakline.
+    # Fixed entry coordinates: the domain ends and the convex kinks.
     raw = f.raw
-    s_candidates = {p[3] for p in raw}
-    s_candidates.add(raw[-1][4])
-    if X0 + tol < y0c < X1 - tol:
-        s_candidates.add(y0c)
-    for s_hat in sorted(s_candidates):
+    s_candidates = [raw[0][3]]
+    for (la, lb, _, _, s), (ra, rb, _, _, _) in zip(raw, raw[1:]):
+        dl, dr = 2.0 * la * s + lb, 2.0 * ra * s + rb
+        if dr - dl > 1e-9 * (abs(dl) + abs(dr)):
+            s_candidates.append(s)
+    s_candidates.append(raw[-1][4])
+    for s_hat in s_candidates:
         const = pw.evaluate(f, s_hat) + _s_halfsq(s_hat - Y0 - C)
         frag = _s_combination_raw([ride, (-2.0, -1.0, s_hat - C)], const, Y0, Y1)
         out.append((pw.from_raw(frag), 0.0, s_hat))
 
     for pa, pb, pc, p_lo, p_hi in raw:
-        # Valley-grazing diagonal: turn exactly on the zero line.
-        d_lo = max(p_lo - C, Y0)
-        d_hi = min(p_hi - C, Y1)
-        if d_hi - d_lo > tol:
-            qa, qb, qc = pw.compose_linear(pa, pb, pc, 1.0, C)
-            # add (t - Y0)^2 / 2 for the climb to the turn
-            qa += 0.5
-            qb += -Y0
-            qc += Y0 * Y0 / 2.0
-            base = _s_combination_raw([ride], 0.0, d_lo, d_hi)
-            pieces = [(a + qa, b + qb, c + qc, lo, hi) for a, b, c, lo, hi in base]
-            out.append((pw.build_raw(pieces), 1.0, C))
-
         # Interior stationary solutions, split by the sign of s - Y0 - C
         # (entry side) and of s - t - C (turn side).
         s_splits = [p_lo, p_hi]
@@ -441,6 +451,24 @@ def propagate_type_c(
 # travel along an output edge, envelope merge, cell driver
 
 
+def _nonincreasing(raw: Sequence[pw.Raw]) -> bool:
+    """True when every piece has a derivative <= 0 at both ends and no
+    piece starts above the lowest value before it by more than the slack
+    cumulative_min allows (an envelope of partial fragments can jump
+    upward at a breakpoint).  The cumulative minimum of such a function
+    follows it everywhere."""
+    low = math.inf
+    for a, b, c, lo, hi in raw:
+        if 2.0 * a * lo + b > 0.0 or 2.0 * a * hi + b > 0.0:
+            return False
+        if (a * lo + b) * lo + c > low + pw.TOLERANCE:
+            return False
+        end = (a * hi + b) * hi + c
+        if end < low:
+            low = end
+    return True
+
+
 def apply_edge_travel(
     env: PiecewiseQuadratic,
     tags: Sequence[Tuple[float, Prov]],
@@ -455,6 +483,8 @@ def apply_edge_travel(
     """
     edge = q_edge.raw
     diff, dtags = pw.add_raw(env.raw, tags, edge, sign=-1.0)
+    if _nonincreasing(diff):
+        return env, list(tags)  # no travel wins: env is its own minimum
     dmin, args, mtags = pw.cumulative_min(pw.from_raw(diff), dtags)
     # A flat piece departs from the argmin s*: wrap its source's provenance.
     new_tags = [

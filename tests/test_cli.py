@@ -299,6 +299,14 @@ class TestOracleCheck:
     def test_nonpositive_resolution_rejected(self, pair, capsys):
         assert main(["oracle-check", *pair, "--resolutions", "0", "4"]) == 2
 
+    def test_fractional_resolution_rejected_before_output(self, pair, capsys):
+        # compute --resolution 0.5 is a usage error too; nothing may be
+        # printed before the rejection.
+        assert main(["oracle-check", *pair, "--resolutions", "0.5", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "resolution" in err
+
     def test_impossible_tol_gives_sandwich_exit(self, tmp_path, capsys):
         # force a failure by demanding a negative final gap
         a = write(tmp_path, "a.csv", "0\n1\n0.3\n1.7\n")

@@ -262,6 +262,14 @@ class TestRobustness:
         exact = cdtw_exact(P, Q).value
         assert 0.0 <= exact <= cdtw_grid(P, Q, GridConfig(resolution=256))
 
+    def test_self_pair_with_touching_fragments(self):
+        # At cell (11, 8) two candidate fragments differ by a parabola that
+        # only touches zero; giving that whole span to the higher one
+        # broke corner continuity (InvariantViolation).
+        values = [0.6722435096718973 * v for v in (3, 1, 4, 0, 2, 1, 0, 4, 1, 2, 4, 2)]
+        P = build_curve(values)
+        assert cdtw_exact(P, P).value == pytest.approx(0.0, abs=1e-12)
+
 
 class TestProvenanceControl:
     def test_path_disabled_raises(self):

@@ -331,6 +331,26 @@ class TestOffsetCumulativeMin:
                 expect = pwq_prefix_min(diff, t) + qc.value(t)
                 assert g.value(t) == pytest.approx(expect, abs=1e-9)
 
+    def test_nonincreasing_difference_returns_env(self):
+        # env - edge falls everywhere, so no travel can win and env comes
+        # back with its own pieces and tags.
+        env = pwq((0.3, -1.7, 2.9, 0, 1), (0.1, -1.3, 2.7, 1, 2))
+        tags = [(1.0, Prov("C2", "bottom", (0.0, 0.0))), (2.0, Prov("C1", "left"))]
+        edge = pw.integrate_abs_linear(1.0, -0.7, 0.0, 2.0)
+        g, gtags = apply_edge_travel(env, tags, edge)
+        assert g.raw == env.raw
+        assert gtags == tags
+
+    def test_upward_jump_gets_travel(self):
+        # Each piece of env falls, but the envelope of partial fragments
+        # jumps up at 1: past it, travelling from the low point is cheaper.
+        env = pwq((0, -1, 2, 0, 1), (0, -1, 4, 1, 2))
+        tags = [(1.0, Prov("C2", "bottom", (0.0, 0.0))), (2.0, Prov("C1", "left"))]
+        g, gtags = apply_edge_travel(env, tags, pw.constant(0.0, 0.0, 2.0))
+        assert g.value(1.5) == pytest.approx(1.0)
+        assert gtags[-1][1].kind == "travel"
+        assert gtags[-1][1].data == (1.0,)
+
 
 class TestLowerEnvelope:
     def test_two_parabolas(self):
@@ -413,6 +433,19 @@ class TestLowerEnvelope:
             [(f1, (0.0, "low")), (f2, (1.0, "high"))], 0.0, 1.0
         )
         assert all(t[1] == "high" for t in tags)
+
+    def test_touching_difference_takes_the_lower_fragment(self):
+        # The difference of the two (-2 s^2 + ...) only touches zero near
+        # the midpoint and its discriminant rounds below zero, so no root
+        # splits the span; a midpoint tie must not hand the whole span to
+        # the first fragment, which is 6.8 higher at lo.
+        lo, hi = 17.16067336731037, 20.83796051744831
+        e = pwq((1.5, -55.15930725206905, 520.6139702059293, lo, hi))
+        q = pwq((-0.5, 20.83796051744831, -201.3341183480361, lo, hi))
+        env, _ = pw.lower_envelope([(e, (1.0, "e")), (q, (1.0, "q"))], lo, hi)
+        for k in range(11):
+            s = lo + (hi - lo) * k / 10
+            assert env.value(s) <= min(e.value(s), q.value(s)) + 1e-9
 
 
 class TestValidateAndSerialise:

@@ -330,6 +330,35 @@ class TestTypeB:
                 assert rec.b2.value(v) <= running[k] + 1e-9
                 assert rec.b2.value(v) >= running[k] - 1e-3  # sampling slack
 
+    def test_b_covers_valley_grazing_paths(self):
+        # The single-turn path that turns on the valley line enters it and
+        # leaves at once, a B path; the C2 catalogue emits no such fragment,
+        # so B must cost no more than it (in both frames).
+        rng = random.Random(23)
+        done = 0
+        while done < 10:
+            P, Q, cell = random_cell(rng, want_same=True)
+            if cell.valley is None:
+                continue
+            (vx0, _), (vx1, _) = cell.valley
+            if vx1 - vx0 < 1e-3:
+                continue
+            done += 1
+            bottom, left = random_cell_inputs(rng, cell)
+            top, right, _ = propagate_type_b(cell, bottom, left)
+            (b_top, _), = top
+            (b_right, _), = right
+            x0, x1 = cell.x_range
+            y0, y1 = cell.y_range
+            c = cell.offset
+            for v in np.linspace(vx0, vx1, 50):
+                t = v - c  # right edge: turn at (v, t) after climbing from (v, y0)
+                graze = bottom.cost.value(v) + (t - y0) ** 2 / 2 + (x1 - v) ** 2 / 2
+                assert b_right.value(t) <= graze + 1e-9
+                # top edge: turn at (v, v - c) after walking from (x0, v - c)
+                graze = left.cost.value(v - c) + (v - x0) ** 2 / 2 + (y1 + c - v) ** 2 / 2
+                assert b_top.value(v) <= graze + 1e-9
+
 
 class TestTypeC:
     def test_wrong_cell_type(self):
@@ -363,17 +392,25 @@ class TestTypeC:
         # quadratic input on the bottom edge; compare the full bottom->right
         # candidate set against brute-force minimisation over entry points
         rng = random.Random(19)
-        checked = 0
-        while checked < 6:
+        cases = []
+        while len(cases) < 6:
             P, Q, cell = random_cell(rng, want_same=True)
-            bottom, left = random_cell_inputs(rng, cell)
+            cases.append((cell, *random_cell_inputs(rng, cell)))
+        # A bottom cost with a convex kink steep enough that the best entry
+        # is the kink itself for every exit level.
+        cell = cases[0][0]
+        x0, x1 = cell.x_range
+        y0, y1 = cell.y_range
+        k = 4.0 * max(abs(x - y - cell.offset) for x in (x0, x1) for y in (y0, y1)) + 1.0
+        s_k = float(np.linspace(x0, x1, 1000)[400])
+        kinked = pw.from_raw([(0.0, -k, k * s_k, x0, s_k), (0.0, k, -k * s_k, s_k, x1)])
+        bottom = BoundaryCost(kinked, ((PREF_BOTTOM, Prov("base", "bottom")),) * 2)
+        cases.append((cell, bottom, cases[0][2]))
+        for cell, bottom, left in cases:
             _top, right = propagate_type_c(cell, bottom, left)
             x0, x1 = cell.x_range
             y0, y1 = cell.y_range
             bots = [(f, t) for f, t in right if t[1].kind == "C2"]
-            if not bots:
-                continue
-            checked += 1
             ss = np.linspace(x0, x1, 1000)
             fb = [bottom.cost.value(s) for s in ss]
             for tau in np.linspace(y0, y1, 9):
