@@ -14,6 +14,7 @@ imports numpy; the grid oracles import it on their first call.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -77,10 +78,11 @@ def cdtw_grid(P: Curve, Q: Curve, cfg: GridConfig) -> float:
 
     Always >= the exact value (grid paths are a subset of all monotone
     paths) and nonincreasing as the resolution grows through powers of
-    two times the same base.
+    two times the same base.  A resolution below 1, NaN or infinite
+    raises ResolutionZero before any tick is built.
     """
-    if cfg.resolution < 1:
-        raise ResolutionZero(f"resolution must be >= 1, got {cfg.resolution}")
+    if not 1 <= cfg.resolution < math.inf:
+        raise ResolutionZero(f"resolution must be finite and >= 1, got {cfg.resolution}")
     from .lattice import _axis_ticks, _lattice_value
     xs = _axis_ticks(P, float(cfg.resolution), pow2=True)
     ys = _axis_ticks(Q, float(cfg.resolution), pow2=True)
@@ -98,7 +100,7 @@ def cdtw_bruteforce_small(P: Curve, Q: Curve, segments: int) -> float:
         raise TooLarge("bruteforce oracle accepts at most 4 vertices per curve")
     if segments > 2048:
         raise TooLarge("bruteforce oracle accepts at most 2048 segments per unit")
-    if segments < 1:
+    if not segments >= 1:
         raise ResolutionZero(f"segments must be >= 1, got {segments}")
     from .lattice import _axis_ticks, _lattice_value
     xs = _axis_ticks(P, float(segments), pow2=False)

@@ -228,8 +228,8 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     resolutions = args.resolutions
-    if not resolutions or any(not r >= 1 for r in resolutions):
-        raise _UsageError("resolutions must be >= 1")
+    if not resolutions or any(not 1 <= r < math.inf for r in resolutions):
+        raise _UsageError("resolutions must be finite and >= 1")
     if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
         raise _UsageError("resolutions must be strictly ascending")
     a, b = _load_pair(args)

@@ -47,9 +47,6 @@ class Quadratic:
     def value(self, s: float) -> float:
         return (self.a * s + self.b) * s + self.c
 
-    def deriv(self, s: float) -> float:
-        return 2.0 * self.a * s + self.b
-
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class PiecewiseQuadratic:
@@ -170,43 +167,6 @@ def build_raw(pieces: Sequence[Raw]) -> PiecewiseQuadratic:
     return from_raw(clean)
 
 
-def validate(f: PiecewiseQuadratic) -> None:
-    """Check tiling, continuity, and the concave-kink rule.
-
-    The kink rule requires the left derivative at every interior breakpoint
-    to be at least the right derivative (minus tolerance): boundary cost
-    functions never kink convexly.
-    """
-    tol = TOLERANCE
-    pieces = f.pieces
-    if not pieces:
-        raise InvariantViolation("empty piecewise function")
-    span = abs(f.hi - f.lo) + 1.0
-    for k, p in enumerate(pieces):
-        if not (math.isfinite(p.a) and math.isfinite(p.b) and math.isfinite(p.c)):
-            raise InvariantViolation(f"non-finite coefficients in piece {k}")
-        if p.hi < p.lo:
-            raise InvariantViolation(f"inverted domain in piece {k}")
-        if k == 0:
-            continue
-        prev = pieces[k - 1]
-        if abs(p.lo - prev.hi) > tol * span:
-            raise InvariantViolation(
-                f"gap between pieces {k - 1} and {k}: {prev.hi} vs {p.lo}"
-            )
-        x = prev.hi
-        vl, vr = prev.value(x), p.value(x)
-        if abs(vl - vr) > 1e3 * tol * (1.0 + abs(vl) + abs(vr)):
-            raise InvariantViolation(
-                f"discontinuity at breakpoint {x}: {vl} vs {vr}"
-            )
-        dl, dr = prev.deriv(x), p.deriv(x)
-        if dl < dr - 1e4 * tol * (1.0 + abs(dl) + abs(dr)):
-            raise InvariantViolation(
-                f"convex kink at breakpoint {x}: left deriv {dl} < right deriv {dr}"
-            )
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -242,21 +202,6 @@ def locate(raw: Sequence[Raw], s: float) -> int:
 def distinct_ab(raw: Sequence[Raw]) -> int:
     """Distinct (a, b) coefficient pairs among raw pieces, in AB_BUCKET buckets."""
     return len({(round(p[0] / AB_BUCKET), round(p[1] / AB_BUCKET)) for p in raw})
-
-
-def minimum(f: PiecewiseQuadratic) -> Tuple[float, float]:
-    """(min value, argmin) over the whole domain."""
-    best, arg = math.inf, f.lo
-    for p in f.pieces:
-        for x in (p.lo, p.hi):
-            v = p.value(x)
-            if v < best:
-                best, arg = v, x
-        if p.a > 0.0:
-            v = -p.b / (2.0 * p.a)
-            if p.lo < v < p.hi and p.value(v) < best:
-                best, arg = p.value(v), v
-    return best, arg
 
 
 # ---------------------------------------------------------------------------
@@ -437,16 +382,15 @@ def stable_roots(a: float, b: float, c: float) -> Tuple[float, ...]:
         qv = -0.5 * (b + sq)
     else:
         qv = -0.5 * (b - sq)
-    roots = []
     if qv != 0.0:
-        roots.append(qv / a)
-        roots.append(c / qv)
+        r0, r1 = qv / a, c / qv
     else:
-        roots.append(0.0)
-        if a != 0.0:
-            roots.append(-b / a)
-    roots = sorted(set(roots))
-    return tuple(roots)
+        r0, r1 = 0.0, -b / a
+    if r0 < r1:
+        return (r0, r1)
+    if r1 < r0:
+        return (r1, r0)
+    return (r0,)
 
 
 def _root_of_piece(p: Quadratic, target: float, lo: float, hi: float) -> float:
@@ -587,90 +531,97 @@ def cumulative_min(
 # A tag is a tuple whose first item is its preference number.
 
 
+def _span_entry(
+    e: tuple, q: tuple, d: Tuple[float, float, float], s0: float, s1: float
+) -> tuple:
+    """The entry of e or q that is lower on [s0, s1], where their
+    difference q - e = d = (da, db, dc) has no root inside."""
+    tol = TOLERANCE
+    da, db, dc = d[0], d[1], d[2]
+    mid = 0.5 * (s0 + s1)
+    dv = (da * mid + db) * mid + dc
+    scale = 1.0 + abs((e[0] * mid + e[1]) * mid + e[2]) + abs((q[0] * mid + q[1]) * mid + q[2])
+    if abs(dv) <= tol * scale:
+        # A difference that only touches zero (its discriminant rounded
+        # below zero, so no root split the span) ties at its vertex,
+        # which can sit at the midpoint; the end farther from zero
+        # decides, and only a tie there too goes to the preference.
+        d0 = (da * s0 + db) * s0 + dc
+        d1 = (da * s1 + db) * s1 + dc
+        x, dv = (s0, d0) if abs(d0) > abs(d1) else (s1, d1)
+        scale = 1.0 + abs((e[0] * x + e[1]) * x + e[2]) + abs((q[0] * x + q[1]) * x + q[2])
+    if abs(dv) <= tol * scale:
+        w = q if q[5][0] > e[5][0] else e
+    else:
+        w = q if dv < 0.0 else e
+    return (w[0], w[1], w[2], s0, s1, w[5])
+
+
 def _compare_span(e: tuple, q: tuple, a: float, b: float) -> List[tuple]:
     """Pointwise minimum of envelope entries e and q on [a, b], as entries."""
     tol = TOLERANCE
-    ea, eb, ec = e[0], e[1], e[2]
-    qa, qb, qc = q[0], q[1], q[2]
-    da, db, dc = qa - ea, qb - eb, qc - ec
-    # Spans end at the difference's roots inside (a, b), which come sorted.
-    cuts = [a]
-    if abs(da) > tol or abs(db) > tol:
-        for r in stable_roots(da, db, dc):
-            if a + tol < r < b - tol:
-                cuts.append(r)
-    cuts.append(b)
-    out: List[tuple] = []
-    s0 = a
-    for s1 in cuts[1:]:
-        if s1 - s0 <= 0:
-            s0 = s1
-            continue
-        mid = 0.5 * (s0 + s1)
-        d = (da * mid + db) * mid + dc
-        scale = 1.0 + abs((ea * mid + eb) * mid + ec) + abs((qa * mid + qb) * mid + qc)
-        if abs(d) <= tol * scale:
-            # A difference that only touches zero (its discriminant rounded
-            # below zero, so no root split the span) ties at its vertex,
-            # which can sit at the midpoint; the end farther from zero
-            # decides, and only a tie there too goes to the preference.
-            d0 = (da * s0 + db) * s0 + dc
-            d1 = (da * s1 + db) * s1 + dc
-            x, d = (s0, d0) if abs(d0) > abs(d1) else (s1, d1)
-            scale = 1.0 + abs((ea * x + eb) * x + ec) + abs((qa * x + qb) * x + qc)
-        if abs(d) <= tol * scale:
-            take_q = q[5][0] > e[5][0]
-        else:
-            take_q = d < 0.0
-        w = q if take_q else e
-        out.append((w[0], w[1], w[2], s0, s1, w[5]))
-        s0 = s1
-    return out
+    d = (q[0] - e[0], q[1] - e[1], q[2] - e[2])
+    if abs(d[0]) > tol or abs(d[1]) > tol:
+        # Spans end at the difference's roots inside (a, b), which come
+        # sorted and distinct.
+        cuts = [r for r in stable_roots(*d) if a + tol < r < b - tol]
+        if cuts:
+            out: List[tuple] = []
+            s0 = a
+            for s1 in cuts:
+                out.append(_span_entry(e, q, d, s0, s1))
+                s0 = s1
+            out.append(_span_entry(e, q, d, s0, b))
+            return out
+    return [_span_entry(e, q, d, a, b)]
 
 
-def _env_insert(env: List[tuple], q: tuple) -> List[tuple]:
-    """Envelope of env and the entry q.
+def _env_merge(
+    env: List[tuple], raw: Sequence[Raw], tag: tuple, lo: float, hi: float
+) -> List[tuple]:
+    """Envelope of env and one fragment's pieces clipped to [lo, hi].
 
-    Where q overlaps an entry the two are compared span by span; where it
-    overlaps nothing it fills the gap.  The result stays sorted by lo.
+    One walk over both: where a piece overlaps an entry the two are
+    compared span by span, where it overlaps nothing it fills the gap,
+    and an entry reaching past the piece's end is carried, cut there, to
+    the next piece.  The pieces tile their domain in order, so nothing
+    emitted for one piece reaches into the next, and the result is the
+    same as inserting the pieces one at a time.  It stays sorted by lo.
     """
     tol = TOLERANCE
-    ql, qh = q[3], q[4]
-    if qh - ql <= tol:
-        return env
-    if not env:
-        return [q] if ql < qh - tol else []
+    todo = env[::-1]  # entries not yet passed, the next one last
     out: List[tuple] = []
-    cur = ql
-    right = -1  # index in out of the first entry lying wholly right of q
-    for e in env:
-        elo, ehi = e[3], e[4]
-        if ehi <= ql:
-            out.append(e)
+    for p in raw:
+        ql = lo if lo > p[3] else p[3]
+        qh = hi if hi < p[4] else p[4]
+        if qh - ql <= tol:
             continue
-        if elo >= qh:
-            if right < 0:
-                right = len(out)
-            out.append(e)
-            continue
-        if elo > cur + tol:
-            out.append((q[0], q[1], q[2], cur, elo, q[5]))
-            cur = elo
-        a = cur if cur > elo else elo
-        b = qh if qh < ehi else ehi
-        if elo < a - tol:
-            out.append((e[0], e[1], e[2], elo, a, e[5]))
-        if b > a:
-            out.extend(_compare_span(e, q, a, b))
-            cur = b
-        if ehi > b + tol:
-            out.append((e[0], e[1], e[2], b, ehi, e[5]))
-    if cur < qh - tol:
-        tail = (q[0], q[1], q[2], cur, qh, q[5])
-        if right < 0:
-            out.append(tail)
-        else:
-            out.insert(right, tail)
+        q = (p[0], p[1], p[2], ql, qh, tag)
+        cur = ql
+        while todo:
+            e = todo[-1]
+            elo, ehi = e[3], e[4]
+            if ehi <= ql:
+                out.append(todo.pop())
+                continue
+            if elo >= qh:
+                break
+            todo.pop()
+            if elo > cur + tol:
+                out.append((q[0], q[1], q[2], cur, elo, tag))
+                cur = elo
+            a = cur if cur > elo else elo
+            b = qh if qh < ehi else ehi
+            if elo < a - tol:
+                out.append((e[0], e[1], e[2], elo, a, e[5]))
+            if b > a:
+                out.extend(_compare_span(e, q, a, b))
+                cur = b
+            if ehi > b + tol:
+                todo.append((e[0], e[1], e[2], b, ehi, e[5]))
+        if cur < qh - tol:
+            out.append((q[0], q[1], q[2], cur, qh, tag))
+    out.extend(reversed(todo))
     return out
 
 
@@ -690,12 +641,7 @@ def lower_envelope(
         raise CoverageGap("no candidate fragments")
     env: List[tuple] = []
     for f, tag in items:
-        for p in f.raw:
-            a = lo if lo > p[3] else p[3]
-            b = hi if hi < p[4] else p[4]
-            if b - a <= 0:
-                continue
-            env = _env_insert(env, (p[0], p[1], p[2], a, b, tag))
+        env = _env_merge(env, f.raw, tag, lo, hi)
     if not env:
         raise CoverageGap(f"no coverage of [{lo}, {hi}]")
     span_tol = 1e3 * TOLERANCE * (1.0 + abs(lo) + abs(hi))

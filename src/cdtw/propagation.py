@@ -22,12 +22,28 @@ Path shapes inside one cell:
 
 Every emitted fragment is the exact cost of a realisable path family, so
 the envelope is a true upper bound everywhere and tight where some family
-is optimal; the families above cover all optimal shapes.  Work that cannot
-change a cell's output is skipped: the single-turn families emit entry
-points only where the minimum over entries can lie (stationary points,
-domain ends, convex kinks of the input; see _c2_catalogue), and the travel
-pass returns the envelope as it is when the envelope minus the edge
-integral never rises, since then no departure earlier on the edge wins.
+is optimal; the families above cover all optimal shapes.
+
+Every input edge is travel-closed: f - R never rises along the edge, R
+being the running integral of h along it.  A base-case edge is R itself,
+a same-direction cell's output comes from a travel pass, and an
+opposite-direction cell's output is travel-closed by the first point
+below.  Work that cannot change a cell's output is skipped:
+
+* no travel pass in opposite-direction cells.  Every monotone path
+  between two boundary points costs the same there, so the vertical
+  transport satisfies av(t) - R_top(t) = fb(t) - R_bottom(t) + V, with V
+  the integral of h up the left edge, which never rises; the corner
+  route minus R_top is the constant fl(y1).  The envelope minus R_top
+  never rises, so travel would return it as it is; the right edge is
+  the same with the axes swapped.  Outputs stay travel-closed.
+* no entry at the bottom edge's start in the bottom-to-right single
+  turns: C1 covers it (see _c2_catalogue).  The single turns emit entry
+  points only where the minimum over entries can lie (stationary points,
+  domain ends, convex kinks of the input).
+* in same-direction cells the travel pass returns the envelope as it is
+  when the envelope minus the edge integral never rises, since then no
+  departure earlier on the edge wins.
 """
 
 from __future__ import annotations
@@ -91,6 +107,13 @@ Fragment = Tuple[PiecewiseQuadratic, Tuple[float, Prov]]
 def _lifted(f: PiecewiseQuadratic, dc: float) -> PiecewiseQuadratic:
     """f + dc, piece by piece."""
     return pw.from_raw([(a, b, c + dc, lo, hi) for a, b, c, lo, hi in f.raw])
+
+
+def _end_value(f: PiecewiseQuadratic, where: str) -> float:
+    """f at its lower ("lo") or upper ("hi") end, from the end piece."""
+    a, b, c, lo, hi = f.raw[0 if where == "lo" else -1]
+    s = lo if where == "lo" else hi
+    return (a * s + b) * s + c
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +250,8 @@ def propagate_type_a(
     fb, fl = bottom.cost, left.cost
     av = _across(fb, 1.0, y1 - cp, y0 - cp, x0, x1)
     ah = _across(fl, 1.0, x1 - cp, x0 - cp, y0, y1)
-    corner_top = _lifted(ride_top, fl.value(y1))
-    corner_right = _lifted(ride_right, fb.value(x1))
+    corner_top = _lifted(ride_top, _end_value(fl, "hi"))
+    corner_right = _lifted(ride_right, _end_value(fb, "hi"))
     top = [
         (av, (PREF_BOTTOM, Prov("Av", "bottom"))),
         (corner_top, (PREF_LEFT, Prov("corner", "left", (x0, y1)))),
@@ -316,6 +339,8 @@ def _c2_catalogue(
     Y0: float,
     Y1: float,
     C: float,
+    *,
+    lo_entry: bool,
 ) -> List[Tuple[PiecewiseQuadratic, float, float]]:
     """Single-turn path costs from the bottom edge to the right edge,
     in normalised frame coordinates.
@@ -333,9 +358,8 @@ def _c2_catalogue(
     * per input piece and sign region of s - Y0 - C and s - t - C, the
       stationary solution s(t) of d pathcost / d s = 0 where the
       curvature is positive (linear in t);
-    * fixed entries at both domain ends (X1 is the corner route; X0 is
-      kept because in the transposed frame it wins ties under the
-      larger-y convention) and at every inner breakpoint where f kinks
+    * fixed entries at the domain end X1 (the corner route), at X0 when
+      lo_entry is set, and at every inner breakpoint where f kinks
       convexly.
 
     Nothing else can win: a minimum cannot sit at a concave kink, and at
@@ -346,8 +370,15 @@ def _c2_catalogue(
     fragment over t, alpha, beta) with source coordinate
     s = alpha * t + beta.
 
-    The transposed frame (swap axes, negate C) yields the left-to-top
-    family, which is required for exactness and symmetric to this one.
+    A path entering at X0 first runs along the other input edge, whose
+    cost meets f there and is travel-closed (see the module docstring).
+    So in the bottom frame the straight transport C1 from the left edge
+    at level t costs no more, as fl(t) <= fb(x0) + the integral of h from
+    (x0, y0) to (x0, t), and C1 wins the ties (PREF_LEFT); the bottom
+    frame passes lo_entry=False.  The transposed frame (swap axes, negate
+    C) yields the left-to-top family, which is required for exactness and
+    symmetric to this one; it keeps X0 (lo_entry=True), whose entry there
+    wins its ties against C1T under the larger-y convention.
     """
     tol = pw.TOLERANCE * (1.0 + abs(X0) + abs(X1) + abs(Y0) + abs(Y1))
     out: List[Tuple[PiecewiseQuadratic, float, float]] = []
@@ -356,7 +387,7 @@ def _c2_catalogue(
 
     # Fixed entry coordinates: the domain ends and the convex kinks.
     raw = f.raw
-    s_candidates = [raw[0][3]]
+    s_candidates = [raw[0][3]] if lo_entry else []
     for (la, lb, _, _, s), (ra, rb, _, _, _) in zip(raw, raw[1:]):
         dl, dr = 2.0 * la * s + lb, 2.0 * ra * s + rb
         if dr - dl > 1e-9 * (abs(dl) + abs(dr)):
@@ -439,10 +470,10 @@ def propagate_type_c(
     c1 = _across(fl, -1.0, x1 - c, x0 - c, y0, y1)
     right = [(c1, (PREF_LEFT, Prov("C1", "left")))]
     # C2: bottom to right, single turn.
-    for frag, alpha, beta in _c2_catalogue(fb, x0, x1, y0, y1, c):
+    for frag, alpha, beta in _c2_catalogue(fb, x0, x1, y0, y1, c, lo_entry=False):
         right.append((frag, (PREF_BOTTOM, Prov("C2", "bottom", (alpha, beta)))))
     # C2 transposed: left to top (swap axes, negate the valley offset).
-    for frag, alpha, beta in _c2_catalogue(fl, y0, y1, x0, x1, -c):
+    for frag, alpha, beta in _c2_catalogue(fl, y0, y1, x0, x1, -c, lo_entry=True):
         top.append((frag, (PREF_LEFT, Prov("C2T", "left", (alpha, beta)))))
     return top, right
 
@@ -503,10 +534,7 @@ def _pin_end(
     Suppresses sub-tolerance drift at cell corners; a genuine mismatch is
     an invariant violation.
     """
-    idx = 0 if where == "lo" else -1
-    a, b, c, lo, hi = f.raw[idx]
-    s = lo if where == "lo" else hi
-    cur = (a * s + b) * s + c
+    cur = _end_value(f, where)
     delta = target - cur
     if delta == 0.0:
         return f
@@ -514,6 +542,8 @@ def _pin_end(
         raise InvariantViolation(
             f"corner value mismatch: {cur} vs {target} at {where} end"
         )
+    idx = 0 if where == "lo" else -1
+    a, b, c, lo, hi = f.raw[idx]
     pieces = list(f.raw)
     pieces[idx] = (a, b, c + delta, lo, hi)
     return pw.from_raw(pieces)
@@ -525,7 +555,14 @@ def solve_cell(
     left: BoundaryCost,
 ) -> Tuple[BoundaryCost, BoundaryCost, Optional[BRecord]]:
     """Output-edge boundary costs of one cell from its input-edge costs,
-    and the valley record of a cell the B family rides (None elsewhere)."""
+    and the valley record of a cell the B family rides (None elsewhere).
+
+    The inputs must be travel-closed, as every base-case edge and every
+    output of this function is.  The travel pass then runs only in
+    same-direction cells: in an opposite-direction cell envelope minus
+    edge integral never rises (see the module docstring), so it would
+    give the envelope back.
+    """
     x0, x1 = cell.x_range
     y0, y1 = cell.y_range
     b_rec: Optional[BRecord] = None
@@ -541,17 +578,20 @@ def solve_cell(
             frags_top += b_top
             frags_right += b_right
 
-    env_top, tags_top = pw.lower_envelope(frags_top, x0, x1)
-    env_right, tags_right = pw.lower_envelope(frags_right, y0, y1)
-
-    fin_top, prov_top = apply_edge_travel(env_top, tags_top, ride_top)
-    fin_right, prov_right = apply_edge_travel(env_right, tags_right, ride_right)
+    fin_top, prov_top = pw.lower_envelope(frags_top, x0, x1)
+    fin_right, prov_right = pw.lower_envelope(frags_right, y0, y1)
+    if cell.same_direction:
+        fin_top, prov_top = apply_edge_travel(fin_top, prov_top, ride_top)
+        fin_right, prov_right = apply_edge_travel(fin_right, prov_right, ride_right)
 
     # Corner continuity: the output functions meet known values at three
-    # corners; pin away sub-tolerance drift.
-    fin_right = _pin_end(fin_right, "lo", min(fin_right.value(y0), bottom.cost.value(x1)))
-    fin_top = _pin_end(fin_top, "lo", min(fin_top.value(x0), left.cost.value(y1)))
-    shared = min(fin_top.value(x1), fin_right.value(y1))
+    # corners; pin away sub-tolerance drift.  Every edge function spans
+    # its edge, so its corner values are those of its end pieces.
+    right_lo = min(_end_value(fin_right, "lo"), _end_value(bottom.cost, "hi"))
+    top_lo = min(_end_value(fin_top, "lo"), _end_value(left.cost, "hi"))
+    fin_right = _pin_end(fin_right, "lo", right_lo)
+    fin_top = _pin_end(fin_top, "lo", top_lo)
+    shared = min(_end_value(fin_top, "hi"), _end_value(fin_right, "hi"))
     fin_top = _pin_end(fin_top, "hi", shared)
     fin_right = _pin_end(fin_right, "hi", shared)
 

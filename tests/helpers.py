@@ -3,6 +3,9 @@
 Everything here is deliberately independent of the production algorithms:
 dense sampling, brute-force enumeration, and direct numerical integration.
 Slower and cruder, but with failure modes unrelated to the code under test.
+The exceptions are reference implementations that a rework must match
+exactly (the lattice solver, one-piece envelope insertion) and the
+invariant checks on piecewise functions that only tests run.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from cdtw.curves import Curve, build_curve, height, point_at
+from cdtw.errors import InvariantViolation
+from cdtw.piecewise import TOLERANCE, _compare_span
 
 
 # ---------------------------------------------------------------------------
@@ -39,6 +44,107 @@ def random_curve(rng: random.Random, n: int, lo: float = 0.0, hi: float = 2.0) -
 def breakpoints(f) -> List[float]:
     """Piece boundaries of a PiecewiseQuadratic, from its raw pieces."""
     return [p[3] for p in f.raw] + [f.raw[-1][4]]
+
+
+# ---------------------------------------------------------------------------
+# checks on piecewise functions
+
+
+def validate(f) -> None:
+    """Check tiling, continuity, and the concave-kink rule of a
+    PiecewiseQuadratic; InvariantViolation on the first breach.
+
+    The kink rule requires the left derivative at every interior breakpoint
+    to be at least the right derivative (minus tolerance): boundary cost
+    functions never kink convexly.
+    """
+    tol = TOLERANCE
+    pieces = f.pieces
+    if not pieces:
+        raise InvariantViolation("empty piecewise function")
+    span = abs(f.hi - f.lo) + 1.0
+    for k, p in enumerate(pieces):
+        if not (math.isfinite(p.a) and math.isfinite(p.b) and math.isfinite(p.c)):
+            raise InvariantViolation(f"non-finite coefficients in piece {k}")
+        if p.hi < p.lo:
+            raise InvariantViolation(f"inverted domain in piece {k}")
+        if k == 0:
+            continue
+        prev = pieces[k - 1]
+        if abs(p.lo - prev.hi) > tol * span:
+            raise InvariantViolation(
+                f"gap between pieces {k - 1} and {k}: {prev.hi} vs {p.lo}"
+            )
+        x = prev.hi
+        vl, vr = prev.value(x), p.value(x)
+        if abs(vl - vr) > 1e3 * tol * (1.0 + abs(vl) + abs(vr)):
+            raise InvariantViolation(
+                f"discontinuity at breakpoint {x}: {vl} vs {vr}"
+            )
+        dl, dr = 2.0 * prev.a * x + prev.b, 2.0 * p.a * x + p.b
+        if dl < dr - 1e4 * tol * (1.0 + abs(dl) + abs(dr)):
+            raise InvariantViolation(
+                f"convex kink at breakpoint {x}: left deriv {dl} < right deriv {dr}"
+            )
+
+
+def minimum(f) -> Tuple[float, float]:
+    """(min value, argmin) of a PiecewiseQuadratic over its whole domain."""
+    best, arg = math.inf, f.lo
+    for p in f.pieces:
+        for x in (p.lo, p.hi):
+            v = p.value(x)
+            if v < best:
+                best, arg = v, x
+        if p.a > 0.0:
+            v = -p.b / (2.0 * p.a)
+            if p.lo < v < p.hi and p.value(v) < best:
+                best, arg = p.value(v), v
+    return best, arg
+
+
+def reference_env_insert(env: List[tuple], q: tuple) -> List[tuple]:
+    """Envelope of the (a, b, c, lo, hi, tag) entries env and the one entry
+    q, compared span by span with piecewise._compare_span: the insertion
+    of one piece at a time that the envelope's one-pass merge must equal."""
+    tol = TOLERANCE
+    ql, qh = q[3], q[4]
+    if qh - ql <= tol:
+        return env
+    if not env:
+        return [q] if ql < qh - tol else []
+    out: List[tuple] = []
+    cur = ql
+    right = -1  # index in out of the first entry lying wholly right of q
+    for e in env:
+        elo, ehi = e[3], e[4]
+        if ehi <= ql:
+            out.append(e)
+            continue
+        if elo >= qh:
+            if right < 0:
+                right = len(out)
+            out.append(e)
+            continue
+        if elo > cur + tol:
+            out.append((q[0], q[1], q[2], cur, elo, q[5]))
+            cur = elo
+        a = cur if cur > elo else elo
+        b = qh if qh < ehi else ehi
+        if elo < a - tol:
+            out.append((e[0], e[1], e[2], elo, a, e[5]))
+        if b > a:
+            out.extend(_compare_span(e, q, a, b))
+            cur = b
+        if ehi > b + tol:
+            out.append((e[0], e[1], e[2], b, ehi, e[5]))
+    if cur < qh - tol:
+        tail = (q[0], q[1], q[2], cur, qh, q[5])
+        if right < 0:
+            out.append(tail)
+        else:
+            out.insert(right, tail)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,12 @@ class TestGrid:
         with pytest.raises(ResolutionZero):
             cdtw_grid(P, P, GridConfig(resolution=-4))
 
+    @pytest.mark.parametrize("res", [float("nan"), float("inf"), -float("inf")])
+    def test_nan_and_infinite_resolution_rejected(self, res):
+        P = build_curve([0, 1])
+        with pytest.raises(ResolutionZero):
+            cdtw_grid(P, P, GridConfig(resolution=res))
+
     def test_nested_refinement_monotone(self):
         rng = random.Random(89)
         for _ in range(6):
@@ -203,6 +209,11 @@ class TestBruteforceSmall:
             cdtw_bruteforce_small(small, small, 4096)
         with pytest.raises(ResolutionZero):
             cdtw_bruteforce_small(small, small, 0)
+
+    def test_nan_segments_rejected(self):
+        small = build_curve([0, 1])
+        with pytest.raises(ResolutionZero):
+            cdtw_bruteforce_small(small, small, float("nan"))
 
     def test_agrees_with_grid_oracle(self):
         rng = random.Random(95)

@@ -52,6 +52,16 @@ class TestCompute:
         out = json.loads(capsys.readouterr().out)
         assert out["value"] == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("res", ["nan", "inf"])
+    def test_grid_rejects_nan_and_infinite_resolution(self, tmp_path, res, capsys):
+        # NaN passed every check and gave a value; inf never returned.
+        a = write(tmp_path, "a.csv", "0\n1\n0.5\n2\n")
+        b = write(tmp_path, "b.csv", "1\n0\n2\n")
+        assert main(["compute", a, b, "--measure", "cdtw-grid", "--resolution", res]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "resolution" in err
+
     def test_dtw_and_dfrechet(self, tmp_path, capsys):
         a = write(tmp_path, "a.csv", "0\n1\n2\n")
         b = write(tmp_path, "b.csv", "0\n2\n")
@@ -189,6 +199,15 @@ class TestMatrix:
             for j in range(3):
                 assert abs(float(grid[i][j]) - float(grid[j][i])) <= 1e-9
 
+    def test_grid_rejects_infinite_resolution(self, tmp_path, capsys):
+        write(tmp_path, "a.csv", "0\n1\n")
+        write(tmp_path, "b.csv", "0.5\n1.5\n")
+        args = ["matrix", str(tmp_path), "--measure", "cdtw-grid", "--resolution", "inf"]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "resolution" in err
+
     def test_dtw_measure_matches_library(self, tmp_path, capsys):
         write(tmp_path, "a.csv", "0\n1\n2\n")
         write(tmp_path, "b.csv", "0\n2\n")
@@ -303,6 +322,13 @@ class TestOracleCheck:
         # compute --resolution 0.5 is a usage error too; nothing may be
         # printed before the rejection.
         assert main(["oracle-check", *pair, "--resolutions", "0.5", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "resolution" in err
+
+    @pytest.mark.parametrize("res", ["nan", "inf"])
+    def test_nan_and_infinite_resolution_rejected_before_output(self, pair, res, capsys):
+        assert main(["oracle-check", *pair, "--resolutions", "1", res]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert "resolution" in err

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from cdtw import build_curve, cell_info, engine
-from cdtw import piecewise as pw
 from cdtw.baselines import GridConfig, cdtw_grid
 from cdtw.engine import (
     EngineConfig,
@@ -23,7 +22,7 @@ from cdtw.engine import (
 from cdtw.errors import InsufficientVertices, ProvenanceMissing
 from cdtw.propagation import BRecord, _valley_span
 
-from helpers import path_cost, random_curve
+from helpers import path_cost, random_curve, validate
 
 
 def solve(p_vals, q_vals, **kw):
@@ -299,13 +298,13 @@ class TestProvenanceControl:
         assert cdtw_exact(P, Q, EngineConfig(record_path=False)).run.records == {}
 
     def test_validate_mode_passes(self):
-        # every output edge function of a solve passes pw.validate
+        # every output edge function of a solve passes validate
         rng = random.Random(71)
         P = random_curve(rng, 4)
         Q = random_curve(rng, 4)
         res = cdtw_exact(P, Q)
         for bc in [*res.run.top.values(), *res.run.right.values()]:
-            pw.validate(bc.cost)
+            validate(bc.cost)
         assert res.value >= 0
 
 

@@ -13,7 +13,14 @@ from cdtw.errors import CoverageGap, OutOfDomain
 from cdtw.piecewise import Quadratic
 from cdtw.propagation import Prov, apply_edge_travel
 
-from helpers import breakpoints, numeric_cumulative_min, numeric_integral, pwq_prefix_min
+from helpers import (
+    breakpoints,
+    numeric_cumulative_min,
+    numeric_integral,
+    pwq_prefix_min,
+    reference_env_insert,
+    validate,
+)
 
 
 def pwq(*specs):
@@ -448,25 +455,83 @@ class TestLowerEnvelope:
             assert env.value(s) <= min(e.value(s), q.value(s)) + 1e-9
 
 
+class TestEnvelopeMerge:
+    def test_equals_one_piece_at_a_time(self):
+        # Partial fragments of several pieces, some reaching past [lo, hi],
+        # some with sliver pieces, some repeated under another preference:
+        # the one-pass merge must give the very entries that inserting the
+        # pieces one at a time gives.
+        rng = random.Random(53)
+        lo, hi = 0.0, 1.0
+        for _ in range(300):
+            items = []
+            for _ in range(rng.randint(1, 8)):
+                if items and rng.random() < 0.2:
+                    f, _tag = rng.choice(items)
+                else:
+                    u = rng.uniform(-0.2, 0.9)
+                    v = rng.uniform(u + 1e-3, 1.2)
+                    if items and rng.random() < 0.5:
+                        # end within the tolerance of an earlier fragment's end
+                        other = rng.choice(items)[0]
+                        v = rng.choice([other.lo, other.hi]) + rng.choice([-1e-9, -1e-10, 1e-10, 1e-9])
+                        u = min(u, v - 1e-3)
+                    f = random_pwq(rng, u, v, max_pieces=4)
+                    if rng.random() < 0.3:
+                        raw = list(f.raw)
+                        k = rng.randrange(len(raw))
+                        a, b, c, p_lo, p_hi = raw[k]
+                        cut = p_lo + rng.choice([1e-12, 1e-10, 1e-8])
+                        if cut < p_hi:
+                            raw[k:k + 1] = [(a, b, c, p_lo, cut), (a, b, c, cut, p_hi)]
+                            f = pw.from_raw(raw)
+                items.append((f, (float(rng.randint(0, 2)), len(items))))
+            env = want = []
+            for f, tag in items:
+                env = pw._env_merge(env, f.raw, tag, lo, hi)
+                for p in f.raw:
+                    a, b = max(lo, p[3]), min(hi, p[4])
+                    if b - a > 0:
+                        want = reference_env_insert(want, (p[0], p[1], p[2], a, b, tag))
+            assert env == want
+
+
+class TestStableRoots:
+    def test_sorted_distinct_roots(self):
+        rng = random.Random(55)
+        for _ in range(500):
+            a, b, c = (rng.choice([0.0, rng.uniform(-3, 3)]) for _ in range(3))
+            roots = pw.stable_roots(a, b, c)
+            assert list(roots) == sorted(set(roots))
+            for r in roots:
+                assert abs((a * r + b) * r + c) <= 1e-9 * (1 + abs(a) * r * r + abs(b * r) + abs(c))
+
+    def test_double_roots_once(self):
+        assert pw.stable_roots(1.0, -2.0, 1.0) == (1.0,)
+        assert pw.stable_roots(2.0, 0.0, 0.0) == (0.0,)
+        assert pw.stable_roots(1.0, -3.0, 2.0) == (1.0, 2.0)
+        assert pw.stable_roots(-1.0, 3.0, -2.0) == (1.0, 2.0)
+
+
 class TestValidateAndSerialise:
     def test_validate_accepts_continuous(self):
         f = pw.integrate_abs_linear(1.0, -0.5, 0.0, 1.0)
-        pw.validate(f)
+        validate(f)
 
     def test_validate_rejects_jump(self):
         f = pwq((0, 0, 0, 0, 1), (0, 0, 5, 1, 2))
         with pytest.raises(pw.InvariantViolation):
-            pw.validate(f)
+            validate(f)
 
     def test_validate_rejects_convex_kink(self):
         # |s - 1| has a convex kink at 1: left deriv -1 < right deriv +1.
         f = pwq((0, -1, 1, 0, 1), (0, 1, -1, 1, 2))
         with pytest.raises(pw.InvariantViolation):
-            pw.validate(f)
+            validate(f)
 
     def test_concave_kink_accepted(self):
         f = pwq((0, 1, 0, 0, 1), (0, -1, 2, 1, 2))
-        pw.validate(f)
+        validate(f)
 
 
 @settings(max_examples=100, deadline=None)

@@ -31,9 +31,11 @@ from cdtw.propagation import (
 from helpers import (
     cell_through_cost,
     integrate_height_on_leg,
+    minimum,
     path_cost,
     random_curve,
     random_staircase,
+    validate,
 )
 
 INF = float("inf")
@@ -64,7 +66,7 @@ def random_consistent_input(rng, cell: Cell, side: str) -> BoundaryCost:
     pref = PREF_BOTTOM if side == "bottom" else PREF_LEFT
     tags = [(pref, Prov("base", side))] * len(f)
     f, _ = apply_edge_travel(f, tags, edge_height_running(cell, side))
-    mn, _ = pw.minimum(f)
+    mn, _ = minimum(f)
     f = _lifted(f, 0.1 - min(mn, 0.0))
     tags = tuple((pref, Prov("base", side)) for _ in f.pieces)
     return BoundaryCost(f, tags)
@@ -266,6 +268,28 @@ class TestTypeA:
         f, _ = pw.normalize_raw(pieces)
         assert len(f) == 1  # hygiene collapses the sliver before propagation
 
+    def test_travel_returns_the_envelope(self):
+        # With travel-closed inputs, envelope minus edge integral never
+        # rises on an output edge of an opposite-direction cell, so edge
+        # travel gives the envelope back and solve_cell skips it.
+        rng = random.Random(47)
+        for _ in range(40):
+            _, _, cell = random_cell(rng, want_same=False)
+            bottom, left = random_cell_inputs(rng, cell)
+            rides = edge_height_running(cell, "top"), edge_height_running(cell, "right")
+            top, right = propagate_type_a(cell, bottom, left, *rides)
+            for frags, (lo, hi), ride in (
+                (top, cell.x_range, rides[0]),
+                (right, cell.y_range, rides[1]),
+            ):
+                env, tags = pw.lower_envelope(frags, lo, hi)
+                out, out_tags = apply_edge_travel(env, tags, ride)
+                xs = {x for f in (env, out) for p in f.raw for x in (p[3], 0.5 * (p[3] + p[4]), p[4])}
+                scale = 1.0 + max(abs(env.value(x)) for x in xs)
+                for x in xs:
+                    assert abs(out.value(x) - env.value(x)) <= 1e-9 * scale
+                assert all(tag[1].kind != "travel" for tag in out_tags)
+
 
 class TestTypeB:
     def test_wrong_cell_type(self):
@@ -411,6 +435,7 @@ class TestTypeC:
             x0, x1 = cell.x_range
             y0, y1 = cell.y_range
             bots = [(f, t) for f, t in right if t[1].kind == "C2"]
+            c1 = next(f for f, t in right if t[1].kind == "C1")
             ss = np.linspace(x0, x1, 1000)
             fb = [bottom.cost.value(s) for s in ss]
             for tau in np.linspace(y0, y1, 9):
@@ -423,10 +448,43 @@ class TestTypeC:
                 for f, _t in bots:
                     if f.lo - 1e-12 <= tau <= f.hi + 1e-12:
                         best = min(best, f.value(min(max(tau, f.lo), f.hi)))
-                # the catalogue attains the exact minimum over entry points;
-                # the sampled brute force can only overshoot it
-                assert best <= brute + 1e-9
+                # the catalogue with C1, which covers the entry at the
+                # corner (x0, y0), attains the exact minimum over entry
+                # points; the sampled brute force can only overshoot it
+                assert min(best, c1.value(tau)) <= brute + 1e-9
                 assert best >= brute - 5e-3
+
+    def test_c1_covers_the_corner_entry(self):
+        # The single turn entering the bottom edge at its start (x0, y0)
+        # runs up the left edge and then right; the left input is
+        # travel-closed and meets the bottom input there, so C1 costs no
+        # more, and the bottom-frame catalogue leaves that entry out.
+        rng = random.Random(49)
+        for _ in range(40):
+            _, _, cell = random_cell(rng, want_same=True)
+            bottom, left = random_cell_inputs(rng, cell)
+            _top, right = propagate_type_c(cell, bottom, left)
+            c1 = next(f for f, t in right if t[1].kind == "C1")
+            x0, x1 = cell.x_range
+            y0, y1 = cell.y_range
+            for t in np.linspace(y0, y1, 25):
+                route = bottom.cost.value(x0) + through_cost(cell, (x0, y0), (x0, t))
+                route += through_cost(cell, (x0, t), (x1, t))
+                assert c1.value(t) <= route + 1e-9 * (1.0 + abs(route))
+
+    def test_corner_entry_only_in_the_transposed_frame(self):
+        # Fixed entries have alpha = 0 and beta = the entry coordinate.
+        rng = random.Random(51)
+        for _ in range(20):
+            _, _, cell = random_cell(rng, want_same=True)
+            bottom, left = random_cell_inputs(rng, cell)
+            top, right = propagate_type_c(cell, bottom, left)
+            c2 = [t[1].data for _f, t in right if t[1].kind == "C2"]
+            c2t = [t[1].data for _f, t in top if t[1].kind == "C2T"]
+            assert (0.0, cell.x_range[0]) not in c2
+            assert (0.0, cell.x_range[1]) in c2
+            assert (0.0, cell.y_range[0]) in c2t
+            assert (0.0, cell.y_range[1]) in c2t
 
     def test_travel_with_zero_offset_is_cumulative_min(self):
         rng = random.Random(21)
@@ -460,8 +518,8 @@ class TestSolveCell:
             assert top.cost.hi == pytest.approx(cell.x_range[1], abs=1e-9)
             assert right.cost.lo == pytest.approx(cell.y_range[0], abs=1e-9)
             assert right.cost.hi == pytest.approx(cell.y_range[1], abs=1e-9)
-            pw.validate(top.cost)
-            pw.validate(right.cost)
+            validate(top.cost)
+            validate(right.cost)
 
     def test_corner_agreement(self):
         rng = random.Random(27)
