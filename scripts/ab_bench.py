@@ -13,6 +13,10 @@ better, by the direction ``BENCHMARK.json`` (in BEFORE, else AFTER) gives
 the metric.  Operations attempted and failed are summed per side, and a
 traced run (``--trace 1``) also lists the spans it could not attach.
 
+``--out FILE`` also writes all of it as one JSON record: the machine (as
+``bench/run.py`` reports it), the seeds, every seed's metrics on both
+sides, and per metric the medians, quartiles, change and wins.
+
 Only the standard library is used; the benchmark's own requirements are
 those of ``bench/run.py``.
 """
@@ -76,30 +80,53 @@ def quartiles(xs: List[float]) -> Tuple[float, float, float]:
     return q1, q2, q3
 
 
-def report(runs: Dict[str, List[dict]], better: Dict[str, str]) -> None:
+def summarise(runs: Dict[str, List[dict]], better: Dict[str, str]) -> Dict[str, dict]:
+    """Per metric: each side's per-seed values, median and quartiles, the
+    relative change of the medians, and the seed pairs AFTER won."""
     before, after = runs["before"], runs["after"]
-    names = list(before[0]["summary"]["metrics"])
+    out: Dict[str, dict] = {}
+    for name in before[0]["summary"]["metrics"]:
+        entry: Dict[str, object] = {"better": better.get(name)}
+        for side, rs in (("before", before), ("after", after)):
+            xs = [r["summary"]["metrics"][name]["value"] for r in rs]
+            q1, q2, q3 = quartiles(xs)
+            entry[side] = {"values": xs, "q1": q1, "median": q2, "q3": q3}
+        b, a = entry["before"], entry["after"]
+        bm = b["median"]
+        entry["change"] = (a["median"] - bm) / abs(bm) if bm else None
+        way = entry["better"]
+        entry["wins"] = None if way is None else sum(
+            (y > x) if way == "higher" else (y < x) for x, y in zip(b["values"], a["values"])
+        )
+        out[name] = entry
+    return out
+
+
+def operations(runs: Dict[str, List[dict]]) -> Dict[str, dict]:
+    """Per side: operations attempted and failed, and spans not attached."""
+    return {
+        side: {
+            "attempted": sum(r["summary"]["attempted"] for r in rs),
+            "failed": sum(r["summary"]["failed"] for r in rs),
+            "missing_spans": sorted(
+                {s for r in rs for s in r["record"]["detail"].get("missing_spans", [])}
+            ),
+        }
+        for side, rs in runs.items()
+    }
+
+
+def report(metrics: Dict[str, dict], ops: Dict[str, dict], n: int) -> None:
     print(f"{'metric':40} {'before median (q1-q3)':>30} {'after median (q1-q3)':>30} {'change':>8} {'wins':>6}")
-    for name in names:
-        b = [r["summary"]["metrics"][name]["value"] for r in before]
-        a = [r["summary"]["metrics"][name]["value"] for r in after]
-        bq, aq = quartiles(b), quartiles(a)
-        change = (aq[1] - bq[1]) / abs(bq[1]) if bq[1] else float("nan")
-        way = better.get(name)
-        if way is None:
-            wins = "?"
-        else:
-            n = sum((y > x) if way == "higher" else (y < x) for x, y in zip(b, a))
-            wins = f"{n}/{len(b)}"
-        cols = [f"{q[1]:.4g} ({q[0]:.4g}-{q[2]:.4g})" for q in (bq, aq)]
+    for name, m in metrics.items():
+        cols = [f"{q['median']:.4g} ({q['q1']:.4g}-{q['q3']:.4g})" for q in (m["before"], m["after"])]
+        change = float("nan") if m["change"] is None else m["change"]
+        wins = "?" if m["wins"] is None else f"{m['wins']}/{n}"
         print(f"{name:40} {cols[0]:>30} {cols[1]:>30} {change:>+8.1%} {wins:>6}")
-    for side, rs in runs.items():
-        attempted = sum(r["summary"]["attempted"] for r in rs)
-        failed = sum(r["summary"]["failed"] for r in rs)
-        missing = sorted({s for r in rs for s in r["record"]["detail"].get("missing_spans", [])})
-        line = f"{side}: {failed} of {attempted} operations failed"
-        if missing:
-            line += f"; missing spans {', '.join(missing)}"
+    for side, o in ops.items():
+        line = f"{side}: {o['failed']} of {o['attempted']} operations failed"
+        if o["missing_spans"]:
+            line += f"; missing spans {', '.join(o['missing_spans'])}"
         print(line)
 
 
@@ -111,15 +138,35 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", nargs="+", required=True, help="integers or ranges a-b")
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--out", metavar="FILE", help="also write the comparison as JSON")
     args = parser.parse_args(argv)
     roots = {"before": os.path.abspath(args.before), "after": os.path.abspath(args.after)}
     runs: Dict[str, List[dict]] = {"before": [], "after": []}
-    for k, seed in enumerate(parse_seeds(args.seeds)):
+    seeds = parse_seeds(args.seeds)
+    for k, seed in enumerate(seeds):
         order = ("before", "after") if k % 2 == 0 else ("after", "before")
         for side in order:
             runs[side].append(run_once(roots[side], args.workload, seed, args.seconds, args.trace))
         print(f"seed {seed}: done, {order[0]} first", file=sys.stderr)
-    report(runs, directions((roots["before"], roots["after"])))
+    metrics = summarise(runs, directions((roots["before"], roots["after"])))
+    ops = operations(runs)
+    report(metrics, ops, len(seeds))
+    if args.out:
+        record = {
+            "workload": args.workload,
+            "seconds": args.seconds,
+            "trace": args.trace,
+            "seeds": seeds,
+            # the checkouts need not be commits, so the machine's commit is left out
+            "machine": {
+                k: v for k, v in runs["after"][0]["record"]["machine"].items() if k != "commit"
+            },
+            "metrics": metrics,
+            "operations": ops,
+        }
+        with open(args.out, "w") as fh:
+            json.dump(record, fh, indent=1)
+            fh.write("\n")
     return 0
 
 

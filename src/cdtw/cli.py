@@ -40,14 +40,18 @@ def _round(v: float) -> float:
 def load_series(path: str, warn: bool = True) -> List[float]:
     """Parse one series file; raises _UsageError naming file and line.
 
-    With warn, a CSV file with a timestamp column gets a warning on stderr.
+    A file that cannot be read (missing, a directory, not UTF-8 text) is a
+    usage error too.  With warn, a CSV file with a timestamp column gets a
+    warning on stderr.
     """
-    if not os.path.exists(path):
-        raise _UsageError(f"{path}: no such file")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"{path}: {getattr(exc, 'strerror', None) or exc}")
     if path.endswith(".json"):
         try:
-            with open(path) as fh:
-                data = json.load(fh)
+            data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise _UsageError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
         if not isinstance(data, list) or not all(
@@ -58,24 +62,23 @@ def load_series(path: str, warn: bool = True) -> List[float]:
 
     values: List[float] = []
     saw_timestamp = False
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) > 2:
-                raise _UsageError(
-                    f"{path}:{lineno}: expected 1 or 2 columns, got {len(fields)}"
-                )
-            if len(fields) == 2:
-                saw_timestamp = True
-            try:
-                values.append(float(fields[0]))
-            except ValueError:
-                raise _UsageError(
-                    f"{path}:{lineno}: could not parse value {fields[0]!r}"
-                )
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) > 2:
+            raise _UsageError(
+                f"{path}:{lineno}: expected 1 or 2 columns, got {len(fields)}"
+            )
+        if len(fields) == 2:
+            saw_timestamp = True
+        try:
+            values.append(float(fields[0]))
+        except ValueError:
+            raise _UsageError(
+                f"{path}:{lineno}: could not parse value {fields[0]!r}"
+            )
     if saw_timestamp and warn:
         print(f"warning: {path}: ignoring second column (timestamp)", file=sys.stderr)
     return values
@@ -232,6 +235,8 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         raise _UsageError("resolutions must be finite and >= 1")
     if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
         raise _UsageError("resolutions must be strictly ascending")
+    if args.tol is not None and not 0 <= args.tol < math.inf:
+        raise _UsageError("--tol must be finite and >= 0")
     a, b = _load_pair(args)
     P = _curve_from(args.a, a)
     Q = _curve_from(args.b, b)

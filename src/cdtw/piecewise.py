@@ -159,14 +159,6 @@ def normalize_raw(
     return out, (None if tags is None else out_tags)
 
 
-def build_raw(pieces: Sequence[Raw]) -> PiecewiseQuadratic:
-    """Normalise a sorted raw piece list into a PiecewiseQuadratic."""
-    clean, _ = normalize_raw(pieces)
-    if not clean:
-        raise InvariantViolation("cannot build an empty piecewise function")
-    return from_raw(clean)
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -174,15 +166,9 @@ def build_raw(pieces: Sequence[Raw]) -> PiecewiseQuadratic:
 def evaluate(f: PiecewiseQuadratic, s: float) -> float:
     """Value of the covering piece at s; OutOfDomain outside [lo, hi]."""
     raw = f.raw
-    lo, hi = raw[0][3], raw[-1][4]
-    tol = TOLERANCE * (1.0 + abs(lo) + abs(hi))
-    if s < lo - tol or s > hi + tol:
-        raise OutOfDomain(f"{s} outside [{lo}, {hi}]")
-    s = min(max(s, lo), hi)
-    for p in raw:
-        if s <= p[4]:
-            break
-    return (p[0] * s + p[1]) * s + p[2]
+    a, b, c, _, _ = raw[locate(raw, s)]
+    s = min(max(s, raw[0][3]), raw[-1][4])
+    return (a * s + b) * s + c
 
 
 def locate(raw: Sequence[Raw], s: float) -> int:
@@ -237,7 +223,8 @@ def add_raw(
 
     Cuts are the union of both breakpoint sets, with cuts closer than the
     tolerance merged; each span takes the pieces of f and g covering its
-    midpoint, found by pointers that only move forward.
+    midpoint, found by pointers that only move forward.  The sum is left
+    unnormalised: lower_envelope and cumulative_min normalise once per edge.
     """
     lo, hi = f[0][3], f[-1][4]
     glo, ghi = g[0][3], g[-1][4]
@@ -295,9 +282,7 @@ def add_raw(
         if out_tags is not None:
             out_tags.append(tags[kf])
         a = b
-    if len(out) < 2:
-        return out, out_tags
-    return normalize_raw(out, out_tags)
+    return out, out_tags
 
 
 def restrict_raw(raw: Sequence[Raw], lo: float, hi: float) -> List[Raw]:

@@ -38,9 +38,15 @@ below.  Work that cannot change a cell's output is skipped:
   never rises, so travel would return it as it is; the right edge is
   the same with the axes swapped.  Outputs stay travel-closed.
 * no entry at the bottom edge's start in the bottom-to-right single
-  turns: C1 covers it (see _c2_catalogue).  The single turns emit entry
-  points only where the minimum over entries can lie (stationary points,
-  domain ends, convex kinks of the input).
+  turns: C1 covers it, and the entry at an edge's end is the corner
+  route (see _c2_catalogue).  Other entries sit only where the minimum
+  over entries can lie (stationary points, convex kinks of the input).
+* no single turn across the valley where B applies.  Entering at (s, y0)
+  with s - c >= y0 and turning at t > s - c, it crosses the valley line
+  at V = (s, s - c).  The B path from s reaches V at the same cost and
+  rides to (t + c, t) for free, where the turn pays (t - s + c)^2 / 2;
+  past x1 it leaves at (x1, x1 - c) and travels up for (t - x1 + c)^2 / 2,
+  less still.  The transposed frame is the same.
 * in same-direction cells the travel pass returns the envelope as it is
   when the envelope minus the edge integral never rises, since then no
   departure earlier on the edge wins.
@@ -131,8 +137,8 @@ def _s_combination_raw(
     lo: float,
     hi: float,
 ) -> List[pw.Raw]:
-    """Normalised raw pieces of sum(coef * S(sgn*t + p)) + const on [lo, hi],
-    where S(u) = u|u|/2.  Each term contributes one potential breakpoint."""
+    """Raw pieces of sum(coef * S(sgn*t + p)) + const on [lo, hi], where
+    S(u) = u|u|/2.  Each term contributes one potential breakpoint."""
     tol = pw.TOLERANCE * (1.0 + abs(lo) + abs(hi))
     inner_lo, inner_hi = lo + tol, hi - tol
     xs = [lo, hi]
@@ -155,9 +161,7 @@ def _s_combination_raw(
             qc += coef * sig * p * p / 2.0
         pieces.append((qa, qb, qc, a0, b0))
         a0 = b0
-    if len(pieces) > 1:
-        pieces, _ = pw.normalize_raw(pieces)
-    elif not pieces:
+    if not pieces:
         raise InvariantViolation("cannot build an empty piecewise function")
     return pieces
 
@@ -226,6 +230,15 @@ def base_case(P: Curve, Q: Curve) -> Tuple[List[BoundaryCost], List[BoundaryCost
 # type A: opposite-direction cells
 
 
+def _corner(
+    f: PiecewiseQuadratic, ride: PiecewiseQuadratic, side: str, at: Tuple[float, float]
+) -> Fragment:
+    """The corner route through f's end point at: f there plus ride, the
+    integral of h along the output edge."""
+    pref = PREF_LEFT if side == "left" else PREF_BOTTOM
+    return _lifted(ride, _end_value(f, "hi")), (pref, Prov("corner", side, at))
+
+
 def propagate_type_a(
     cell: Cell,
     bottom: BoundaryCost,
@@ -250,16 +263,8 @@ def propagate_type_a(
     fb, fl = bottom.cost, left.cost
     av = _across(fb, 1.0, y1 - cp, y0 - cp, x0, x1)
     ah = _across(fl, 1.0, x1 - cp, x0 - cp, y0, y1)
-    corner_top = _lifted(ride_top, _end_value(fl, "hi"))
-    corner_right = _lifted(ride_right, _end_value(fb, "hi"))
-    top = [
-        (av, (PREF_BOTTOM, Prov("Av", "bottom"))),
-        (corner_top, (PREF_LEFT, Prov("corner", "left", (x0, y1)))),
-    ]
-    right = [
-        (corner_right, (PREF_BOTTOM, Prov("corner", "bottom", (x1, y0)))),
-        (ah, (PREF_LEFT, Prov("Ah", "left"))),
-    ]
+    top = [(av, (PREF_BOTTOM, Prov("Av", "bottom"))), _corner(fl, ride_top, "left", (x0, y1))]
+    right = [_corner(fb, ride_right, "bottom", (x1, y0)), (ah, (PREF_LEFT, Prov("Ah", "left")))]
     return top, right
 
 
@@ -339,8 +344,8 @@ def _c2_catalogue(
     Y0: float,
     Y1: float,
     C: float,
-    *,
     lo_entry: bool,
+    valley: bool,
 ) -> List[Tuple[PiecewiseQuadratic, float, float]]:
     """Single-turn path costs from the bottom edge to the right edge,
     in normalised frame coordinates.
@@ -358,17 +363,18 @@ def _c2_catalogue(
     * per input piece and sign region of s - Y0 - C and s - t - C, the
       stationary solution s(t) of d pathcost / d s = 0 where the
       curvature is positive (linear in t);
-    * fixed entries at the domain end X1 (the corner route), at X0 when
-      lo_entry is set, and at every inner breakpoint where f kinks
-      convexly.
+    * fixed entries at X0 when lo_entry is set and at every inner
+      breakpoint where f kinks convexly.  The entry at X1 costs
+      f(X1) + S(X1 - Y0 - C) - S(X1 - t - C), the corner route: the
+      caller builds it from the output edge's integral.
 
     Nothing else can win: a minimum cannot sit at a concave kink, and at
     the sign breaklines s = Y0 + C and s = t + C pathcost is C^1, so a
-    minimum there is a stationary point of the region on its left.  The
-    valley-grazing path (s = t + C) is also a B path that leaves the
-    valley at once, and B wins its ties.  Each returned entry is (cost
-    fragment over t, alpha, beta) with source coordinate
-    s = alpha * t + beta.
+    minimum there is a stationary point of the region on its left.  With
+    valley set (B applies), region s - Y0 - C >= 0 > s - t - C is left
+    out: the valley ride beats those paths (see the module docstring).
+    Each returned entry is (cost fragment over t, alpha, beta) with
+    source coordinate s = alpha * t + beta.
 
     A path entering at X0 first runs along the other input edge, whose
     cost meets f there and is travel-closed (see the module docstring).
@@ -392,7 +398,6 @@ def _c2_catalogue(
         dl, dr = 2.0 * la * s + lb, 2.0 * ra * s + rb
         if dr - dl > 1e-9 * (abs(dl) + abs(dr)):
             s_candidates.append(s)
-    s_candidates.append(raw[-1][4])
     for s_hat in s_candidates:
         const = pw.evaluate(f, s_hat) + _s_halfsq(s_hat - Y0 - C)
         frag = _s_combination_raw([ride, (-2.0, -1.0, s_hat - C)], const, Y0, Y1)
@@ -408,7 +413,7 @@ def _c2_catalogue(
             if sh - sl <= tol:
                 continue
             sig_s = 1.0 if 0.5 * (sl + sh) - Y0 - C >= 0 else -1.0
-            for sig_d in (1.0, -1.0):
+            for sig_d in (1.0,) if valley and sig_s > 0 else (1.0, -1.0):
                 kappa = 2.0 * pa + sig_s - 2.0 * sig_d
                 if kappa <= pw.TOLERANCE:
                     continue  # not a minimum in s
@@ -447,16 +452,20 @@ def _c2_catalogue(
                     (a + qa + ea + da, b + qb + eb + db, c + qc + ec + dc, lo, hi)
                     for a, b, c, lo, hi in base
                 ]
-                out.append((pw.build_raw(pieces), alpha, beta))
+                out.append((pw.from_raw(pieces), alpha, beta))
     return out
 
 
 def propagate_type_c(
-    cell: Cell, bottom: BoundaryCost, left: BoundaryCost
+    cell: Cell,
+    bottom: BoundaryCost,
+    left: BoundaryCost,
+    ride_top: PiecewiseQuadratic,
+    ride_right: PiecewiseQuadratic,
 ) -> Tuple[List[Fragment], List[Fragment]]:
-    """(top, right) fragments of the straight transports (C1 families) and
-    single-turn paths (C2 families) of a same-direction cell; valid with or
-    without a valley."""
+    """(top, right) fragments of the straight transports (C1 families),
+    corner routes and single-turn paths (C2 families) of a same-direction
+    cell, with or without a valley; the rides are as for type A."""
     if not cell.same_direction:
         raise WrongCellType("type C applies to same-direction cells")
     x0, x1 = cell.x_range
@@ -465,15 +474,16 @@ def propagate_type_c(
     fb, fl = bottom.cost, left.cost
     # C1 transposed: bottom to top, vertical transport.
     c1t = _across(fb, 1.0, -(y0 + c), -(y1 + c), x0, x1)
-    top = [(c1t, (PREF_BOTTOM, Prov("C1T", "bottom")))]
     # C1: left to right, horizontal transport across the full cell width.
     c1 = _across(fl, -1.0, x1 - c, x0 - c, y0, y1)
-    right = [(c1, (PREF_LEFT, Prov("C1", "left")))]
-    # C2: bottom to right, single turn.
-    for frag, alpha, beta in _c2_catalogue(fb, x0, x1, y0, y1, c, lo_entry=False):
+    top = [(c1t, (PREF_BOTTOM, Prov("C1T", "bottom"))), _corner(fl, ride_top, "left", (x0, y1))]
+    right = [(c1, (PREF_LEFT, Prov("C1", "left"))), _corner(fb, ride_right, "bottom", (x1, y0))]
+    # C2: bottom to right, single turn; C2T: left to top, the same with the
+    # axes swapped and the valley offset negated.
+    valley = _valley_span(cell) is not None
+    for frag, alpha, beta in _c2_catalogue(fb, x0, x1, y0, y1, c, False, valley):
         right.append((frag, (PREF_BOTTOM, Prov("C2", "bottom", (alpha, beta)))))
-    # C2 transposed: left to top (swap axes, negate the valley offset).
-    for frag, alpha, beta in _c2_catalogue(fl, y0, y1, x0, x1, -c, lo_entry=True):
+    for frag, alpha, beta in _c2_catalogue(fl, y0, y1, x0, x1, -c, True, valley):
         top.append((frag, (PREF_LEFT, Prov("C2T", "left", (alpha, beta)))))
     return top, right
 
@@ -522,7 +532,7 @@ def apply_edge_travel(
         tag if arg is None else (tag[0], Prov("travel", "", (arg,), tag[1]))
         for arg, tag in zip(args, mtags)
     ]
-    g, gtags = pw.add_raw(dmin.raw, new_tags, edge)
+    g, gtags = pw.normalize_raw(*pw.add_raw(dmin.raw, new_tags, edge))
     return pw.from_raw(g), gtags
 
 
@@ -572,7 +582,7 @@ def solve_cell(
     if not cell.same_direction:
         frags_top, frags_right = propagate_type_a(cell, bottom, left, ride_top, ride_right)
     else:
-        frags_top, frags_right = propagate_type_c(cell, bottom, left)
+        frags_top, frags_right = propagate_type_c(cell, bottom, left, ride_top, ride_right)
         if _valley_span(cell) is not None:
             b_top, b_right, b_rec = propagate_type_b(cell, bottom, left)
             frags_top += b_top

@@ -159,6 +159,17 @@ class TestCompute:
         b = write(tmp_path, "b.csv", "0\n1\n")
         assert main(["compute", str(tmp_path / "absent.csv"), b]) == 2
 
+    def test_unreadable_files_name_the_file(self, tmp_path, capsys):
+        # A series that is not UTF-8 text, or a directory with a series
+        # name, is a usage error that names it, not a traceback.
+        bad = tmp_path / "bin.csv"
+        bad.write_bytes(b"\xff\xfe")
+        (tmp_path / "d.csv").mkdir()
+        b = write(tmp_path, "b.csv", "0\n1\n")
+        for name in ("bin.csv", "d.csv"):
+            assert main(["compute", str(tmp_path / name), b]) == 2
+            assert name in capsys.readouterr().err
+
     def test_stats_rejected_for_dtw(self, pair, capsys):
         assert main(["compute", *pair, "--measure", "dtw", "--stats"]) == 2
 
@@ -238,6 +249,13 @@ class TestMatrix:
         write(tmp_path, "b.csv", "0.5\n1.5\n")
         assert main(["matrix", str(tmp_path), "--jobs", jobs]) == 2
         assert "--jobs" in capsys.readouterr().err
+
+    def test_series_named_directory_rejected(self, tmp_path, capsys):
+        write(tmp_path, "a.csv", "0\n1\n")
+        write(tmp_path, "b.csv", "0.5\n1.5\n")
+        (tmp_path / "d.csv").mkdir()
+        assert main(["matrix", str(tmp_path)]) == 2
+        assert "d.csv" in capsys.readouterr().err
 
     def test_too_few_files(self, tmp_path, capsys):
         write(tmp_path, "only.csv", "0\n1\n")
@@ -334,12 +352,23 @@ class TestOracleCheck:
         assert "resolution" in err
 
     def test_impossible_tol_gives_sandwich_exit(self, tmp_path, capsys):
-        # force a failure by demanding a negative final gap
+        # force a failure by demanding a zero final gap from a coarse grid
         a = write(tmp_path, "a.csv", "0\n1\n0.3\n1.7\n")
         b = write(tmp_path, "b.csv", "0.4\n1.9\n0.1\n")
-        rc = main(["oracle-check", a, b, "--resolutions", "2", "--tol", "-1"])
+        rc = main(["oracle-check", a, b, "--resolutions", "2", "--tol", "0"])
         assert rc == 4
         assert "sandwich" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tol_must_be_finite_and_nonnegative(self, pair, tol, capsys):
+        # --tol nan made the final-gap test always false, so a gap of
+        # 0.375 at resolution 1 passed; the default tol fails it.
+        assert main(["oracle-check", *pair, "--resolutions", "1"]) == 4
+        capsys.readouterr()
+        assert main(["oracle-check", *pair, "--resolutions", "1", "--tol", tol]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--tol" in err
 
 
 class TestHeatmap:

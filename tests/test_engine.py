@@ -270,6 +270,35 @@ class TestRobustness:
         assert cdtw_exact(P, P).value == pytest.approx(0.0, abs=1e-12)
 
 
+    def test_no_edge_jumps_after_valley_crossing_turns(self):
+        # A single turn that crosses the valley line costs 0.5 * (t - x0)^2
+        # more than the valley ride next to the entry corner, inside the
+        # envelope's tie tolerance; it won those slivers on preference and
+        # left a 1.36e-9 jump where it stopped winning, at top(2, 10).
+        # Such turns are no longer built where the ride exists, and every
+        # edge is continuous to rounding.
+        P = build_curve([
+            0.4877767276050209, 0.36758260433967205, 0.9882027958220502,
+            0.7229322314397566,
+        ])
+        Q = build_curve([
+            0.7569800904805734, 0.47766877162980625, 0.8033290697003742,
+            0.4512614152289818, 0.9187252322525798, 0.6080142629836748,
+            0.5369497866364915, 0.17068603927801385, 0.4265044298675026,
+            0.4403290448939753, 0.8227960841097367, 0.22961990893165585,
+            0.2946567841561286,
+        ])
+        run = cdtw_exact(P, Q, EngineConfig(record_path=False)).run
+        for table in (run.top, run.right):
+            for key, bc in table.items():
+                raw = bc.cost.raw
+                for p, q in zip(raw, raw[1:]):
+                    x = p[4]
+                    left = (p[0] * x + p[1]) * x + p[2]
+                    right = (q[0] * x + q[1]) * x + q[2]
+                    assert abs(left - right) <= 1e-12 * (1.0 + abs(left)), key
+
+
 class TestProvenanceControl:
     def test_path_disabled_raises(self):
         res = solve([0, 1, 2], [0, 2], config=EngineConfig(record_path=False))

@@ -17,8 +17,10 @@ from cdtw.propagation import (
     BoundaryCost,
     Prov,
     _across,
+    _c2_catalogue,
     _lifted,
     _s_combination_raw,
+    _valley_span,
     apply_edge_travel,
     base_case,
     edge_height_running,
@@ -79,6 +81,11 @@ def random_cell_inputs(rng, cell: Cell):
     d = bottom.cost.value(cell.x_range[0]) - left.cost.value(cell.y_range[0])
     lc = _lifted(left.cost, d)
     return bottom, BoundaryCost(lc, left.prov)
+
+
+def rides(cell: Cell):
+    """The output-edge integrals solve_cell passes to the A and C families."""
+    return edge_height_running(cell, "top"), edge_height_running(cell, "right")
 
 
 def random_cell(rng, want_same=None, nmax=4):
@@ -210,10 +217,8 @@ class TestTypeA:
         rng = random.Random(9)
         _, _, cell = random_cell(rng, want_same=True)
         bottom, left = random_cell_inputs(rng, cell)
-        ride_top = edge_height_running(cell, "top")
-        ride_right = edge_height_running(cell, "right")
         with pytest.raises(WrongCellType):
-            propagate_type_a(cell, bottom, left, ride_top, ride_right)
+            propagate_type_a(cell, bottom, left, *rides(cell))
 
     def test_opposite_pair_corner_value(self):
         P = build_curve([0, 1])
@@ -233,8 +238,7 @@ class TestTypeA:
         bc = BoundaryCost(zero, ((PREF_BOTTOM, Prov("base", "bottom")),))
         zero_l = pw.constant(0.0, *cell.y_range)
         left = BoundaryCost(zero_l, ((PREF_LEFT, Prov("base", "left")),))
-        rides = edge_height_running(cell, "top"), edge_height_running(cell, "right")
-        top, _right = propagate_type_a(cell, bc, left, *rides)
+        top, _right = propagate_type_a(cell, bc, left, *rides(cell))
         (lifted, _tag) = top[0]
         for t in np.linspace(*cell.x_range, 15):
             want = integrate_height_on_leg(P, Q, (t, 0), (t, 1), samples=4096)
@@ -276,11 +280,11 @@ class TestTypeA:
         for _ in range(40):
             _, _, cell = random_cell(rng, want_same=False)
             bottom, left = random_cell_inputs(rng, cell)
-            rides = edge_height_running(cell, "top"), edge_height_running(cell, "right")
-            top, right = propagate_type_a(cell, bottom, left, *rides)
+            ride_top, ride_right = rides(cell)
+            top, right = propagate_type_a(cell, bottom, left, ride_top, ride_right)
             for frags, (lo, hi), ride in (
-                (top, cell.x_range, rides[0]),
-                (right, cell.y_range, rides[1]),
+                (top, cell.x_range, ride_top),
+                (right, cell.y_range, ride_right),
             ):
                 env, tags = pw.lower_envelope(frags, lo, hi)
                 out, out_tags = apply_edge_travel(env, tags, ride)
@@ -390,7 +394,7 @@ class TestTypeC:
         _, _, cell = random_cell(rng, want_same=False)
         bottom, left = random_cell_inputs(rng, cell)
         with pytest.raises(WrongCellType):
-            propagate_type_c(cell, bottom, left)
+            propagate_type_c(cell, bottom, left, *rides(cell))
 
     def test_c1_constant_shift(self):
         rng = random.Random(17)
@@ -401,7 +405,7 @@ class TestTypeC:
         const_b = pw.constant(0.0, *cell.x_range)
         bottom = BoundaryCost(const_b, ((PREF_BOTTOM, Prov("base", "bottom")),))
         left = BoundaryCost(const_l, ((PREF_LEFT, Prov("base", "left")),))
-        _top, right = propagate_type_c(cell, bottom, left)
+        _top, right = propagate_type_c(cell, bottom, left, *rides(cell))
         c1 = next(
             (f, t) for f, t in right if t[1].kind == "C1"
         )[0]
@@ -431,7 +435,8 @@ class TestTypeC:
         bottom = BoundaryCost(kinked, ((PREF_BOTTOM, Prov("base", "bottom")),) * 2)
         cases.append((cell, bottom, cases[0][2]))
         for cell, bottom, left in cases:
-            _top, right = propagate_type_c(cell, bottom, left)
+            _top, right = propagate_type_c(cell, bottom, left, *rides(cell))
+            _top_bc, right_bc, _ = solve_cell(cell, bottom, left)
             x0, x1 = cell.x_range
             y0, y1 = cell.y_range
             bots = [(f, t) for f, t in right if t[1].kind == "C2"]
@@ -449,9 +454,13 @@ class TestTypeC:
                     if f.lo - 1e-12 <= tau <= f.hi + 1e-12:
                         best = min(best, f.value(min(max(tau, f.lo), f.hi)))
                 # the catalogue with C1, which covers the entry at the
-                # corner (x0, y0), attains the exact minimum over entry
-                # points; the sampled brute force can only overshoot it
-                assert min(best, c1.value(tau)) <= brute + 1e-9
+                # corner (x0, y0), and the cell's output, which holds the
+                # corner route and the valley ride that stands for the
+                # valley-crossing single turns, attain the exact minimum
+                # over entry points; the sampled brute force can only
+                # overshoot it.  Every C2 fragment is a real path.
+                got = min(best, c1.value(tau), right_bc.cost.value(tau))
+                assert got <= brute + 1e-9
                 assert best >= brute - 5e-3
 
     def test_c1_covers_the_corner_entry(self):
@@ -463,7 +472,7 @@ class TestTypeC:
         for _ in range(40):
             _, _, cell = random_cell(rng, want_same=True)
             bottom, left = random_cell_inputs(rng, cell)
-            _top, right = propagate_type_c(cell, bottom, left)
+            _top, right = propagate_type_c(cell, bottom, left, *rides(cell))
             c1 = next(f for f, t in right if t[1].kind == "C1")
             x0, x1 = cell.x_range
             y0, y1 = cell.y_range
@@ -474,17 +483,122 @@ class TestTypeC:
 
     def test_corner_entry_only_in_the_transposed_frame(self):
         # Fixed entries have alpha = 0 and beta = the entry coordinate.
+        # The entry at the domain start stays in the transposed frame
+        # only; the entry at the domain end is the corner route, built
+        # from the output edge's integral as in type A.
         rng = random.Random(51)
         for _ in range(20):
             _, _, cell = random_cell(rng, want_same=True)
             bottom, left = random_cell_inputs(rng, cell)
-            top, right = propagate_type_c(cell, bottom, left)
+            top, right = propagate_type_c(cell, bottom, left, *rides(cell))
+            x0, x1 = cell.x_range
+            y0, y1 = cell.y_range
             c2 = [t[1].data for _f, t in right if t[1].kind == "C2"]
             c2t = [t[1].data for _f, t in top if t[1].kind == "C2T"]
-            assert (0.0, cell.x_range[0]) not in c2
-            assert (0.0, cell.x_range[1]) in c2
-            assert (0.0, cell.y_range[0]) in c2t
-            assert (0.0, cell.y_range[1]) in c2t
+            assert (0.0, x0) not in c2 and (0.0, x1) not in c2
+            assert (0.0, y0) in c2t and (0.0, y1) not in c2t
+            (corner_right, tag_r), = [(f, t) for f, t in right if t[1].kind == "corner"]
+            (corner_top, tag_t), = [(f, t) for f, t in top if t[1].kind == "corner"]
+            assert tag_r == (PREF_BOTTOM, Prov("corner", "bottom", (x1, y0)))
+            assert tag_t == (PREF_LEFT, Prov("corner", "left", (x0, y1)))
+            fb_end, fl_end = bottom.cost.value(x1), left.cost.value(y1)
+            for t in np.linspace(y0, y1, 9):
+                want = fb_end + through_cost(cell, (x1, y0), (x1, t))
+                assert corner_right.value(t) == pytest.approx(want, rel=1e-12, abs=1e-12)
+            for t in np.linspace(x0, x1, 9):
+                want = fl_end + through_cost(cell, (x0, y1), (t, y1))
+                assert corner_top.value(t) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_valley_ride_beats_crossing_single_turns(self):
+        # A single turn that rises across the valley line at V = (s, s - c)
+        # and turns above it is not in the catalogue of a cell B applies
+        # to: the valley ride enters at the same s, reaches V for the same
+        # cost and rides the valley for free, where the turn pays
+        # (t - s + c)^2 / 2.  The cell's output must still be below every
+        # such path, in both frames.
+        rng = random.Random(53)
+        done = 0
+        while done < 10:
+            _, _, cell = random_cell(rng, want_same=True)
+            if _valley_span(cell) is None:
+                continue
+            done += 1
+            bottom, left = random_cell_inputs(rng, cell)
+            top, right, _ = solve_cell(cell, bottom, left)
+            x0, x1 = cell.x_range
+            y0, y1 = cell.y_range
+            c = cell.offset
+            scale = 1.0 + abs(x1) + abs(y1) + bottom.cost.value(x0)
+            # bottom frame: enter at (s, y0) with y0 <= s - c, turn at t > s - c
+            for s in np.linspace(max(x0, y0 + c), min(x1, y1 + c), 15):
+                for t in np.linspace(s - c, y1, 9)[1:]:
+                    turn = bottom.cost.value(s) + through_cost(cell, (s, y0), (s, t))
+                    turn += through_cost(cell, (s, t), (x1, t))
+                    assert right.cost.value(t) <= turn + 1e-9 * scale
+            # transposed frame: enter at (x0, r) with x0 <= r + c, turn at t > r + c
+            for r in np.linspace(max(y0, x0 - c), min(y1, x1 - c), 15):
+                for t in np.linspace(r + c, x1, 9)[1:]:
+                    turn = left.cost.value(r) + through_cost(cell, (x0, r), (t, r))
+                    turn += through_cost(cell, (t, r), (t, y1))
+                    assert top.cost.value(t) <= turn + 1e-9 * scale
+
+    def test_catalogue_drops_crossing_turns_only_where_b_applies(self):
+        # Entries of sign region (s - Y0 - C >= 0, s - t - C < 0) have
+        # alpha > 0 and their source above Y0 + C.  Where B applies the
+        # catalogue leaves exactly those out.  Where the valley is a point
+        # the region is empty, and propagate_type_c keeps the full
+        # catalogue.
+        def frames(cell, bottom, left):
+            x0, x1 = cell.x_range
+            y0, y1 = cell.y_range
+            c = cell.offset
+            return (
+                ("C2", bottom.cost, (x0, x1, y0, y1, c), False),
+                ("C2T", left.cost, (y0, y1, x0, x1, -c), True),
+            )
+
+        def crossing(frag, alpha, beta, Y0, C):
+            mid = 0.5 * (frag.lo + frag.hi)
+            return alpha > 0.0 and alpha * mid + beta > Y0 + C
+
+        rng = random.Random(55)
+        b_cells = dropped = 0
+        while b_cells < 25:
+            _, _, cell = random_cell(rng, want_same=True)
+            if _valley_span(cell) is None:
+                continue
+            b_cells += 1
+            bottom, left = random_cell_inputs(rng, cell)
+            top, right = propagate_type_c(cell, bottom, left, *rides(cell))
+            for kind, f, box, lo_entry in frames(cell, bottom, left):
+                full = _c2_catalogue(f, *box, lo_entry, False)
+                cut = _c2_catalogue(f, *box, lo_entry, True)
+                keep = [(a, b) for g, a, b in full if not crossing(g, a, b, box[2], box[4])]
+                assert [(a, b) for _g, a, b in cut] == keep
+                dropped += len(full) - len(cut)
+                emitted = [t[1].data for _f, t in top + right if t[1].kind == kind]
+                assert emitted == keep
+        assert dropped > 0
+
+        point_cells = 0
+        rng = random.Random(57)
+        while point_cells < 10:
+            P = build_curve([float(rng.randint(0, 4)) for _ in range(rng.randint(3, 5))])
+            Q = build_curve([float(rng.randint(0, 4)) for _ in range(rng.randint(3, 5))])
+            for i in range(1, P.num_segments + 1):
+                for j in range(1, Q.num_segments + 1):
+                    cell = cell_info(P, Q, i, j)
+                    if not cell.same_direction or cell.valley is None:
+                        continue
+                    if _valley_span(cell) is not None:
+                        continue
+                    point_cells += 1
+                    bottom, left = random_cell_inputs(rng, cell)
+                    top, right = propagate_type_c(cell, bottom, left, *rides(cell))
+                    for kind, f, box, lo_entry in frames(cell, bottom, left):
+                        full = _c2_catalogue(f, *box, lo_entry, False)
+                        emitted = [t[1].data for _f, t in top + right if t[1].kind == kind]
+                        assert emitted == [(a, b) for _g, a, b in full]
 
     def test_travel_with_zero_offset_is_cumulative_min(self):
         rng = random.Random(21)
@@ -678,7 +792,7 @@ class TestSolveCell:
             bottom, left = random_cell_inputs(rng, cell)
             sources = {"bottom": len(bottom.cost), "left": len(left.cost)}
             if cell.same_direction:
-                top, right = propagate_type_c(cell, bottom, left)
+                top, right = propagate_type_c(cell, bottom, left, *rides(cell))
                 try:
                     b_top, b_right, rec = propagate_type_b(cell, bottom, left)
                 except WrongCellType:
@@ -687,8 +801,7 @@ class TestSolveCell:
                     top, right = top + b_top, right + b_right
                     sources[""] = len(rec.b2)
             else:
-                rides = edge_height_running(cell, "top"), edge_height_running(cell, "right")
-                top, right = propagate_type_a(cell, bottom, left, *rides)
+                top, right = propagate_type_a(cell, bottom, left, *rides(cell))
             for frag, (_pref, prov) in top + right:
                 kinds.add(prov.kind)
                 assert len(frag) <= sources[prov.side] + 2, prov
