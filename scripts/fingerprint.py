@@ -10,17 +10,21 @@ for byte to show that a change leaves the solver's results bit-identical:
 Where a change is allowed to move results by rounding, compare instead
 of printing: ``--against before.json`` (with the flags that made it)
 lists the pairs and edges that differ and the worst relative difference
-in values, path points, grid values and edge functions (each edge
-function compared at every breakpoint and piece midpoint of either
-side), and exits 1 if any of them is above 1e-12.
+in values, path points, grid values and edge functions, and exits 1 if
+any of them is above 1e-12.  Two edge functions are compared at the ends
+and midpoint of every span between the breakpoints of either, each
+evaluated with its piece covering the span; spans narrower than the
+solver tolerance are skipped, so that a breakpoint moved by rounding at
+a jump does not read as the size of the jump.
 
 The corpus has 60 pairs of 2 to 12 vertices, solved with path recording:
 random values in [0, 2], every fourth pair with small integer values
 (exact ties and degenerate valleys), and every tenth pair a curve against
 itself.  Three pairs of 41 vertices (n = m = 40 segments) are solved
 without path recording.  Each solve contributes its value, path points,
-path annotations and total piece count; ``--edges`` adds every edge cost
-function (coefficients and domains) with its provenance, and ``--grid``
+path annotations and total piece count; ``--edges`` adds every edge's
+cost function f (coefficients and domains, the stored reduced cost plus
+the edge's running integral of the height) with its provenance, and ``--grid``
 adds ``cdtw_grid`` at resolutions 4, 16 and 64 for the 60 small pairs.
 Floats are written with repr, so equal output means bit-identical results.
 """
@@ -31,7 +35,9 @@ import math
 import random
 import sys
 
-from cdtw import EngineConfig, GridConfig, build_curve, cdtw_exact, cdtw_grid
+from cdtw import EngineConfig, GridConfig, build_curve, cdtw_exact, cdtw_grid, cell_info
+from cdtw.piecewise import TOLERANCE
+from cdtw.propagation import edge_height_running
 
 SEED = 20261017
 GRID_RESOLUTIONS = (4, 16, 64)
@@ -70,14 +76,19 @@ def fingerprint(a: list, b: list, record_path: bool, edges: bool, grid: bool) ->
         out["annotations"] = list(result.path.annotations)
     if edges:
         run = result.run
-        out["edges"] = {
-            f"{name}{key}": [
-                [[p.a, p.b, p.c, p.lo, p.hi] for p in bc.cost.pieces],
-                repr(bc.prov),
-            ]
-            for name, table in (("top", run.top), ("right", run.right))
-            for key, bc in table.items()
-        }
+        out["edges"] = {}
+        for name, table in (("top", run.top), ("right", run.right)):
+            for key, bc in table.items():
+                ride = edge_height_running(cell_info(P, Q, *key), name).raw
+                f, prov = [], []
+                # each piece of g cut at R's breakpoints inside it, none merged
+                for (a, b, c, lo, hi), tag in zip(bc.cost.raw, bc.prov):
+                    cuts = [lo] + [r[4] for r in ride if lo < r[4] < hi] + [hi]
+                    for u, v in zip(cuts, cuts[1:]):
+                        ra, rb, rc = _piece_at(ride, 0.5 * (u + v))[:3]
+                        f.append([a + ra, b + rb, c + rc, u, v])
+                        prov.append(tag)
+                out["edges"][f"{name}{key}"] = [f, repr(tuple(prov))]
     if grid and record_path:
         out["grid"] = [cdtw_grid(P, Q, GridConfig(resolution=r)) for r in GRID_RESOLUTIONS]
     return out
@@ -90,24 +101,31 @@ def _rel(x: float, y: float, scale: float) -> float:
     return abs(x - y) / scale if scale > 0 else math.inf
 
 
-def _value_at(pieces: list, s: float) -> float:
-    """Value of [[a, b, c, lo, hi], ...] at s, clamped into its domain; a
-    breakpoint resolves to the left piece."""
-    s = min(max(s, pieces[0][3]), pieces[-1][4])
-    for a, b, c, _, hi in pieces:
-        if s <= hi:
-            break
-    return (a * s + b) * s + c
+def _piece_at(pieces: list, s: float) -> list:
+    """The piece of [[a, b, c, lo, hi], ...] covering s (the last one past
+    the end)."""
+    for piece in pieces:
+        if s <= piece[4]:
+            return piece
+    return pieces[-1]
 
 
 def _edge_diff(before: list, after: list) -> float:
-    """Worst relative difference of two edge functions at every breakpoint
-    and piece midpoint of either."""
-    xs = set()
-    for pieces in (before, after):
-        for _, _, _, lo, hi in pieces:
-            xs.update((lo, 0.5 * (lo + hi), hi))
-    vals = [(_value_at(before, x), _value_at(after, x)) for x in sorted(xs)]
+    """Worst relative difference of two edge functions at the ends and
+    midpoint of every span of their merged breakpoints, each function
+    evaluated there with its piece covering the span; spans narrower than
+    the solver tolerance are skipped."""
+    xs = sorted({x for pieces in (before, after) for p in pieces for x in p[3:]})
+    tol = TOLERANCE * (1.0 + abs(xs[0]) + abs(xs[-1]))
+    vals = []
+    for lo, hi in zip(xs, xs[1:]):
+        if hi - lo <= tol:
+            continue
+        mid = 0.5 * (lo + hi)
+        (a0, b0, c0, _, _), (a1, b1, c1, _, _) = _piece_at(before, mid), _piece_at(after, mid)
+        vals += [((a0 * s + b0) * s + c0, (a1 * s + b1) * s + c1) for s in (lo, mid, hi)]
+    if not vals:
+        return 0.0
     scale = max(max(abs(u), abs(v)) for u, v in vals)
     return max(_rel(u, v, scale) for u, v in vals)
 

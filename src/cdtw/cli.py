@@ -123,8 +123,13 @@ def _one_distance(measure: str, resolution: Optional[float], a: _Input, b: _Inpu
 
 
 # module level so matrix workers can be pickled
-def _matrix_task(args: Tuple[str, Optional[float], _Input, _Input]) -> float:
-    return _one_distance(*args)
+def _matrix_task(args: Tuple[str, Optional[float], _Input, _Input, str, str]) -> float:
+    """One matrix entry; a solver error names both series files."""
+    measure, resolution, a, b, path_a, path_b = args
+    try:
+        return _one_distance(measure, resolution, a, b)
+    except CdtwError as exc:
+        raise type(exc)(f"{path_a} vs {path_b}: {exc}") from exc
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -192,7 +197,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     series = [load_series(path) for path in files]  # parse each file once, warn once here
     inputs = [_measure_input(args.measure, path, v) for path, v in zip(files, series)]
     pairs = [
-        (args.measure, args.resolution, inputs[i], inputs[j])
+        (args.measure, args.resolution, inputs[i], inputs[j], files[i], files[j])
         for i in range(len(files))
         for j in range(i + 1, len(files))
     ]

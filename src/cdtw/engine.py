@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 from .curves import Curve, cell_info, height
 from .errors import InvariantViolation, ProvenanceMissing
 from . import piecewise as pw
-from .propagation import BoundaryCost, BRecord, Prov, base_case, solve_cell
+from .propagation import BoundaryCost, BRecord, Prov, base_case, edge_height_running, solve_cell
 
 
 @dataclass
@@ -28,7 +28,7 @@ class EngineConfig:
 class SolveStats:
     """Piece-count bookkeeping for the complexity bounds.
 
-    total_pieces counts quadratic pieces over all edge cost functions;
+    total_pieces counts quadratic pieces over all stored (reduced) edges;
     pieces_per_level groups them by cell level (base-case edges count
     towards the level of the only cell they feed); max_distinct_ab is the
     largest number of distinct leading-coefficient pairs on one edge.
@@ -111,6 +111,13 @@ def _count_edge(stats: SolveStats, level: int, f: pw.PiecewiseQuadratic) -> None
         stats.max_distinct_ab = max(stats.max_distinct_ab, pw.distinct_ab(f.raw))
 
 
+def _end_cost(g: pw.PiecewiseQuadratic, ride: pw.PiecewiseQuadratic) -> float:
+    """The cost at an edge's end: the end pieces of its reduced cost g and
+    of its running integral summed, then evaluated there."""
+    (a, b, c, _, s), (ra, rb, rc, _, _) = g.raw[-1], ride.raw[-1]
+    return ((a + ra) * s + (b + rb)) * s + (c + rc)
+
+
 def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> CdtwResult:
     """Exact continuous warping distance between two 1D polygonal curves.
 
@@ -150,8 +157,9 @@ def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> Cdt
             _count_edge(stats, k, r_bc.cost)
 
     p_len, q_len = P.length, Q.length
-    v_right = right[(n, m)].cost.value(q_len)
-    v_top = top[(n, m)].cost.value(p_len)
+    last = cell_info(P, Q, n, m)
+    v_right = _end_cost(right[(n, m)].cost, edge_height_running(last, "right"))
+    v_top = _end_cost(top[(n, m)].cost, edge_height_running(last, "top"))
     if abs(v_right - v_top) > 1e-6 * (1.0 + abs(v_right)):
         raise InvariantViolation(
             f"corner disagreement: right gives {v_right}, top gives {v_top}"

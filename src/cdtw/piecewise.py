@@ -4,9 +4,9 @@ Boundary cost functions of the warping dynamic program are continuous
 piecewise quadratics.  This module implements the operations the solver
 needs: evaluation, a shift of the argument, pointwise addition,
 restriction, integrals of |linear| functions, the cumulative minimum
-g(t) = min_{s <= t} f(s), and the lower envelope (pointwise minimum) of a
-set of partially overlapping fragments.  Operations that take per-piece
-tags carry them through to the pieces of their result.
+g(t) = min_{s <= t} f(s), the minimum with a constant, and the lower
+envelope of a set of partially overlapping fragments.  Operations that
+take per-piece tags carry them through to the pieces of their result.
 
 All arithmetic is binary64 with one fixed tolerance, TOLERANCE, used for
 breakpoint merging, continuity checks, and quadratic-intersection roots.
@@ -217,9 +217,8 @@ def add_raw(
     f: Sequence[Raw],
     tags: Optional[Sequence[Any]],
     g: Sequence[Raw],
-    sign: float = 1.0,
 ) -> Tuple[List[Raw], Optional[List[Any]]]:
-    """f + sign * g, carrying f's per-piece tags through breakpoint refinement.
+    """f + g, carrying f's per-piece tags through breakpoint refinement.
 
     Cuts are the union of both breakpoint sets, with cuts closer than the
     tolerance merged; each span takes the pieces of f and g covering its
@@ -236,7 +235,7 @@ def add_raw(
     if len(f) == 1 and len(g) == 1 and glo <= lo < hi <= ghi:
         # One span, both pieces covering it: the loop below, unrolled.
         pf, pg = f[0], g[0]
-        piece = (pf[0] + sign * pg[0], pf[1] + sign * pg[1], pf[2] + sign * pg[2], lo, hi)
+        piece = (pf[0] + pg[0], pf[1] + pg[1], pf[2] + pg[2], lo, hi)
         return [piece], (None if tags is None else [tags[0]])
     g_tol = TOLERANCE * (1.0 + abs(glo) + abs(ghi))
     g_min, g_max = glo - g_tol, ghi + g_tol
@@ -276,9 +275,7 @@ def add_raw(
         while kg < last_g and s > g[kg][4]:
             kg += 1
         pf, pg = f[kf], g[kg]
-        out.append(
-            (pf[0] + sign * pg[0], pf[1] + sign * pg[1], pf[2] + sign * pg[2], a, b)
-        )
+        out.append((pf[0] + pg[0], pf[1] + pg[1], pf[2] + pg[2], a, b))
         if out_tags is not None:
             out_tags.append(tags[kf])
         a = b
@@ -608,6 +605,20 @@ def _env_merge(
             out.append((q[0], q[1], q[2], cur, qh, tag))
     out.extend(reversed(todo))
     return out
+
+
+def capped(
+    f: PiecewiseQuadratic, shift: float, tag: tuple, cap: float, cap_tag: tuple
+) -> Tuple[PiecewiseQuadratic, List[Tuple]]:
+    """min(f + shift, cap) in one pass over f's pieces, with one tag per
+    output piece: tag where f + shift is lower, cap_tag where the cap is.
+    Ties go as in lower_envelope."""
+    q = (0.0, 0.0, cap, f.lo, f.hi, cap_tag)
+    env: List[tuple] = []
+    for a, b, c, lo, hi in f.raw:
+        env += _compare_span((a, b, c + shift, lo, hi, tag), q, lo, hi)
+    pieces, tags = normalize_raw([e[:5] for e in env], [e[5] for e in env])
+    return from_raw(pieces), tags
 
 
 def lower_envelope(

@@ -1,42 +1,33 @@
 """Per-cell propagation of boundary cost functions.
 
-The dynamic program keeps, for every cell edge, the cost-to-reach function
-(a continuous piecewise quadratic over the edge coordinate).  This module
-computes a cell's output-edge functions (top, right) from its input-edge
-functions (bottom, left) by generating candidate cost fragments from every
-optimal path shape, merging them with a lower envelope, and finishing with
-a travel pass along each output edge.
-
-Path shapes inside one cell:
+For every cell edge the dynamic program keeps the cheapest cost f of
+reaching each point of it as the reduced cost g = f - R, a continuous
+piecewise quadratic over the edge coordinate; R(t) is the integral of
+the height h along the edge from its start (edge_height_running).  A
+path may reach t by way of any s < t and travel along the edge, so
+f(t) <= f(s) + R(t) - R(s): g never rises.  This module computes a
+cell's output edges (top, right) from its input edges (bottom, left),
+all in reduced costs.  With S(u) = u|u|/2, the integral of |u|:
 
 * opposite-direction cells: the height along every monotone path is the
-  same function of x + y, so a straight transport (vertical, horizontal,
-  or through the corner) represents all paths between two boundary points;
+  same function of x + y, so all paths between two boundary points cost
+  the same, the path's integral and the two edges' R cancel up to a
+  constant, and an entry earlier on an input edge costs no less.  Each
+  output is a capped copy of one input (propagate_type_a).
 * same-direction cells: write u = x - y - c (the signed offset from the
   zero-height valley line).  Along a monotone path, u changes at rate at
   most 1 per unit of L1 arc length, so optimal paths dip towards u = 0 as
   fast as allowed: ride the valley if reachable (the B family), otherwise
   turn once at the dip (the C2 families), or transport straight across
-  (C1 families).  The final edge-travel pass accounts for continuing along
-  an output edge past any of these exits.
+  (C1 families).  The edges' R double a path's S-terms here, and a
+  corner route is a constant.  A lower envelope merges the fragments,
+  and the travel pass along an output edge is its cumulative minimum.
 
 Every emitted fragment is the exact cost of a realisable path family, so
 the envelope is a true upper bound everywhere and tight where some family
-is optimal; the families above cover all optimal shapes.
+is optimal; the families above cover all optimal shapes.  Work that
+cannot change a cell's output is skipped:
 
-Every input edge is travel-closed: f - R never rises along the edge, R
-being the running integral of h along it.  A base-case edge is R itself,
-a same-direction cell's output comes from a travel pass, and an
-opposite-direction cell's output is travel-closed by the first point
-below.  Work that cannot change a cell's output is skipped:
-
-* no travel pass in opposite-direction cells.  Every monotone path
-  between two boundary points costs the same there, so the vertical
-  transport satisfies av(t) - R_top(t) = fb(t) - R_bottom(t) + V, with V
-  the integral of h up the left edge, which never rises; the corner
-  route minus R_top is the constant fl(y1).  The envelope minus R_top
-  never rises, so travel would return it as it is; the right edge is
-  the same with the axes swapped.  Outputs stay travel-closed.
 * no entry at the bottom edge's start in the bottom-to-right single
   turns: C1 covers it, and the entry at an edge's end is the corner
   route (see _c2_catalogue).  Other entries sit only where the minimum
@@ -47,9 +38,7 @@ below.  Work that cannot change a cell's output is skipped:
   rides to (t + c, t) for free, where the turn pays (t - s + c)^2 / 2;
   past x1 it leaves at (x1, x1 - c) and travels up for (t - x1 + c)^2 / 2,
   less still.  The transposed frame is the same.
-* in same-direction cells the travel pass returns the envelope as it is
-  when the envelope minus the edge integral never rises, since then no
-  departure earlier on the edge wins.
+* the travel pass returns the envelope as it is when it never rises.
 """
 
 from __future__ import annotations
@@ -58,7 +47,7 @@ import math
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import piecewise as pw
-from .curves import Cell, Curve, cell_info
+from .curves import Cell, Curve
 from .errors import InvariantViolation, WrongCellType
 from .piecewise import PiecewiseQuadratic
 
@@ -91,7 +80,8 @@ class Prov(NamedTuple):
 
 
 class BoundaryCost(NamedTuple):
-    """Cost function along one cell edge plus per-piece provenance."""
+    """Reduced cost g = f - R along one cell edge (see the module
+    docstring) plus per-piece provenance."""
 
     cost: PiecewiseQuadratic
     prov: Tuple
@@ -108,11 +98,6 @@ class BRecord(NamedTuple):
 
 # A candidate cost over part of an output edge, tagged (pref, provenance).
 Fragment = Tuple[PiecewiseQuadratic, Tuple[float, Prov]]
-
-
-def _lifted(f: PiecewiseQuadratic, dc: float) -> PiecewiseQuadratic:
-    """f + dc, piece by piece."""
-    return pw.from_raw([(a, b, c + dc, lo, hi) for a, b, c, lo, hi in f.raw])
 
 
 def _end_value(f: PiecewiseQuadratic, where: str) -> float:
@@ -132,10 +117,7 @@ def _s_halfsq(u: float) -> float:
 
 
 def _s_combination_raw(
-    terms: Sequence[Tuple[float, float, float]],
-    const: float,
-    lo: float,
-    hi: float,
+    terms: Sequence[Tuple[float, float, float]], const: float, lo: float, hi: float
 ) -> List[pw.Raw]:
     """Raw pieces of sum(coef * S(sgn*t + p)) + const on [lo, hi], where
     S(u) = u|u|/2.  Each term contributes one potential breakpoint."""
@@ -167,18 +149,32 @@ def _s_combination_raw(
 
 
 def _across(
-    f: PiecewiseQuadratic, sgn: float, p0: float, p1: float, lo: float, hi: float
+    f: PiecewiseQuadratic, sgn: float, p0: float, p1: float, const: float, lo: float, hi: float
 ) -> PiecewiseQuadratic:
-    """The cost after a straight transport across the cell from every point
-    t of f's edge: f(t) + S(sgn*t + p0) - S(sgn*t + p1) with p0 >= p1, the
-    band term being the integral of the in-cell height along the transport."""
-    band = _s_combination_raw([(1.0, sgn, p0), (-1.0, sgn, p1)], 0.0, lo, hi)
+    """The reduced cost after a straight transport across a same-direction
+    cell from every point t of f's edge: f(t) + 2 S(sgn*t + p0) -
+    2 S(sgn*t + p1) + const with p0 >= p1, the transport's integral
+    doubled by the entry and exit edges' R."""
+    band = _s_combination_raw([(2.0, sgn, p0), (-2.0, sgn, p1)], const, lo, hi)
     pieces, _ = pw.add_raw(f.raw, None, band)
     return pw.from_raw(pieces)
 
 
+def _edge_integrals(cell: Cell) -> Tuple[float, float, float, float]:
+    """Integrals of h along the bottom, left, top and right edges: h = |u|
+    with u = x + dy*y - c, dy = -1 in a same-direction cell, else +1."""
+    x0, x1 = cell.x_range
+    y0, y1 = cell.y_range
+    c = cell.offset
+    dy = -1.0 if cell.same_direction else 1.0
+    s00, s10 = _s_halfsq(x0 + dy * y0 - c), _s_halfsq(x1 + dy * y0 - c)
+    s01, s11 = _s_halfsq(x0 + dy * y1 - c), _s_halfsq(x1 + dy * y1 - c)
+    return s10 - s00, dy * (s01 - s00), s11 - s01, dy * (s11 - s10)
+
+
 def edge_height_running(cell: Cell, side: str) -> PiecewiseQuadratic:
-    """Running integral of h along one cell edge, from the edge's start.
+    """Running integral R of h along one cell edge, from the edge's start;
+    the cost along an edge is its stored reduced cost plus R.
 
     h is |x - y - c| in a same-direction cell and |x + y - c'| otherwise.
     """
@@ -203,25 +199,24 @@ def base_case(P: Curve, Q: Curve) -> Tuple[List[BoundaryCost], List[BoundaryCost
     """Boundary costs along the two axes.
 
     The only monotone path to (x, 0) runs along the x axis, so the cost is
-    the running integral of h(z, 0); the y axis is symmetric.  Returns one
-    BoundaryCost per bottom edge of row 1 and per left edge of column 1.
+    the integral of h(z, 0) from 0 to x; on each axis edge that is the
+    integral up to the edge's start plus the edge's own R, a constant
+    reduced cost.  The y axis is symmetric.  Returns one BoundaryCost per
+    bottom edge of row 1 and per left edge of column 1.
     """
     axes = []
-    for R, start, sgn, tag in (
-        (P, Q.vertices[0], 1.0, (PREF_BOTTOM, Prov("base", "bottom"))),
-        (Q, P.vertices[0], -1.0, (PREF_LEFT, Prov("base", "left"))),
+    for curve, start, tag in (
+        (P, Q.vertices[0], (PREF_BOTTOM, Prov("base", "bottom"))),
+        (Q, P.vertices[0], (PREF_LEFT, Prov("base", "left"))),
     ):
         costs: List[BoundaryCost] = []
         acc = 0.0
-        for k in range(1, R.num_segments + 1):
-            u0, u1 = R.prefix_lengths[k - 1], R.prefix_lengths[k]
-            d = R.segment_dir(k)
-            # R(u) = d*u + line here; h on the axis is |R(u) - start|
-            line = R.vertices[k - 1] - d * u0
-            beta = line - start if sgn > 0 else start - line
-            cost = _lifted(pw.integrate_abs_linear(sgn * d, beta, u0, u1), acc)
-            acc = cost.value(u1)
-            costs.append(BoundaryCost(cost, (tag,) * len(cost)))
+        for k in range(1, curve.num_segments + 1):
+            u0, u1 = curve.prefix_lengths[k - 1], curve.prefix_lengths[k]
+            costs.append(BoundaryCost(pw.constant(acc, u0, u1), (tag,)))
+            # h on the segment runs linearly, at unit slope, between these
+            h0, h1 = curve.vertices[k - 1] - start, curve.vertices[k] - start
+            acc += abs(_s_halfsq(h1) - _s_halfsq(h0))
         axes.append(costs)
     return axes[0], axes[1]
 
@@ -230,41 +225,28 @@ def base_case(P: Curve, Q: Curve) -> Tuple[List[BoundaryCost], List[BoundaryCost
 # type A: opposite-direction cells
 
 
-def _corner(
-    f: PiecewiseQuadratic, ride: PiecewiseQuadratic, side: str, at: Tuple[float, float]
-) -> Fragment:
-    """The corner route through f's end point at: f there plus ride, the
-    integral of h along the output edge."""
-    pref = PREF_LEFT if side == "left" else PREF_BOTTOM
-    return _lifted(ride, _end_value(f, "hi")), (pref, Prov("corner", side, at))
-
-
 def propagate_type_a(
-    cell: Cell,
-    bottom: BoundaryCost,
-    left: BoundaryCost,
-    ride_top: PiecewiseQuadratic,
-    ride_right: PiecewiseQuadratic,
-) -> Tuple[List[Fragment], List[Fragment]]:
-    """(top, right) fragments of an opposite-direction cell.
-
-    All monotone paths between two fixed boundary points cost the same
-    here, so a vertical transport (bottom to top), a horizontal transport
-    (left to right), and the corner route (bottom to right through the
-    bottom-right corner, left to top through the top-left corner)
-    represent every optimum.  ride_top and ride_right are the
-    edge_height_running of the output edges the corner routes end on.
-    """
+    cell: Cell, bottom: BoundaryCost, left: BoundaryCost
+) -> Tuple[Tuple[PiecewiseQuadratic, List], Tuple[PiecewiseQuadratic, List]]:
+    """(top, right) outputs of an opposite-direction cell, each with one
+    provenance tag per piece: top = V + min(g_bottom, g_left(y1)) and
+    right = H + min(g_left, g_bottom(x1)), V and H the integrals of h up
+    the left and along the bottom edge.  The vertical transport and the
+    corner route through the top-left corner stand for all paths to the
+    top (see the module docstring), and likewise on the right.  Ties go
+    to PREF_LEFT: the left corner on top, the horizontal transport on
+    right."""
     if cell.same_direction:
         raise WrongCellType("type A applies to opposite-direction cells")
     x0, x1 = cell.x_range
     y0, y1 = cell.y_range
-    cp = cell.offset
-    fb, fl = bottom.cost, left.cost
-    av = _across(fb, 1.0, y1 - cp, y0 - cp, x0, x1)
-    ah = _across(fl, 1.0, x1 - cp, x0 - cp, y0, y1)
-    top = [(av, (PREF_BOTTOM, Prov("Av", "bottom"))), _corner(fl, ride_top, "left", (x0, y1))]
-    right = [_corner(fb, ride_right, "bottom", (x1, y0)), (ah, (PREF_LEFT, Prov("Ah", "left")))]
+    h_bottom, v_left, _, _ = _edge_integrals(cell)
+    k_top = _end_value(left.cost, "hi") + v_left
+    k_right = _end_value(bottom.cost, "hi") + h_bottom
+    top = pw.capped(bottom.cost, v_left, (PREF_BOTTOM, Prov("Av", "bottom")), k_top,
+                    (PREF_LEFT, Prov("corner", "left", (x0, y1))))
+    right = pw.capped(left.cost, h_bottom, (PREF_LEFT, Prov("Ah", "left")), k_right,
+                      (PREF_BOTTOM, Prov("corner", "bottom", (x1, y0))))
     return top, right
 
 
@@ -291,6 +273,8 @@ def propagate_type_b(
     The transport cost from the valley to an output point does not depend
     on where the path leaves the valley (any reachable exit gives the same
     dip integral), so the cumulative minimum captures every entry point.
+    The valley holds full costs; on its span each edge's R is one
+    quadratic, which doubles the transport's square.
     """
     span = _valley_span(cell)
     if not cell.same_direction or span is None:
@@ -299,16 +283,17 @@ def propagate_type_b(
     x0, x1 = cell.x_range
     y0, y1 = cell.y_range
     c = cell.offset
+    s00 = _s_halfsq(x0 - y0 - c)
 
     # Entry from the bottom edge at (v, y0), climbing to the valley.
-    fb = pw.restrict_raw(bottom.cost.raw, vx0, vx1)
-    climb = (0.5, -(y0 + c), (y0 + c) ** 2 / 2.0, vx0, vx1)
-    b1_bottom, _ = pw.add_raw(fb, None, (climb,))
+    gb = pw.restrict_raw(bottom.cost.raw, vx0, vx1)
+    climb = (1.0, -2.0 * (y0 + c), (y0 + c) ** 2 - s00, vx0, vx1)
+    b1_bottom, _ = pw.add_raw(gb, None, (climb,))
 
     # Entry from the left edge at (x0, v - c), moving right to the valley.
-    fl = pw.restrict_raw(pw.shift_raw(left.cost.raw, -c), vx0, vx1)
-    walk = (0.5, -x0, x0 * x0 / 2.0, vx0, vx1)
-    b1_left, _ = pw.add_raw(fl, None, (walk,))
+    gl = pw.restrict_raw(pw.shift_raw(left.cost.raw, -c), vx0, vx1)
+    walk = (1.0, -2.0 * x0, x0 * x0 + s00, vx0, vx1)
+    b1_left, _ = pw.add_raw(gl, None, (walk,))
 
     valley_env, vtags = pw.lower_envelope(
         [
@@ -321,13 +306,13 @@ def propagate_type_b(
     b2, argmins, _ = pw.cumulative_min(valley_env)
 
     # Exit upward to the top edge at (t, y1): transport (y1 - t + c)^2 / 2.
-    up = (0.5, -(y1 + c), (y1 + c) ** 2 / 2.0, vx0, vx1)
+    up = (1.0, -2.0 * (y1 + c), (y1 + c) ** 2 + _s_halfsq(x0 - y1 - c), vx0, vx1)
     b3_top, _ = pw.add_raw(b2.raw, None, (up,))
     top = [(pw.from_raw(b3_top), (PREF_B, Prov("B", "", ("top",))))]
     # Exit rightward to (x1, tau): valley coordinate tau + c.
     shifted = pw.shift_raw(b2.raw, c)
     t_lo, t_hi = vx0 - c, vx1 - c
-    side = (0.5, -(x1 - c), (x1 - c) ** 2 / 2.0, t_lo, t_hi)
+    side = (1.0, -2.0 * (x1 - c), (x1 - c) ** 2 - _s_halfsq(x1 - y0 - c), t_lo, t_hi)
     b3_right, _ = pw.add_raw(shifted, None, (side,))
     right = [(pw.from_raw(b3_right), (PREF_B, Prov("B", "", ("right",))))]
     return top, right, BRecord(valley_env, tuple(vtags), b2, tuple(argmins))
@@ -348,12 +333,14 @@ def _c2_catalogue(
     valley: bool,
 ) -> List[Tuple[PiecewiseQuadratic, float, float]]:
     """Single-turn path costs from the bottom edge to the right edge,
-    in normalised frame coordinates.
+    in normalised frame coordinates and reduced costs.
 
     A path enters at (s, Y0-edge), runs "up" to level t, then "right" to
-    the output edge; its cost is
+    the output edge; with f the entry edge's reduced cost, the path's
+    reduced cost (its S-terms doubled by the two edges' R) is
 
-        pathcost(s, t) = f(s) + S(s - Y0 - C) + S(X1 - t - C) - 2 S(s - t - C)
+        pathcost(s, t) = f(s) + 2 [S(s - Y0 - C) + S(X1 - t - C) - S(s - t - C)]
+                         - S(X0 - Y0 - C) - S(X1 - Y0 - C)
 
     with S(u) = u|u|/2.  Since S'(u) = |u|, pathcost is C^1 in s wherever
     f is, so for each t its minimum over s lies at a stationary point
@@ -364,9 +351,9 @@ def _c2_catalogue(
       stationary solution s(t) of d pathcost / d s = 0 where the
       curvature is positive (linear in t);
     * fixed entries at X0 when lo_entry is set and at every inner
-      breakpoint where f kinks convexly.  The entry at X1 costs
-      f(X1) + S(X1 - Y0 - C) - S(X1 - t - C), the corner route: the
-      caller builds it from the output edge's integral.
+      breakpoint where f kinks convexly (judged on the full cost's
+      slopes).  The entry at X1 is the corner route, a constant: the
+      caller builds it.
 
     Nothing else can win: a minimum cannot sit at a concave kink, and at
     the sign breaklines s = Y0 + C and s = t + C pathcost is C^1, so a
@@ -377,30 +364,31 @@ def _c2_catalogue(
     source coordinate s = alpha * t + beta.
 
     A path entering at X0 first runs along the other input edge, whose
-    cost meets f there and is travel-closed (see the module docstring).
-    So in the bottom frame the straight transport C1 from the left edge
-    at level t costs no more, as fl(t) <= fb(x0) + the integral of h from
-    (x0, y0) to (x0, t), and C1 wins the ties (PREF_LEFT); the bottom
-    frame passes lo_entry=False.  The transposed frame (swap axes, negate
-    C) yields the left-to-top family, which is required for exactness and
+    cost meets f there and whose reduced cost never rises.  So in the
+    bottom frame the straight transport C1 from the left edge at level t
+    costs no more, and C1 wins the ties (PREF_LEFT); the bottom frame
+    passes lo_entry=False.  The transposed frame (swap axes, negate C)
+    yields the left-to-top family, which is required for exactness and
     symmetric to this one; it keeps X0 (lo_entry=True), whose entry there
     wins its ties against C1T under the larger-y convention.
     """
     tol = pw.TOLERANCE * (1.0 + abs(X0) + abs(X1) + abs(Y0) + abs(Y1))
     out: List[Tuple[PiecewiseQuadratic, float, float]] = []
     y0c = Y0 + C
-    ride = (1.0, -1.0, X1 - C)  # the S(X1 - t - C) term of every family
+    const = -_s_halfsq(X0 - y0c) - _s_halfsq(X1 - y0c)
+    ride = (2.0, -1.0, X1 - C)  # the 2 S(X1 - t - C) term of every family
 
     # Fixed entry coordinates: the domain ends and the convex kinks.
     raw = f.raw
     s_candidates = [raw[0][3]] if lo_entry else []
     for (la, lb, _, _, s), (ra, rb, _, _, _) in zip(raw, raw[1:]):
-        dl, dr = 2.0 * la * s + lb, 2.0 * ra * s + rb
+        w = abs(s - y0c)  # the slope of the entry edge's running integral
+        dl, dr = 2.0 * la * s + lb + w, 2.0 * ra * s + rb + w
         if dr - dl > 1e-9 * (abs(dl) + abs(dr)):
             s_candidates.append(s)
     for s_hat in s_candidates:
-        const = pw.evaluate(f, s_hat) + _s_halfsq(s_hat - Y0 - C)
-        frag = _s_combination_raw([ride, (-2.0, -1.0, s_hat - C)], const, Y0, Y1)
+        entry = pw.evaluate(f, s_hat) + 2.0 * _s_halfsq(s_hat - y0c) + const
+        frag = _s_combination_raw([ride, (-2.0, -1.0, s_hat - C)], entry, Y0, Y1)
         out.append((pw.from_raw(frag), 0.0, s_hat))
 
     for pa, pb, pc, p_lo, p_hi in raw:
@@ -414,11 +402,11 @@ def _c2_catalogue(
                 continue
             sig_s = 1.0 if 0.5 * (sl + sh) - Y0 - C >= 0 else -1.0
             for sig_d in (1.0,) if valley and sig_s > 0 else (1.0, -1.0):
-                kappa = 2.0 * pa + sig_s - 2.0 * sig_d
+                kappa = 2.0 * pa + 2.0 * sig_s - 2.0 * sig_d
                 if kappa <= pw.TOLERANCE:
                     continue  # not a minimum in s
                 alpha = -2.0 * sig_d / kappa
-                beta = (sig_s * y0c - 2.0 * sig_d * C - pb) / kappa
+                beta = (2.0 * sig_s * y0c - 2.0 * sig_d * C - pb) / kappa
                 # t range where s(t) stays in [sl, sh] and on the sig_d side:
                 # keep t with g0 * t + g1 >= 0 for each constraint.
                 t_lo, t_hi = Y0, Y1
@@ -440,14 +428,14 @@ def _c2_catalogue(
                 if t_hi - t_lo <= tol:
                     continue
                 qa, qb, qc = pw.compose_linear(pa, pb, pc, alpha, beta)
+                # 2 S(s(t) - Y0 - C) and -2 S(s(t) - t - C) with s(t) linear
                 ea, eb, ec = pw.compose_linear(
-                    sig_s * 0.5, -sig_s * y0c, sig_s * y0c ** 2 / 2.0, alpha, beta
+                    sig_s, -2.0 * sig_s * y0c, sig_s * y0c ** 2, alpha, beta
                 )
-                # -2 * sig_d * (s(t) - t - C)^2 / 2 with s(t) linear
                 da, db, dc = pw.compose_linear(
                     -sig_d, 0.0, 0.0, alpha - 1.0, beta - C
                 )
-                base = _s_combination_raw([ride], 0.0, t_lo, t_hi)
+                base = _s_combination_raw([ride], const, t_lo, t_hi)
                 pieces = [
                     (a + qa + ea + da, b + qb + eb + db, c + qc + ec + dc, lo, hi)
                     for a, b, c, lo, hi in base
@@ -457,39 +445,39 @@ def _c2_catalogue(
 
 
 def propagate_type_c(
-    cell: Cell,
-    bottom: BoundaryCost,
-    left: BoundaryCost,
-    ride_top: PiecewiseQuadratic,
-    ride_right: PiecewiseQuadratic,
+    cell: Cell, bottom: BoundaryCost, left: BoundaryCost
 ) -> Tuple[List[Fragment], List[Fragment]]:
     """(top, right) fragments of the straight transports (C1 families),
     corner routes and single-turn paths (C2 families) of a same-direction
-    cell, with or without a valley; the rides are as for type A."""
+    cell, with or without a valley; the corner routes are constants."""
     if not cell.same_direction:
         raise WrongCellType("type C applies to same-direction cells")
     x0, x1 = cell.x_range
     y0, y1 = cell.y_range
     c = cell.offset
-    fb, fl = bottom.cost, left.cost
+    gb, gl = bottom.cost, left.cost
+    h_bottom, v_left, _, _ = _edge_integrals(cell)
+    k_top, k_right = _end_value(gl, "hi") + v_left, _end_value(gb, "hi") + h_bottom
     # C1 transposed: bottom to top, vertical transport.
-    c1t = _across(fb, 1.0, -(y0 + c), -(y1 + c), x0, x1)
+    c1t = _across(gb, 1.0, -(y0 + c), -(y1 + c), -v_left, x0, x1)
     # C1: left to right, horizontal transport across the full cell width.
-    c1 = _across(fl, -1.0, x1 - c, x0 - c, y0, y1)
-    top = [(c1t, (PREF_BOTTOM, Prov("C1T", "bottom"))), _corner(fl, ride_top, "left", (x0, y1))]
-    right = [(c1, (PREF_LEFT, Prov("C1", "left"))), _corner(fb, ride_right, "bottom", (x1, y0))]
+    c1 = _across(gl, -1.0, x1 - c, x0 - c, -h_bottom, y0, y1)
+    top = [(c1t, (PREF_BOTTOM, Prov("C1T", "bottom"))),
+           (pw.constant(k_top, x0, x1), (PREF_LEFT, Prov("corner", "left", (x0, y1))))]
+    right = [(c1, (PREF_LEFT, Prov("C1", "left"))),
+             (pw.constant(k_right, y0, y1), (PREF_BOTTOM, Prov("corner", "bottom", (x1, y0))))]
     # C2: bottom to right, single turn; C2T: left to top, the same with the
     # axes swapped and the valley offset negated.
     valley = _valley_span(cell) is not None
-    for frag, alpha, beta in _c2_catalogue(fb, x0, x1, y0, y1, c, False, valley):
+    for frag, alpha, beta in _c2_catalogue(gb, x0, x1, y0, y1, c, False, valley):
         right.append((frag, (PREF_BOTTOM, Prov("C2", "bottom", (alpha, beta)))))
-    for frag, alpha, beta in _c2_catalogue(fl, y0, y1, x0, x1, -c, True, valley):
+    for frag, alpha, beta in _c2_catalogue(gl, y0, y1, x0, x1, -c, True, valley):
         top.append((frag, (PREF_LEFT, Prov("C2T", "left", (alpha, beta)))))
     return top, right
 
 
 # ---------------------------------------------------------------------------
-# travel along an output edge, envelope merge, cell driver
+# travel along an output edge, cell driver
 
 
 def _nonincreasing(raw: Sequence[pw.Raw]) -> bool:
@@ -511,29 +499,23 @@ def _nonincreasing(raw: Sequence[pw.Raw]) -> bool:
 
 
 def apply_edge_travel(
-    env: PiecewiseQuadratic,
-    tags: Sequence[Tuple[float, Prov]],
-    q_edge: PiecewiseQuadratic,
+    env: PiecewiseQuadratic, tags: Sequence[Tuple[float, Prov]]
 ) -> Tuple[PiecewiseQuadratic, List[Tuple[float, Prov]]]:
     """Allow paths to continue along the output edge after any exit.
 
-    g(t) = min over s <= t of (env(s) + integral of h between s and t along
-    the edge): subtract the running edge integral, take the tagged
-    cumulative minimum, and add the integral back.  Ties prefer the direct
-    fragment (no travel).
+    In reduced costs travel along the edge is free, so the result is the
+    tagged cumulative minimum g(t) = min over s <= t of env(s), or env
+    itself when it never rises.  Ties prefer the direct fragment (no
+    travel).
     """
-    edge = q_edge.raw
-    diff, dtags = pw.add_raw(env.raw, tags, edge, sign=-1.0)
-    if _nonincreasing(diff):
+    if _nonincreasing(env.raw):
         return env, list(tags)  # no travel wins: env is its own minimum
-    dmin, args, mtags = pw.cumulative_min(pw.from_raw(diff), dtags)
+    g, args, mtags = pw.cumulative_min(env, tags)
     # A flat piece departs from the argmin s*: wrap its source's provenance.
-    new_tags = [
+    return g, [
         tag if arg is None else (tag[0], Prov("travel", "", (arg,), tag[1]))
         for arg, tag in zip(args, mtags)
     ]
-    g, gtags = pw.normalize_raw(*pw.add_raw(dmin.raw, new_tags, edge))
-    return pw.from_raw(g), gtags
 
 
 def _pin_end(
@@ -560,50 +542,40 @@ def _pin_end(
 
 
 def solve_cell(
-    cell: Cell,
-    bottom: BoundaryCost,
-    left: BoundaryCost,
+    cell: Cell, bottom: BoundaryCost, left: BoundaryCost
 ) -> Tuple[BoundaryCost, BoundaryCost, Optional[BRecord]]:
-    """Output-edge boundary costs of one cell from its input-edge costs,
-    and the valley record of a cell the B family rides (None elsewhere).
-
-    The inputs must be travel-closed, as every base-case edge and every
-    output of this function is.  The travel pass then runs only in
-    same-direction cells: in an opposite-direction cell envelope minus
-    edge integral never rises (see the module docstring), so it would
-    give the envelope back.
+    """Output-edge reduced costs of one cell from its input-edge reduced
+    costs, and the valley record of a cell the B family rides (None
+    elsewhere).  The inputs must never rise, as every base-case edge and
+    every output of this function does.
     """
-    x0, x1 = cell.x_range
-    y0, y1 = cell.y_range
     b_rec: Optional[BRecord] = None
-    ride_top = edge_height_running(cell, "top")
-    ride_right = edge_height_running(cell, "right")
-
     if not cell.same_direction:
-        frags_top, frags_right = propagate_type_a(cell, bottom, left, ride_top, ride_right)
+        (fin_top, prov_top), (fin_right, prov_right) = propagate_type_a(cell, bottom, left)
     else:
-        frags_top, frags_right = propagate_type_c(cell, bottom, left, ride_top, ride_right)
+        frags_top, frags_right = propagate_type_c(cell, bottom, left)
         if _valley_span(cell) is not None:
             b_top, b_right, b_rec = propagate_type_b(cell, bottom, left)
             frags_top += b_top
             frags_right += b_right
+        fin_top, prov_top = apply_edge_travel(*pw.lower_envelope(frags_top, *cell.x_range))
+        fin_right, prov_right = apply_edge_travel(*pw.lower_envelope(frags_right, *cell.y_range))
 
-    fin_top, prov_top = pw.lower_envelope(frags_top, x0, x1)
-    fin_right, prov_right = pw.lower_envelope(frags_right, y0, y1)
-    if cell.same_direction:
-        fin_top, prov_top = apply_edge_travel(fin_top, prov_top, ride_top)
-        fin_right, prov_right = apply_edge_travel(fin_right, prov_right, ride_right)
-
-    # Corner continuity: the output functions meet known values at three
+    # Corner continuity: the output functions meet known costs at three
     # corners; pin away sub-tolerance drift.  Every edge function spans
-    # its edge, so its corner values are those of its end pieces.
-    right_lo = min(_end_value(fin_right, "lo"), _end_value(bottom.cost, "hi"))
-    top_lo = min(_end_value(fin_top, "lo"), _end_value(left.cost, "hi"))
+    # its edge, so its corner values are those of its end pieces, and an
+    # edge's cost at its end is the reduced cost plus the edge's integral.
+    h_bottom, v_left, h_top, v_right = _edge_integrals(cell)
+    right_lo = min(_end_value(fin_right, "lo"), _end_value(bottom.cost, "hi") + h_bottom)
+    top_lo = min(_end_value(fin_top, "lo"), _end_value(left.cost, "hi") + v_left)
     fin_right = _pin_end(fin_right, "lo", right_lo)
     fin_top = _pin_end(fin_top, "lo", top_lo)
-    shared = min(_end_value(fin_top, "hi"), _end_value(fin_right, "hi"))
-    fin_top = _pin_end(fin_top, "hi", shared)
-    fin_right = _pin_end(fin_right, "hi", shared)
+    at_top = _end_value(fin_top, "hi") + h_top
+    at_right = _end_value(fin_right, "hi") + v_right
+    if at_top < at_right:
+        fin_right = _pin_end(fin_right, "hi", at_top - v_right)
+    elif at_right < at_top:
+        fin_top = _pin_end(fin_top, "hi", at_right - h_top)
 
     top_bc = BoundaryCost(fin_top, tuple(prov_top))
     right_bc = BoundaryCost(fin_right, tuple(prov_right))

@@ -4,8 +4,10 @@ Everything here is deliberately independent of the production algorithms:
 dense sampling, brute-force enumeration, and direct numerical integration.
 Slower and cruder, but with failure modes unrelated to the code under test.
 The exceptions are reference implementations that a rework must match
-exactly (the lattice solver, one-piece envelope insertion) and the
-invariant checks on piecewise functions that only tests run.
+exactly (the lattice solver, one-piece envelope insertion), the
+invariant checks on piecewise functions that only tests run, and the
+conversion between a cost along a cell edge and the reduced cost the
+solver stores for it.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from cdtw.curves import Curve, build_curve, height, point_at
+from cdtw import piecewise as pw
+from cdtw.curves import Cell, Curve, build_curve, height, point_at
 from cdtw.errors import InvariantViolation
 from cdtw.piecewise import TOLERANCE, _compare_span
+from cdtw.propagation import edge_height_running
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +48,35 @@ def random_curve(rng: random.Random, n: int, lo: float = 0.0, hi: float = 2.0) -
 def breakpoints(f) -> List[float]:
     """Piece boundaries of a PiecewiseQuadratic, from its raw pieces."""
     return [p[3] for p in f.raw] + [f.raw[-1][4]]
+
+
+def lifted(f, dc: float):
+    """f + dc, piece by piece."""
+    return pw.from_raw([(a, b, c + dc, lo, hi) for a, b, c, lo, hi in f.raw])
+
+
+# ---------------------------------------------------------------------------
+# costs along cell edges and their reduced form
+
+
+def _plus_ride(cell: Cell, side: str, f, sign: float):
+    ride = pw.restrict_raw(edge_height_running(cell, side).raw, f.lo, f.hi)
+    ride = [(sign * a, sign * b, sign * c, lo, hi) for a, b, c, lo, hi in ride]
+    pieces, _ = pw.add_raw(f.raw, None, ride)
+    return pw.from_raw(pieces)
+
+
+def reduced(cell: Cell, side: str, f):
+    """The reduced cost g = f - R the solver stores for the cost f along
+    one side of a cell, R being the running integral of the height along
+    that edge (over f's domain, which may be part of the edge)."""
+    return _plus_ride(cell, side, f, -1.0)
+
+
+def full(cell: Cell, side: str, g):
+    """The cost f = g + R along one side of a cell, from a reduced cost g:
+    a stored edge or a fragment of one."""
+    return _plus_ride(cell, side, g, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from cdtw import cli
 from cdtw.baselines import dtw
 from cdtw.cli import main
+from cdtw.errors import InvariantViolation
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -274,6 +275,23 @@ class TestMatrix:
         monkeypatch.setattr(cli, "load_series", counted)
         assert main(["matrix", str(tmp_path), "--jobs", "1"]) == 0
         assert sorted(parsed) == ["s0.csv", "s1.csv", "s2.csv", "s3.csv"]
+
+    def test_solver_error_names_the_pair(self, tmp_path, monkeypatch, capsys):
+        write(tmp_path, "a.csv", "0\n1\n")
+        write(tmp_path, "b.csv", "0.5\n1.5\n")
+        write(tmp_path, "c.csv", "1\n0\n2\n")
+        original = cli.cdtw_exact
+
+        def failing(P, Q, config=None):
+            if P.vertices == (0.5, 1.5) and Q.vertices == (1.0, 0.0, 2.0):
+                raise InvariantViolation("cell (1,1): corner value mismatch")
+            return original(P, Q, config=config)
+
+        monkeypatch.setattr(cli, "cdtw_exact", failing)
+        assert main(["matrix", str(tmp_path), "--jobs", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "b.csv vs " in err and "c.csv: cell (1,1): corner value mismatch" in err
+        assert "a.csv" not in err
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_one_value_file_named(self, tmp_path, capsys, jobs):

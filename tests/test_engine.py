@@ -1,9 +1,11 @@
 """Whole-curve solver tests: closed-form values, warp path reconstruction,
 invariances, statistics, and serialization."""
 
+import importlib.util
 import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,6 +299,39 @@ class TestRobustness:
                     left = (p[0] * x + p[1]) * x + p[2]
                     right = (q[0] * x + q[1]) * x + q[2]
                     assert abs(left - right) <= 1e-12 * (1.0 + abs(left)), key
+
+    def test_stored_edges_never_rise(self):
+        # Every stored edge is a reduced cost g = f - R, and travel-closure
+        # (f(t) <= f(s) + R(t) - R(s) for s < t) says g never rises: checked
+        # at every piece end and interior vertex, against the lowest value
+        # before it.  50 seeded pairs of 2 to 30 uniform values, plus the
+        # three 40-segment pairs of scripts/fingerprint.py.
+        spec = importlib.util.spec_from_file_location(
+            "fingerprint", Path(__file__).parents[1] / "scripts" / "fingerprint.py"
+        )
+        fingerprint = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(fingerprint)
+        rng = random.Random(5)
+        pairs = []
+        for _ in range(50):
+            p = [rng.random() for _ in range(rng.randint(2, 30))]
+            pairs.append((p, [rng.random() for _ in range(rng.randint(2, 30))]))
+        pairs += [(a, b) for a, b, record in fingerprint.corpus() if not record]
+        assert len(pairs) == 53
+        for k, (a, b) in enumerate(pairs):
+            run = solve(a, b, config=EngineConfig(record_path=False)).run
+            edges = [*run.top.items(), *run.right.items()]
+            edges += [(("axis", i), bc) for i, bc in enumerate(run.bottoms + run.lefts)]
+            for key, bc in edges:
+                low = math.inf
+                for qa, qb, qc, lo, hi in bc.cost.raw:
+                    ts = [lo, hi]
+                    if qa != 0.0 and lo < -qb / (2.0 * qa) < hi:
+                        ts.insert(1, -qb / (2.0 * qa))
+                    for t in ts:
+                        g = (qa * t + qb) * t + qc
+                        assert g - low <= 1e-9 * (1.0 + abs(g)), (k, key, t)
+                        low = min(low, g)
 
 
 class TestProvenanceControl:

@@ -51,10 +51,13 @@ def ranked(cands):
 
 
 def travel(f, qc):
-    """apply_edge_travel of f along an edge whose running integral is the
-    single piece qc: min over s <= t of (f(s) - qc(s)) + qc(t)."""
-    g, _ = apply_edge_travel(f, [(1.0, Prov("base", "bottom"))] * len(f), pw.from_raw([qc]))
-    return g
+    """Edge travel of the cost f along an edge whose running integral is
+    the single piece qc: min over s <= t of (f(s) - qc(s)) + qc(t), as
+    apply_edge_travel of the reduced cost f - qc, with qc added back."""
+    qa, qb, qcc = qc[:3]
+    g = pw.from_raw([(a - qa, b - qb, c - qcc, lo, hi) for a, b, c, lo, hi in f.raw])
+    g, _ = apply_edge_travel(g, [(1.0, Prov("base", "bottom"))] * len(g))
+    return pw.from_raw([(a + qa, b + qb, c + qcc, lo, hi) for a, b, c, lo, hi in g.raw])
 
 
 class TestEvaluate:
@@ -339,21 +342,23 @@ class TestOffsetCumulativeMin:
                 assert g.value(t) == pytest.approx(expect, abs=1e-9)
 
     def test_nonincreasing_difference_returns_env(self):
-        # env - edge falls everywhere, so no travel can win and env comes
-        # back with its own pieces and tags.
+        # env - edge falls everywhere, so no travel can win and the reduced
+        # cost env - edge comes back with its own pieces and tags.
         env = pwq((0.3, -1.7, 2.9, 0, 1), (0.1, -1.3, 2.7, 1, 2))
         tags = [(1.0, Prov("C2", "bottom", (0.0, 0.0))), (2.0, Prov("C1", "left"))]
         edge = pw.integrate_abs_linear(1.0, -0.7, 0.0, 2.0)
-        g, gtags = apply_edge_travel(env, tags, edge)
-        assert g.raw == env.raw
-        assert gtags == tags
+        neg = [(-a, -b, -c, lo, hi) for a, b, c, lo, hi in edge.raw]
+        diff, dtags = pw.add_raw(env.raw, tags, neg)
+        g, gtags = apply_edge_travel(pw.from_raw(diff), dtags)
+        assert g.raw == tuple(diff)
+        assert gtags == dtags
 
     def test_upward_jump_gets_travel(self):
         # Each piece of env falls, but the envelope of partial fragments
         # jumps up at 1: past it, travelling from the low point is cheaper.
         env = pwq((0, -1, 2, 0, 1), (0, -1, 4, 1, 2))
         tags = [(1.0, Prov("C2", "bottom", (0.0, 0.0))), (2.0, Prov("C1", "left"))]
-        g, gtags = apply_edge_travel(env, tags, pw.constant(0.0, 0.0, 2.0))
+        g, gtags = apply_edge_travel(env, tags)
         assert g.value(1.5) == pytest.approx(1.0)
         assert gtags[-1][1].kind == "travel"
         assert gtags[-1][1].data == (1.0,)

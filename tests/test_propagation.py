@@ -18,7 +18,7 @@ from cdtw.propagation import (
     Prov,
     _across,
     _c2_catalogue,
-    _lifted,
+    _edge_integrals,
     _s_combination_raw,
     _valley_span,
     apply_edge_travel,
@@ -32,11 +32,14 @@ from cdtw.propagation import (
 
 from helpers import (
     cell_through_cost,
+    full,
     integrate_height_on_leg,
+    lifted,
     minimum,
     path_cost,
     random_curve,
     random_staircase,
+    reduced,
     validate,
 )
 
@@ -55,7 +58,8 @@ def through_cost(cell: Cell, a, b) -> float:
 def random_consistent_input(rng, cell: Cell, side: str) -> BoundaryCost:
     """Random boundary cost shaped like a propagated one: a lower envelope
     of smooth candidates (concave kinks only), made travel-consistent along
-    its edge so moving along the edge never beats re-entering it."""
+    its edge so moving along the edge never beats re-entering it, and
+    stored as the solver stores it, in reduced form."""
     lo, hi = cell.x_range if side == "bottom" else cell.y_range
     items = []
     for _ in range(rng.randint(2, 4)):
@@ -65,27 +69,42 @@ def random_consistent_input(rng, cell: Cell, side: str) -> BoundaryCost:
         qc = rng.uniform(0, 1.5) + qa * s0 * s0
         items.append((pw.from_raw([(qa, qb, qc, lo, hi)]), (0,)))
     f, _ = pw.lower_envelope(items, lo, hi)
+    g = reduced(cell, side, f)
     pref = PREF_BOTTOM if side == "bottom" else PREF_LEFT
-    tags = [(pref, Prov("base", side))] * len(f)
-    f, _ = apply_edge_travel(f, tags, edge_height_running(cell, side))
-    mn, _ = minimum(f)
-    f = _lifted(f, 0.1 - min(mn, 0.0))
-    tags = tuple((pref, Prov("base", side)) for _ in f.pieces)
-    return BoundaryCost(f, tags)
+    g, _ = apply_edge_travel(g, [(pref, Prov("base", side))] * len(g))
+    mn, _ = minimum(full(cell, side, g))
+    g = lifted(g, 0.1 - min(mn, 0.0))
+    tags = tuple((pref, Prov("base", side)) for _ in g.pieces)
+    return BoundaryCost(g, tags)
 
 
 def random_cell_inputs(rng, cell: Cell):
     bottom = random_consistent_input(rng, cell, "bottom")
     left = random_consistent_input(rng, cell, "left")
-    # both edges meet at (x0, y0); force agreement there
+    # both edges meet at (x0, y0), where each edge's running integral is 0;
+    # force agreement there
     d = bottom.cost.value(cell.x_range[0]) - left.cost.value(cell.y_range[0])
-    lc = _lifted(left.cost, d)
+    lc = lifted(left.cost, d)
     return bottom, BoundaryCost(lc, left.prov)
 
 
-def rides(cell: Cell):
-    """The output-edge integrals solve_cell passes to the A and C families."""
-    return edge_height_running(cell, "top"), edge_height_running(cell, "right")
+def costs(cell: Cell, bottom: BoundaryCost, left: BoundaryCost):
+    """The full costs along a cell's input edges."""
+    return full(cell, "bottom", bottom.cost), full(cell, "left", left.cost)
+
+
+def outputs(cell: Cell, top: BoundaryCost, right: BoundaryCost):
+    """The full costs along a cell's output edges."""
+    return full(cell, "top", top.cost), full(cell, "right", right.cost)
+
+
+def base_costs(P, Q):
+    """The full costs along the axis edges of the base case."""
+    bottoms, lefts = base_case(P, Q)
+    return (
+        [full(cell_info(P, Q, i, 1), "bottom", bc.cost) for i, bc in enumerate(bottoms, 1)],
+        [full(cell_info(P, Q, 1, j), "left", bc.cost) for j, bc in enumerate(lefts, 1)],
+    )
 
 
 def random_cell(rng, want_same=None, nmax=4):
@@ -129,7 +148,11 @@ class TestBandIntegrals:
         y0, y1 = cell.y_range
         c = cell.offset
         zero = pw.constant(0.0, *cell.x_range)
-        band = _across(zero, 1.0, -(y0 + c), -(y1 + c), *cell.x_range)
+        _, v_left, _, _ = _edge_integrals(cell)
+        # from a zero full cost on the bottom edge to the top edge
+        g = reduced(cell, "bottom", zero)
+        g = _across(g, 1.0, -(y0 + c), -(y1 + c), -v_left, *cell.x_range)
+        band = full(cell, "top", g)
         for t in np.linspace(*cell.x_range, 17):
             want = integrate_height_on_leg(P, Q, (t, y0), (t, y1), samples=4096)
             assert band.value(t) == pytest.approx(want, abs=1e-6)
@@ -157,8 +180,8 @@ class TestBaseCase:
         # h(z, 0) = z when Q starts at the same value
         P = build_curve([0, 2])
         Q = build_curve([0, 1])
-        bottoms, lefts = base_case(P, Q)
-        f = bottoms[0].cost
+        bottoms, lefts = base_costs(P, Q)
+        f = bottoms[0]
         assert f.value(2.0) == pytest.approx(2.0, abs=1e-12)
         assert f.value(1.0) == pytest.approx(0.5, abs=1e-12)
         assert f.value(0.0) == 0.0
@@ -167,8 +190,8 @@ class TestBaseCase:
         # h(z, 0) = |z - 1| when Q starts at 1
         P = build_curve([0, 2])
         Q = build_curve([1, 2])
-        bottoms, _ = base_case(P, Q)
-        f = bottoms[0].cost
+        bottoms, _ = base_costs(P, Q)
+        f = bottoms[0]
         assert f.value(2.0) == pytest.approx(1.0, abs=1e-12)
         assert len(f.pieces) == 2
         assert f.pieces[0].hi == pytest.approx(1.0, abs=1e-12)
@@ -178,13 +201,13 @@ class TestBaseCase:
         for _ in range(20):
             P = random_curve(rng, rng.randint(2, 5))
             Q = random_curve(rng, rng.randint(2, 5))
-            bottoms, lefts = base_case(P, Q)
-            assert bottoms[0].cost.value(0.0) == pytest.approx(0.0, abs=1e-12)
-            assert lefts[0].cost.value(0.0) == pytest.approx(0.0, abs=1e-12)
+            bottoms, lefts = base_costs(P, Q)
+            assert bottoms[0].value(0.0) == pytest.approx(0.0, abs=1e-12)
+            assert lefts[0].value(0.0) == pytest.approx(0.0, abs=1e-12)
             prev = 0.0
-            for bc in bottoms:
-                for s in np.linspace(bc.cost.lo, bc.cost.hi, 9):
-                    v = bc.cost.value(s)
+            for f in bottoms:
+                for s in np.linspace(f.lo, f.hi, 9):
+                    v = f.value(s)
                     assert v >= prev - 1e-9
                     prev = v
 
@@ -201,15 +224,15 @@ class TestBaseCase:
         rng = random.Random(7)
         P = random_curve(rng, 4)
         Q = random_curve(rng, 3)
-        bottoms, lefts = base_case(P, Q)
-        for bc in bottoms:
-            for s in np.linspace(bc.cost.lo, bc.cost.hi, 7):
+        bottoms, lefts = base_costs(P, Q)
+        for f in bottoms:
+            for s in np.linspace(f.lo, f.hi, 7):
                 want = integrate_height_on_leg(P, Q, (0, 0), (s, 0), samples=8192)
-                assert bc.cost.value(s) == pytest.approx(want, abs=1e-6)
-        for bc in lefts:
-            for s in np.linspace(bc.cost.lo, bc.cost.hi, 7):
+                assert f.value(s) == pytest.approx(want, abs=1e-6)
+        for f in lefts:
+            for s in np.linspace(f.lo, f.hi, 7):
                 want = integrate_height_on_leg(P, Q, (0, 0), (0, s), samples=8192)
-                assert bc.cost.value(s) == pytest.approx(want, abs=1e-6)
+                assert f.value(s) == pytest.approx(want, abs=1e-6)
 
 
 class TestTypeA:
@@ -218,31 +241,33 @@ class TestTypeA:
         _, _, cell = random_cell(rng, want_same=True)
         bottom, left = random_cell_inputs(rng, cell)
         with pytest.raises(WrongCellType):
-            propagate_type_a(cell, bottom, left, *rides(cell))
+            propagate_type_a(cell, bottom, left)
 
     def test_opposite_pair_corner_value(self):
         P = build_curve([0, 1])
         Q = build_curve([1, 0])
         bottoms, lefts = base_case(P, Q)
         cell = cell_info(P, Q, 1, 1)
-        top, right, _ = solve_cell(cell, bottoms[0], lefts[0])
-        assert right.cost.value(1.0) == pytest.approx(1.0, abs=1e-9)
-        assert top.cost.value(1.0) == pytest.approx(1.0, abs=1e-9)
+        top, right = outputs(cell, *solve_cell(cell, bottoms[0], lefts[0])[:2])
+        assert right.value(1.0) == pytest.approx(1.0, abs=1e-9)
+        assert top.value(1.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_constant_input_vertical_transport(self):
-        # constant-zero bottom input: the top fragment is the transport alone
+        # constant-zero bottom input and a left input too dear to use: the
+        # top output is the vertical transport alone
         P = build_curve([0, 1])
         Q = build_curve([1, 0])
         cell = cell_info(P, Q, 1, 1)
-        zero = pw.constant(0.0, *cell.x_range)
-        bc = BoundaryCost(zero, ((PREF_BOTTOM, Prov("base", "bottom")),))
-        zero_l = pw.constant(0.0, *cell.y_range)
-        left = BoundaryCost(zero_l, ((PREF_LEFT, Prov("base", "left")),))
-        top, _right = propagate_type_a(cell, bc, left, *rides(cell))
-        (lifted, _tag) = top[0]
+        zero = reduced(cell, "bottom", pw.constant(0.0, *cell.x_range))
+        bc = BoundaryCost(zero, ((PREF_BOTTOM, Prov("base", "bottom")),) * len(zero))
+        dear = reduced(cell, "left", pw.constant(100.0, *cell.y_range))
+        left = BoundaryCost(dear, ((PREF_LEFT, Prov("base", "left")),) * len(dear))
+        (top, tags), _right = propagate_type_a(cell, bc, left)
+        assert {tag[1].kind for tag in tags} == {"Av"}
+        top = full(cell, "top", top)
         for t in np.linspace(*cell.x_range, 15):
             want = integrate_height_on_leg(P, Q, (t, 0), (t, 1), samples=4096)
-            assert lifted.value(t) == pytest.approx(want, abs=1e-6)
+            assert top.value(t) == pytest.approx(want, abs=1e-6)
 
     def test_staircase_paths_equal_cost(self):
         # any two monotone paths between the same boundary points agree
@@ -273,21 +298,15 @@ class TestTypeA:
         assert len(f) == 1  # hygiene collapses the sliver before propagation
 
     def test_travel_returns_the_envelope(self):
-        # With travel-closed inputs, envelope minus edge integral never
-        # rises on an output edge of an opposite-direction cell, so edge
-        # travel gives the envelope back and solve_cell skips it.
+        # With travel-closed inputs, the reduced cost never rises on an
+        # output edge of an opposite-direction cell, so edge travel gives
+        # the output back and solve_cell skips it.
         rng = random.Random(47)
         for _ in range(40):
             _, _, cell = random_cell(rng, want_same=False)
             bottom, left = random_cell_inputs(rng, cell)
-            ride_top, ride_right = rides(cell)
-            top, right = propagate_type_a(cell, bottom, left, ride_top, ride_right)
-            for frags, (lo, hi), ride in (
-                (top, cell.x_range, ride_top),
-                (right, cell.y_range, ride_right),
-            ):
-                env, tags = pw.lower_envelope(frags, lo, hi)
-                out, out_tags = apply_edge_travel(env, tags, ride)
+            for env, tags in propagate_type_a(cell, bottom, left):
+                out, out_tags = apply_edge_travel(env, tags)
                 xs = {x for f in (env, out) for p in f.raw for x in (p[3], 0.5 * (p[3] + p[4]), p[4])}
                 scale = 1.0 + max(abs(env.value(x)) for x in xs)
                 for x in xs:
@@ -309,10 +328,11 @@ class TestTypeB:
         bottoms, lefts = base_case(P, Q)
         cell = cell_info(P, Q, 1, 1)
         top, right, rec = solve_cell(cell, bottoms[0], lefts[0])
-        assert right.cost.value(1.0) == pytest.approx(0.25, abs=1e-9)
-        assert top.cost.value(1.0) == pytest.approx(0.25, abs=1e-9)
+        f_top, f_right = outputs(cell, top, right)
+        assert f_right.value(1.0) == pytest.approx(0.25, abs=1e-9)
+        assert f_top.value(1.0) == pytest.approx(0.25, abs=1e-9)
         # the pre-travel B fragment reaches (1, 0.5) at cost 0.125
-        assert right.cost.value(0.5) == pytest.approx(0.125, abs=1e-9)
+        assert f_right.value(0.5) == pytest.approx(0.125, abs=1e-9)
         # winner at the corner rides the edge after a valley exit
         k = pw.locate(right.cost.raw, 1.0)
         prov = right.prov[k][1]
@@ -323,12 +343,13 @@ class TestTypeB:
         Q = build_curve([0.5, 1.5])
         cell = cell_info(P, Q, 1, 1)
         (vx0, vy0), (vx1, vy1) = cell.valley
-        zero_b = pw.constant(0.0, *cell.x_range)
-        zero_l = pw.constant(0.0, *cell.y_range)
-        bottom = BoundaryCost(zero_b, ((PREF_BOTTOM, Prov("base", "bottom")),))
-        left = BoundaryCost(zero_l, ((PREF_LEFT, Prov("base", "left")),))
+        zero_b = reduced(cell, "bottom", pw.constant(0.0, *cell.x_range))
+        zero_l = reduced(cell, "left", pw.constant(0.0, *cell.y_range))
+        bottom = BoundaryCost(zero_b, ((PREF_BOTTOM, Prov("base", "bottom")),) * len(zero_b))
+        left = BoundaryCost(zero_l, ((PREF_LEFT, Prov("base", "left")),) * len(zero_l))
         top, _right, rec = propagate_type_b(cell, bottom, left)
         (b3_top, _), = top
+        b3_top = full(cell, "top", b3_top)
         # exit at top coordinate t costs only the climb from the valley
         c = cell.offset
         y1 = cell.y_range[1]
@@ -376,15 +397,17 @@ class TestTypeB:
             top, right, _ = propagate_type_b(cell, bottom, left)
             (b_top, _), = top
             (b_right, _), = right
+            b_top, b_right = full(cell, "top", b_top), full(cell, "right", b_right)
+            fb, fl = costs(cell, bottom, left)
             x0, x1 = cell.x_range
             y0, y1 = cell.y_range
             c = cell.offset
             for v in np.linspace(vx0, vx1, 50):
                 t = v - c  # right edge: turn at (v, t) after climbing from (v, y0)
-                graze = bottom.cost.value(v) + (t - y0) ** 2 / 2 + (x1 - v) ** 2 / 2
+                graze = fb.value(v) + (t - y0) ** 2 / 2 + (x1 - v) ** 2 / 2
                 assert b_right.value(t) <= graze + 1e-9
                 # top edge: turn at (v, v - c) after walking from (x0, v - c)
-                graze = left.cost.value(v - c) + (v - x0) ** 2 / 2 + (y1 + c - v) ** 2 / 2
+                graze = fl.value(v - c) + (v - x0) ** 2 / 2 + (y1 + c - v) ** 2 / 2
                 assert b_top.value(v) <= graze + 1e-9
 
 
@@ -394,21 +417,22 @@ class TestTypeC:
         _, _, cell = random_cell(rng, want_same=False)
         bottom, left = random_cell_inputs(rng, cell)
         with pytest.raises(WrongCellType):
-            propagate_type_c(cell, bottom, left, *rides(cell))
+            propagate_type_c(cell, bottom, left)
 
     def test_c1_constant_shift(self):
         rng = random.Random(17)
         _, _, cell = random_cell(rng, want_same=True)
         k = 0.7
         y0, y1 = cell.y_range
-        const_l = pw.constant(k, y0, y1)
-        const_b = pw.constant(0.0, *cell.x_range)
-        bottom = BoundaryCost(const_b, ((PREF_BOTTOM, Prov("base", "bottom")),))
-        left = BoundaryCost(const_l, ((PREF_LEFT, Prov("base", "left")),))
-        _top, right = propagate_type_c(cell, bottom, left, *rides(cell))
+        const_l = reduced(cell, "left", pw.constant(k, y0, y1))
+        const_b = reduced(cell, "bottom", pw.constant(0.0, *cell.x_range))
+        bottom = BoundaryCost(const_b, ((PREF_BOTTOM, Prov("base", "bottom")),) * len(const_b))
+        left = BoundaryCost(const_l, ((PREF_LEFT, Prov("base", "left")),) * len(const_l))
+        _top, right = propagate_type_c(cell, bottom, left)
         c1 = next(
             (f, t) for f, t in right if t[1].kind == "C1"
         )[0]
+        c1 = full(cell, "right", c1)
         x0, x1 = cell.x_range
         c = cell.offset
         for tau in np.linspace(y0, y1, 11):
@@ -432,17 +456,21 @@ class TestTypeC:
         k = 4.0 * max(abs(x - y - cell.offset) for x in (x0, x1) for y in (y0, y1)) + 1.0
         s_k = float(np.linspace(x0, x1, 1000)[400])
         kinked = pw.from_raw([(0.0, -k, k * s_k, x0, s_k), (0.0, k, -k * s_k, s_k, x1)])
-        bottom = BoundaryCost(kinked, ((PREF_BOTTOM, Prov("base", "bottom")),) * 2)
+        kinked = reduced(cell, "bottom", kinked)
+        bottom = BoundaryCost(kinked, ((PREF_BOTTOM, Prov("base", "bottom")),) * len(kinked))
         cases.append((cell, bottom, cases[0][2]))
         for cell, bottom, left in cases:
-            _top, right = propagate_type_c(cell, bottom, left, *rides(cell))
+            _top, right = propagate_type_c(cell, bottom, left)
             _top_bc, right_bc, _ = solve_cell(cell, bottom, left)
+            right = [(full(cell, "right", f), t) for f, t in right]
+            right_f = full(cell, "right", right_bc.cost)
             x0, x1 = cell.x_range
             y0, y1 = cell.y_range
             bots = [(f, t) for f, t in right if t[1].kind == "C2"]
             c1 = next(f for f, t in right if t[1].kind == "C1")
             ss = np.linspace(x0, x1, 1000)
-            fb = [bottom.cost.value(s) for s in ss]
+            f_bottom = full(cell, "bottom", bottom.cost)
+            fb = [f_bottom.value(s) for s in ss]
             for tau in np.linspace(y0, y1, 9):
                 brute = INF
                 for s, v in zip(ss, fb):
@@ -459,7 +487,7 @@ class TestTypeC:
                 # valley-crossing single turns, attain the exact minimum
                 # over entry points; the sampled brute force can only
                 # overshoot it.  Every C2 fragment is a real path.
-                got = min(best, c1.value(tau), right_bc.cost.value(tau))
+                got = min(best, c1.value(tau), right_f.value(tau))
                 assert got <= brute + 1e-9
                 assert best >= brute - 5e-3
 
@@ -472,25 +500,26 @@ class TestTypeC:
         for _ in range(40):
             _, _, cell = random_cell(rng, want_same=True)
             bottom, left = random_cell_inputs(rng, cell)
-            _top, right = propagate_type_c(cell, bottom, left, *rides(cell))
-            c1 = next(f for f, t in right if t[1].kind == "C1")
+            _top, right = propagate_type_c(cell, bottom, left)
+            c1 = full(cell, "right", next(f for f, t in right if t[1].kind == "C1"))
+            fb, _ = costs(cell, bottom, left)
             x0, x1 = cell.x_range
             y0, y1 = cell.y_range
             for t in np.linspace(y0, y1, 25):
-                route = bottom.cost.value(x0) + through_cost(cell, (x0, y0), (x0, t))
+                route = fb.value(x0) + through_cost(cell, (x0, y0), (x0, t))
                 route += through_cost(cell, (x0, t), (x1, t))
                 assert c1.value(t) <= route + 1e-9 * (1.0 + abs(route))
 
     def test_corner_entry_only_in_the_transposed_frame(self):
         # Fixed entries have alpha = 0 and beta = the entry coordinate.
         # The entry at the domain start stays in the transposed frame
-        # only; the entry at the domain end is the corner route, built
-        # from the output edge's integral as in type A.
+        # only; the entry at the domain end is the corner route, the
+        # input's end cost travelling along the output edge, as in type A.
         rng = random.Random(51)
         for _ in range(20):
             _, _, cell = random_cell(rng, want_same=True)
             bottom, left = random_cell_inputs(rng, cell)
-            top, right = propagate_type_c(cell, bottom, left, *rides(cell))
+            top, right = propagate_type_c(cell, bottom, left)
             x0, x1 = cell.x_range
             y0, y1 = cell.y_range
             c2 = [t[1].data for _f, t in right if t[1].kind == "C2"]
@@ -501,7 +530,10 @@ class TestTypeC:
             (corner_top, tag_t), = [(f, t) for f, t in top if t[1].kind == "corner"]
             assert tag_r == (PREF_BOTTOM, Prov("corner", "bottom", (x1, y0)))
             assert tag_t == (PREF_LEFT, Prov("corner", "left", (x0, y1)))
-            fb_end, fl_end = bottom.cost.value(x1), left.cost.value(y1)
+            corner_right = full(cell, "right", corner_right)
+            corner_top = full(cell, "top", corner_top)
+            fb, fl = costs(cell, bottom, left)
+            fb_end, fl_end = fb.value(x1), fl.value(y1)
             for t in np.linspace(y0, y1, 9):
                 want = fb_end + through_cost(cell, (x1, y0), (x1, t))
                 assert corner_right.value(t) == pytest.approx(want, rel=1e-12, abs=1e-12)
@@ -524,23 +556,24 @@ class TestTypeC:
                 continue
             done += 1
             bottom, left = random_cell_inputs(rng, cell)
-            top, right, _ = solve_cell(cell, bottom, left)
+            top, right = outputs(cell, *solve_cell(cell, bottom, left)[:2])
+            fb, fl = costs(cell, bottom, left)
             x0, x1 = cell.x_range
             y0, y1 = cell.y_range
             c = cell.offset
-            scale = 1.0 + abs(x1) + abs(y1) + bottom.cost.value(x0)
+            scale = 1.0 + abs(x1) + abs(y1) + fb.value(x0)
             # bottom frame: enter at (s, y0) with y0 <= s - c, turn at t > s - c
             for s in np.linspace(max(x0, y0 + c), min(x1, y1 + c), 15):
                 for t in np.linspace(s - c, y1, 9)[1:]:
-                    turn = bottom.cost.value(s) + through_cost(cell, (s, y0), (s, t))
+                    turn = fb.value(s) + through_cost(cell, (s, y0), (s, t))
                     turn += through_cost(cell, (s, t), (x1, t))
-                    assert right.cost.value(t) <= turn + 1e-9 * scale
+                    assert right.value(t) <= turn + 1e-9 * scale
             # transposed frame: enter at (x0, r) with x0 <= r + c, turn at t > r + c
             for r in np.linspace(max(y0, x0 - c), min(y1, x1 - c), 15):
                 for t in np.linspace(r + c, x1, 9)[1:]:
-                    turn = left.cost.value(r) + through_cost(cell, (x0, r), (t, r))
+                    turn = fl.value(r) + through_cost(cell, (x0, r), (t, r))
                     turn += through_cost(cell, (t, r), (t, y1))
-                    assert top.cost.value(t) <= turn + 1e-9 * scale
+                    assert top.value(t) <= turn + 1e-9 * scale
 
     def test_catalogue_drops_crossing_turns_only_where_b_applies(self):
         # Entries of sign region (s - Y0 - C >= 0, s - t - C < 0) have
@@ -569,7 +602,7 @@ class TestTypeC:
                 continue
             b_cells += 1
             bottom, left = random_cell_inputs(rng, cell)
-            top, right = propagate_type_c(cell, bottom, left, *rides(cell))
+            top, right = propagate_type_c(cell, bottom, left)
             for kind, f, box, lo_entry in frames(cell, bottom, left):
                 full = _c2_catalogue(f, *box, lo_entry, False)
                 cut = _c2_catalogue(f, *box, lo_entry, True)
@@ -594,7 +627,7 @@ class TestTypeC:
                         continue
                     point_cells += 1
                     bottom, left = random_cell_inputs(rng, cell)
-                    top, right = propagate_type_c(cell, bottom, left, *rides(cell))
+                    top, right = propagate_type_c(cell, bottom, left)
                     for kind, f, box, lo_entry in frames(cell, bottom, left):
                         full = _c2_catalogue(f, *box, lo_entry, False)
                         emitted = [t[1].data for _f, t in top + right if t[1].kind == kind]
@@ -606,8 +639,7 @@ class TestTypeC:
         bottom, _ = random_cell_inputs(rng, cell)
         f = bottom.cost
         tags = list(bottom.prov)
-        zero = pw.constant(0.0, f.lo, f.hi)
-        out, _prov = apply_edge_travel(f, tags, zero)
+        out, _prov = apply_edge_travel(f, tags)
         want, _, _ = pw.cumulative_min(f)
         for s in np.linspace(f.lo, f.hi, 200):
             assert out.value(s) == pytest.approx(want.value(s), abs=1e-9)
@@ -619,8 +651,8 @@ class TestSolveCell:
         Q = build_curve([0, 1])
         bottoms, lefts = base_case(P, Q)
         cell = cell_info(P, Q, 1, 1)
-        top, right, _ = solve_cell(cell, bottoms[0], lefts[0])
-        assert right.cost.value(1.0) == pytest.approx(0.0, abs=1e-12)
+        _top, right = outputs(cell, *solve_cell(cell, bottoms[0], lefts[0])[:2])
+        assert right.value(1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_outputs_validate_and_cover(self):
         rng = random.Random(25)
@@ -632,25 +664,20 @@ class TestSolveCell:
             assert top.cost.hi == pytest.approx(cell.x_range[1], abs=1e-9)
             assert right.cost.lo == pytest.approx(cell.y_range[0], abs=1e-9)
             assert right.cost.hi == pytest.approx(cell.y_range[1], abs=1e-9)
-            validate(top.cost)
-            validate(right.cost)
+            for f in outputs(cell, top, right):
+                validate(f)
 
     def test_corner_agreement(self):
         rng = random.Random(27)
         for _ in range(30):
             P, Q, cell = random_cell(rng)
             bottom, left = random_cell_inputs(rng, cell)
-            top, right, _ = solve_cell(cell, bottom, left)
-            assert top.cost.value(top.cost.hi) == pytest.approx(
-                right.cost.value(right.cost.hi), abs=1e-9
-            )
+            top, right = outputs(cell, *solve_cell(cell, bottom, left)[:2])
+            bottom, left = costs(cell, bottom, left)
+            assert top.value(top.hi) == pytest.approx(right.value(right.hi), abs=1e-9)
             # output corner meeting an input edge equals the input's value
-            assert right.cost.value(right.cost.lo) == pytest.approx(
-                bottom.cost.value(bottom.cost.hi), abs=1e-9
-            )
-            assert top.cost.value(top.cost.lo) == pytest.approx(
-                left.cost.value(left.cost.hi), abs=1e-9
-            )
+            assert right.value(right.lo) == pytest.approx(bottom.value(bottom.hi), abs=1e-9)
+            assert top.value(top.lo) == pytest.approx(left.value(left.hi), abs=1e-9)
 
     def test_against_through_cost_oracle(self):
         # strict side: the output never beats any single true path;
@@ -663,14 +690,12 @@ class TestSolveCell:
             y0, y1 = cell.y_range
             scale = 1 + abs(x1) + abs(y1)
             bottom, left = random_cell_inputs(rng, cell)
-            top, right, _ = solve_cell(cell, bottom, left)
+            top, right = outputs(cell, *solve_cell(cell, bottom, left)[:2])
+            fb, fl = costs(cell, bottom, left)
 
             def oracle(o):
                 best = INF
-                for fin, lo, hi, is_bottom in (
-                    (bottom.cost, x0, x1, True),
-                    (left.cost, y0, y1, False),
-                ):
+                for fin, lo, hi, is_bottom in ((fb, x0, x1, True), (fl, y0, y1, False)):
                     def v(s):
                         pnt = (s, y0) if is_bottom else (x0, s)
                         w = through_cost(cell, pnt, o)
@@ -688,12 +713,12 @@ class TestSolveCell:
                 return best
 
             for t in np.linspace(x0, x1, 7):
-                got = top.cost.value(t)
+                got = top.value(t)
                 want = oracle((t, y1))
                 assert got <= want + 1e-7 * scale
                 assert got >= want - 1e-4 * scale
             for t in np.linspace(y0, y1, 7):
-                got = right.cost.value(t)
+                got = right.value(t)
                 want = oracle((x1, t))
                 assert got <= want + 1e-7 * scale
                 assert got >= want - 1e-4 * scale
@@ -704,7 +729,8 @@ class TestSolveCell:
         for _ in range(12):
             P, Q, cell = random_cell(rng, want_same=True)
             bottom, left = random_cell_inputs(rng, cell)
-            top, right, _ = solve_cell(cell, bottom, left)
+            _top, right = outputs(cell, *solve_cell(cell, bottom, left)[:2])
+            fb, _ = costs(cell, bottom, left)
             x0, x1 = cell.x_range
             y0, y1 = cell.y_range
             for _ in range(20):
@@ -714,8 +740,8 @@ class TestSolveCell:
                 end = (x1, tau)
                 if end[0] < start[0]:
                     continue
-                got = right.cost.value(tau)
-                base_v = bottom.cost.value(s)
+                got = right.value(tau)
+                base_v = fb.value(s)
                 for _ in range(10):
                     stair = random_staircase(rng, start, end, steps=rng.randint(1, 6))
                     cost = base_v + path_cost(P, Q, stair, samples_per_leg=256)
@@ -783,8 +809,9 @@ class TestSolveCell:
 
     def test_fragments_within_source_pieces_plus_two(self):
         # A transport adds a band of at most three pieces to its source, a
-        # corner route is the two-piece edge integral, a single turn has at
-        # most three pieces, and a valley exit adds one piece to b2.
+        # corner route is a constant, a single turn has at most three
+        # pieces, a valley exit adds one piece to b2, and an
+        # opposite-direction output is its source capped by a constant.
         rng = random.Random(45)
         kinds = set()
         for _ in range(60):
@@ -792,7 +819,7 @@ class TestSolveCell:
             bottom, left = random_cell_inputs(rng, cell)
             sources = {"bottom": len(bottom.cost), "left": len(left.cost)}
             if cell.same_direction:
-                top, right = propagate_type_c(cell, bottom, left, *rides(cell))
+                top, right = propagate_type_c(cell, bottom, left)
                 try:
                     b_top, b_right, rec = propagate_type_b(cell, bottom, left)
                 except WrongCellType:
@@ -801,7 +828,11 @@ class TestSolveCell:
                     top, right = top + b_top, right + b_right
                     sources[""] = len(rec.b2)
             else:
-                top, right = propagate_type_a(cell, bottom, left, *rides(cell))
+                (top, top_tags), (right, right_tags) = propagate_type_a(cell, bottom, left)
+                assert len(top) <= sources["bottom"] + 2
+                assert len(right) <= sources["left"] + 2
+                kinds.update(tag[1].kind for tag in top_tags + right_tags)
+                continue
             for frag, (_pref, prov) in top + right:
                 kinds.add(prov.kind)
                 assert len(frag) <= sources[prov.side] + 2, prov
