@@ -11,11 +11,14 @@ Where a change is allowed to move results by rounding, compare instead
 of printing: ``--against before.json`` (with the flags that made it)
 lists the pairs and edges that differ and the worst relative difference
 in values, path points, grid values and edge functions, and exits 1 if
-any of them is above 1e-12.  Two edge functions are compared at the ends
-and midpoint of every span between the breakpoints of either, each
-evaluated with its piece covering the span; spans narrower than the
-solver tolerance are skipped, so that a breakpoint moved by rounding at
-a jump does not read as the size of the jump.
+any of them is above 1e-12.  A path that changes shape also lists the
+points found on one side only, marking each that lies on one
+axis-parallel line with both its neighbours (dropping it leaves the same
+polyline).  Two edge functions are compared at the ends and midpoint of
+every span between the breakpoints of either, each evaluated with its
+piece covering the span; spans narrower than the solver tolerance are
+skipped, so that a breakpoint moved by rounding at a jump does not read
+as the size of the jump.
 
 The corpus has 60 pairs of 2 to 12 vertices, solved with path recording:
 random values in [0, 2], every fourth pair with small integer values
@@ -130,6 +133,23 @@ def _edge_diff(before: list, after: list) -> float:
     return max(_rel(u, v, scale) for u, v in vals)
 
 
+def _one_side_points(path: list, other: list) -> str:
+    """The points of path missing from other, each marked when it lies on
+    one axis-parallel line with both its neighbours in path."""
+    have = {tuple(p) for p in other}
+    notes = []
+    for k, p in enumerate(path):
+        if tuple(p) in have:
+            continue
+        note = repr(p)
+        if 0 < k < len(path) - 1:
+            (x0, y0), (x1, y1) = path[k - 1], path[k + 1]
+            if x0 == p[0] == x1 or y0 == p[1] == y1:
+                note += " (collinear with its neighbours)"
+        notes.append(note)
+    return ", ".join(notes) or "none"
+
+
 def compare(before: list, after: list) -> int:
     """Print what differs between two fingerprints; 1 if anything moved by
     more than MAX_REL_DIFF (or changed shape), else 0."""
@@ -149,7 +169,8 @@ def compare(before: list, after: list) -> int:
         bp, ap = b.get("path", []), a.get("path", [])
         if b.get("annotations") != a.get("annotations") or len(bp) != len(ap):
             worst["path"] = math.inf
-            notes.append("path shape differs")
+            notes.append(f"path shape differs: {len(bp)} -> {len(ap)} points; before only: "
+                         f"{_one_side_points(bp, ap)}; after only: {_one_side_points(ap, bp)}")
         elif bp != ap:
             scale = max(abs(x) for pt in bp + ap for x in pt)
             d = max(_rel(x, y, scale) for p, q in zip(bp, ap) for x, y in zip(p, q))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .curves import Curve, cell_info, height
-from .errors import InvariantViolation, ProvenanceMissing
+from .errors import CdtwError, InvariantViolation, ProvenanceMissing
 from . import piecewise as pw
 from .propagation import BoundaryCost, BRecord, Prov, base_case, edge_height_running, solve_cell
 
@@ -146,8 +146,8 @@ def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> Cdt
             l_in = right[(i - 1, j)] if i > 1 else lefts[j - 1]
             try:
                 t_bc, r_bc, rec = solve_cell(cell, b_in, l_in)
-            except InvariantViolation as exc:
-                raise InvariantViolation(f"cell ({i},{j}): {exc}") from exc
+            except CdtwError as exc:
+                raise type(exc)(f"cell ({i},{j}), level {k}: {exc}") from exc
             top[(i, j)] = t_bc
             right[(i, j)] = r_bc
             if rec is not None and cfg.record_path:

@@ -409,28 +409,32 @@ def _root_of_piece(p: Quadratic, target: float, lo: float, hi: float) -> float:
 def cumulative_min(
     f: PiecewiseQuadratic,
     tags: Optional[Sequence[Any]] = None,
+    start: Tuple[float, Any] = (math.inf, None),
 ) -> Tuple[PiecewiseQuadratic, List[Optional[float]], Optional[List[Any]]]:
-    """g(t) = min over s <= t of f(s), with per-piece argmin annotations.
+    """g(t) = min(k, min over s <= t of f(s)) with start = (k, tag), and
+    per-piece argmin annotations.
 
     Annotation None means the output piece follows f itself (the minimum at
-    t is attained at t); a float s* means the piece is flat and the minimum
-    was attained earlier, at s*.  With tags (one per piece of f), a follow
-    piece carries the tag of the piece it follows and a flat piece the tag
-    of the piece covering s* (a breakpoint resolves to the left piece, as
-    in locate); pieces merge only where annotation and tag both agree.
+    t is attained at t) or is flat at k; a float s* means the piece is flat
+    and the minimum was attained earlier, at s*.  With tags (one per piece
+    of f), a follow piece carries the tag of the piece it follows, a flat
+    piece at k the start's tag and one at s* the tag of the piece covering
+    s* (a breakpoint resolves to the left piece, as in locate); pieces
+    merge only where annotation and tag both agree.
     """
     tol = TOLERANCE
     raw = f.raw
     out: List[Raw] = []
     keys: List[Tuple[Optional[float], Any]] = []  # (annotation, tag) per piece
-    m = math.inf
-    m_arg = f.lo
+    m, m_arg = start[0], start  # start: the minimum is k
 
-    def emit(piece: Raw, arg: Optional[float]) -> None:
+    def emit(piece: Raw, arg: Any) -> None:
         if piece[4] - piece[3] < 0:
             return
         out.append(piece)
-        if tags is None:
+        if arg is start:
+            keys.append((None, start[1]))
+        elif tags is None:
             keys.append((arg, None))
         else:  # k: the piece of f being split, in the loop below
             keys.append((arg, tags[k if arg is None else locate(raw, arg)]))

@@ -19,31 +19,31 @@ all in reduced costs.  With S(u) = u|u|/2, the integral of |u|:
   most 1 per unit of L1 arc length, so optimal paths dip towards u = 0 as
   fast as allowed: ride the valley if reachable (the B family), otherwise
   turn once at the dip (the C2 families), or transport straight across
-  (C1 families).  The edges' R double a path's S-terms here, and a
-  corner route is a constant.  A lower envelope merges the fragments,
-  and the travel pass along an output edge is its cumulative minimum.
+  (C1 families).  The edges' R double a path's S-terms here.  A lower
+  envelope merges the fragments, and the travel pass along an output
+  edge is its cumulative minimum from the corner route.
 
 Every emitted fragment is the exact cost of a realisable path family, so
 the envelope is a true upper bound everywhere and tight where some family
 is optimal; the families above cover all optimal shapes.  Work that
 cannot change a cell's output is skipped:
 
-* no entry at the bottom edge's start in the bottom-to-right single
-  turns: C1 covers it, and the entry at an edge's end is the corner
-  route (see _c2_catalogue).  Other entries sit only where the minimum
-  over entries can lie (stationary points, convex kinks of the input).
+* no fragment for the route through an output edge's start corner: it
+  is a constant k, so travel starts at k.  No single turn from an input
+  edge's start, which C1 or C1T covers (_c2_catalogue).  Other entries
+  sit only where the minimum over entries can lie (stationary points,
+  convex kinks of the input).
 * no single turn across the valley where B applies.  Entering at (s, y0)
   with s - c >= y0 and turning at t > s - c, it crosses the valley line
   at V = (s, s - c).  The B path from s reaches V at the same cost and
   rides to (t + c, t) for free, where the turn pays (t - s + c)^2 / 2;
   past x1 it leaves at (x1, x1 - c) and travels up for (t - x1 + c)^2 / 2,
   less still.  The transposed frame is the same.
-* the travel pass returns the envelope as it is when it never rises.
+* travel returns the envelope as it is when it never rises from k.
 """
 
 from __future__ import annotations
 
-import math
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import piecewise as pw
@@ -98,6 +98,8 @@ class BRecord(NamedTuple):
 
 # A candidate cost over part of an output edge, tagged (pref, provenance).
 Fragment = Tuple[PiecewiseQuadratic, Tuple[float, Prov]]
+# A route through an output edge's start corner: (constant cost, tag).
+Corner = Tuple[float, Tuple[float, Prov]]
 
 
 def _end_value(f: PiecewiseQuadratic, where: str) -> float:
@@ -225,28 +227,32 @@ def base_case(P: Curve, Q: Curve) -> Tuple[List[BoundaryCost], List[BoundaryCost
 # type A: opposite-direction cells
 
 
-def propagate_type_a(
-    cell: Cell, bottom: BoundaryCost, left: BoundaryCost
-) -> Tuple[Tuple[PiecewiseQuadratic, List], Tuple[PiecewiseQuadratic, List]]:
-    """(top, right) outputs of an opposite-direction cell, each with one
-    provenance tag per piece: top = V + min(g_bottom, g_left(y1)) and
-    right = H + min(g_left, g_bottom(x1)), V and H the integrals of h up
-    the left and along the bottom edge.  The vertical transport and the
-    corner route through the top-left corner stand for all paths to the
-    top (see the module docstring), and likewise on the right.  Ties go
-    to PREF_LEFT: the left corner on top, the horizontal transport on
-    right."""
-    if cell.same_direction:
-        raise WrongCellType("type A applies to opposite-direction cells")
+def _corner_routes(
+    cell: Cell, bottom: BoundaryCost, left: BoundaryCost, h_bottom: float, v_left: float
+) -> Tuple[Corner, Corner]:
+    """The routes to the top and the right edge through their start corners:
+    an input's end cost plus V (or H), then free travel along the edge."""
     x0, x1 = cell.x_range
     y0, y1 = cell.y_range
-    h_bottom, v_left, _, _ = _edge_integrals(cell)
-    k_top = _end_value(left.cost, "hi") + v_left
-    k_right = _end_value(bottom.cost, "hi") + h_bottom
-    top = pw.capped(bottom.cost, v_left, (PREF_BOTTOM, Prov("Av", "bottom")), k_top,
-                    (PREF_LEFT, Prov("corner", "left", (x0, y1))))
-    right = pw.capped(left.cost, h_bottom, (PREF_LEFT, Prov("Ah", "left")), k_right,
-                      (PREF_BOTTOM, Prov("corner", "bottom", (x1, y0))))
+    return ((_end_value(left.cost, "hi") + v_left, (PREF_LEFT, Prov("corner", "left", (x0, y1)))),
+            (_end_value(bottom.cost, "hi") + h_bottom,
+             (PREF_BOTTOM, Prov("corner", "bottom", (x1, y0)))))
+
+
+def propagate_type_a(
+    cell: Cell, bottom: BoundaryCost, left: BoundaryCost, h_bottom: float, v_left: float,
+    top_k: Corner, right_k: Corner,
+) -> Tuple[Tuple[PiecewiseQuadratic, List], Tuple[PiecewiseQuadratic, List]]:
+    """(top, right) outputs of an opposite-direction cell, each with one
+    provenance tag per piece: top = V + min(g_bottom, k_top) and right =
+    H + min(g_left, k_right), V and H the integrals of h up the left and
+    along the bottom edge, k the corner routes.  These stand for all paths
+    (see the module docstring).  Ties go to PREF_LEFT: the left corner on
+    top, the horizontal transport on right."""
+    if cell.same_direction:
+        raise WrongCellType("type A applies to opposite-direction cells")
+    top = pw.capped(bottom.cost, v_left, (PREF_BOTTOM, Prov("Av", "bottom")), *top_k)
+    right = pw.capped(left.cost, h_bottom, (PREF_LEFT, Prov("Ah", "left")), *right_k)
     return top, right
 
 
@@ -329,7 +335,6 @@ def _c2_catalogue(
     Y0: float,
     Y1: float,
     C: float,
-    lo_entry: bool,
     valley: bool,
 ) -> List[Tuple[PiecewiseQuadratic, float, float]]:
     """Single-turn path costs from the bottom edge to the right edge,
@@ -350,10 +355,8 @@ def _c2_catalogue(
     * per input piece and sign region of s - Y0 - C and s - t - C, the
       stationary solution s(t) of d pathcost / d s = 0 where the
       curvature is positive (linear in t);
-    * fixed entries at X0 when lo_entry is set and at every inner
-      breakpoint where f kinks convexly (judged on the full cost's
-      slopes).  The entry at X1 is the corner route, a constant: the
-      caller builds it.
+    * fixed entries at every inner breakpoint where f kinks convexly
+      (judged on the full cost's slopes).
 
     Nothing else can win: a minimum cannot sit at a concave kink, and at
     the sign breaklines s = Y0 + C and s = t + C pathcost is C^1, so a
@@ -363,14 +366,11 @@ def _c2_catalogue(
     Each returned entry is (cost fragment over t, alpha, beta) with
     source coordinate s = alpha * t + beta.
 
+    The entry at X1 is the corner route, which starts the travel pass.
     A path entering at X0 first runs along the other input edge, whose
-    cost meets f there and whose reduced cost never rises.  So in the
-    bottom frame the straight transport C1 from the left edge at level t
-    costs no more, and C1 wins the ties (PREF_LEFT); the bottom frame
-    passes lo_entry=False.  The transposed frame (swap axes, negate C)
-    yields the left-to-top family, which is required for exactness and
-    symmetric to this one; it keeps X0 (lo_entry=True), whose entry there
-    wins its ties against C1T under the larger-y convention.
+    cost meets f there and whose reduced cost never rises, so C1 from
+    that edge at level t costs no more.  The transposed frame (swap axes,
+    negate C) yields the left-to-top family, where C1T covers X0.
     """
     tol = pw.TOLERANCE * (1.0 + abs(X0) + abs(X1) + abs(Y0) + abs(Y1))
     out: List[Tuple[PiecewiseQuadratic, float, float]] = []
@@ -378,18 +378,15 @@ def _c2_catalogue(
     const = -_s_halfsq(X0 - y0c) - _s_halfsq(X1 - y0c)
     ride = (2.0, -1.0, X1 - C)  # the 2 S(X1 - t - C) term of every family
 
-    # Fixed entry coordinates: the domain ends and the convex kinks.
+    # Fixed entries: the convex kinks.
     raw = f.raw
-    s_candidates = [raw[0][3]] if lo_entry else []
-    for (la, lb, _, _, s), (ra, rb, _, _, _) in zip(raw, raw[1:]):
+    for (la, lb, lc, _, s), (ra, rb, _, _, _) in zip(raw, raw[1:]):
         w = abs(s - y0c)  # the slope of the entry edge's running integral
         dl, dr = 2.0 * la * s + lb + w, 2.0 * ra * s + rb + w
         if dr - dl > 1e-9 * (abs(dl) + abs(dr)):
-            s_candidates.append(s)
-    for s_hat in s_candidates:
-        entry = pw.evaluate(f, s_hat) + 2.0 * _s_halfsq(s_hat - y0c) + const
-        frag = _s_combination_raw([ride, (-2.0, -1.0, s_hat - C)], entry, Y0, Y1)
-        out.append((pw.from_raw(frag), 0.0, s_hat))
+            entry = (la * s + lb) * s + lc + 2.0 * _s_halfsq(s - y0c) + const
+            frag = _s_combination_raw([ride, (-2.0, -1.0, s - C)], entry, Y0, Y1)
+            out.append((pw.from_raw(frag), 0.0, s))
 
     for pa, pb, pc, p_lo, p_hi in raw:
         # Interior stationary solutions, split by the sign of s - Y0 - C
@@ -445,33 +442,30 @@ def _c2_catalogue(
 
 
 def propagate_type_c(
-    cell: Cell, bottom: BoundaryCost, left: BoundaryCost
+    cell: Cell, bottom: BoundaryCost, left: BoundaryCost, h_bottom: float, v_left: float
 ) -> Tuple[List[Fragment], List[Fragment]]:
-    """(top, right) fragments of the straight transports (C1 families),
-    corner routes and single-turn paths (C2 families) of a same-direction
-    cell, with or without a valley; the corner routes are constants."""
+    """(top, right) fragments of the straight transports (C1 families)
+    and single-turn paths (C2 families) of a same-direction cell, with or
+    without a valley; H and V are the integrals of h along the bottom and
+    up the left edge."""
     if not cell.same_direction:
         raise WrongCellType("type C applies to same-direction cells")
     x0, x1 = cell.x_range
     y0, y1 = cell.y_range
     c = cell.offset
     gb, gl = bottom.cost, left.cost
-    h_bottom, v_left, _, _ = _edge_integrals(cell)
-    k_top, k_right = _end_value(gl, "hi") + v_left, _end_value(gb, "hi") + h_bottom
     # C1 transposed: bottom to top, vertical transport.
     c1t = _across(gb, 1.0, -(y0 + c), -(y1 + c), -v_left, x0, x1)
     # C1: left to right, horizontal transport across the full cell width.
     c1 = _across(gl, -1.0, x1 - c, x0 - c, -h_bottom, y0, y1)
-    top = [(c1t, (PREF_BOTTOM, Prov("C1T", "bottom"))),
-           (pw.constant(k_top, x0, x1), (PREF_LEFT, Prov("corner", "left", (x0, y1))))]
-    right = [(c1, (PREF_LEFT, Prov("C1", "left"))),
-             (pw.constant(k_right, y0, y1), (PREF_BOTTOM, Prov("corner", "bottom", (x1, y0))))]
+    top = [(c1t, (PREF_BOTTOM, Prov("C1T", "bottom")))]
+    right = [(c1, (PREF_LEFT, Prov("C1", "left")))]
     # C2: bottom to right, single turn; C2T: left to top, the same with the
     # axes swapped and the valley offset negated.
     valley = _valley_span(cell) is not None
-    for frag, alpha, beta in _c2_catalogue(gb, x0, x1, y0, y1, c, False, valley):
+    for frag, alpha, beta in _c2_catalogue(gb, x0, x1, y0, y1, c, valley):
         right.append((frag, (PREF_BOTTOM, Prov("C2", "bottom", (alpha, beta)))))
-    for frag, alpha, beta in _c2_catalogue(gl, y0, y1, x0, x1, -c, True, valley):
+    for frag, alpha, beta in _c2_catalogue(gl, y0, y1, x0, x1, -c, valley):
         top.append((frag, (PREF_LEFT, Prov("C2T", "left", (alpha, beta)))))
     return top, right
 
@@ -480,13 +474,12 @@ def propagate_type_c(
 # travel along an output edge, cell driver
 
 
-def _nonincreasing(raw: Sequence[pw.Raw]) -> bool:
+def _nonincreasing(raw: Sequence[pw.Raw], low: float) -> bool:
     """True when every piece has a derivative <= 0 at both ends and no
-    piece starts above the lowest value before it by more than the slack
-    cumulative_min allows (an envelope of partial fragments can jump
-    upward at a breakpoint).  The cumulative minimum of such a function
-    follows it everywhere."""
-    low = math.inf
+    piece starts above low or the lowest value before it by more than the
+    slack cumulative_min allows (an envelope of partial fragments can
+    jump upward at a breakpoint).  The cumulative minimum of such a
+    function, started at low, follows it everywhere."""
     for a, b, c, lo, hi in raw:
         if 2.0 * a * lo + b > 0.0 or 2.0 * a * hi + b > 0.0:
             return False
@@ -499,18 +492,18 @@ def _nonincreasing(raw: Sequence[pw.Raw]) -> bool:
 
 
 def apply_edge_travel(
-    env: PiecewiseQuadratic, tags: Sequence[Tuple[float, Prov]]
+    env: PiecewiseQuadratic, tags: Sequence[Tuple[float, Prov]], start: Corner
 ) -> Tuple[PiecewiseQuadratic, List[Tuple[float, Prov]]]:
     """Allow paths to continue along the output edge after any exit.
 
-    In reduced costs travel along the edge is free, so the result is the
-    tagged cumulative minimum g(t) = min over s <= t of env(s), or env
-    itself when it never rises.  Ties prefer the direct fragment (no
-    travel).
+    Travel along the edge is free in reduced costs, so the result is the
+    tagged cumulative minimum of env started at the corner route start =
+    (k, tag), or env itself when it never rises and starts at or below k.
+    Flat pieces at k keep tag; ties prefer the direct fragment (no travel).
     """
-    if _nonincreasing(env.raw):
+    if _nonincreasing(env.raw, start[0]):
         return env, list(tags)  # no travel wins: env is its own minimum
-    g, args, mtags = pw.cumulative_min(env, tags)
+    g, args, mtags = pw.cumulative_min(env, tags, start)
     # A flat piece departs from the argmin s*: wrap its source's provenance.
     return g, [
         tag if arg is None else (tag[0], Prov("travel", "", (arg,), tag[1]))
@@ -550,26 +543,27 @@ def solve_cell(
     every output of this function does.
     """
     b_rec: Optional[BRecord] = None
+    h_bottom, v_left, h_top, v_right = _edge_integrals(cell)
+    top_k, right_k = _corner_routes(cell, bottom, left, h_bottom, v_left)
     if not cell.same_direction:
-        (fin_top, prov_top), (fin_right, prov_right) = propagate_type_a(cell, bottom, left)
+        (fin_top, prov_top), (fin_right, prov_right) = propagate_type_a(
+            cell, bottom, left, h_bottom, v_left, top_k, right_k)
     else:
-        frags_top, frags_right = propagate_type_c(cell, bottom, left)
+        frags_top, frags_right = propagate_type_c(cell, bottom, left, h_bottom, v_left)
         if _valley_span(cell) is not None:
             b_top, b_right, b_rec = propagate_type_b(cell, bottom, left)
             frags_top += b_top
             frags_right += b_right
-        fin_top, prov_top = apply_edge_travel(*pw.lower_envelope(frags_top, *cell.x_range))
-        fin_right, prov_right = apply_edge_travel(*pw.lower_envelope(frags_right, *cell.y_range))
+        fin_top, prov_top = apply_edge_travel(*pw.lower_envelope(frags_top, *cell.x_range), top_k)
+        fin_right, prov_right = apply_edge_travel(
+            *pw.lower_envelope(frags_right, *cell.y_range), right_k)
 
     # Corner continuity: the output functions meet known costs at three
     # corners; pin away sub-tolerance drift.  Every edge function spans
     # its edge, so its corner values are those of its end pieces, and an
     # edge's cost at its end is the reduced cost plus the edge's integral.
-    h_bottom, v_left, h_top, v_right = _edge_integrals(cell)
-    right_lo = min(_end_value(fin_right, "lo"), _end_value(bottom.cost, "hi") + h_bottom)
-    top_lo = min(_end_value(fin_top, "lo"), _end_value(left.cost, "hi") + v_left)
-    fin_right = _pin_end(fin_right, "lo", right_lo)
-    fin_top = _pin_end(fin_top, "lo", top_lo)
+    fin_right = _pin_end(fin_right, "lo", min(_end_value(fin_right, "lo"), right_k[0]))
+    fin_top = _pin_end(fin_top, "lo", min(_end_value(fin_top, "lo"), top_k[0]))
     at_top = _end_value(fin_top, "hi") + h_top
     at_right = _end_value(fin_right, "hi") + v_right
     if at_top < at_right:

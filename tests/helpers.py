@@ -24,6 +24,9 @@ from cdtw.errors import InvariantViolation
 from cdtw.piecewise import TOLERANCE, _compare_span
 from cdtw.propagation import edge_height_running
 
+# The start of apply_edge_travel on an edge with no corner route.
+NO_CORNER = (math.inf, None)
+
 
 # ---------------------------------------------------------------------------
 # random instances

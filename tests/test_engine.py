@@ -21,7 +21,7 @@ from cdtw.engine import (
     collect_stats,
     reconstruct_path,
 )
-from cdtw.errors import InsufficientVertices, ProvenanceMissing
+from cdtw.errors import CoverageGap, InsufficientVertices, ProvenanceMissing
 from cdtw.propagation import BRecord, _valley_span
 
 from helpers import path_cost, random_curve, validate
@@ -271,6 +271,15 @@ class TestRobustness:
         P = build_curve(values)
         assert cdtw_exact(P, P).value == pytest.approx(0.0, abs=1e-12)
 
+    def test_every_cell_error_names_the_cell_and_level(self):
+        # A segment narrower than the envelope's tolerance leaves the
+        # envelope of cell (2, 1) without coverage.  The error keeps its
+        # class and names the cell and its anti-diagonal level.
+        P = build_curve([0, 1, 1 + 1e-10, 2])
+        Q = build_curve([0.5, 1.5, 0.1])
+        with pytest.raises(CoverageGap) as info:
+            cdtw_exact(P, Q)
+        assert "cell (2,1), level 3: " in str(info.value)
 
     def test_no_edge_jumps_after_valley_crossing_turns(self):
         # A single turn that crosses the valley line costs 0.5 * (t - x0)^2

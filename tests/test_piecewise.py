@@ -14,6 +14,7 @@ from cdtw.piecewise import Quadratic
 from cdtw.propagation import Prov, apply_edge_travel
 
 from helpers import (
+    NO_CORNER,
     breakpoints,
     numeric_cumulative_min,
     numeric_integral,
@@ -56,7 +57,7 @@ def travel(f, qc):
     apply_edge_travel of the reduced cost f - qc, with qc added back."""
     qa, qb, qcc = qc[:3]
     g = pw.from_raw([(a - qa, b - qb, c - qcc, lo, hi) for a, b, c, lo, hi in f.raw])
-    g, _ = apply_edge_travel(g, [(1.0, Prov("base", "bottom"))] * len(g))
+    g, _ = apply_edge_travel(g, [(1.0, Prov("base", "bottom"))] * len(g), NO_CORNER)
     return pw.from_raw([(a + qa, b + qb, c + qcc, lo, hi) for a, b, c, lo, hi in g.raw])
 
 
@@ -298,6 +299,33 @@ class TestCumulativeMin:
         assert tags == ["a", "b"]
 
 
+    def test_start_value_caps_and_keeps_its_tag(self):
+        # With start = (k, tag) the result is min(cumulative_min(f), k); a
+        # flat piece at k carries tag and no argmin, every other piece
+        # follows or points at f as without a start.
+        rng = random.Random(27)
+        capped = 0
+        for _ in range(60):
+            f = random_pwq(rng)
+            tags = [f"piece{k}" for k in range(len(f))]
+            ref, _, _ = pw.cumulative_min(f)
+            k = rng.uniform(-2.5, 2.5)
+            g, args, out_tags = pw.cumulative_min(f, tags, (k, "corner"))
+            for j in range(40):
+                t = j / 39.0
+                assert g.value(t) == pytest.approx(min(ref.value(t), k), abs=1e-9)
+            for piece, arg, tag in zip(g.raw, args, out_tags):
+                t = 0.5 * (piece[3] + piece[4])
+                if tag == "corner":
+                    capped += 1
+                    assert arg is None and piece[:3] == (0.0, 0.0, k)
+                elif arg is None:
+                    assert g.value(t) == pytest.approx(f.value(t), abs=1e-9)
+                else:
+                    assert g.value(t) == pytest.approx(f.value(arg), abs=1e-6)
+        assert capped > 0
+
+
 class TestOffsetCumulativeMin:
     def test_zero_offset_reduction(self):
         rng = random.Random(31)
@@ -349,7 +377,7 @@ class TestOffsetCumulativeMin:
         edge = pw.integrate_abs_linear(1.0, -0.7, 0.0, 2.0)
         neg = [(-a, -b, -c, lo, hi) for a, b, c, lo, hi in edge.raw]
         diff, dtags = pw.add_raw(env.raw, tags, neg)
-        g, gtags = apply_edge_travel(pw.from_raw(diff), dtags)
+        g, gtags = apply_edge_travel(pw.from_raw(diff), dtags, NO_CORNER)
         assert g.raw == tuple(diff)
         assert gtags == dtags
 
@@ -358,7 +386,7 @@ class TestOffsetCumulativeMin:
         # jumps up at 1: past it, travelling from the low point is cheaper.
         env = pwq((0, -1, 2, 0, 1), (0, -1, 4, 1, 2))
         tags = [(1.0, Prov("C2", "bottom", (0.0, 0.0))), (2.0, Prov("C1", "left"))]
-        g, gtags = apply_edge_travel(env, tags)
+        g, gtags = apply_edge_travel(env, tags, NO_CORNER)
         assert g.value(1.5) == pytest.approx(1.0)
         assert gtags[-1][1].kind == "travel"
         assert gtags[-1][1].data == (1.0,)

@@ -18,6 +18,7 @@ from cdtw.propagation import (
     Prov,
     _across,
     _c2_catalogue,
+    _corner_routes,
     _edge_integrals,
     _s_combination_raw,
     _valley_span,
@@ -31,6 +32,7 @@ from cdtw.propagation import (
 )
 
 from helpers import (
+    NO_CORNER,
     cell_through_cost,
     full,
     integrate_height_on_leg,
@@ -55,6 +57,20 @@ def through_cost(cell: Cell, a, b) -> float:
     return cell_through_cost(cell.offset, cell.same_direction, a, b)
 
 
+def type_a(cell: Cell, bottom: BoundaryCost, left: BoundaryCost):
+    """propagate_type_a with the edge integrals and corner routes that
+    solve_cell hands it."""
+    h_bottom, v_left, _, _ = _edge_integrals(cell)
+    corners = _corner_routes(cell, bottom, left, h_bottom, v_left)
+    return propagate_type_a(cell, bottom, left, h_bottom, v_left, *corners)
+
+
+def type_c(cell: Cell, bottom: BoundaryCost, left: BoundaryCost):
+    """propagate_type_c with the edge integrals that solve_cell hands it."""
+    h_bottom, v_left, _, _ = _edge_integrals(cell)
+    return propagate_type_c(cell, bottom, left, h_bottom, v_left)
+
+
 def random_consistent_input(rng, cell: Cell, side: str) -> BoundaryCost:
     """Random boundary cost shaped like a propagated one: a lower envelope
     of smooth candidates (concave kinks only), made travel-consistent along
@@ -71,7 +87,7 @@ def random_consistent_input(rng, cell: Cell, side: str) -> BoundaryCost:
     f, _ = pw.lower_envelope(items, lo, hi)
     g = reduced(cell, side, f)
     pref = PREF_BOTTOM if side == "bottom" else PREF_LEFT
-    g, _ = apply_edge_travel(g, [(pref, Prov("base", side))] * len(g))
+    g, _ = apply_edge_travel(g, [(pref, Prov("base", side))] * len(g), NO_CORNER)
     mn, _ = minimum(full(cell, side, g))
     g = lifted(g, 0.1 - min(mn, 0.0))
     tags = tuple((pref, Prov("base", side)) for _ in g.pieces)
@@ -241,7 +257,7 @@ class TestTypeA:
         _, _, cell = random_cell(rng, want_same=True)
         bottom, left = random_cell_inputs(rng, cell)
         with pytest.raises(WrongCellType):
-            propagate_type_a(cell, bottom, left)
+            type_a(cell, bottom, left)
 
     def test_opposite_pair_corner_value(self):
         P = build_curve([0, 1])
@@ -262,7 +278,7 @@ class TestTypeA:
         bc = BoundaryCost(zero, ((PREF_BOTTOM, Prov("base", "bottom")),) * len(zero))
         dear = reduced(cell, "left", pw.constant(100.0, *cell.y_range))
         left = BoundaryCost(dear, ((PREF_LEFT, Prov("base", "left")),) * len(dear))
-        (top, tags), _right = propagate_type_a(cell, bc, left)
+        (top, tags), _right = type_a(cell, bc, left)
         assert {tag[1].kind for tag in tags} == {"Av"}
         top = full(cell, "top", top)
         for t in np.linspace(*cell.x_range, 15):
@@ -305,8 +321,8 @@ class TestTypeA:
         for _ in range(40):
             _, _, cell = random_cell(rng, want_same=False)
             bottom, left = random_cell_inputs(rng, cell)
-            for env, tags in propagate_type_a(cell, bottom, left):
-                out, out_tags = apply_edge_travel(env, tags)
+            for env, tags in type_a(cell, bottom, left):
+                out, out_tags = apply_edge_travel(env, tags, NO_CORNER)
                 xs = {x for f in (env, out) for p in f.raw for x in (p[3], 0.5 * (p[3] + p[4]), p[4])}
                 scale = 1.0 + max(abs(env.value(x)) for x in xs)
                 for x in xs:
@@ -417,7 +433,7 @@ class TestTypeC:
         _, _, cell = random_cell(rng, want_same=False)
         bottom, left = random_cell_inputs(rng, cell)
         with pytest.raises(WrongCellType):
-            propagate_type_c(cell, bottom, left)
+            type_c(cell, bottom, left)
 
     def test_c1_constant_shift(self):
         rng = random.Random(17)
@@ -428,7 +444,7 @@ class TestTypeC:
         const_b = reduced(cell, "bottom", pw.constant(0.0, *cell.x_range))
         bottom = BoundaryCost(const_b, ((PREF_BOTTOM, Prov("base", "bottom")),) * len(const_b))
         left = BoundaryCost(const_l, ((PREF_LEFT, Prov("base", "left")),) * len(const_l))
-        _top, right = propagate_type_c(cell, bottom, left)
+        _top, right = type_c(cell, bottom, left)
         c1 = next(
             (f, t) for f, t in right if t[1].kind == "C1"
         )[0]
@@ -460,7 +476,7 @@ class TestTypeC:
         bottom = BoundaryCost(kinked, ((PREF_BOTTOM, Prov("base", "bottom")),) * len(kinked))
         cases.append((cell, bottom, cases[0][2]))
         for cell, bottom, left in cases:
-            _top, right = propagate_type_c(cell, bottom, left)
+            _top, right = type_c(cell, bottom, left)
             _top_bc, right_bc, _ = solve_cell(cell, bottom, left)
             right = [(full(cell, "right", f), t) for f, t in right]
             right_f = full(cell, "right", right_bc.cost)
@@ -500,7 +516,7 @@ class TestTypeC:
         for _ in range(40):
             _, _, cell = random_cell(rng, want_same=True)
             bottom, left = random_cell_inputs(rng, cell)
-            _top, right = propagate_type_c(cell, bottom, left)
+            _top, right = type_c(cell, bottom, left)
             c1 = full(cell, "right", next(f for f, t in right if t[1].kind == "C1"))
             fb, _ = costs(cell, bottom, left)
             x0, x1 = cell.x_range
@@ -510,28 +526,49 @@ class TestTypeC:
                 route += through_cost(cell, (x0, t), (x1, t))
                 assert c1.value(t) <= route + 1e-9 * (1.0 + abs(route))
 
-    def test_corner_entry_only_in_the_transposed_frame(self):
+    def test_c1t_covers_the_left_start_entry(self):
+        # The single turn entering the left edge at its start (x0, y0)
+        # runs along the bottom edge and then up; the bottom input is
+        # travel-closed and meets the left input there, so C1T costs no
+        # more, and the transposed-frame catalogue leaves that entry out.
+        rng = random.Random(50)
+        for _ in range(40):
+            _, _, cell = random_cell(rng, want_same=True)
+            bottom, left = random_cell_inputs(rng, cell)
+            top, _right = type_c(cell, bottom, left)
+            c1t = full(cell, "top", next(f for f, t in top if t[1].kind == "C1T"))
+            _, fl = costs(cell, bottom, left)
+            x0, x1 = cell.x_range
+            y0, y1 = cell.y_range
+            for t in np.linspace(x0, x1, 25):
+                route = fl.value(y0) + through_cost(cell, (x0, y0), (t, y0))
+                route += through_cost(cell, (t, y0), (t, y1))
+                assert c1t.value(t) <= route + 1e-9 * (1.0 + abs(route))
+
+    def test_no_fixed_entry_at_either_end(self):
         # Fixed entries have alpha = 0 and beta = the entry coordinate.
-        # The entry at the domain start stays in the transposed frame
-        # only; the entry at the domain end is the corner route, the
-        # input's end cost travelling along the output edge, as in type A.
+        # Neither frame emits one at the domain start (C1 or C1T covers
+        # it) or end, and no corner fragment: the entry at the domain end
+        # is the corner route, the input's end cost travelling along the
+        # output edge, which starts the travel pass as it caps type A.
         rng = random.Random(51)
         for _ in range(20):
             _, _, cell = random_cell(rng, want_same=True)
             bottom, left = random_cell_inputs(rng, cell)
-            top, right = propagate_type_c(cell, bottom, left)
+            top, right = type_c(cell, bottom, left)
             x0, x1 = cell.x_range
             y0, y1 = cell.y_range
             c2 = [t[1].data for _f, t in right if t[1].kind == "C2"]
             c2t = [t[1].data for _f, t in top if t[1].kind == "C2T"]
             assert (0.0, x0) not in c2 and (0.0, x1) not in c2
-            assert (0.0, y0) in c2t and (0.0, y1) not in c2t
-            (corner_right, tag_r), = [(f, t) for f, t in right if t[1].kind == "corner"]
-            (corner_top, tag_t), = [(f, t) for f, t in top if t[1].kind == "corner"]
+            assert (0.0, y0) not in c2t and (0.0, y1) not in c2t
+            assert all(t[1].kind != "corner" for _f, t in top + right)
+            h_bottom, v_left, _, _ = _edge_integrals(cell)
+            (k_top, tag_t), (k_right, tag_r) = _corner_routes(cell, bottom, left, h_bottom, v_left)
             assert tag_r == (PREF_BOTTOM, Prov("corner", "bottom", (x1, y0)))
             assert tag_t == (PREF_LEFT, Prov("corner", "left", (x0, y1)))
-            corner_right = full(cell, "right", corner_right)
-            corner_top = full(cell, "top", corner_top)
+            corner_right = full(cell, "right", pw.constant(k_right, y0, y1))
+            corner_top = full(cell, "top", pw.constant(k_top, x0, x1))
             fb, fl = costs(cell, bottom, left)
             fb_end, fl_end = fb.value(x1), fl.value(y1)
             for t in np.linspace(y0, y1, 9):
@@ -586,8 +623,8 @@ class TestTypeC:
             y0, y1 = cell.y_range
             c = cell.offset
             return (
-                ("C2", bottom.cost, (x0, x1, y0, y1, c), False),
-                ("C2T", left.cost, (y0, y1, x0, x1, -c), True),
+                ("C2", bottom.cost, (x0, x1, y0, y1, c)),
+                ("C2T", left.cost, (y0, y1, x0, x1, -c)),
             )
 
         def crossing(frag, alpha, beta, Y0, C):
@@ -602,10 +639,10 @@ class TestTypeC:
                 continue
             b_cells += 1
             bottom, left = random_cell_inputs(rng, cell)
-            top, right = propagate_type_c(cell, bottom, left)
-            for kind, f, box, lo_entry in frames(cell, bottom, left):
-                full = _c2_catalogue(f, *box, lo_entry, False)
-                cut = _c2_catalogue(f, *box, lo_entry, True)
+            top, right = type_c(cell, bottom, left)
+            for kind, f, box in frames(cell, bottom, left):
+                full = _c2_catalogue(f, *box, False)
+                cut = _c2_catalogue(f, *box, True)
                 keep = [(a, b) for g, a, b in full if not crossing(g, a, b, box[2], box[4])]
                 assert [(a, b) for _g, a, b in cut] == keep
                 dropped += len(full) - len(cut)
@@ -627,9 +664,9 @@ class TestTypeC:
                         continue
                     point_cells += 1
                     bottom, left = random_cell_inputs(rng, cell)
-                    top, right = propagate_type_c(cell, bottom, left)
-                    for kind, f, box, lo_entry in frames(cell, bottom, left):
-                        full = _c2_catalogue(f, *box, lo_entry, False)
+                    top, right = type_c(cell, bottom, left)
+                    for kind, f, box in frames(cell, bottom, left):
+                        full = _c2_catalogue(f, *box, False)
                         emitted = [t[1].data for _f, t in top + right if t[1].kind == kind]
                         assert emitted == [(a, b) for _g, a, b in full]
 
@@ -639,7 +676,7 @@ class TestTypeC:
         bottom, _ = random_cell_inputs(rng, cell)
         f = bottom.cost
         tags = list(bottom.prov)
-        out, _prov = apply_edge_travel(f, tags)
+        out, _prov = apply_edge_travel(f, tags, NO_CORNER)
         want, _, _ = pw.cumulative_min(f)
         for s in np.linspace(f.lo, f.hi, 200):
             assert out.value(s) == pytest.approx(want.value(s), abs=1e-9)
@@ -678,6 +715,31 @@ class TestSolveCell:
             # output corner meeting an input edge equals the input's value
             assert right.value(right.lo) == pytest.approx(bottom.value(bottom.hi), abs=1e-9)
             assert top.value(top.lo) == pytest.approx(left.value(left.hi), abs=1e-9)
+
+    def test_outputs_at_or_below_the_corner_routes(self):
+        # A same-direction cell builds no corner fragment: the route
+        # through an output edge's start corner, the input's end cost
+        # travelling along the edge, starts the travel pass instead.
+        # Each output still lies at or below it everywhere.
+        rng = random.Random(59)
+        corner_wins = 0
+        for _ in range(40):
+            _, _, cell = random_cell(rng, want_same=True)
+            bottom, left = random_cell_inputs(rng, cell)
+            top_bc, right_bc, _ = solve_cell(cell, bottom, left)
+            top, right = outputs(cell, top_bc, right_bc)
+            fb, fl = costs(cell, bottom, left)
+            x0, x1 = cell.x_range
+            y0, y1 = cell.y_range
+            scale = 1.0 + abs(fb.value(x1)) + abs(fl.value(y1))
+            for t in np.linspace(y0, y1, 25):
+                route = fb.value(x1) + through_cost(cell, (x1, y0), (x1, t))
+                assert right.value(t) <= route + 1e-9 * scale
+            for t in np.linspace(x0, x1, 25):
+                route = fl.value(y1) + through_cost(cell, (x0, y1), (t, y1))
+                assert top.value(t) <= route + 1e-9 * scale
+            corner_wins += any(tag[1].kind == "corner" for tag in top_bc.prov + right_bc.prov)
+        assert corner_wins > 0
 
     def test_against_through_cost_oracle(self):
         # strict side: the output never beats any single true path;
@@ -819,7 +881,7 @@ class TestSolveCell:
             bottom, left = random_cell_inputs(rng, cell)
             sources = {"bottom": len(bottom.cost), "left": len(left.cost)}
             if cell.same_direction:
-                top, right = propagate_type_c(cell, bottom, left)
+                top, right = type_c(cell, bottom, left)
                 try:
                     b_top, b_right, rec = propagate_type_b(cell, bottom, left)
                 except WrongCellType:
@@ -828,7 +890,7 @@ class TestSolveCell:
                     top, right = top + b_top, right + b_right
                     sources[""] = len(rec.b2)
             else:
-                (top, top_tags), (right, right_tags) = propagate_type_a(cell, bottom, left)
+                (top, top_tags), (right, right_tags) = type_a(cell, bottom, left)
                 assert len(top) <= sources["bottom"] + 2
                 assert len(right) <= sources["left"] + 2
                 kinds.update(tag[1].kind for tag in top_tags + right_tags)
