@@ -13,7 +13,6 @@ from .engine import (
     SolveStats,
     WarpPath,
     cdtw_exact,
-    collect_stats,
     reconstruct_path,
 )
 from .errors import (
@@ -40,7 +39,6 @@ __all__ = [
     "Cell",
     "cdtw_exact",
     "reconstruct_path",
-    "collect_stats",
     "CdtwResult",
     "EngineConfig",
     "SolveStats",

@@ -2,9 +2,10 @@
 
 Cells are solved in nondecreasing level order (level = i + j), so both
 input edges of a cell are ready when it is visited.  The final distance is
-the boundary cost at the top-right corner, read from both output edges of
-the last cell and cross-checked.  Per-piece provenance collected during
-propagation supports exact path reconstruction by backtracking.
+the cost at the top-right corner, the smaller of the last cell's two output
+edges read there, as every cell reads its far corner.  Per-piece
+provenance collected during propagation supports exact path
+reconstruction by backtracking.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from .curves import Curve, cell_info, height
 from .errors import CdtwError, InvariantViolation, ProvenanceMissing
 from . import piecewise as pw
-from .propagation import BoundaryCost, BRecord, Prov, base_case, edge_height_running, solve_cell
+from .propagation import BoundaryCost, BRecord, Prov, base_case, far_corner_cost, solve_cell
 
 
 @dataclass
@@ -111,13 +112,6 @@ def _count_edge(stats: SolveStats, level: int, f: pw.PiecewiseQuadratic) -> None
         stats.max_distinct_ab = max(stats.max_distinct_ab, pw.distinct_ab(f.raw))
 
 
-def _end_cost(g: pw.PiecewiseQuadratic, ride: pw.PiecewiseQuadratic) -> float:
-    """The cost at an edge's end: the end pieces of its reduced cost g and
-    of its running integral summed, then evaluated there."""
-    (a, b, c, _, s), (ra, rb, rc, _, _) = g.raw[-1], ride.raw[-1]
-    return ((a + ra) * s + (b + rb)) * s + (c + rc)
-
-
 def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> CdtwResult:
     """Exact continuous warping distance between two 1D polygonal curves.
 
@@ -156,21 +150,21 @@ def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> Cdt
             _count_edge(stats, k, t_bc.cost)
             _count_edge(stats, k, r_bc.cost)
 
-    p_len, q_len = P.length, Q.length
-    last = cell_info(P, Q, n, m)
-    v_right = _end_cost(right[(n, m)].cost, edge_height_running(last, "right"))
-    v_top = _end_cost(top[(n, m)].cost, edge_height_running(last, "top"))
-    if abs(v_right - v_top) > 1e-6 * (1.0 + abs(v_right)):
-        raise InvariantViolation(
-            f"corner disagreement: right gives {v_right}, top gives {v_top}"
-        )
-    value = min(v_right, v_top)
-    if value < -1e-6 * (1.0 + p_len + q_len):
+    value = far_corner_cost(cell_info(P, Q, n, m), top[(n, m)], right[(n, m)])
+    if value < -1e-6 * (1.0 + P.length + Q.length):
         raise InvariantViolation(f"negative distance {value}")
     value = max(value, 0.0)
 
+    # Flag (rather than raise) a breach of the complexity bounds: they
+    # describe worst-case growth, so a flag in normal operation is a bug.
+    for k, cnt in sorted(stats.pieces_per_level.items()):
+        if cnt > 2 * k**4:
+            stats.flags.append(f"level {k}: {cnt} pieces exceeds 2k^4 = {2 * k**4}")
+    cap = 2 * (n + m) ** 5
+    if stats.total_pieces > cap:
+        stats.flags.append(f"total pieces {stats.total_pieces} exceeds 2(n+m)^5 = {cap}")
+
     run = SolveRun(P, Q, top, right, bottoms, lefts, records, stats)
-    collect_stats(run)
     stats.wall_time = time.perf_counter() - t_start
     result = CdtwResult(value=value, stats=stats, run=run)
     if cfg.record_path:
@@ -277,11 +271,14 @@ def _trace(run: SolveRun) -> WarpPath:
 
 
 def _polish_path(P: Curve, Q: Curve, rev_pts: List[Tuple[float, float]]) -> WarpPath:
-    """Reverse, deduplicate, clamp drift, and annotate the legs.
+    """Reverse, deduplicate, clamp drift, merge legs on one axis-parallel
+    line, and annotate the legs.
 
     Points are clamped into [0, len(P)] x [0, len(Q)] first: a cell edge
     coordinate and the curve length can round to neighbouring floats, and
-    a point one ulp beyond the end would make the last leg step back.
+    a point one ulp beyond the end would make the last leg step back.  The
+    path is monotone, so a point on one axis-parallel line with the point
+    two back is on it with the point between, which it replaces.
     """
     scale = 1.0 + P.length + Q.length
     tol = 1e-9 * scale
@@ -298,6 +295,9 @@ def _polish_path(P: Curve, Q: Curve, rev_pts: List[Tuple[float, float]]) -> Warp
             raise InvariantViolation(f"non-monotone path leg ({px},{py}) -> ({x},{y})")
         x, y = max(x, px), max(y, py)
         if abs(x - px) <= tol and abs(y - py) <= tol:
+            continue
+        if len(clean) > 1 and (abs(x - clean[-2][0]) <= tol or abs(y - clean[-2][1]) <= tol):
+            clean[-1] = (x, y)
             continue
         clean.append((x, y))
     if len(clean) == 1:
@@ -328,26 +328,3 @@ def reconstruct_path(result: CdtwResult) -> WarpPath:
     if result.path is None:
         raise ProvenanceMissing("solve ran without path recording")
     return result.path
-
-
-# ---------------------------------------------------------------------------
-# complexity statistics
-
-
-def collect_stats(run: SolveRun) -> SolveStats:
-    """Finalize the run's statistics and flag any complexity-bound breach.
-
-    The checker flags (rather than raises) because the bounds describe
-    worst-case growth; a flag in normal operation indicates a bug.
-    """
-    stats = run.stats
-    n, m = run.P.num_segments, run.Q.num_segments
-    flags = []
-    for k, cnt in sorted(stats.pieces_per_level.items()):
-        if cnt > 2 * k**4:
-            flags.append(f"level {k}: {cnt} pieces exceeds 2k^4 = {2 * k**4}")
-    cap = 2 * (n + m) ** 5
-    if stats.total_pieces > cap:
-        flags.append(f"total pieces {stats.total_pieces} exceeds 2(n+m)^5 = {cap}")
-    stats.flags = flags
-    return stats

@@ -3,10 +3,10 @@
 Boundary cost functions of the warping dynamic program are continuous
 piecewise quadratics.  This module implements the operations the solver
 needs: evaluation, a shift of the argument, pointwise addition,
-restriction, integrals of |linear| functions, the cumulative minimum
-g(t) = min_{s <= t} f(s), the minimum with a constant, and the lower
-envelope of a set of partially overlapping fragments.  Operations that
-take per-piece tags carry them through to the pieces of their result.
+restriction, the cumulative minimum g(t) = min_{s <= t} f(s), the minimum
+with a constant, and the lower envelope of a set of partially overlapping
+fragments.  Operations that take per-piece tags carry them through to the
+pieces of their result.
 
 All arithmetic is binary64 with one fixed tolerance, TOLERANCE, used for
 breakpoint merging, continuity checks, and quadratic-intersection roots.
@@ -213,17 +213,13 @@ def shift_raw(f: Sequence[Raw], beta: float) -> List[Raw]:
     return normalize_raw(out)[0]
 
 
-def add_raw(
-    f: Sequence[Raw],
-    tags: Optional[Sequence[Any]],
-    g: Sequence[Raw],
-) -> Tuple[List[Raw], Optional[List[Any]]]:
-    """f + g, carrying f's per-piece tags through breakpoint refinement.
+def add_raw(f: Sequence[Raw], g: Sequence[Raw]) -> List[Raw]:
+    """f + g, cut at the union of both breakpoint sets.
 
-    Cuts are the union of both breakpoint sets, with cuts closer than the
-    tolerance merged; each span takes the pieces of f and g covering its
-    midpoint, found by pointers that only move forward.  The sum is left
-    unnormalised: lower_envelope and cumulative_min normalise once per edge.
+    Cuts closer than the tolerance are merged; each span takes the pieces
+    of f and g covering its midpoint, found by pointers that only move
+    forward.  The sum is left unnormalised: lower_envelope and
+    cumulative_min normalise once per edge.
     """
     lo, hi = f[0][3], f[-1][4]
     glo, ghi = g[0][3], g[-1][4]
@@ -235,8 +231,7 @@ def add_raw(
     if len(f) == 1 and len(g) == 1 and glo <= lo < hi <= ghi:
         # One span, both pieces covering it: the loop below, unrolled.
         pf, pg = f[0], g[0]
-        piece = (pf[0] + pg[0], pf[1] + pg[1], pf[2] + pg[2], lo, hi)
-        return [piece], (None if tags is None else [tags[0]])
+        return [(pf[0] + pg[0], pf[1] + pg[1], pf[2] + pg[2], lo, hi)]
     g_tol = TOLERANCE * (1.0 + abs(glo) + abs(ghi))
     g_min, g_max = glo - g_tol, ghi + g_tol
 
@@ -262,7 +257,6 @@ def add_raw(
     last_f, last_g = len(f) - 1, len(g) - 1
     kf = kg = 0
     out: List[Raw] = []
-    out_tags: Optional[List[Any]] = [] if tags is not None else None
     a = cuts[0]
     for b in cuts[1:]:
         mid = 0.5 * (a + b)
@@ -276,10 +270,8 @@ def add_raw(
             kg += 1
         pf, pg = f[kf], g[kg]
         out.append((pf[0] + pg[0], pf[1] + pg[1], pf[2] + pg[2], a, b))
-        if out_tags is not None:
-            out_tags.append(tags[kf])
         a = b
-    return out, out_tags
+    return out
 
 
 def restrict_raw(raw: Sequence[Raw], lo: float, hi: float) -> List[Raw]:
@@ -302,48 +294,6 @@ def restrict_raw(raw: Sequence[Raw], lo: float, hi: float) -> List[Raw]:
         p = raw[locate(raw, 0.5 * (lo + hi))]
         out = [(p[0], p[1], p[2], lo, hi)]
     return normalize_raw(out)[0]
-
-
-# ---------------------------------------------------------------------------
-# integral of |linear|
-
-
-def integrate_abs_linear(
-    alpha: float, beta: float, u0: float, u1: float
-) -> PiecewiseQuadratic:
-    """F(x) = integral from u0 to x of |alpha*u + beta| du, on [u0, u1].
-
-    At most two pieces, with a breakpoint at the zero crossing of the
-    linear function if it falls strictly inside the interval.  F(u0) = 0
-    and F is nondecreasing.
-    """
-    if u1 < u0:
-        raise ValueError("empty interval")
-    tol = TOLERANCE * (1.0 + abs(u0) + abs(u1))
-    if u1 - u0 <= tol:
-        return constant(0.0, u0, u1)
-
-    def anti(sig: float) -> Tuple[float, float]:
-        # antiderivative of sig*(alpha*u + beta) is sig*(alpha/2 u^2 + beta u)
-        return sig * alpha / 2.0, sig * beta
-
-    if abs(alpha) <= TOLERANCE:
-        m = abs(beta)
-        return from_raw(((0.0, m, -m * u0, u0, u1),))
-    r = -beta / alpha
-    mid = 0.5 * (u0 + u1)
-    if r <= u0 + tol or r >= u1 - tol:
-        sig = 1.0 if alpha * mid + beta >= 0 else -1.0
-        a, b = anti(sig)
-        c = -(a * u0 + b) * u0
-        return from_raw(((a, b, c, u0, u1),))
-    sig1 = 1.0 if alpha * 0.5 * (u0 + r) + beta >= 0 else -1.0
-    a1, b1 = anti(sig1)
-    c1 = -(a1 * u0 + b1) * u0
-    f_r = (a1 * r + b1) * r + c1
-    a2, b2 = anti(-sig1)
-    c2 = f_r - (a2 * r + b2) * r
-    return from_raw(((a1, b1, c1, u0, r), (a2, b2, c2, r, u1)))
 
 
 # ---------------------------------------------------------------------------

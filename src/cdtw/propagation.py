@@ -158,8 +158,7 @@ def _across(
     2 S(sgn*t + p1) + const with p0 >= p1, the transport's integral
     doubled by the entry and exit edges' R."""
     band = _s_combination_raw([(2.0, sgn, p0), (-2.0, sgn, p1)], const, lo, hi)
-    pieces, _ = pw.add_raw(f.raw, None, band)
-    return pw.from_raw(pieces)
+    return pw.from_raw(pw.add_raw(f.raw, band))
 
 
 def _edge_integrals(cell: Cell) -> Tuple[float, float, float, float]:
@@ -178,7 +177,8 @@ def edge_height_running(cell: Cell, side: str) -> PiecewiseQuadratic:
     """Running integral R of h along one cell edge, from the edge's start;
     the cost along an edge is its stored reduced cost plus R.
 
-    h is |x - y - c| in a same-direction cell and |x + y - c'| otherwise.
+    On the edge h = |sgn*t + p| with sgn = +1 or -1, so R(t) =
+    sgn * (S(sgn*t + p) - S(sgn*t0 + p)), t0 the edge's start.
     """
     x0, x1 = cell.x_range
     y0, y1 = cell.y_range
@@ -186,11 +186,21 @@ def edge_height_running(cell: Cell, side: str) -> PiecewiseQuadratic:
     same = cell.same_direction
     if side in ("right", "left"):  # h(x, y) at fixed x, y in [y0, y1]
         x = x1 if side == "right" else x0
-        return pw.integrate_abs_linear(-1.0 if same else 1.0, x - c, y0, y1)
-    if side in ("top", "bottom"):  # h(x, y) at fixed y, x in [x0, x1]
+        sgn, p, lo, hi = (-1.0 if same else 1.0), x - c, y0, y1
+    elif side in ("top", "bottom"):  # h(x, y) at fixed y, x in [x0, x1]
         y = y1 if side == "top" else y0
-        return pw.integrate_abs_linear(1.0, -(y + c) if same else y - c, x0, x1)
-    raise ValueError(f"unknown side {side!r}")
+        sgn, p, lo, hi = 1.0, (-(y + c) if same else y - c), x0, x1
+    else:
+        raise ValueError(f"unknown side {side!r}")
+    start = -sgn * _s_halfsq(sgn * lo + p)
+    return pw.from_raw(_s_combination_raw([(sgn, sgn, p)], start, lo, hi))
+
+
+def far_corner_cost(cell: Cell, top: BoundaryCost, right: BoundaryCost) -> float:
+    """The cost at a cell's top-right corner from its output edges: the
+    smaller of the two end reads that solve_cell pins to each other."""
+    _, _, h_top, v_right = _edge_integrals(cell)
+    return min(_end_value(top.cost, "hi") + h_top, _end_value(right.cost, "hi") + v_right)
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +304,12 @@ def propagate_type_b(
     # Entry from the bottom edge at (v, y0), climbing to the valley.
     gb = pw.restrict_raw(bottom.cost.raw, vx0, vx1)
     climb = (1.0, -2.0 * (y0 + c), (y0 + c) ** 2 - s00, vx0, vx1)
-    b1_bottom, _ = pw.add_raw(gb, None, (climb,))
+    b1_bottom = pw.add_raw(gb, (climb,))
 
     # Entry from the left edge at (x0, v - c), moving right to the valley.
     gl = pw.restrict_raw(pw.shift_raw(left.cost.raw, -c), vx0, vx1)
     walk = (1.0, -2.0 * x0, x0 * x0 + s00, vx0, vx1)
-    b1_left, _ = pw.add_raw(gl, None, (walk,))
+    b1_left = pw.add_raw(gl, (walk,))
 
     valley_env, vtags = pw.lower_envelope(
         [
@@ -313,13 +323,13 @@ def propagate_type_b(
 
     # Exit upward to the top edge at (t, y1): transport (y1 - t + c)^2 / 2.
     up = (1.0, -2.0 * (y1 + c), (y1 + c) ** 2 + _s_halfsq(x0 - y1 - c), vx0, vx1)
-    b3_top, _ = pw.add_raw(b2.raw, None, (up,))
+    b3_top = pw.add_raw(b2.raw, (up,))
     top = [(pw.from_raw(b3_top), (PREF_B, Prov("B", "", ("top",))))]
     # Exit rightward to (x1, tau): valley coordinate tau + c.
     shifted = pw.shift_raw(b2.raw, c)
     t_lo, t_hi = vx0 - c, vx1 - c
     side = (1.0, -2.0 * (x1 - c), (x1 - c) ** 2 - _s_halfsq(x1 - y0 - c), t_lo, t_hi)
-    b3_right, _ = pw.add_raw(shifted, None, (side,))
+    b3_right = pw.add_raw(shifted, (side,))
     right = [(pw.from_raw(b3_right), (PREF_B, Prov("B", "", ("right",))))]
     return top, right, BRecord(valley_env, tuple(vtags), b2, tuple(argmins))
 

@@ -65,8 +65,7 @@ def lifted(f, dc: float):
 def _plus_ride(cell: Cell, side: str, f, sign: float):
     ride = pw.restrict_raw(edge_height_running(cell, side).raw, f.lo, f.hi)
     ride = [(sign * a, sign * b, sign * c, lo, hi) for a, b, c, lo, hi in ride]
-    pieces, _ = pw.add_raw(f.raw, None, ride)
-    return pw.from_raw(pieces)
+    return pw.from_raw(pw.add_raw(f.raw, ride))
 
 
 def reduced(cell: Cell, side: str, f):

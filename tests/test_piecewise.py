@@ -1,5 +1,5 @@
 """Piecewise-quadratic algebra: evaluation, substitution, addition,
-|linear| integrals, cumulative minima, and the lower envelope."""
+cumulative minima, and the lower envelope."""
 
 import math
 import random
@@ -17,7 +17,6 @@ from helpers import (
     NO_CORNER,
     breakpoints,
     numeric_cumulative_min,
-    numeric_integral,
     pwq_prefix_min,
     reference_env_insert,
     validate,
@@ -27,6 +26,10 @@ from helpers import (
 def pwq(*specs):
     """Build a PiecewiseQuadratic from (a, b, c, lo, hi) tuples."""
     return pw.from_raw(specs)
+
+
+# The integral of |u - 0.5| from 0, on [0, 1]: two pieces meeting at 0.5.
+TENT = pwq((-0.5, 0.5, 0.0, 0.0, 0.5), (0.5, -0.5, 0.25, 0.5, 1.0))
 
 
 def random_pwq(rng, lo=0.0, hi=1.0, max_pieces=5, amp=2.0):
@@ -105,19 +108,18 @@ class TestAffineSubstitute:
 class TestAddQuadratic:
     def test_add_single(self):
         f = pwq((0, 1, 0, 0, 1))
-        g = pw.from_raw(pw.add_raw(f.raw, None, [(1, 0, 0, 0, 1)])[0])
+        g = pw.from_raw(pw.add_raw(f.raw, [(1, 0, 0, 0, 1)]))
         assert g.value(0.5) == pytest.approx(0.75)
 
     def test_add_zero(self):
         f = pwq((2, -1, 0.5, 0, 1))
-        g = pw.from_raw(pw.add_raw(f.raw, None, [(0, 0, 0, 0, 1)])[0])
+        g = pw.from_raw(pw.add_raw(f.raw, [(0, 0, 0, 0, 1)]))
         for s in (0, 0.3, 1):
             assert g.value(s) == pytest.approx(f.value(s))
 
     def test_breakpoint_union(self):
         f = pw.constant(0.0, 0.0, 1.0)
-        g = pw.integrate_abs_linear(1.0, -0.5, 0.0, 1.0)
-        h = pw.from_raw(pw.add_raw(f.raw, None, g.raw)[0])
+        h = pw.from_raw(pw.add_raw(f.raw, TENT.raw))
         assert len(h) == 2
         assert h.value(1.0) == pytest.approx(0.25)
 
@@ -126,55 +128,10 @@ class TestAddQuadratic:
         for _ in range(40):
             f = random_pwq(rng)
             g = random_pwq(rng)
-            s = pw.from_raw(pw.add_raw(f.raw, None, g.raw)[0])
+            s = pw.from_raw(pw.add_raw(f.raw, g.raw))
             for _ in range(10):
                 x = rng.uniform(0, 1)
                 assert s.value(x) == pytest.approx(f.value(x) + g.value(x), abs=1e-9)
-
-
-class TestIntegrateAbsLinear:
-    def test_symmetric_triangles(self):
-        f = pw.integrate_abs_linear(1.0, -0.5, 0.0, 1.0)
-        assert len(f) == 2
-        assert f.value(0.5) == pytest.approx(0.125)
-        assert f.value(1.0) == pytest.approx(0.25)
-
-    def test_constant_one(self):
-        f = pw.integrate_abs_linear(0.0, 1.0, 0.0, 1.0)
-        assert len(f) == 1
-        assert f.value(0.7) == pytest.approx(0.7)
-
-    def test_identity_slope(self):
-        f = pw.integrate_abs_linear(1.0, 0.0, 0.0, 1.0)
-        assert f.value(1.0) == pytest.approx(0.5)
-
-    def test_starts_at_zero_and_nondecreasing(self):
-        rng = random.Random(4)
-        for _ in range(100):
-            alpha = rng.uniform(-2, 2)
-            beta = rng.uniform(-2, 2)
-            u0 = rng.uniform(-1, 1)
-            u1 = u0 + rng.uniform(0.01, 2)
-            f = pw.integrate_abs_linear(alpha, beta, u0, u1)
-            assert f.value(u0) == pytest.approx(0.0, abs=1e-12)
-            prev = 0.0
-            for k in range(1, 21):
-                x = u0 + (u1 - u0) * k / 20
-                v = f.value(x)
-                assert v >= prev - 1e-12
-                prev = v
-
-    def test_matches_numeric_integral(self):
-        rng = random.Random(14)
-        for _ in range(60):
-            alpha = rng.uniform(-3, 3)
-            beta = rng.uniform(-2, 2)
-            u0 = rng.uniform(-2, 1)
-            u1 = u0 + rng.uniform(0.05, 2)
-            f = pw.integrate_abs_linear(alpha, beta, u0, u1)
-            x = rng.uniform(u0, u1)
-            expect = numeric_integral(lambda u: abs(alpha * u + beta), u0, x, 6000)
-            assert f.value(x) == pytest.approx(expect, abs=5e-6)
 
 
 class TestCumulativeMin:
@@ -374,9 +331,10 @@ class TestOffsetCumulativeMin:
         # cost env - edge comes back with its own pieces and tags.
         env = pwq((0.3, -1.7, 2.9, 0, 1), (0.1, -1.3, 2.7, 1, 2))
         tags = [(1.0, Prov("C2", "bottom", (0.0, 0.0))), (2.0, Prov("C1", "left"))]
-        edge = pw.integrate_abs_linear(1.0, -0.7, 0.0, 2.0)
-        neg = [(-a, -b, -c, lo, hi) for a, b, c, lo, hi in edge.raw]
-        diff, dtags = pw.add_raw(env.raw, tags, neg)
+        # minus the integral of |u - 0.7| from 0
+        neg = [(0.5, -0.7, 0.0, 0.0, 0.7), (-0.5, 0.7, -0.49, 0.7, 2.0)]
+        diff = pw.add_raw(env.raw, neg)
+        dtags = [tags[0], tags[0], tags[1]]  # spans [0, 0.7], [0.7, 1], [1, 2]
         g, gtags = apply_edge_travel(pw.from_raw(diff), dtags, NO_CORNER)
         assert g.raw == tuple(diff)
         assert gtags == dtags
@@ -548,8 +506,7 @@ class TestStableRoots:
 
 class TestValidateAndSerialise:
     def test_validate_accepts_continuous(self):
-        f = pw.integrate_abs_linear(1.0, -0.5, 0.0, 1.0)
-        validate(f)
+        validate(TENT)
 
     def test_validate_rejects_jump(self):
         f = pwq((0, 0, 0, 0, 1), (0, 0, 5, 1, 2))

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from cdtw import build_curve, cell_info
+from cdtw import build_curve, cell_info, point_at
 from cdtw import piecewise as pw
 from cdtw.curves import Cell
 from cdtw.errors import WrongCellType
@@ -33,6 +33,7 @@ from cdtw.propagation import (
 
 from helpers import (
     NO_CORNER,
+    breakpoints,
     cell_through_cost,
     full,
     integrate_height_on_leg,
@@ -189,6 +190,81 @@ class TestBandIntegrals:
                     b = (fix, t) if axis == "y" else (t, fix)
                     want = integrate_height_on_leg(P, Q, a, b, samples=4096)
                     assert qr.value(t) == pytest.approx(want, abs=1e-6)
+
+
+class TestEdgeHeightRunning:
+    """R along every side of same- and opposite-direction cells, with h
+    crossing zero inside some of the edges."""
+
+    @staticmethod
+    def each_edge():
+        """(P, Q, cell, side) for every side of the cells below."""
+        P = build_curve([0, 1])
+        cells = [
+            # h = |x - y - 0.5|: crosses zero on the bottom and right edges
+            (P, build_curve([0.5, 1.5])),
+            # h = |x + y - 0.6|: crosses zero on the bottom and left edges
+            (P, build_curve([0.6, -0.4])),
+        ]
+        cells = [(P, Q, cell_info(P, Q, 1, 1)) for P, Q in cells]
+        rng = random.Random(21)
+        cells += [random_cell(rng, want_same=same) for same in (True, False) * 4]
+        for P, Q, cell in cells:
+            for side in ("bottom", "left", "top", "right"):
+                yield P, Q, cell, side
+
+    @staticmethod
+    def ends(cell, side):
+        """The edge's start and end points in the parameter plane."""
+        (x0, x1), (y0, y1) = cell.x_range, cell.y_range
+        if side in ("bottom", "top"):
+            y = y1 if side == "top" else y0
+            return (x0, y), (x1, y)
+        x = x1 if side == "right" else x0
+        return (x, y0), (x, y1)
+
+    def test_starts_at_zero_and_never_falls(self):
+        for _, _, cell, side in self.each_edge():
+            r = edge_height_running(cell, side)
+            assert r.value(r.lo) == pytest.approx(0.0, abs=1e-12)
+            prev = 0.0
+            for t in np.linspace(r.lo, r.hi, 21):
+                assert r.value(t) >= prev - 1e-12
+                prev = r.value(t)
+
+    def test_matches_numeric_integral(self):
+        for P, Q, cell, side in self.each_edge():
+            r = edge_height_running(cell, side)
+            start, _ = self.ends(cell, side)
+            for t in np.linspace(r.lo, r.hi, 7):
+                b = (t, start[1]) if side in ("bottom", "top") else (start[0], t)
+                want = integrate_height_on_leg(P, Q, start, b, samples=4000)
+                assert r.value(t) == pytest.approx(want, abs=1e-6)
+
+    def test_one_breakpoint_where_h_crosses_zero(self):
+        crossings = 0
+        for P, Q, cell, side in self.each_edge():
+            r = edge_height_running(cell, side)
+            start, end = self.ends(cell, side)
+            # P(x) - Q(y) is linear along the edge: it crosses zero inside
+            # the edge where its end values have strictly opposite signs.
+            d0 = point_at(P, start[0]) - point_at(Q, start[1])
+            d1 = point_at(P, end[0]) - point_at(Q, end[1])
+            inner = breakpoints(r)[1:-1]
+            if d0 * d1 < 0:
+                crossings += 1
+                assert len(inner) == 1
+                zero = r.lo + (r.hi - r.lo) * d0 / (d0 - d1)
+                assert inner[0] == pytest.approx(zero, abs=1e-12)
+            else:
+                assert inner == []
+        assert crossings >= 4
+
+    def test_end_matches_edge_integrals(self):
+        for _, _, cell, side in self.each_edge():
+            r = edge_height_running(cell, side)
+            want = _edge_integrals(cell)[("bottom", "left", "top", "right").index(side)]
+            assert r.value(r.hi) == pytest.approx(want, abs=1e-12)
 
 
 class TestBaseCase:
@@ -452,7 +528,9 @@ class TestTypeC:
         x0, x1 = cell.x_range
         c = cell.offset
         for tau in np.linspace(y0, y1, 11):
-            want = k + pw.integrate_abs_linear(1.0, -(tau + c), x0, x1).value(x1)
+            # the integral of |x - tau - c| over [x0, x1], by S(u) = u|u|/2
+            u0, u1 = x0 - tau - c, x1 - tau - c
+            want = k + (u1 * abs(u1) - u0 * abs(u0)) / 2.0
             assert c1.value(tau) == pytest.approx(want, abs=1e-9)
         assert len(c1.pieces) <= 3
 
