@@ -88,7 +88,8 @@ def build_curve(values: Sequence[float]) -> Curve:
         Curve with strictly increasing prefix lengths.
 
     Raises:
-        InsufficientVertices: fewer than 2 distinct consecutive values remain.
+        InsufficientVertices: fewer than 2 distinct consecutive values
+            remain, or a segment vanishes in the running arc length.
     """
     verts = []
     for v in values:
@@ -102,8 +103,12 @@ def build_curve(values: Sequence[float]) -> Curve:
             f"need at least 2 distinct consecutive values, got {len(verts)}"
         )
     prefix = [0.0]
-    for a, b in zip(verts, verts[1:]):
+    for k, (a, b) in enumerate(zip(verts, verts[1:]), 1):
         prefix.append(prefix[-1] + abs(b - a))
+        if prefix[-1] == prefix[-2]:
+            raise InsufficientVertices(
+                f"segment {k} from {a!r} to {b!r} vanishes in the arc length {prefix[-2]!r}"
+            )
     return Curve(tuple(verts), tuple(prefix))
 
 

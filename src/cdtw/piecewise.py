@@ -2,11 +2,10 @@
 
 Boundary cost functions of the warping dynamic program are continuous
 piecewise quadratics.  This module implements the operations the solver
-needs: evaluation, a shift of the argument, pointwise addition,
-restriction, the cumulative minimum g(t) = min_{s <= t} f(s), the minimum
-with a constant, and the lower envelope of a set of partially overlapping
-fragments.  Operations that take per-piece tags carry them through to the
-pieces of their result.
+needs: evaluation, substitution of the argument, the cumulative minimum
+g(t) = min_{s <= t} f(s), the minimum with a constant, and the lower
+envelope of a set of partially overlapping fragments.  Operations that
+take per-piece tags carry them through to the pieces of their result.
 
 All arithmetic is binary64 with one fixed tolerance, TOLERANCE, used for
 breakpoint merging, continuity checks, and quadratic-intersection roots.
@@ -191,7 +190,7 @@ def distinct_ab(raw: Sequence[Raw]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# substitution and addition
+# substitution
 
 
 def compose_linear(
@@ -202,98 +201,6 @@ def compose_linear(
     b = 2.0 * qa * alpha * beta + qb * alpha
     c = (qa * beta + qb) * beta + qc
     return a, b, c
-
-
-def shift_raw(f: Sequence[Raw], beta: float) -> List[Raw]:
-    """g(t) = f(t + beta) on the domain moved by -beta."""
-    out: List[Raw] = []
-    for pa, pb, pc, lo, hi in f:
-        a, b, c = compose_linear(pa, pb, pc, 1.0, beta)
-        out.append((a, b, c, lo - beta, hi - beta))
-    return normalize_raw(out)[0]
-
-
-def add_raw(f: Sequence[Raw], g: Sequence[Raw]) -> List[Raw]:
-    """f + g, cut at the union of both breakpoint sets.
-
-    Cuts closer than the tolerance are merged; each span takes the pieces
-    of f and g covering its midpoint, found by pointers that only move
-    forward.  The sum is left unnormalised: lower_envelope and
-    cumulative_min normalise once per edge.
-    """
-    lo, hi = f[0][3], f[-1][4]
-    glo, ghi = g[0][3], g[-1][4]
-    tol = TOLERANCE * (1.0 + abs(lo) + abs(hi))
-    if abs(glo - lo) > 1e3 * tol or abs(ghi - hi) > 1e3 * tol:
-        raise InvariantViolation(
-            f"domain mismatch in addition: [{lo},{hi}] vs [{glo},{ghi}]"
-        )
-    if len(f) == 1 and len(g) == 1 and glo <= lo < hi <= ghi:
-        # One span, both pieces covering it: the loop below, unrolled.
-        pf, pg = f[0], g[0]
-        return [(pf[0] + pg[0], pf[1] + pg[1], pf[2] + pg[2], lo, hi)]
-    g_tol = TOLERANCE * (1.0 + abs(glo) + abs(ghi))
-    g_min, g_max = glo - g_tol, ghi + g_tol
-
-    inner_lo, inner_hi = lo + tol, hi - tol
-    cuts = [lo, hi]
-    for p in f:
-        if inner_lo < p[4] < inner_hi:
-            cuts.append(p[4])
-    for p in g:
-        if inner_lo < p[4] < inner_hi:
-            cuts.append(p[4])
-    # Without inner cuts, as on any domain narrower than the tolerance,
-    # the sum is one span, [lo, hi].
-    if len(cuts) > 2:
-        cuts = sorted(set(cuts))
-        merged = [cuts[0]]
-        for x in cuts[1:]:
-            if x - merged[-1] > tol:
-                merged.append(x)
-        merged[-1] = hi
-        cuts = merged
-
-    last_f, last_g = len(f) - 1, len(g) - 1
-    kf = kg = 0
-    out: List[Raw] = []
-    a = cuts[0]
-    for b in cuts[1:]:
-        mid = 0.5 * (a + b)
-        while kf < last_f and mid > f[kf][4]:
-            kf += 1
-        if mid < g_min or mid > g_max:
-            raise OutOfDomain(f"{mid} outside [{glo}, {ghi}]")
-        s = glo if glo > mid else mid
-        s = ghi if ghi < s else s
-        while kg < last_g and s > g[kg][4]:
-            kg += 1
-        pf, pg = f[kf], g[kg]
-        out.append((pf[0] + pg[0], pf[1] + pg[1], pf[2] + pg[2], a, b))
-        a = b
-    return out
-
-
-def restrict_raw(raw: Sequence[Raw], lo: float, hi: float) -> List[Raw]:
-    """Restriction of raw pieces to [lo, hi] (must lie inside their domain
-    up to tolerance)."""
-    f_lo, f_hi = raw[0][3], raw[-1][4]
-    span_tol = TOLERANCE * (1.0 + abs(f_lo) + abs(f_hi))
-    if lo < f_lo - 1e3 * span_tol or hi > f_hi + 1e3 * span_tol:
-        raise OutOfDomain(f"[{lo},{hi}] not inside [{f_lo},{f_hi}]")
-    lo = max(lo, f_lo)
-    hi = min(hi, f_hi)
-    out: List[Raw] = []
-    for p in raw:
-        a, b = max(p[3], lo), min(p[4], hi)
-        if b - a <= 0:
-            continue
-        out.append((p[0], p[1], p[2], a, b))
-    if not out:
-        # Degenerate (point) restriction: keep the covering piece.
-        p = raw[locate(raw, 0.5 * (lo + hi))]
-        out = [(p[0], p[1], p[2], lo, hi)]
-    return normalize_raw(out)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -564,13 +471,33 @@ def _env_merge(
 def capped(
     f: PiecewiseQuadratic, shift: float, tag: tuple, cap: float, cap_tag: tuple
 ) -> Tuple[PiecewiseQuadratic, List[Tuple]]:
-    """min(f + shift, cap) in one pass over f's pieces, with one tag per
-    output piece: tag where f + shift is lower, cap_tag where the cap is.
-    Ties go as in lower_envelope."""
+    """min(f + shift, cap) with one tag per output piece: tag where
+    f + shift is lower, cap_tag where the cap is.  Ties go, and the result
+    comes out, as in lower_envelope.
+
+    f never rises, so the cap wins up to one cut and f + shift after it.
+    A piece whose range clears the cap by more than the envelope's tie
+    margin is taken whole; only one that meets the cap (the one holding
+    the cut, or more where f rises) is compared span by span.
+    """
+    tol = TOLERANCE
     q = (0.0, 0.0, cap, f.lo, f.hi, cap_tag)
     env: List[tuple] = []
     for a, b, c, lo, hi in f.raw:
-        env += _compare_span((a, b, c + shift, lo, hi, tag), q, lo, hi)
+        c += shift
+        low = (a * lo + b) * lo + c
+        high = (a * hi + b) * hi + c
+        if low > high:
+            low, high = high, low
+        if a != 0.0 and lo < -b / (2.0 * a) < hi:
+            v = c - b * b / (4.0 * a)
+            low, high = min(low, v), max(high, v)
+        if low - cap > tol * (1.0 + abs(low) + abs(cap)):
+            env.append((0.0, 0.0, cap, lo, hi, cap_tag))
+        elif cap - high > tol * (1.0 + abs(high) + abs(cap)):
+            env.append((a, b, c, lo, hi, tag))
+        else:
+            env += _compare_span((a, b, c, lo, hi, tag), q, lo, hi)
     pieces, tags = normalize_raw([e[:5] for e in env], [e[5] for e in env])
     return from_raw(pieces), tags
 

@@ -30,15 +30,25 @@ cannot change a cell's output is skipped:
 
 * no fragment for the route through an output edge's start corner: it
   is a constant k, so travel starts at k.  No single turn from an input
-  edge's start, which C1 or C1T covers (_c2_catalogue).  Other entries
-  sit only where the minimum over entries can lie (stationary points,
-  convex kinks of the input).
+  edge's start, which C1 or C1T (B on the valley span) covers
+  (_c2_catalogue).  Other entries sit only where the minimum over
+  entries can lie (stationary points, convex kinks of the input).
 * no single turn across the valley where B applies.  Entering at (s, y0)
   with s - c >= y0 and turning at t > s - c, it crosses the valley line
   at V = (s, s - c).  The B path from s reaches V at the same cost and
   rides to (t + c, t) for free, where the turn pays (t - s + c)^2 / 2;
   past x1 it leaves at (x1, x1 - c) and travels up for (t - x1 + c)^2 / 2,
   less still.  The transposed frame is the same.
+* no straight transport on the valley span where B applies: [vx0, vx1]
+  on top, [vx0 - c, vx1 - c] on the right.  There the transport crosses
+  the valley line; it is the B path that enters and leaves the valley at
+  one point, so B = b2 + up <= B1 + up = C1T, and C1 likewise.  Off the
+  span it misses the line and adds one quadratic to its input (_across).
+* no span-by-span comparison in type A but at the cut: the output is the
+  cap up to where the input falls through it and the input after it
+  (piecewise.capped).  The valley entries and exits, like the
+  transports, are one unnormalised pass over an input (_leg); each
+  output edge is normalised once, by capped, the envelope or travel.
 * travel returns the envelope as it is when it never rises from k.
 """
 
@@ -130,7 +140,7 @@ def _s_combination_raw(
         t_star = -p * sgn  # sgn is +1 or -1, so this solves sgn*t + p = 0
         if inner_lo < t_star < inner_hi:
             xs.append(t_star)
-    if len(xs) > 2 or not lo < hi:
+    if len(xs) > 2:
         xs = sorted(set(xs))
     pieces = []
     a0 = xs[0]
@@ -145,20 +155,37 @@ def _s_combination_raw(
             qc += coef * sig * p * p / 2.0
         pieces.append((qa, qb, qc, a0, b0))
         a0 = b0
-    if not pieces:
-        raise InvariantViolation("cannot build an empty piecewise function")
     return pieces
 
 
+def _leg(
+    raw: Sequence[pw.Raw], beta: float, q: Sequence[float], lo: float, hi: float
+) -> List[pw.Raw]:
+    """f(t + beta) + q(t) on [lo, hi] for f given by raw pieces covering
+    [lo + beta, hi + beta] and q = (a, b, c, ...) one quadratic: one pass
+    that clips, shifts and adds, with no normalisation."""
+    qa, qb, qc = q[0], q[1], q[2]
+    return [(a + qa, 2.0 * a * beta + b + qb, (a * beta + b) * beta + c + qc,
+             max(l - beta, lo), min(h - beta, hi))
+            for a, b, c, l, h in raw if l - beta < hi and h - beta > lo]
+
+
 def _across(
-    f: PiecewiseQuadratic, sgn: float, p0: float, p1: float, const: float, lo: float, hi: float
-) -> PiecewiseQuadratic:
+    f: PiecewiseQuadratic, sgn: float, p0: float, p1: float, const: float, lo: float, hi: float,
+    skip: Optional[Tuple[float, float]] = None,
+) -> Optional[PiecewiseQuadratic]:
     """The reduced cost after a straight transport across a same-direction
-    cell from every point t of f's edge: f(t) + 2 S(sgn*t + p0) -
-    2 S(sgn*t + p1) + const with p0 >= p1, the transport's integral
-    doubled by the entry and exit edges' R."""
-    band = _s_combination_raw([(2.0, sgn, p0), (-2.0, sgn, p1)], const, lo, hi)
-    return pw.from_raw(pw.add_raw(f.raw, band))
+    cell from every point t of f's edge [lo, hi] off skip: f(t) +
+    2 S(sgn*t + p0) - 2 S(sgn*t + p1) + const with p0 >= p1, the
+    transport's integral doubled by the entry and exit edges' R.  skip is
+    the span where the transports cross the valley, which B covers; the
+    result has a hole there, and is None if nothing is left."""
+    out: List[pw.Raw] = []
+    for plo, phi in ((lo, hi),) if skip is None else ((lo, skip[0]), (skip[1], hi)):
+        if phi - plo > pw.TOLERANCE:
+            for q in _s_combination_raw([(2.0, sgn, p0), (-2.0, sgn, p1)], const, plo, phi):
+                out += _leg(f.raw, 0.0, q, q[3], q[4])
+    return pw.from_raw(out) if out else None
 
 
 def _edge_integrals(cell: Cell) -> Tuple[float, float, float, float]:
@@ -290,7 +317,10 @@ def propagate_type_b(
     on where the path leaves the valley (any reachable exit gives the same
     dip integral), so the cumulative minimum captures every entry point.
     The valley holds full costs; on its span each edge's R is one
-    quadratic, which doubles the transport's square.
+    quadratic, which doubles the transport's square.  So each entry and
+    each exit is one pass over an input's pieces (_leg): clip to the span,
+    which lies inside both inputs (cell_info clips the valley to the
+    cell), shift by c where the frames differ, and add one quadratic.
     """
     span = _valley_span(cell)
     if not cell.same_direction or span is None:
@@ -302,34 +332,20 @@ def propagate_type_b(
     s00 = _s_halfsq(x0 - y0 - c)
 
     # Entry from the bottom edge at (v, y0), climbing to the valley.
-    gb = pw.restrict_raw(bottom.cost.raw, vx0, vx1)
-    climb = (1.0, -2.0 * (y0 + c), (y0 + c) ** 2 - s00, vx0, vx1)
-    b1_bottom = pw.add_raw(gb, (climb,))
-
+    b1_bottom = _leg(bottom.cost.raw, 0.0, (1.0, -2.0 * (y0 + c), (y0 + c) ** 2 - s00), vx0, vx1)
     # Entry from the left edge at (x0, v - c), moving right to the valley.
-    gl = pw.restrict_raw(pw.shift_raw(left.cost.raw, -c), vx0, vx1)
-    walk = (1.0, -2.0 * x0, x0 * x0 + s00, vx0, vx1)
-    b1_left = pw.add_raw(gl, (walk,))
-
+    b1_left = _leg(left.cost.raw, -c, (1.0, -2.0 * x0, x0 * x0 + s00), vx0, vx1)
     valley_env, vtags = pw.lower_envelope(
-        [
-            (pw.from_raw(b1_bottom), (PREF_BOTTOM, Prov("B1", "bottom"))),
-            (pw.from_raw(b1_left), (PREF_LEFT, Prov("B1", "left"))),
-        ],
-        vx0,
-        vx1,
-    )
+        [(pw.from_raw(b1_bottom), (PREF_BOTTOM, Prov("B1", "bottom"))),
+         (pw.from_raw(b1_left), (PREF_LEFT, Prov("B1", "left")))], vx0, vx1)
     b2, argmins, _ = pw.cumulative_min(valley_env)
 
     # Exit upward to the top edge at (t, y1): transport (y1 - t + c)^2 / 2.
-    up = (1.0, -2.0 * (y1 + c), (y1 + c) ** 2 + _s_halfsq(x0 - y1 - c), vx0, vx1)
-    b3_top = pw.add_raw(b2.raw, (up,))
-    top = [(pw.from_raw(b3_top), (PREF_B, Prov("B", "", ("top",))))]
+    up = (1.0, -2.0 * (y1 + c), (y1 + c) ** 2 + _s_halfsq(x0 - y1 - c))
+    top = [(pw.from_raw(_leg(b2.raw, 0.0, up, vx0, vx1)), (PREF_B, Prov("B", "", ("top",))))]
     # Exit rightward to (x1, tau): valley coordinate tau + c.
-    shifted = pw.shift_raw(b2.raw, c)
-    t_lo, t_hi = vx0 - c, vx1 - c
-    side = (1.0, -2.0 * (x1 - c), (x1 - c) ** 2 - _s_halfsq(x1 - y0 - c), t_lo, t_hi)
-    b3_right = pw.add_raw(shifted, (side,))
+    side = (1.0, -2.0 * (x1 - c), (x1 - c) ** 2 - _s_halfsq(x1 - y0 - c))
+    b3_right = _leg(b2.raw, c, side, vx0 - c, vx1 - c)
     right = [(pw.from_raw(b3_right), (PREF_B, Prov("B", "", ("right",))))]
     return top, right, BRecord(valley_env, tuple(vtags), b2, tuple(argmins))
 
@@ -464,15 +480,17 @@ def propagate_type_c(
     y0, y1 = cell.y_range
     c = cell.offset
     gb, gl = bottom.cost, left.cost
-    # C1 transposed: bottom to top, vertical transport.
-    c1t = _across(gb, 1.0, -(y0 + c), -(y1 + c), -v_left, x0, x1)
-    # C1: left to right, horizontal transport across the full cell width.
-    c1 = _across(gl, -1.0, x1 - c, x0 - c, -h_bottom, y0, y1)
-    top = [(c1t, (PREF_BOTTOM, Prov("C1T", "bottom")))]
-    right = [(c1, (PREF_LEFT, Prov("C1", "left")))]
+    span = _valley_span(cell)
+    valley = span is not None
+    # C1 transposed: bottom to top, vertical transport; C1: left to right,
+    # horizontal transport across the full cell width; both off the span.
+    c1t = _across(gb, 1.0, -(y0 + c), -(y1 + c), -v_left, x0, x1, span)
+    c1 = _across(gl, -1.0, x1 - c, x0 - c, -h_bottom, y0, y1,
+                 (span[0] - c, span[1] - c) if valley else None)
+    top = [] if c1t is None else [(c1t, (PREF_BOTTOM, Prov("C1T", "bottom")))]
+    right = [] if c1 is None else [(c1, (PREF_LEFT, Prov("C1", "left")))]
     # C2: bottom to right, single turn; C2T: left to top, the same with the
     # axes swapped and the valley offset negated.
-    valley = _valley_span(cell) is not None
     for frag, alpha, beta in _c2_catalogue(gb, x0, x1, y0, y1, c, valley):
         right.append((frag, (PREF_BOTTOM, Prov("C2", "bottom", (alpha, beta)))))
     for frag, alpha, beta in _c2_catalogue(gl, y0, y1, x0, x1, -c, valley):

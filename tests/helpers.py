@@ -5,9 +5,10 @@ dense sampling, brute-force enumeration, and direct numerical integration.
 Slower and cruder, but with failure modes unrelated to the code under test.
 The exceptions are reference implementations that a rework must match
 exactly (the lattice solver, one-piece envelope insertion), the
-invariant checks on piecewise functions that only tests run, and the
-conversion between a cost along a cell edge and the reduced cost the
-solver stores for it.
+invariant checks on piecewise functions that only tests run, the sum,
+shift and restriction of raw pieces that only tests use, and the conversion
+between a cost along a cell edge and the reduced cost the solver stores
+for it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from cdtw import piecewise as pw
 from cdtw.curves import Cell, Curve, build_curve, height, point_at
-from cdtw.errors import InvariantViolation
+from cdtw.errors import InvariantViolation, OutOfDomain
 from cdtw.piecewise import TOLERANCE, _compare_span
 from cdtw.propagation import edge_height_running
 
@@ -59,13 +60,101 @@ def lifted(f, dc: float):
 
 
 # ---------------------------------------------------------------------------
+# sum, shift and restriction of raw pieces
+
+
+def add_raw(f: Sequence[pw.Raw], g: Sequence[pw.Raw]) -> List[pw.Raw]:
+    """f + g, cut at the union of both breakpoint sets.
+
+    Cuts closer than the tolerance are merged; each span takes the pieces
+    of f and g covering its midpoint, found by pointers that only move
+    forward.  The sum is left unnormalised.
+    """
+    lo, hi = f[0][3], f[-1][4]
+    glo, ghi = g[0][3], g[-1][4]
+    tol = TOLERANCE * (1.0 + abs(lo) + abs(hi))
+    if abs(glo - lo) > 1e3 * tol or abs(ghi - hi) > 1e3 * tol:
+        raise InvariantViolation(
+            f"domain mismatch in addition: [{lo},{hi}] vs [{glo},{ghi}]"
+        )
+    if len(f) == 1 and len(g) == 1 and glo <= lo < hi <= ghi:
+        # One span, both pieces covering it: the loop below, unrolled.
+        pf, pg = f[0], g[0]
+        return [(pf[0] + pg[0], pf[1] + pg[1], pf[2] + pg[2], lo, hi)]
+    g_tol = TOLERANCE * (1.0 + abs(glo) + abs(ghi))
+    g_min, g_max = glo - g_tol, ghi + g_tol
+
+    inner_lo, inner_hi = lo + tol, hi - tol
+    cuts = [lo, hi]
+    for p in f:
+        if inner_lo < p[4] < inner_hi:
+            cuts.append(p[4])
+    for p in g:
+        if inner_lo < p[4] < inner_hi:
+            cuts.append(p[4])
+    # Without inner cuts, as on any domain narrower than the tolerance,
+    # the sum is one span, [lo, hi].
+    if len(cuts) > 2:
+        cuts = sorted(set(cuts))
+        merged = [cuts[0]]
+        for x in cuts[1:]:
+            if x - merged[-1] > tol:
+                merged.append(x)
+        merged[-1] = hi
+        cuts = merged
+
+    last_f, last_g = len(f) - 1, len(g) - 1
+    kf = kg = 0
+    out: List[pw.Raw] = []
+    a = cuts[0]
+    for b in cuts[1:]:
+        mid = 0.5 * (a + b)
+        while kf < last_f and mid > f[kf][4]:
+            kf += 1
+        if mid < g_min or mid > g_max:
+            raise OutOfDomain(f"{mid} outside [{glo}, {ghi}]")
+        s = glo if glo > mid else mid
+        s = ghi if ghi < s else s
+        while kg < last_g and s > g[kg][4]:
+            kg += 1
+        pf, pg = f[kf], g[kg]
+        out.append((pf[0] + pg[0], pf[1] + pg[1], pf[2] + pg[2], a, b))
+        a = b
+    return out
+
+
+def shift_raw(f: Sequence[pw.Raw], beta: float) -> List[pw.Raw]:
+    """g(t) = f(t + beta) on the domain moved by -beta, normalised."""
+    out = [(*pw.compose_linear(a, b, c, 1.0, beta), lo - beta, hi - beta)
+           for a, b, c, lo, hi in f]
+    return pw.normalize_raw(out)[0]
+
+
+def restrict_raw(raw: Sequence[pw.Raw], lo: float, hi: float) -> List[pw.Raw]:
+    """Restriction of raw pieces to [lo, hi] (must lie inside their domain
+    up to tolerance), normalised."""
+    f_lo, f_hi = raw[0][3], raw[-1][4]
+    span_tol = TOLERANCE * (1.0 + abs(f_lo) + abs(f_hi))
+    if lo < f_lo - 1e3 * span_tol or hi > f_hi + 1e3 * span_tol:
+        raise OutOfDomain(f"[{lo},{hi}] not inside [{f_lo},{f_hi}]")
+    lo, hi = max(lo, f_lo), min(hi, f_hi)
+    out = [(p[0], p[1], p[2], max(p[3], lo), min(p[4], hi)) for p in raw]
+    out = [p for p in out if p[4] - p[3] > 0]
+    if not out:
+        # Degenerate (point) restriction: keep the covering piece.
+        p = raw[pw.locate(raw, 0.5 * (lo + hi))]
+        out = [(p[0], p[1], p[2], lo, hi)]
+    return pw.normalize_raw(out)[0]
+
+
+# ---------------------------------------------------------------------------
 # costs along cell edges and their reduced form
 
 
 def _plus_ride(cell: Cell, side: str, f, sign: float):
-    ride = pw.restrict_raw(edge_height_running(cell, side).raw, f.lo, f.hi)
+    ride = restrict_raw(edge_height_running(cell, side).raw, f.lo, f.hi)
     ride = [(sign * a, sign * b, sign * c, lo, hi) for a, b, c, lo, hi in ride]
-    return pw.from_raw(pw.add_raw(f.raw, ride))
+    return pw.from_raw(add_raw(f.raw, ride))
 
 
 def reduced(cell: Cell, side: str, f):

@@ -156,6 +156,13 @@ class TestCompute:
         b = write(tmp_path, "b.csv", "0\n1\n")
         assert main(["compute", a, b]) == 2
 
+    def test_vanishing_segment_names_file(self, tmp_path, capsys):
+        a = write(tmp_path, "huge.csv", "0\n1e17\n0\n1e-3\n")
+        b = write(tmp_path, "b.csv", "0\n1\n")
+        assert main(["compute", a, b]) == 2
+        err = capsys.readouterr().err
+        assert "huge.csv" in err and "vanishes" in err
+
     def test_missing_file(self, tmp_path, capsys):
         b = write(tmp_path, "b.csv", "0\n1\n")
         assert main(["compute", str(tmp_path / "absent.csv"), b]) == 2

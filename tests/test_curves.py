@@ -32,6 +32,12 @@ class TestBuildCurve:
         with pytest.raises(InsufficientVertices):
             build_curve([3, 3, 3])
 
+    def test_vanishing_segment_rejected(self):
+        # 1e-3 is below half an ulp of 2e17, so the last prefix length
+        # would repeat the one before it.
+        with pytest.raises(InsufficientVertices, match="segment 3 from 0.0 to 0.001 vanishes"):
+            build_curve([0, 1e17, 0, 1e-3])
+
     def test_prefix_strictly_increasing(self):
         rng = random.Random(7)
         for _ in range(50):

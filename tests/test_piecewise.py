@@ -15,10 +15,12 @@ from cdtw.propagation import Prov, apply_edge_travel
 
 from helpers import (
     NO_CORNER,
+    add_raw,
     breakpoints,
     numeric_cumulative_min,
     pwq_prefix_min,
     reference_env_insert,
+    shift_raw,
     validate,
 )
 
@@ -83,14 +85,14 @@ class TestEvaluate:
 class TestAffineSubstitute:
     def test_shift(self):
         f = pwq((1, 0, 0, 0, 1))
-        g = pw.from_raw(pw.shift_raw(f.raw, 0.5))
+        g = pw.from_raw(shift_raw(f.raw, 0.5))
         assert g.lo == pytest.approx(-0.5)
         assert g.hi == pytest.approx(0.5)
         assert g.value(0.25) == pytest.approx(0.75**2)
 
     def test_identity(self):
         f = pwq((1, 2, 3, 0, 1), (0, 4, 2, 1, 2))
-        g = pw.from_raw(pw.shift_raw(f.raw, 0.0))
+        g = pw.from_raw(shift_raw(f.raw, 0.0))
         for s in (0.0, 0.5, 1.0, 1.7, 2.0):
             assert g.value(s) == pytest.approx(f.value(s))
 
@@ -99,7 +101,7 @@ class TestAffineSubstitute:
         for _ in range(50):
             f = random_pwq(rng)
             beta = rng.uniform(-1, 1)
-            g = pw.from_raw(pw.shift_raw(f.raw, beta))
+            g = pw.from_raw(shift_raw(f.raw, beta))
             for _ in range(20):
                 t = rng.uniform(g.lo, g.hi)
                 assert g.value(t) == pytest.approx(f.value(t + beta), abs=1e-9)
@@ -108,18 +110,18 @@ class TestAffineSubstitute:
 class TestAddQuadratic:
     def test_add_single(self):
         f = pwq((0, 1, 0, 0, 1))
-        g = pw.from_raw(pw.add_raw(f.raw, [(1, 0, 0, 0, 1)]))
+        g = pw.from_raw(add_raw(f.raw, [(1, 0, 0, 0, 1)]))
         assert g.value(0.5) == pytest.approx(0.75)
 
     def test_add_zero(self):
         f = pwq((2, -1, 0.5, 0, 1))
-        g = pw.from_raw(pw.add_raw(f.raw, [(0, 0, 0, 0, 1)]))
+        g = pw.from_raw(add_raw(f.raw, [(0, 0, 0, 0, 1)]))
         for s in (0, 0.3, 1):
             assert g.value(s) == pytest.approx(f.value(s))
 
     def test_breakpoint_union(self):
         f = pw.constant(0.0, 0.0, 1.0)
-        h = pw.from_raw(pw.add_raw(f.raw, TENT.raw))
+        h = pw.from_raw(add_raw(f.raw, TENT.raw))
         assert len(h) == 2
         assert h.value(1.0) == pytest.approx(0.25)
 
@@ -128,7 +130,7 @@ class TestAddQuadratic:
         for _ in range(40):
             f = random_pwq(rng)
             g = random_pwq(rng)
-            s = pw.from_raw(pw.add_raw(f.raw, g.raw))
+            s = pw.from_raw(add_raw(f.raw, g.raw))
             for _ in range(10):
                 x = rng.uniform(0, 1)
                 assert s.value(x) == pytest.approx(f.value(x) + g.value(x), abs=1e-9)
@@ -333,7 +335,7 @@ class TestOffsetCumulativeMin:
         tags = [(1.0, Prov("C2", "bottom", (0.0, 0.0))), (2.0, Prov("C1", "left"))]
         # minus the integral of |u - 0.7| from 0
         neg = [(0.5, -0.7, 0.0, 0.0, 0.7), (-0.5, 0.7, -0.49, 0.7, 2.0)]
-        diff = pw.add_raw(env.raw, neg)
+        diff = add_raw(env.raw, neg)
         dtags = [tags[0], tags[0], tags[1]]  # spans [0, 0.7], [0.7, 1], [1, 2]
         g, gtags = apply_edge_travel(pw.from_raw(diff), dtags, NO_CORNER)
         assert g.raw == tuple(diff)

@@ -124,6 +124,27 @@ def base_costs(P, Q):
     )
 
 
+def straight_transport(cell: Cell, bottom: BoundaryCost, left: BoundaryCost, side: str):
+    """t -> the full cost of the straight transport to a same-direction
+    cell's output edge, C1T on top and C1 on right: read from that
+    fragment where it is built and from the valley ride's fragment on the
+    span, where the ride stands for it (the smaller where both cover t)."""
+    top, right = type_c(cell, bottom, left)
+    frags = top if side == "top" else right
+    if _valley_span(cell) is not None:
+        b_top, b_right, _ = propagate_type_b(cell, bottom, left)
+        frags = frags + (b_top if side == "top" else b_right)
+    kinds = ("C1T" if side == "top" else "C1", "B")
+    pieces = [p for f, tag in frags if tag[1].kind in kinds for p in f.raw]
+    ride = edge_height_running(cell, side)
+
+    def value(t: float) -> float:
+        near = [p for p in pieces if p[3] - 1e-9 <= t <= p[4] + 1e-9]
+        return min((a * t + b) * t + c for a, b, c, _, _ in near) + ride.value(t)
+
+    return value
+
+
 def random_cell(rng, want_same=None, nmax=4):
     while True:
         P = random_curve(rng, rng.randint(2, nmax))
@@ -389,6 +410,66 @@ class TestTypeA:
         f, _ = pw.normalize_raw(pieces)
         assert len(f) == 1  # hygiene collapses the sliver before propagation
 
+    def test_one_cut_matches_the_envelope(self):
+        # capped takes pieces that clear the cap whole and compares only
+        # the rest; it must equal the lower envelope of f + shift and the
+        # cap, tags included, with either side winning ties, on inputs
+        # that never rise, meet the cap on a span, or rise slightly.
+        def check(f, shift, cap):
+            lo, hi = f.lo, f.hi
+            lifted_f = lifted(f, shift)
+            for tag, cap_tag in (((PREF_BOTTOM, "f"), (PREF_LEFT, "k")),
+                                 ((PREF_LEFT, "f"), (PREF_BOTTOM, "k"))):
+                got, got_tags = pw.capped(f, shift, tag, cap, cap_tag)
+                want, want_tags = pw.lower_envelope(
+                    [(lifted_f, tag), (pw.constant(cap, lo, hi), cap_tag)], lo, hi)
+                assert got_tags == want_tags
+                assert len(got) == len(want)
+                for p, q in zip(got.raw, want.raw):
+                    for x, y in zip(p, q):
+                        assert abs(x - y) <= 1e-12 * (1.0 + abs(y))
+
+        rng = random.Random(61)
+        for _ in range(60):
+            lo = rng.uniform(-2.0, 2.0)
+            hi = lo + rng.uniform(0.1, 3.0)
+            items = []
+            for _ in range(rng.randint(1, 4)):
+                qa = rng.uniform(-1.0, 1.5)
+                s0 = rng.uniform(lo, hi)
+                qc = rng.uniform(0.0, 1.5) + qa * s0 * s0
+                items.append((pw.from_raw([(qa, -2.0 * qa * s0, qc, lo, hi)]), (0,)))
+            f, _, _ = pw.cumulative_min(pw.lower_envelope(items, lo, hi)[0])
+            top, bottom = f.value(lo), f.value(hi)
+            shift = rng.uniform(-1.0, 1.0)
+            for cap in (top + 1.0, bottom - 1.0, rng.uniform(bottom, top)):
+                check(f, shift, cap + shift)
+            # equal to the cap on each flat piece
+            for a, b, c, _, _ in f.raw:
+                if a == 0.0 and b == 0.0:
+                    check(f, shift, c + shift)
+        # a flat span equal to the cap, with exact values
+        flat = pw.from_raw([(0.0, -1.0, 2.0, 0.0, 1.0), (0.0, 0.0, 1.0, 1.0, 2.0),
+                            (0.0, -1.0, 3.0, 2.0, 3.0)])
+        check(flat, 0.25, 1.25)
+        # rising by 5e-10 in the middle, the cap meeting the rise or not
+        rise = pw.from_raw([(0.0, -0.5, 1.0, 0.0, 1.0), (0.0, 1e-9, 0.5 - 1e-9, 1.0, 1.5),
+                            (0.0, -0.5, 1.25 + 5e-10, 1.5, 2.5)])
+        for cap in (0.5, 0.5 + 2e-10, 0.5 + 5e-10, 0.5 + 3e-9, 0.4, 0.75):
+            check(rise, 0.0, cap)
+            check(rise, 1.0, cap + 1.0)
+        # a piece narrower than the tolerance, which normalisation drops
+        sliver = pw.from_raw([(0.0, -1.0, 1.0, 0.0, 0.5), (0.0, -2.0, 1.5, 0.5, 0.5 + 5e-10),
+                              (0.0, -1.0, 1.0 - 5e-10, 0.5 + 5e-10, 1.0)])
+        for cap in (0.25, 0.5, 0.75):
+            check(sliver, 0.0, cap)
+        # any input: a piece bulging 0.025 above or below its ends
+        for a in (-0.4, 0.4):
+            bump = pw.from_raw([(0.0, -0.5, 1.0, 0.0, 1.0),
+                                (a, -2.5 * a, 0.5 + 1.5 * a, 1.0, 1.5)])
+            for cap in (0.45, 0.49, 0.5, 0.51, 0.55):
+                check(bump, 0.0, cap)
+
     def test_travel_returns_the_envelope(self):
         # With travel-closed inputs, the reduced cost never rises on an
         # output edge of an opposite-direction cell, so edge travel gives
@@ -512,8 +593,11 @@ class TestTypeC:
             type_c(cell, bottom, left)
 
     def test_c1_constant_shift(self):
+        # A cell without a valley, where C1 spans the whole right edge.
         rng = random.Random(17)
-        _, _, cell = random_cell(rng, want_same=True)
+        cell = None
+        while cell is None or cell.valley is not None:
+            _, _, cell = random_cell(rng, want_same=True)
         k = 0.7
         y0, y1 = cell.y_range
         const_l = reduced(cell, "left", pw.constant(k, y0, y1))
@@ -561,7 +645,7 @@ class TestTypeC:
             x0, x1 = cell.x_range
             y0, y1 = cell.y_range
             bots = [(f, t) for f, t in right if t[1].kind == "C2"]
-            c1 = next(f for f, t in right if t[1].kind == "C1")
+            c1 = straight_transport(cell, bottom, left, "right")
             ss = np.linspace(x0, x1, 1000)
             f_bottom = full(cell, "bottom", bottom.cost)
             fb = [f_bottom.value(s) for s in ss]
@@ -575,53 +659,84 @@ class TestTypeC:
                 for f, _t in bots:
                     if f.lo - 1e-12 <= tau <= f.hi + 1e-12:
                         best = min(best, f.value(min(max(tau, f.lo), f.hi)))
-                # the catalogue with C1, which covers the entry at the
+                # the catalogue with C1 (or the valley ride that stands
+                # for it on the span), which covers the entry at the
                 # corner (x0, y0), and the cell's output, which holds the
                 # corner route and the valley ride that stands for the
                 # valley-crossing single turns, attain the exact minimum
                 # over entry points; the sampled brute force can only
                 # overshoot it.  Every C2 fragment is a real path.
-                got = min(best, c1.value(tau), right_f.value(tau))
+                got = min(best, c1(tau), right_f.value(tau))
                 assert got <= brute + 1e-9
                 assert best >= brute - 5e-3
 
     def test_c1_covers_the_corner_entry(self):
         # The single turn entering the bottom edge at its start (x0, y0)
         # runs up the left edge and then right; the left input is
-        # travel-closed and meets the bottom input there, so C1 costs no
-        # more, and the bottom-frame catalogue leaves that entry out.
+        # travel-closed and meets the bottom input there, so C1 (or the
+        # valley ride, on the span) costs no more, and the bottom-frame
+        # catalogue leaves that entry out.
         rng = random.Random(49)
         for _ in range(40):
             _, _, cell = random_cell(rng, want_same=True)
             bottom, left = random_cell_inputs(rng, cell)
-            _top, right = type_c(cell, bottom, left)
-            c1 = full(cell, "right", next(f for f, t in right if t[1].kind == "C1"))
+            c1 = straight_transport(cell, bottom, left, "right")
             fb, _ = costs(cell, bottom, left)
             x0, x1 = cell.x_range
             y0, y1 = cell.y_range
             for t in np.linspace(y0, y1, 25):
                 route = fb.value(x0) + through_cost(cell, (x0, y0), (x0, t))
                 route += through_cost(cell, (x0, t), (x1, t))
-                assert c1.value(t) <= route + 1e-9 * (1.0 + abs(route))
+                assert c1(t) <= route + 1e-9 * (1.0 + abs(route))
 
     def test_c1t_covers_the_left_start_entry(self):
         # The single turn entering the left edge at its start (x0, y0)
         # runs along the bottom edge and then up; the bottom input is
-        # travel-closed and meets the left input there, so C1T costs no
-        # more, and the transposed-frame catalogue leaves that entry out.
+        # travel-closed and meets the left input there, so C1T (or the
+        # valley ride, on the span) costs no more, and the
+        # transposed-frame catalogue leaves that entry out.
         rng = random.Random(50)
         for _ in range(40):
             _, _, cell = random_cell(rng, want_same=True)
             bottom, left = random_cell_inputs(rng, cell)
-            top, _right = type_c(cell, bottom, left)
-            c1t = full(cell, "top", next(f for f, t in top if t[1].kind == "C1T"))
+            c1t = straight_transport(cell, bottom, left, "top")
             _, fl = costs(cell, bottom, left)
             x0, x1 = cell.x_range
             y0, y1 = cell.y_range
             for t in np.linspace(x0, x1, 25):
                 route = fl.value(y0) + through_cost(cell, (x0, y0), (t, y0))
                 route += through_cost(cell, (t, y0), (t, y1))
-                assert c1t.value(t) <= route + 1e-9 * (1.0 + abs(route))
+                assert c1t(t) <= route + 1e-9 * (1.0 + abs(route))
+
+    def test_straight_transport_never_beats_the_ride(self):
+        # On the valley span a straight transport crosses the valley: it
+        # is the valley ride that enters and leaves at one point, so the
+        # ride's fragment costs no more there and C1T and C1 are built
+        # only off the span.
+        rng = random.Random(59)
+        done = 0
+        while done < 40:
+            _, _, cell = random_cell(rng, want_same=True)
+            span = _valley_span(cell)
+            if span is None:
+                continue
+            done += 1
+            bottom, left = random_cell_inputs(rng, cell)
+            h_bottom, v_left, _, _ = _edge_integrals(cell)
+            x0, x1 = cell.x_range
+            y0, y1 = cell.y_range
+            c = cell.offset
+            c1t = _across(bottom.cost, 1.0, -(y0 + c), -(y1 + c), -v_left, x0, x1)
+            c1 = _across(left.cost, -1.0, x1 - c, x0 - c, -h_bottom, y0, y1)
+            [(b_top, _)], [(b_right, _)], _ = propagate_type_b(cell, bottom, left)
+            for side, straight, ride, lo, hi in (
+                ("top", c1t, b_top, span[0], span[1]),
+                ("right", c1, b_right, span[0] - c, span[1] - c),
+            ):
+                straight, ride = full(cell, side, straight), full(cell, side, ride)
+                for t in np.linspace(lo, hi, 25):
+                    want = straight.value(t)
+                    assert ride.value(t) <= want + 1e-12 * (1.0 + abs(want))
 
     def test_no_fixed_entry_at_either_end(self):
         # Fixed entries have alpha = 0 and beta = the entry coordinate.
