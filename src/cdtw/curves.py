@@ -89,7 +89,7 @@ def build_curve(values: Sequence[float]) -> Curve:
 
     Raises:
         InsufficientVertices: fewer than 2 distinct consecutive values
-            remain, or a segment vanishes in the running arc length.
+            remain, or a segment vanishes in or overflows the arc length.
     """
     verts = []
     for v in values:
@@ -105,9 +105,10 @@ def build_curve(values: Sequence[float]) -> Curve:
     prefix = [0.0]
     for k, (a, b) in enumerate(zip(verts, verts[1:]), 1):
         prefix.append(prefix[-1] + abs(b - a))
-        if prefix[-1] == prefix[-2]:
+        if not prefix[-2] < prefix[-1] < math.inf:
+            how = "vanishes in" if prefix[-1] == prefix[-2] else "overflows"
             raise InsufficientVertices(
-                f"segment {k} from {a!r} to {b!r} vanishes in the arc length {prefix[-2]!r}"
+                f"segment {k} from {a!r} to {b!r} {how} the arc length {prefix[-2]!r}"
             )
     return Curve(tuple(verts), tuple(prefix))
 
@@ -146,14 +147,10 @@ def cell_info(P: Curve, Q: Curve, i: int, j: int) -> Cell:
     Raises:
         IndexOutOfRange: index outside 1..num_segments.
     """
-    if not 1 <= i <= P.num_segments:
-        raise IndexOutOfRange(f"i={i} not in 1..{P.num_segments}")
-    if not 1 <= j <= Q.num_segments:
-        raise IndexOutOfRange(f"j={j} not in 1..{Q.num_segments}")
+    dp = P.segment_dir(i)  # raises IndexOutOfRange for a bad i or j
+    dq = Q.segment_dir(j)
     x0, x1 = P.prefix_lengths[i - 1], P.prefix_lengths[i]
     y0, y1 = Q.prefix_lengths[j - 1], Q.prefix_lengths[j]
-    dp = P.segment_dir(i)
-    dq = Q.segment_dir(j)
     p0 = P.vertices[i - 1]
     q0 = Q.vertices[j - 1]
     if dp == dq:
@@ -163,9 +160,8 @@ def cell_info(P: Curve, Q: Curve, i: int, j: int) -> Cell:
         vx_hi = min(x1, y1 + c)
         if vx_hi < vx_lo - _EDGE_TOL:
             valley = None
-        else:
-            vx_lo = min(max(vx_lo, x0), x1)
-            vx_hi = min(max(vx_hi, x0), x1)
+        else:  # a near miss clips to a point inside [x0, x1]
+            vx_lo, vx_hi = min(vx_lo, x1), max(vx_hi, x0)
             valley = ((vx_lo, vx_lo - c), (vx_hi, vx_hi - c))
         return Cell(i, j, (x0, x1), (y0, y1), dp, dq, c, valley)
     # P(x) - Q(y) = dp * (x + y - c') inside the cell.

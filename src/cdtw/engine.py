@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from .curves import Curve, cell_info, height
 from .errors import CdtwError, InvariantViolation, ProvenanceMissing
 from . import piecewise as pw
-from .propagation import BoundaryCost, BRecord, Prov, base_case, far_corner_cost, solve_cell
+from .propagation import BoundaryCost, Prov, base_case, far_corner_cost, solve_cell
 
 
 @dataclass
@@ -75,7 +75,7 @@ class WarpPath:
 class SolveRun:
     """Everything produced by one solve, kept for backtracking and stats.
 
-    records holds the valley record of every cell the B family rides, and
+    records holds the valley cost of every cell the B family rides, and
     only in a solve with path recording.
     """
 
@@ -85,8 +85,7 @@ class SolveRun:
     right: Dict[Tuple[int, int], BoundaryCost]
     bottoms: List[BoundaryCost]
     lefts: List[BoundaryCost]
-    records: Dict[Tuple[int, int], BRecord]
-    stats: SolveStats
+    records: Dict[Tuple[int, int], BoundaryCost]
 
 
 @dataclass
@@ -131,7 +130,7 @@ def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> Cdt
 
     top: Dict[Tuple[int, int], BoundaryCost] = {}
     right: Dict[Tuple[int, int], BoundaryCost] = {}
-    records: Dict[Tuple[int, int], BRecord] = {}
+    records: Dict[Tuple[int, int], BoundaryCost] = {}
     for k in range(2, n + m + 1):
         for i in range(max(1, k - m), min(n, k - 1) + 1):
             j = k - i
@@ -164,7 +163,7 @@ def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> Cdt
     if stats.total_pieces > cap:
         stats.flags.append(f"total pieces {stats.total_pieces} exceeds 2(n+m)^5 = {cap}")
 
-    run = SolveRun(P, Q, top, right, bottoms, lefts, records, stats)
+    run = SolveRun(P, Q, top, right, bottoms, lefts, records)
     stats.wall_time = time.perf_counter() - t_start
     result = CdtwResult(value=value, stats=stats, run=run)
     if cfg.record_path:
@@ -177,13 +176,25 @@ def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> Cdt
 # path reconstruction
 
 
+def _departure(bc: BoundaryCost, t: float) -> Tuple[float, Prov]:
+    """Where a path to point t of an edge (or the valley) got onto it, t
+    or the start of its travel, and the provenance of that arrival."""
+    prov: Prov = bc.prov[pw.locate(bc.cost.raw, t)][1]
+    if prov.kind != "travel":
+        return t, prov
+    if prov.inner is None or prov.inner.kind == "travel":
+        raise ProvenanceMissing("malformed travel provenance")
+    return prov.data[0], prov.inner
+
+
 def _trace(run: SolveRun) -> WarpPath:
     """Backtrack provenance from the top-right corner to the origin.
 
-    Each step interprets the winning fragment at one edge coordinate: it
-    appends that fragment's in-cell legs (in reverse) and continues from
-    the fragment's source point on an input edge.  The level i + j drops
-    by one per cell, so the walk terminates.
+    Each step reads an edge at one coordinate, undoing any travel along
+    it (or along the valley, in a ride), appends the winning fragment's
+    in-cell legs (in reverse) and continues from its source point on an
+    input edge.  The level i + j drops by one per cell, so the walk
+    terminates.
     """
     P, Q = run.P, run.Q
     n, m = P.num_segments, Q.num_segments
@@ -196,16 +207,8 @@ def _trace(run: SolveRun) -> WarpPath:
         x0, x1 = cell.x_range
         y0, y1 = cell.y_range
         c = cell.offset
-        k = pw.locate(bc.cost.raw, t)
-        prov: Prov = bc.prov[k][1]
-
-        if prov.kind == "travel":
-            s_star = prov.data[0]
-            pts.append((x1, s_star) if edge == "right" else (s_star, y1))
-            t = s_star
-            prov = prov.inner
-            if prov is None or prov.kind == "travel":
-                raise ProvenanceMissing("malformed travel provenance")
+        t, prov = _departure(bc, t)
+        pts.append((x1, t) if edge == "right" else (t, y1))
 
         if prov.kind in ("Av", "C1T"):
             pts.append((t, y0))
@@ -233,23 +236,19 @@ def _trace(run: SolveRun) -> WarpPath:
             pts.append((x0, sig))
             nxt = ("left", sig)
         elif prov.kind == "B":
-            brec = run.records.get((i, j))
-            if brec is None:
+            valley = run.records.get((i, j))
+            if valley is None:
                 raise ProvenanceMissing(f"no valley record for cell ({i},{j})")
-            v_exit = t if prov.data[0] == "top" else t + c
-            pts.append((v_exit, v_exit - c))
-            kb = pw.locate(brec.b2.raw, v_exit)
-            arg = brec.argmins[kb]
-            v_in = v_exit if arg is None else min(arg, v_exit)
-            if v_in < v_exit:
-                pts.append((v_in, v_in - c))
-            kv = pw.locate(brec.valley_env.raw, v_in)
-            if brec.vtags[kv][1].side == "bottom":
-                pts.append((v_in, y0))
-                nxt = ("bottom", v_in)
+            v = t if edge == "top" else t + c
+            pts.append((v, v - c))
+            v, prov = _departure(valley, v)
+            pts.append((v, v - c))
+            if prov.side == "bottom":
+                pts.append((v, y0))
+                nxt = ("bottom", v)
             else:
-                pts.append((x0, v_in - c))
-                nxt = ("left", v_in - c)
+                pts.append((x0, v - c))
+                nxt = ("left", v - c)
         else:
             raise ProvenanceMissing(f"unknown provenance kind {prov.kind!r}")
 

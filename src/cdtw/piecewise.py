@@ -264,20 +264,18 @@ def _root_of_piece(p: Quadratic, target: float, lo: float, hi: float) -> float:
 
 
 def cumulative_min(
-    f: PiecewiseQuadratic,
-    tags: Optional[Sequence[Any]] = None,
-    start: Tuple[float, Any] = (math.inf, None),
-) -> Tuple[PiecewiseQuadratic, List[Optional[float]], Optional[List[Any]]]:
+    f: PiecewiseQuadratic, tags: Sequence[Any], start: Tuple[float, Any]
+) -> Tuple[PiecewiseQuadratic, List[Optional[float]], List[Any]]:
     """g(t) = min(k, min over s <= t of f(s)) with start = (k, tag), and
-    per-piece argmin annotations.
+    per-piece argmin annotations and tags.
 
     Annotation None means the output piece follows f itself (the minimum at
     t is attained at t) or is flat at k; a float s* means the piece is flat
-    and the minimum was attained earlier, at s*.  With tags (one per piece
-    of f), a follow piece carries the tag of the piece it follows, a flat
-    piece at k the start's tag and one at s* the tag of the piece covering
-    s* (a breakpoint resolves to the left piece, as in locate); pieces
-    merge only where annotation and tag both agree.
+    and the minimum was attained earlier, at s*.  Of the tags (one per
+    piece of f), a follow piece carries the tag of the piece it follows, a
+    flat piece at k the start's tag and one at s* the tag of the piece
+    covering s* (a breakpoint resolves to the left piece, as in locate);
+    pieces merge only where annotation and tag both agree.  k may be inf.
     """
     tol = TOLERANCE
     raw = f.raw
@@ -291,8 +289,6 @@ def cumulative_min(
         out.append(piece)
         if arg is start:
             keys.append((None, start[1]))
-        elif tags is None:
-            keys.append((arg, None))
         else:  # k: the piece of f being split, in the loop below
             keys.append((arg, tags[k if arg is None else locate(raw, arg)]))
 
@@ -363,7 +359,7 @@ def cumulative_min(
                 f"with only {distinct} distinct coefficient pairs"
             )
     args = [key[0] for key in keys]
-    return from_raw(pieces), args, (None if tags is None else [key[1] for key in keys])
+    return from_raw(pieces), args, [key[1] for key in keys]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,9 @@ all in reduced costs.  With S(u) = u|u|/2, the integral of |u|:
   turn once at the dip (the C2 families), or transport straight across
   (C1 families).  The edges' R double a path's S-terms here.  A lower
   envelope merges the fragments, and the travel pass along an output
-  edge is its cumulative minimum from the corner route.
+  edge is its cumulative minimum from the corner route.  The valley is
+  one more edge, of zero height, so its R is 0: the ride along it is the
+  same travel pass, with no corner route (propagate_type_b).
 
 Every emitted fragment is the exact cost of a realisable path family, so
 the envelope is a true upper bound everywhere and tight where some family
@@ -54,6 +56,7 @@ cannot change a cell's output is skipped:
 
 from __future__ import annotations
 
+import math
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import piecewise as pw
@@ -77,10 +80,11 @@ PREF_LEFT = 2.0
 class Prov(NamedTuple):
     """Per-piece provenance: which path family produced the winning cost.
 
-    kind is one of 'base', 'Av', 'Ah', 'corner', 'B', 'C1', 'C1T', 'C2',
-    'C2T', 'travel'.  data holds family parameters (for C2 kinds the linear
-    map t -> source coordinate; for corners the corner point; for travel
-    the departure coordinate).  inner nests the pre-travel provenance.
+    kind is one of 'base', 'Av', 'Ah', 'corner', 'B', 'B1', 'C1', 'C1T',
+    'C2', 'C2T', 'travel'; side is the input edge ('' for B: the valley).
+    data holds what the path trace cannot derive: for C2 kinds the linear
+    map t -> source coordinate, for travel the departure coordinate.
+    inner nests the pre-travel provenance.
     """
 
     kind: str
@@ -97,15 +101,7 @@ class BoundaryCost(NamedTuple):
     prov: Tuple
 
 
-class BRecord(NamedTuple):
-    """Valley data kept for path reconstruction through the B family."""
-
-    valley_env: PiecewiseQuadratic
-    vtags: Tuple
-    b2: PiecewiseQuadratic
-    argmins: Tuple
-
-
+B_TAG = (PREF_B, Prov("B", ""))
 # A candidate cost over part of an output edge, tagged (pref, provenance).
 Fragment = Tuple[PiecewiseQuadratic, Tuple[float, Prov]]
 # A route through an output edge's start corner: (constant cost, tag).
@@ -265,15 +261,12 @@ def base_case(P: Curve, Q: Curve) -> Tuple[List[BoundaryCost], List[BoundaryCost
 
 
 def _corner_routes(
-    cell: Cell, bottom: BoundaryCost, left: BoundaryCost, h_bottom: float, v_left: float
+    bottom: BoundaryCost, left: BoundaryCost, h_bottom: float, v_left: float
 ) -> Tuple[Corner, Corner]:
     """The routes to the top and the right edge through their start corners:
     an input's end cost plus V (or H), then free travel along the edge."""
-    x0, x1 = cell.x_range
-    y0, y1 = cell.y_range
-    return ((_end_value(left.cost, "hi") + v_left, (PREF_LEFT, Prov("corner", "left", (x0, y1)))),
-            (_end_value(bottom.cost, "hi") + h_bottom,
-             (PREF_BOTTOM, Prov("corner", "bottom", (x1, y0)))))
+    return ((_end_value(left.cost, "hi") + v_left, (PREF_LEFT, Prov("corner", "left"))),
+            (_end_value(bottom.cost, "hi") + h_bottom, (PREF_BOTTOM, Prov("corner", "bottom"))))
 
 
 def propagate_type_a(
@@ -308,19 +301,22 @@ def _valley_span(cell: Cell) -> Optional[Tuple[float, float]]:
 
 def propagate_type_b(
     cell: Cell, bottom: BoundaryCost, left: BoundaryCost
-) -> Tuple[List[Fragment], List[Fragment], BRecord]:
-    """(top, right) valley-riding fragments and the valley record: transport
-    both inputs to the valley, take the cumulative minimum along it, and
-    transport to the outputs.
+) -> Tuple[List[Fragment], List[Fragment], BoundaryCost]:
+    """(top, right) valley-riding fragments and the valley's cost:
+    transport both inputs to the valley, ride it, and transport to the
+    outputs.
 
-    The transport cost from the valley to an output point does not depend
-    on where the path leaves the valley (any reachable exit gives the same
-    dip integral), so the cumulative minimum captures every entry point.
-    The valley holds full costs; on its span each edge's R is one
-    quadratic, which doubles the transport's square.  So each entry and
-    each exit is one pass over an input's pieces (_leg): clip to the span,
-    which lies inside both inputs (cell_info clips the valley to the
-    cell), shift by c where the frames differ, and add one quadratic.
+    The valley is a zero-height edge, so its R is 0 and the ride is the
+    travel pass with no corner route; the valley cost, over x, tags each
+    piece with its entry (B1), wrapped in travel where the path rides.
+    The transport from the valley to an output point does not depend on
+    where the path leaves it (any reachable exit gives the same dip
+    integral), so the ride captures every entry point.  On the span each
+    input edge's R is one quadratic, which doubles the transport's
+    square.  So each entry and each exit is one pass over an input's
+    pieces (_leg): clip to the span, which lies inside both inputs
+    (cell_info clips the valley to the cell), shift by c where the frames
+    differ, and add one quadratic.
     """
     span = _valley_span(cell)
     if not cell.same_direction or span is None:
@@ -335,19 +331,17 @@ def propagate_type_b(
     b1_bottom = _leg(bottom.cost.raw, 0.0, (1.0, -2.0 * (y0 + c), (y0 + c) ** 2 - s00), vx0, vx1)
     # Entry from the left edge at (x0, v - c), moving right to the valley.
     b1_left = _leg(left.cost.raw, -c, (1.0, -2.0 * x0, x0 * x0 + s00), vx0, vx1)
-    valley_env, vtags = pw.lower_envelope(
+    b2, tags = apply_edge_travel(*pw.lower_envelope(
         [(pw.from_raw(b1_bottom), (PREF_BOTTOM, Prov("B1", "bottom"))),
-         (pw.from_raw(b1_left), (PREF_LEFT, Prov("B1", "left")))], vx0, vx1)
-    b2, argmins, _ = pw.cumulative_min(valley_env)
+         (pw.from_raw(b1_left), (PREF_LEFT, Prov("B1", "left")))], vx0, vx1), (math.inf, None))
 
     # Exit upward to the top edge at (t, y1): transport (y1 - t + c)^2 / 2.
     up = (1.0, -2.0 * (y1 + c), (y1 + c) ** 2 + _s_halfsq(x0 - y1 - c))
-    top = [(pw.from_raw(_leg(b2.raw, 0.0, up, vx0, vx1)), (PREF_B, Prov("B", "", ("top",))))]
+    top = [(pw.from_raw(_leg(b2.raw, 0.0, up, vx0, vx1)), B_TAG)]
     # Exit rightward to (x1, tau): valley coordinate tau + c.
     side = (1.0, -2.0 * (x1 - c), (x1 - c) ** 2 - _s_halfsq(x1 - y0 - c))
-    b3_right = _leg(b2.raw, c, side, vx0 - c, vx1 - c)
-    right = [(pw.from_raw(b3_right), (PREF_B, Prov("B", "", ("right",))))]
-    return top, right, BRecord(valley_env, tuple(vtags), b2, tuple(argmins))
+    right = [(pw.from_raw(_leg(b2.raw, c, side, vx0 - c, vx1 - c)), B_TAG)]
+    return top, right, BoundaryCost(b2, tuple(tags))
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +516,7 @@ def _nonincreasing(raw: Sequence[pw.Raw], low: float) -> bool:
 def apply_edge_travel(
     env: PiecewiseQuadratic, tags: Sequence[Tuple[float, Prov]], start: Corner
 ) -> Tuple[PiecewiseQuadratic, List[Tuple[float, Prov]]]:
-    """Allow paths to continue along the output edge after any exit.
+    """Allow paths to continue along the output edge (or valley) after any exit.
 
     Travel along the edge is free in reduced costs, so the result is the
     tagged cumulative minimum of env started at the corner route start =
@@ -564,22 +558,22 @@ def _pin_end(
 
 def solve_cell(
     cell: Cell, bottom: BoundaryCost, left: BoundaryCost
-) -> Tuple[BoundaryCost, BoundaryCost, Optional[BRecord]]:
+) -> Tuple[BoundaryCost, BoundaryCost, Optional[BoundaryCost]]:
     """Output-edge reduced costs of one cell from its input-edge reduced
-    costs, and the valley record of a cell the B family rides (None
+    costs, and the valley cost of a cell the B family rides (None
     elsewhere).  The inputs must never rise, as every base-case edge and
     every output of this function does.
     """
-    b_rec: Optional[BRecord] = None
+    valley: Optional[BoundaryCost] = None
     h_bottom, v_left, h_top, v_right = _edge_integrals(cell)
-    top_k, right_k = _corner_routes(cell, bottom, left, h_bottom, v_left)
+    top_k, right_k = _corner_routes(bottom, left, h_bottom, v_left)
     if not cell.same_direction:
         (fin_top, prov_top), (fin_right, prov_right) = propagate_type_a(
             cell, bottom, left, h_bottom, v_left, top_k, right_k)
     else:
         frags_top, frags_right = propagate_type_c(cell, bottom, left, h_bottom, v_left)
         if _valley_span(cell) is not None:
-            b_top, b_right, b_rec = propagate_type_b(cell, bottom, left)
+            b_top, b_right, valley = propagate_type_b(cell, bottom, left)
             frags_top += b_top
             frags_right += b_right
         fin_top, prov_top = apply_edge_travel(*pw.lower_envelope(frags_top, *cell.x_range), top_k)
@@ -601,4 +595,4 @@ def solve_cell(
 
     top_bc = BoundaryCost(fin_top, tuple(prov_top))
     right_bc = BoundaryCost(fin_right, tuple(prov_right))
-    return top_bc, right_bc, b_rec
+    return top_bc, right_bc, valley

@@ -389,6 +389,12 @@ def dense_min(
     return out
 
 
+def prefix_min(f: pw.PiecewiseQuadratic):
+    """pw.cumulative_min with a None tag on every piece and no start value:
+    the plain prefix minimum, its argmin annotations and the None tags."""
+    return pw.cumulative_min(f, [None] * len(f.raw), NO_CORNER)
+
+
 def numeric_cumulative_min(
     f: Callable[[float], float], lo: float, hi: float, t: float, n: int = 4000
 ) -> float:

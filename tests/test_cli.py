@@ -163,6 +163,13 @@ class TestCompute:
         err = capsys.readouterr().err
         assert "huge.csv" in err and "vanishes" in err
 
+    def test_overflowing_arc_length_names_file(self, tmp_path, capsys):
+        a = write(tmp_path, "wide.csv", "-1e308\n1e308\n")
+        b = write(tmp_path, "b.csv", "0\n1\n")
+        assert main(["compute", a, b]) == 2
+        err = capsys.readouterr().err
+        assert "wide.csv" in err and "overflows" in err
+
     def test_missing_file(self, tmp_path, capsys):
         b = write(tmp_path, "b.csv", "0\n1\n")
         assert main(["compute", str(tmp_path / "absent.csv"), b]) == 2

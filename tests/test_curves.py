@@ -38,6 +38,12 @@ class TestBuildCurve:
         with pytest.raises(InsufficientVertices, match="segment 3 from 0.0 to 0.001 vanishes"):
             build_curve([0, 1e17, 0, 1e-3])
 
+    def test_overflowing_arc_length_rejected(self):
+        # The segment from -1e308 to 1e308 is longer than the largest float:
+        # its prefix length would be inf, and every cell cost nan.
+        with pytest.raises(InsufficientVertices, match=r"segment 1 from -1e\+308 to 1e\+308 overflows"):
+            build_curve([-1e308, 1e308])
+
     def test_prefix_strictly_increasing(self):
         rng = random.Random(7)
         for _ in range(50):

@@ -21,7 +21,7 @@ from cdtw.engine import (
     reconstruct_path,
 )
 from cdtw.errors import CoverageGap, InsufficientVertices, ProvenanceMissing
-from cdtw.propagation import BRecord, _valley_span
+from cdtw.propagation import BoundaryCost, Prov, _valley_span
 
 from helpers import full, path_cost, random_curve, validate
 
@@ -387,8 +387,8 @@ class TestProvenanceControl:
         assert p1 is p2
 
     def test_records_hold_valley_cells_only(self):
-        # One BRecord per cell the B family rides, and none without path
-        # recording.
+        # One valley cost per cell the B family rides, and none without
+        # path recording.
         rng = random.Random(73)
         P = random_curve(rng, 6)
         Q = random_curve(rng, 6)
@@ -397,8 +397,24 @@ class TestProvenanceControl:
         assert valleys and len(valleys) < len(cells)
         records = cdtw_exact(P, Q).run.records
         assert set(records) == valleys
-        assert all(isinstance(rec, BRecord) for rec in records.values())
+        assert all(isinstance(rec, BoundaryCost) for rec in records.values())
         assert cdtw_exact(P, Q, EngineConfig(record_path=False)).run.records == {}
+
+    def test_trace_names_missing_valley_provenance(self):
+        # The optimal path of this one-cell pair rides the valley; without
+        # its valley cost, or with a travel tag that has no source there,
+        # the trace raises ProvenanceMissing rather than guessing.
+        res = solve([0, 1], [0.5, 1.5])
+        run = res.run
+        assert engine._trace(run) == res.path
+        (key, valley), = run.records.items()
+        del run.records[key]
+        with pytest.raises(ProvenanceMissing, match="no valley record"):
+            engine._trace(run)
+        bad = (1.0, Prov("travel", "", (0.0,), None))
+        run.records[key] = valley._replace(prov=(bad,) * len(valley.prov))
+        with pytest.raises(ProvenanceMissing, match="malformed travel"):
+            engine._trace(run)
 
     def test_validate_mode_passes(self):
         # every output edge function of a solve passes validate

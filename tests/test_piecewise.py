@@ -18,6 +18,7 @@ from helpers import (
     add_raw,
     breakpoints,
     numeric_cumulative_min,
+    prefix_min,
     pwq_prefix_min,
     reference_env_insert,
     shift_raw,
@@ -139,20 +140,21 @@ class TestAddQuadratic:
 class TestCumulativeMin:
     def test_vertex_then_flat(self):
         f = pwq((1, -2, 0, 0, 3))
-        g, _, _ = pw.cumulative_min(f)
+        g, args, _ = prefix_min(f)
+        assert args == [None, 1.0]
         assert g.value(0.5) == pytest.approx(f.value(0.5))
         assert g.value(2.0) == pytest.approx(-1.0)
         assert g.value(3.0) == pytest.approx(-1.0)
 
     def test_increasing_becomes_constant(self):
         f = pwq((0, 1, 0, 0, 1))
-        g, _, _ = pw.cumulative_min(f)
+        g, _, _ = prefix_min(f)
         for s in (0, 0.4, 1):
             assert g.value(s) == pytest.approx(0.0, abs=1e-12)
 
     def test_decreasing_unchanged(self):
         f = pwq((0, -1, 1, 0, 1))
-        g, _, _ = pw.cumulative_min(f)
+        g, _, _ = prefix_min(f)
         for s in (0, 0.4, 1):
             assert g.value(s) == pytest.approx(f.value(s))
 
@@ -160,7 +162,7 @@ class TestCumulativeMin:
         rng = random.Random(21)
         for _ in range(60):
             f = random_pwq(rng)
-            g, _, _ = pw.cumulative_min(f)
+            g, _, _ = prefix_min(f)
             for _ in range(15):
                 t = rng.uniform(0, 1)
                 expect = pwq_prefix_min(f.pieces, t)
@@ -170,7 +172,7 @@ class TestCumulativeMin:
         rng = random.Random(25)
         for _ in range(20):
             f = random_pwq(rng)
-            g, _, _ = pw.cumulative_min(f)
+            g, _, _ = prefix_min(f)
             for _ in range(5):
                 t = rng.uniform(0, 1)
                 expect = numeric_cumulative_min(f.value, 0.0, 1.0, t, 3000)
@@ -180,8 +182,8 @@ class TestCumulativeMin:
         rng = random.Random(22)
         for _ in range(30):
             f = random_pwq(rng)
-            g1, _, _ = pw.cumulative_min(f)
-            g2, _, _ = pw.cumulative_min(g1)
+            g1, _, _ = prefix_min(f)
+            g2, _, _ = prefix_min(g1)
             for _ in range(10):
                 t = rng.uniform(0, 1)
                 assert g2.value(t) == pytest.approx(g1.value(t), abs=1e-12)
@@ -190,7 +192,7 @@ class TestCumulativeMin:
         rng = random.Random(23)
         for _ in range(30):
             f = random_pwq(rng)
-            g, _, _ = pw.cumulative_min(f)
+            g, _, _ = prefix_min(f)
             last = math.inf
             for k in range(50):
                 t = k / 49.0
@@ -203,7 +205,7 @@ class TestCumulativeMin:
         rng = random.Random(24)
         for _ in range(40):
             f = random_pwq(rng)
-            g, args, _ = pw.cumulative_min(f)
+            g, args, _ = prefix_min(f)
             for piece, arg in zip(g.pieces, args):
                 t = 0.5 * (piece.lo + piece.hi)
                 if arg is None:
@@ -213,19 +215,13 @@ class TestCumulativeMin:
                     assert g.value(t) == pytest.approx(f.value(arg), abs=1e-6)
 
 
-    def test_untagged_returns_no_tags(self):
-        f = pwq((1, -2, 0, 0, 3))
-        _, args, tags = pw.cumulative_min(f)
-        assert args == [None, 1.0]
-        assert tags is None
-
     def test_tags_follow_source_pieces_and_argmins(self):
         rng = random.Random(26)
         for _ in range(60):
             f = random_pwq(rng)
             tags = [f"piece{k}" for k in range(len(f))]
-            g, args, out_tags = pw.cumulative_min(f, tags)
-            g0, args0, _ = pw.cumulative_min(f)
+            g, args, out_tags = pw.cumulative_min(f, tags, NO_CORNER)
+            g0, args0, _ = prefix_min(f)
             assert len(out_tags) == len(g) == len(args)
             for piece, arg, tag in zip(g.raw, args, out_tags):
                 # a follow piece lies inside the piece it follows; a flat one
@@ -241,18 +237,18 @@ class TestCumulativeMin:
     def test_argmin_on_a_breakpoint_takes_the_left_tag(self):
         # The minimum 0 sits on the breakpoint s = 1 of two linear pieces.
         f = pwq((0, -1, 1, 0, 1), (0, 1, -1, 1, 2))
-        g, args, tags = pw.cumulative_min(f, ["down", "up"])
+        g, args, tags = pw.cumulative_min(f, ["down", "up"], NO_CORNER)
         assert args == [None, 1.0]
         assert tags == ["down", "down"]
         assert g.value(1.5) == pytest.approx(0.0)
 
     def test_merges_only_equal_tags(self):
-        # One decreasing line cut in two: the pieces merge without tags and
-        # with equal tags, and stay apart with different tags.
+        # One decreasing line cut in two: the pieces merge with None tags
+        # and with equal tags, and stay apart with different tags.
         f = pwq((0, -1, 1, 0, 0.5), (0, -1, 1, 0.5, 1))
-        assert len(pw.cumulative_min(f)[0]) == 1
-        assert pw.cumulative_min(f, ["a", "a"])[2] == ["a"]
-        g, args, tags = pw.cumulative_min(f, ["a", "b"])
+        assert len(prefix_min(f)[0]) == 1
+        assert pw.cumulative_min(f, ["a", "a"], NO_CORNER)[2] == ["a"]
+        g, args, tags = pw.cumulative_min(f, ["a", "b"], NO_CORNER)
         assert breakpoints(g) == [0, 0.5, 1]
         assert args == [None, None]
         assert tags == ["a", "b"]
@@ -267,7 +263,7 @@ class TestCumulativeMin:
         for _ in range(60):
             f = random_pwq(rng)
             tags = [f"piece{k}" for k in range(len(f))]
-            ref, _, _ = pw.cumulative_min(f)
+            ref, _, _ = prefix_min(f)
             k = rng.uniform(-2.5, 2.5)
             g, args, out_tags = pw.cumulative_min(f, tags, (k, "corner"))
             for j in range(40):
@@ -292,7 +288,7 @@ class TestOffsetCumulativeMin:
             f = random_pwq(rng)
             qc = (0, 0, 0, 0, 1)
             g = travel(f, qc)
-            ref, _, _ = pw.cumulative_min(f)
+            ref, _, _ = prefix_min(f)
             for k in range(25):
                 t = k / 24.0
                 assert g.value(t) == pytest.approx(ref.value(t), abs=1e-12)
@@ -543,7 +539,7 @@ def test_envelope_of_random_pwqs_hypothesis(seed):
 def test_cumulative_min_hypothesis(seed):
     rng = random.Random(seed)
     f = random_pwq(rng, max_pieces=4)
-    g, _, _ = pw.cumulative_min(f)
+    g, _, _ = prefix_min(f)
     last = math.inf
     for k in range(60):
         t = k / 59.0

@@ -40,6 +40,7 @@ from helpers import (
     lifted,
     minimum,
     path_cost,
+    prefix_min,
     random_curve,
     random_staircase,
     reduced,
@@ -62,7 +63,7 @@ def type_a(cell: Cell, bottom: BoundaryCost, left: BoundaryCost):
     """propagate_type_a with the edge integrals and corner routes that
     solve_cell hands it."""
     h_bottom, v_left, _, _ = _edge_integrals(cell)
-    corners = _corner_routes(cell, bottom, left, h_bottom, v_left)
+    corners = _corner_routes(bottom, left, h_bottom, v_left)
     return propagate_type_a(cell, bottom, left, h_bottom, v_left, *corners)
 
 
@@ -439,7 +440,7 @@ class TestTypeA:
                 s0 = rng.uniform(lo, hi)
                 qc = rng.uniform(0.0, 1.5) + qa * s0 * s0
                 items.append((pw.from_raw([(qa, -2.0 * qa * s0, qc, lo, hi)]), (0,)))
-            f, _, _ = pw.cumulative_min(pw.lower_envelope(items, lo, hi)[0])
+            f, _, _ = prefix_min(pw.lower_envelope(items, lo, hi)[0])
             top, bottom = f.value(lo), f.value(hi)
             shift = rng.uniform(-1.0, 1.0)
             for cap in (top + 1.0, bottom - 1.0, rng.uniform(bottom, top)):
@@ -545,12 +546,18 @@ class TestTypeB:
             except WrongCellType:
                 continue
             done += 1
-            env = rec.valley_env
-            sampled = [env.value(v) for v in np.linspace(vx0, vx1, 800)]
+            # The valley's cost before the ride: enter from the bottom at
+            # (v, y0) and climb, or from the left at (x0, v - c) and walk
+            # right, to the valley point (v, v - c).
+            fb, fl = costs(cell, bottom, left)
+            x0, y0, c = cell.x_range[0], cell.y_range[0], cell.offset
+            vs = np.linspace(vx0, vx1, 800)
+            sampled = [min(fb.value(v) + (v - y0 - c) ** 2 / 2, fl.value(v - c) + (v - x0) ** 2 / 2)
+                       for v in vs]
             running = np.minimum.accumulate(sampled)
-            for k, v in enumerate(np.linspace(vx0, vx1, 800)):
-                assert rec.b2.value(v) <= running[k] + 1e-9
-                assert rec.b2.value(v) >= running[k] - 1e-3  # sampling slack
+            for k, v in enumerate(vs):
+                assert rec.cost.value(v) <= running[k] + 1e-9
+                assert rec.cost.value(v) >= running[k] - 1e-3  # sampling slack
 
     def test_b_covers_valley_grazing_paths(self):
         # The single-turn path that turns on the valley line enters it and
@@ -757,9 +764,9 @@ class TestTypeC:
             assert (0.0, y0) not in c2t and (0.0, y1) not in c2t
             assert all(t[1].kind != "corner" for _f, t in top + right)
             h_bottom, v_left, _, _ = _edge_integrals(cell)
-            (k_top, tag_t), (k_right, tag_r) = _corner_routes(cell, bottom, left, h_bottom, v_left)
-            assert tag_r == (PREF_BOTTOM, Prov("corner", "bottom", (x1, y0)))
-            assert tag_t == (PREF_LEFT, Prov("corner", "left", (x0, y1)))
+            (k_top, tag_t), (k_right, tag_r) = _corner_routes(bottom, left, h_bottom, v_left)
+            assert tag_r == (PREF_BOTTOM, Prov("corner", "bottom"))
+            assert tag_t == (PREF_LEFT, Prov("corner", "left"))
             corner_right = full(cell, "right", pw.constant(k_right, y0, y1))
             corner_top = full(cell, "top", pw.constant(k_top, x0, x1))
             fb, fl = costs(cell, bottom, left)
@@ -870,7 +877,7 @@ class TestTypeC:
         f = bottom.cost
         tags = list(bottom.prov)
         out, _prov = apply_edge_travel(f, tags, NO_CORNER)
-        want, _, _ = pw.cumulative_min(f)
+        want, _, _ = prefix_min(f)
         for s in np.linspace(f.lo, f.hi, 200):
             assert out.value(s) == pytest.approx(want.value(s), abs=1e-9)
 
@@ -1028,14 +1035,16 @@ class TestSolveCell:
                     s = prov.data[0] * t + prov.data[1]
                     assert y0 - tol <= s <= y1 + tol
                 elif prov.kind == "B":
-                    v_exit = t if prov.data[0] == "top" else t + c
-                    kb = pw.locate(rec.b2.raw, v_exit)
-                    arg = rec.argmins[kb]
-                    v_in = v_exit if arg is None else min(arg, v_exit)
+                    # the valley cost's tag at the exit: the entry, wrapped
+                    # in travel where the path rides from an earlier point
+                    v_exit = t if edge == "top" else t + c
+                    entry = rec.prov[pw.locate(rec.cost.raw, v_exit)][1]
+                    v_in = v_exit
+                    if entry.kind == "travel":
+                        v_in, entry = entry.data[0], entry.inner
                     assert v_in <= v_exit + tol
-                    kv = pw.locate(rec.valley_env.raw, v_in)
-                    side = rec.vtags[kv][1].side
-                    assert side in ("bottom", "left")
+                    assert entry.kind == "B1"
+                    assert entry.side in ("bottom", "left")
 
             for edge, bc in (("top", top), ("right", right)):
                 for piece, (_pref, prov) in zip(bc.cost.pieces, bc.prov):
@@ -1055,7 +1064,8 @@ class TestSolveCell:
                 continue
             seen += 1
             last = -INF
-            for piece, arg in zip(rec.b2.pieces, rec.argmins):
+            for piece, (_pref, prov) in zip(rec.cost.pieces, rec.prov):
+                arg = prov.data[0] if prov.kind == "travel" else None
                 src = piece.lo if arg is None else arg
                 assert src >= last - 1e-9
                 if arg is not None:
@@ -1081,7 +1091,7 @@ class TestSolveCell:
                     pass
                 else:
                     top, right = top + b_top, right + b_right
-                    sources[""] = len(rec.b2)
+                    sources[""] = len(rec.cost)
             else:
                 (top, top_tags), (right, right_tags) = type_a(cell, bottom, left)
                 assert len(top) <= sources["bottom"] + 2
