@@ -207,8 +207,10 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         if args.measure == "cdtw-grid":
             # numpy once, before the fork, rather than once in every worker
             from . import lattice  # noqa: F401
+        # about four chunks of pairs per worker: fewer round trips, still balanced
+        chunksize = max(1, len(pairs) // (4 * args.jobs))
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            values = list(pool.map(_matrix_task, pairs))
+            values = list(pool.map(_matrix_task, pairs, chunksize=chunksize))
     else:
         values = [_matrix_task(task) for task in pairs]
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .errors import IndexOutOfRange, InsufficientVertices, OutOfDomain
 
@@ -53,8 +53,7 @@ class Curve:
         return 1 if self.vertices[i] > self.vertices[i - 1] else -1
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """One parameter-space cell, spanned by segment i of P and j of Q.
 
     offset is the constant of the in-cell height line: for same-direction
@@ -62,6 +61,7 @@ class Cell:
     opposite-direction cells h = |x + y - offset|.  valley is the clipped
     slope-1 zero segment ((x_lo, y_lo), (x_hi, y_hi)), possibly degenerate
     to a point, or None when the line misses the cell or directions differ.
+    A named tuple: the solver builds one per cell.
     """
 
     i: int
@@ -147,12 +147,15 @@ def cell_info(P: Curve, Q: Curve, i: int, j: int) -> Cell:
     Raises:
         IndexOutOfRange: index outside 1..num_segments.
     """
-    dp = P.segment_dir(i)  # raises IndexOutOfRange for a bad i or j
-    dq = Q.segment_dir(j)
+    vp, vq = P.vertices, Q.vertices
+    if not (0 < i < len(vp) and 0 < j < len(vq)):
+        P.segment_dir(i)  # raises IndexOutOfRange for a bad i or j
+        Q.segment_dir(j)
+    p0, q0 = vp[i - 1], vq[j - 1]
+    dp = 1 if vp[i] > p0 else -1
+    dq = 1 if vq[j] > q0 else -1
     x0, x1 = P.prefix_lengths[i - 1], P.prefix_lengths[i]
     y0, y1 = Q.prefix_lengths[j - 1], Q.prefix_lengths[j]
-    p0 = P.vertices[i - 1]
-    q0 = Q.vertices[j - 1]
     if dp == dq:
         # P(x) - Q(y) = dp * (x - y - c) inside the cell.
         c = (x0 - y0) - dp * (p0 - q0)

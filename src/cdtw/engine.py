@@ -145,9 +145,9 @@ def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> Cdt
             right[(i, j)] = r_bc
             if rec is not None and cfg.record_path:
                 records[(i, j)] = rec
-            stats.cells_solved += 1
             _count_edge(stats, k, t_bc.cost)
             _count_edge(stats, k, r_bc.cost)
+    stats.cells_solved = n * m
 
     value = far_corner_cost(cell_info(P, Q, n, m), top[(n, m)], right[(n, m)])
     if value < -1e-6 * (1.0 + P.length + Q.length):

@@ -136,10 +136,10 @@ def normalize_raw(
                 lo = phi
                 hi = max(hi, phi)
             if (
-                abs(pa - a) <= tol * (1.0 + abs(pa) + abs(a))
+                out_tags[-1] == t
+                and abs(pa - a) <= tol * (1.0 + abs(pa) + abs(a))
                 and abs(pb - b) <= tol * (1.0 + abs(pb) + abs(b))
                 and abs(pc - c) <= tol * (1.0 + abs(pc) + abs(c))
-                and out_tags[-1] == t
             ):
                 out[-1] = (pa, pb, pc, plo, hi)
                 continue
@@ -281,74 +281,73 @@ def cumulative_min(
     raw = f.raw
     out: List[Raw] = []
     keys: List[Tuple[Optional[float], Any]] = []  # (annotation, tag) per piece
-    m, m_arg = start[0], start  # start: the minimum is k
-
-    def emit(piece: Raw, arg: Any) -> None:
-        if piece[4] - piece[3] < 0:
-            return
-        out.append(piece)
-        if arg is start:
-            keys.append((None, start[1]))
-        else:  # k: the piece of f being split, in the loop below
-            keys.append((arg, tags[k if arg is None else locate(raw, arg)]))
+    # The running minimum (k at first), where f attains it, and the key of
+    # a flat piece at it (None until looked up).
+    m, m_arg, m_key = start[0], None, (None, start[1])
 
     for k, p in enumerate(raw):
         a, b, c, l, h = p
         # Split the piece into monotone stages of its own prefix minimum:
         # 'follow' stages where the prefix minimum is the piece itself
-        # (nonincreasing stretches) and 'const' stages where it is flat.
-        stages: List[Tuple[str, float, float, float]] = []  # kind, lo, hi, arg
+        # (nonincreasing stretches) and 'const' stages where it is flat,
+        # each (kind, lo, hi, arg).
         if a > tol:
             v = -b / (2.0 * a)
             if v <= l + tol:
-                stages.append(("const", l, h, l))
+                stages = (("const", l, h, l),)
             elif v >= h - tol:
-                stages.append(("follow", l, h, 0.0))
+                stages = (("follow", l, h, 0.0),)
             else:
-                stages.append(("follow", l, v, 0.0))
-                stages.append(("const", v, h, v))
+                stages = (("follow", l, v, 0.0), ("const", v, h, v))
         elif a < -tol:
             v = -b / (2.0 * a)
             if l >= v - tol:
-                stages.append(("follow", l, h, 0.0))
+                stages = (("follow", l, h, 0.0),)
             elif h <= v + tol:
-                stages.append(("const", l, h, l))
+                stages = (("const", l, h, l),)
             else:
                 x2 = 2.0 * v - l  # where the concave arc returns to its start value
                 if x2 >= h - tol:
-                    stages.append(("const", l, h, l))
+                    stages = (("const", l, h, l),)
                 else:
-                    stages.append(("const", l, x2, l))
-                    stages.append(("follow", x2, h, 0.0))
+                    stages = (("const", l, x2, l), ("follow", x2, h, 0.0))
+        elif b > tol:
+            stages = (("const", l, h, l),)
         else:
-            if b > tol:
-                stages.append(("const", l, h, l))
-            else:
-                # Constant or decreasing linear pieces follow themselves;
-                # constants count as 'follow' so no-op travel keeps direct
-                # provenance on ties.
-                stages.append(("follow", l, h, 0.0))
+            # Constant or decreasing linear pieces follow themselves;
+            # constants count as 'follow' so no-op travel keeps direct
+            # provenance on ties.
+            stages = (("follow", l, h, 0.0),)
 
+        # Each stage is flat at m on [sl, flat_hi], then follows f on
+        # [follow_lo, sh]; either part may be absent (None).
         for kind, sl, sh, arg in stages:
+            flat_hi = follow_lo = None
             if kind == "const":
                 w = (a * arg + b) * arg + c
                 if w < m:
-                    m, m_arg = w, arg
-                emit((0.0, 0.0, m, sl, sh), m_arg)
-                continue
-            v_start = (a * sl + b) * sl + c
-            v_end = (a * sh + b) * sh + c
-            if v_start <= m + tol:
-                emit((a, b, c, sl, sh), None)
-                if v_end < m:
-                    m, m_arg = v_end, sh
-            elif v_end >= m - tol:
-                emit((0.0, 0.0, m, sl, sh), m_arg)
+                    m, m_arg, m_key = w, arg, None
+                flat_hi = sh
             else:
-                x = _root_of_piece(Quadratic(*p), m, sl, sh)
-                emit((0.0, 0.0, m, sl, x), m_arg)
-                emit((a, b, c, x, sh), None)
-                m, m_arg = v_end, sh
+                v_start = (a * sl + b) * sl + c
+                v_end = (a * sh + b) * sh + c
+                if v_start <= m + tol:
+                    follow_lo = sl
+                elif v_end >= m - tol:
+                    flat_hi = sh
+                else:
+                    flat_hi = follow_lo = _root_of_piece(Quadratic(*p), m, sl, sh)
+            if flat_hi is not None and flat_hi >= sl:
+                if m_key is None:
+                    m_key = (m_arg, tags[locate(raw, m_arg)])
+                out.append((0.0, 0.0, m, sl, flat_hi))
+                keys.append(m_key)
+            if follow_lo is not None:
+                if sh >= follow_lo:
+                    out.append((a, b, c, follow_lo, sh))
+                    keys.append((None, tags[k]))
+                if v_end < m:
+                    m, m_arg, m_key = v_end, sh, None
 
     pieces, keys = normalize_raw(out, keys)
     if len(pieces) > len(raw) + 1:
@@ -403,13 +402,13 @@ def _compare_span(e: tuple, q: tuple, a: float, b: float) -> List[tuple]:
     if abs(d[0]) > tol or abs(d[1]) > tol:
         # Spans end at the difference's roots inside (a, b), which come
         # sorted and distinct.
-        cuts = [r for r in stable_roots(*d) if a + tol < r < b - tol]
-        if cuts:
-            out: List[tuple] = []
-            s0 = a
-            for s1 in cuts:
+        out: List[tuple] = []
+        s0 = a
+        for s1 in stable_roots(*d):
+            if a + tol < s1 < b - tol:
                 out.append(_span_entry(e, q, d, s0, s1))
                 s0 = s1
+        if out:
             out.append(_span_entry(e, q, d, s0, b))
             return out
     return [_span_entry(e, q, d, a, b)]

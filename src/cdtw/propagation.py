@@ -101,17 +101,26 @@ class BoundaryCost(NamedTuple):
     prov: Tuple
 
 
+# The fixed tags, made once rather than per cell.
 B_TAG = (PREF_B, Prov("B", ""))
+B1_BOTTOM_TAG = (PREF_BOTTOM, Prov("B1", "bottom"))
+B1_LEFT_TAG = (PREF_LEFT, Prov("B1", "left"))
+C1T_TAG = (PREF_BOTTOM, Prov("C1T", "bottom"))
+C1_TAG = (PREF_LEFT, Prov("C1", "left"))
+AV_TAG = (PREF_BOTTOM, Prov("Av", "bottom"))
+AH_TAG = (PREF_LEFT, Prov("Ah", "left"))
+CORNER_LEFT_TAG = (PREF_LEFT, Prov("corner", "left"))
+CORNER_BOTTOM_TAG = (PREF_BOTTOM, Prov("corner", "bottom"))
 # A candidate cost over part of an output edge, tagged (pref, provenance).
 Fragment = Tuple[PiecewiseQuadratic, Tuple[float, Prov]]
 # A route through an output edge's start corner: (constant cost, tag).
 Corner = Tuple[float, Tuple[float, Prov]]
 
 
-def _end_value(f: PiecewiseQuadratic, where: str) -> float:
-    """f at its lower ("lo") or upper ("hi") end, from the end piece."""
-    a, b, c, lo, hi = f.raw[0 if where == "lo" else -1]
-    s = lo if where == "lo" else hi
+def _end_value(f: PiecewiseQuadratic, idx: int) -> float:
+    """f at its lower (idx 0) or upper (idx -1) end, from the end piece."""
+    a, b, c, lo, hi = f.raw[idx]
+    s = hi if idx else lo
     return (a * s + b) * s + c
 
 
@@ -223,7 +232,7 @@ def far_corner_cost(cell: Cell, top: BoundaryCost, right: BoundaryCost) -> float
     """The cost at a cell's top-right corner from its output edges: the
     smaller of the two end reads that solve_cell pins to each other."""
     _, _, h_top, v_right = _edge_integrals(cell)
-    return min(_end_value(top.cost, "hi") + h_top, _end_value(right.cost, "hi") + v_right)
+    return min(_end_value(top.cost, -1) + h_top, _end_value(right.cost, -1) + v_right)
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +274,8 @@ def _corner_routes(
 ) -> Tuple[Corner, Corner]:
     """The routes to the top and the right edge through their start corners:
     an input's end cost plus V (or H), then free travel along the edge."""
-    return ((_end_value(left.cost, "hi") + v_left, (PREF_LEFT, Prov("corner", "left"))),
-            (_end_value(bottom.cost, "hi") + h_bottom, (PREF_BOTTOM, Prov("corner", "bottom"))))
+    return ((_end_value(left.cost, -1) + v_left, CORNER_LEFT_TAG),
+            (_end_value(bottom.cost, -1) + h_bottom, CORNER_BOTTOM_TAG))
 
 
 def propagate_type_a(
@@ -281,8 +290,8 @@ def propagate_type_a(
     top, the horizontal transport on right."""
     if cell.same_direction:
         raise WrongCellType("type A applies to opposite-direction cells")
-    top = pw.capped(bottom.cost, v_left, (PREF_BOTTOM, Prov("Av", "bottom")), *top_k)
-    right = pw.capped(left.cost, h_bottom, (PREF_LEFT, Prov("Ah", "left")), *right_k)
+    top = pw.capped(bottom.cost, v_left, AV_TAG, *top_k)
+    right = pw.capped(left.cost, h_bottom, AH_TAG, *right_k)
     return top, right
 
 
@@ -332,8 +341,8 @@ def propagate_type_b(
     # Entry from the left edge at (x0, v - c), moving right to the valley.
     b1_left = _leg(left.cost.raw, -c, (1.0, -2.0 * x0, x0 * x0 + s00), vx0, vx1)
     b2, tags = apply_edge_travel(*pw.lower_envelope(
-        [(pw.from_raw(b1_bottom), (PREF_BOTTOM, Prov("B1", "bottom"))),
-         (pw.from_raw(b1_left), (PREF_LEFT, Prov("B1", "left")))], vx0, vx1), (math.inf, None))
+        [(pw.from_raw(b1_bottom), B1_BOTTOM_TAG), (pw.from_raw(b1_left), B1_LEFT_TAG)],
+        vx0, vx1), (math.inf, None))
 
     # Exit upward to the top edge at (t, y1): transport (y1 - t + c)^2 / 2.
     up = (1.0, -2.0 * (y1 + c), (y1 + c) ** 2 + _s_halfsq(x0 - y1 - c))
@@ -481,8 +490,8 @@ def propagate_type_c(
     c1t = _across(gb, 1.0, -(y0 + c), -(y1 + c), -v_left, x0, x1, span)
     c1 = _across(gl, -1.0, x1 - c, x0 - c, -h_bottom, y0, y1,
                  (span[0] - c, span[1] - c) if valley else None)
-    top = [] if c1t is None else [(c1t, (PREF_BOTTOM, Prov("C1T", "bottom")))]
-    right = [] if c1 is None else [(c1, (PREF_LEFT, Prov("C1", "left")))]
+    top = [] if c1t is None else [(c1t, C1T_TAG)]
+    right = [] if c1 is None else [(c1, C1_TAG)]
     # C2: bottom to right, single turn; C2T: left to top, the same with the
     # axes swapped and the valley offset negated.
     for frag, alpha, beta in _c2_catalogue(gb, x0, x1, y0, y1, c, valley):
@@ -515,16 +524,17 @@ def _nonincreasing(raw: Sequence[pw.Raw], low: float) -> bool:
 
 def apply_edge_travel(
     env: PiecewiseQuadratic, tags: Sequence[Tuple[float, Prov]], start: Corner
-) -> Tuple[PiecewiseQuadratic, List[Tuple[float, Prov]]]:
+) -> Tuple[PiecewiseQuadratic, Sequence[Tuple[float, Prov]]]:
     """Allow paths to continue along the output edge (or valley) after any exit.
 
     Travel along the edge is free in reduced costs, so the result is the
     tagged cumulative minimum of env started at the corner route start =
-    (k, tag), or env itself when it never rises and starts at or below k.
-    Flat pieces at k keep tag; ties prefer the direct fragment (no travel).
+    (k, tag), or env and tags themselves (not copied) when env never
+    rises and starts at or below k.  Flat pieces at k keep tag; ties
+    prefer the direct fragment (no travel).
     """
     if _nonincreasing(env.raw, start[0]):
-        return env, list(tags)  # no travel wins: env is its own minimum
+        return env, tags  # no travel wins: env is its own minimum
     g, args, mtags = pw.cumulative_min(env, tags, start)
     # A flat piece departs from the argmin s*: wrap its source's provenance.
     return g, [
@@ -534,22 +544,21 @@ def apply_edge_travel(
 
 
 def _pin_end(
-    f: PiecewiseQuadratic, where: str, target: float
+    f: PiecewiseQuadratic, idx: int, cur: float, target: float
 ) -> PiecewiseQuadratic:
-    """Nudge an end piece so the endpoint value matches target exactly.
+    """Nudge the end piece f.raw[idx] (0 or -1), whose end value is cur,
+    so that the end value matches target exactly.
 
     Suppresses sub-tolerance drift at cell corners; a genuine mismatch is
     an invariant violation.
     """
-    cur = _end_value(f, where)
     delta = target - cur
     if delta == 0.0:
         return f
     if abs(delta) > 1e-6 * (1.0 + abs(target)):
         raise InvariantViolation(
-            f"corner value mismatch: {cur} vs {target} at {where} end"
+            f"corner value mismatch: {cur} vs {target} at {'hi' if idx else 'lo'} end"
         )
-    idx = 0 if where == "lo" else -1
     a, b, c, lo, hi = f.raw[idx]
     pieces = list(f.raw)
     pieces[idx] = (a, b, c + delta, lo, hi)
@@ -584,14 +593,18 @@ def solve_cell(
     # corners; pin away sub-tolerance drift.  Every edge function spans
     # its edge, so its corner values are those of its end pieces, and an
     # edge's cost at its end is the reduced cost plus the edge's integral.
-    fin_right = _pin_end(fin_right, "lo", min(_end_value(fin_right, "lo"), right_k[0]))
-    fin_top = _pin_end(fin_top, "lo", min(_end_value(fin_top, "lo"), top_k[0]))
-    at_top = _end_value(fin_top, "hi") + h_top
-    at_right = _end_value(fin_right, "hi") + v_right
+    # A start corner is pinned down to its corner route where it reads above.
+    top_lo, right_lo = _end_value(fin_top, 0), _end_value(fin_right, 0)
+    if right_lo > right_k[0]:
+        fin_right = _pin_end(fin_right, 0, right_lo, right_k[0])
+    if top_lo > top_k[0]:
+        fin_top = _pin_end(fin_top, 0, top_lo, top_k[0])
+    top_hi, right_hi = _end_value(fin_top, -1), _end_value(fin_right, -1)
+    at_top, at_right = top_hi + h_top, right_hi + v_right
     if at_top < at_right:
-        fin_right = _pin_end(fin_right, "hi", at_top - v_right)
+        fin_right = _pin_end(fin_right, -1, right_hi, at_top - v_right)
     elif at_right < at_top:
-        fin_top = _pin_end(fin_top, "hi", at_right - h_top)
+        fin_top = _pin_end(fin_top, -1, top_hi, at_right - h_top)
 
     top_bc = BoundaryCost(fin_top, tuple(prov_top))
     right_bc = BoundaryCost(fin_right, tuple(prov_right))

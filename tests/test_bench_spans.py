@@ -1,15 +1,44 @@
-"""The benchmark's layer spans name functions that exist.
+"""The benchmark's layer spans name functions that exist and are called.
 
 bench/layers.json maps each traced layer to candidate "module:function"
 names; a layer none of whose names resolves would only show up as a
-missing span in a benchmark run.  Reading the file is all this needs.
+missing span in a benchmark run.  A layer that resolves but is no longer
+called (its work inlined into a caller) would show up as an empty span,
+so the spans on the exact solver's path are traced through one small
+solve with the benchmark's own tracer.
 """
 
 import importlib
 import json
+import random
+import sys
 from pathlib import Path
 
-LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.json"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+LAYERS = BENCH / "layers.json"
+
+# The spans one cdtw_exact call with path recording must enter, with the
+# curves built and the path read inside the traced region.
+EXACT_PATH = (
+    "curves.build_curve",
+    "curves.cell_info",
+    "piecewise.lower_envelope",
+    "piecewise.cumulative_min",
+    "propagation.base_case",
+    "propagation.solve_cell",
+    "propagation.type_a",
+    "propagation.type_b",
+    "propagation.type_c",
+    "propagation.edge_travel",
+    "engine.cdtw_exact",
+    "engine.stats",
+    "engine.trace",
+    "engine.reconstruct_path",
+)
+
+
+def _spans():
+    return json.loads(LAYERS.read_text())["spans"]
 
 
 def _resolves(name: str) -> bool:
@@ -18,7 +47,37 @@ def _resolves(name: str) -> bool:
 
 
 def test_every_span_resolves():
-    spans = json.loads(LAYERS.read_text())["spans"]
+    spans = _spans()
     assert spans
     missing = [layer for layer, names in spans.items() if not any(map(_resolves, names))]
     assert missing == []
+
+
+def test_exact_path_spans_are_called():
+    sys.path.insert(0, str(BENCH))
+    try:
+        import tracing
+    finally:
+        sys.path.remove(str(BENCH))
+    import cdtw
+
+    spans = _spans()
+    assert set(EXACT_PATH) <= set(spans)
+    # Bounded noise: the pair has cells of both directions and valleys.
+    rng = random.Random(17)
+    a = [rng.uniform(0.0, 1.0) for _ in range(9)]
+    b = [rng.uniform(0.0, 1.0) for _ in range(9)]
+    tracer = tracing.Tracer()
+    with tracer.installed({name: spans[name] for name in EXACT_PATH}):
+        P, Q = cdtw.build_curve(a), cdtw.build_curve(b)
+        result = cdtw.cdtw_exact(P, Q, cdtw.EngineConfig(record_path=True))
+        cdtw.reconstruct_path(result)
+    assert tracer.missing == []
+    calls, _ = tracing.summarize(tracer.spans)
+    assert [name for name in EXACT_PATH if calls[name] == 0] == []
+    cells = P.num_segments * Q.num_segments
+    assert calls["curves.cell_info"] >= cells
+    assert calls["propagation.solve_cell"] == cells
+    assert calls["engine.stats"] == 2 * cells + P.num_segments + Q.num_segments
+    # The tracer put every original back for the tests that follow.
+    assert not hasattr(cdtw.engine.solve_cell, "__wrapped__")

@@ -1,6 +1,7 @@
 """Command line interface tests, run in process through cli.main."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -243,8 +244,11 @@ class TestMatrix:
         assert got == dtw([0, 1, 2], [0, 2])
 
     def test_jobs_parallel_matches_serial(self, tmp_path, capsys):
+        # 9 files give 36 pairs, dispatched to 3 workers in chunks of 3.
         for k, vals in enumerate(("0\n1\n", "0.5\n1.5\n", "1\n0\n", "0\n2\n1\n")):
             write(tmp_path, f"s{k}.csv", vals)
+        for k in range(4, 9):
+            write(tmp_path, f"s{k}.json", json.dumps([0.0, k / 4, 0.5, 2.0 - k / 8]))
         assert main(["matrix", str(tmp_path)]) == 0
         serial = capsys.readouterr().out
         assert main(["matrix", str(tmp_path), "--jobs", "3"]) == 0
@@ -290,10 +294,18 @@ class TestMatrix:
         assert main(["matrix", str(tmp_path), "--jobs", "1"]) == 0
         assert sorted(parsed) == ["s0.csv", "s1.csv", "s2.csv", "s3.csv"]
 
-    def test_solver_error_names_the_pair(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_solver_error_names_the_pair(self, tmp_path, monkeypatch, capsys, jobs):
+        # 7 files give 21 pairs, so with 2 workers each chunk holds 2 pairs:
+        # (b, c) fails alongside (b, d).  The workers are forked, so they
+        # inherit the patched solver.
+        if jobs != "1" and multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers started without fork do not see the patched solver")
         write(tmp_path, "a.csv", "0\n1\n")
         write(tmp_path, "b.csv", "0.5\n1.5\n")
         write(tmp_path, "c.csv", "1\n0\n2\n")
+        for name in "defg":
+            write(tmp_path, f"{name}.csv", "0\n3\n")
         original = cli.cdtw_exact
 
         def failing(P, Q, config=None):
@@ -302,7 +314,7 @@ class TestMatrix:
             return original(P, Q, config=config)
 
         monkeypatch.setattr(cli, "cdtw_exact", failing)
-        assert main(["matrix", str(tmp_path), "--jobs", "1"]) == 3
+        assert main(["matrix", str(tmp_path), "--jobs", jobs]) == 3
         err = capsys.readouterr().err
         assert "b.csv vs " in err and "c.csv: cell (1,1): corner value mismatch" in err
         assert "a.csv" not in err

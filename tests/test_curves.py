@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdtw.curves import build_curve, cell_info, height, point_at
+from cdtw.curves import Cell, build_curve, cell_info, height, point_at
 from cdtw.errors import IndexOutOfRange, InsufficientVertices, OutOfDomain
 
 from helpers import random_curve
@@ -138,6 +138,45 @@ class TestCellInfo:
             cell_info(P, Q, 2, 1)
         with pytest.raises(IndexOutOfRange):
             cell_info(P, Q, 1, 0)
+
+    @pytest.mark.parametrize(
+        "i, j", [(0, 1), (1, 0), (-1, 1), (1, -1), (-2, 2), (2, -2), (-3, 1), (3, 1), (1, 3)]
+    )
+    def test_index_out_of_range_in_either_curve(self, i, j):
+        # Two segments each: a negative index would read vertices from the
+        # end, so it must be rejected before any vertex is read.
+        P = build_curve([0, 1, 0.5])
+        Q = build_curve([0.2, 1.2, 0])
+        bad = i if not 1 <= i <= 2 else j
+        with pytest.raises(IndexOutOfRange, match=rf"segment index {bad} not in 1\.\.2"):
+            cell_info(P, Q, i, j)
+
+    def test_cell_fields_and_directions(self):
+        assert Cell._fields == (
+            "i", "j", "x_range", "y_range", "dir_p", "dir_q", "offset", "valley"
+        )
+        rng = random.Random(11)
+        for _ in range(30):
+            P = random_curve(rng, rng.randint(2, 6))
+            Q = random_curve(rng, rng.randint(2, 6))
+            for i in range(1, P.num_segments + 1):
+                for j in range(1, Q.num_segments + 1):
+                    cell = cell_info(P, Q, i, j)
+                    assert (cell.i, cell.j) == (i, j)
+                    assert (cell.dir_p, cell.dir_q) == (P.segment_dir(i), Q.segment_dir(j))
+                    assert cell.x_range == (P.prefix_lengths[i - 1], P.prefix_lengths[i])
+                    assert cell.y_range == (Q.prefix_lengths[j - 1], Q.prefix_lengths[j])
+                    assert cell.same_direction == (cell.dir_p == cell.dir_q)
+
+    def test_cell_is_immutable(self):
+        cell = cell_info(build_curve([0, 1]), build_curve([0.5, 1.5]), 1, 1)
+        with pytest.raises(AttributeError):
+            cell.offset = 0.0
+        with pytest.raises(AttributeError):
+            cell.same_direction = False
+        with pytest.raises(TypeError):
+            cell[6] = 0.0
+        assert cell == cell_info(build_curve([0, 1]), build_curve([0.5, 1.5]), 1, 1)
 
     def test_valley_height_is_zero(self):
         rng = random.Random(3)
