@@ -10,12 +10,13 @@ reconstruction by backtracking.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .curves import Curve, cell_info, height
-from .errors import CdtwError, InvariantViolation, ProvenanceMissing
+from .errors import CdtwError, InvariantViolation, ProvenanceMissing, TooLarge
 from . import piecewise as pw
 from .propagation import BoundaryCost, Prov, base_case, far_corner_cost, solve_cell
 
@@ -33,6 +34,9 @@ class SolveStats:
     pieces_per_level groups them by cell level (base-case edges count
     towards the level of the only cell they feed); max_distinct_ab is the
     largest number of distinct leading-coefficient pairs on one edge.
+    cells_solved is n * m, one cell per pair of segments of the curves
+    as built, also where a vertex joins two segments that run the same
+    way.
     """
 
     total_pieces: int = 0
@@ -141,6 +145,8 @@ def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> Cdt
                 t_bc, r_bc, rec = solve_cell(cell, b_in, l_in)
             except CdtwError as exc:
                 raise type(exc)(f"cell ({i},{j}), level {k}: {exc}") from exc
+            except OverflowError as exc:
+                raise TooLarge(f"cell ({i},{j}), level {k}: overflow ({exc})") from exc
             top[(i, j)] = t_bc
             right[(i, j)] = r_bc
             if rec is not None and cfg.record_path:
@@ -150,6 +156,8 @@ def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> Cdt
     stats.cells_solved = n * m
 
     value = far_corner_cost(cell_info(P, Q, n, m), top[(n, m)], right[(n, m)])
+    if not math.isfinite(value):
+        raise TooLarge(f"distance {value} is not finite")
     if value < -1e-6 * (1.0 + P.length + Q.length):
         raise InvariantViolation(f"negative distance {value}")
     value = max(value, 0.0)

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from cdtw import build_curve
@@ -14,13 +15,14 @@ from cdtw.baselines import (
 )
 from cdtw.engine import cdtw_exact
 from cdtw.errors import EmptyInput, ResolutionZero, TooLarge
-from cdtw.lattice import _axis_ticks
+from cdtw.lattice import MAX_TICKS, _axis_ticks, _crossings, _monotone_runs
 
 from helpers import (
     brute_discrete_frechet,
     brute_dtw,
     random_curve,
     reference_lattice_value,
+    reference_seg_weight,
 )
 
 
@@ -186,6 +188,65 @@ class TestGrid:
                 )
                 assert cdtw_bruteforce_small(P, Q, r) == want
 
+    @pytest.mark.parametrize(
+        "p_values, resolution",
+        [
+            ([0, 1e308], 4),
+            ([0, 2], 1e308),
+            ([0, 1e30], 1),
+            ([0, 0.6 * MAX_TICKS, 0], 1),
+        ],
+    )
+    def test_huge_tick_counts_too_large(self, p_values, resolution):
+        # A tick count that is not finite, or an axis above MAX_TICKS,
+        # raises TooLarge before any tick is built.
+        with pytest.raises(TooLarge):
+            cdtw_grid(build_curve(p_values), build_curve([0, 1]), GridConfig(resolution))
+
+    def test_crossings_match_the_product_test(self):
+        # The crossing edges found before the sweep are, column by column
+        # and for each edge family, exactly np.flatnonzero(a0 * a1 < 0),
+        # with the reference weights.  One pair near 1e-160 and one near
+        # 1e-170 have heights whose product underflows to zero on some or
+        # all edges, where a sign test would disagree with the product test.
+        cases = [
+            (P, Q, float(r), pow2)
+            for P, Q, resolutions in _lattice_corpus()
+            for r in resolutions
+            for pow2 in (True, False)
+        ]
+        for scale in (1e-160, 1e-170):
+            tiny_p = build_curve([scale * v for v in (0.3, 1.7, 0.2, 1.1)])
+            tiny_q = build_curve([scale * v for v in (1.2, 0.1, 1.9)])
+            cases += [(tiny_p, tiny_q, 10.0 / scale, pow2) for pow2 in (True, False)]
+        underflows = 0
+        for P, Q, r, pow2 in cases:
+            xs, ys = _axis_ticks(P, r, pow2), _axis_ticks(Q, r, pow2)
+            pv = np.interp(xs, P.prefix_lengths, P.vertices)
+            qv = np.interp(ys, Q.prefix_lengths, Q.vertices)
+            dy = np.diff(ys)
+            horizontal, diagonal, vertical = _crossings(
+                pv, qv, _monotone_runs(qv), np.diff(xs), dy
+            )
+            for c in range(len(xs)):
+                h0 = pv[c] - qv
+                families = [(vertical, h0[:-1], h0[1:], dy)]
+                if c + 1 < len(xs):
+                    h1, dx = pv[c + 1] - qv, xs[c + 1] - xs[c]
+                    families += [
+                        (horizontal, h0, h1, dx), (diagonal, h0[:-1], h1[1:], dx + dy)
+                    ]
+                for (off, rows, vals), a0, a1, length in families:
+                    want = np.flatnonzero(a0 * a1 < 0)
+                    got = slice(off[c], off[c + 1])
+                    np.testing.assert_array_equal(rows[got], want)
+                    np.testing.assert_array_equal(
+                        vals[got], reference_seg_weight(a0, a1, length)[want]
+                    )
+                    opposite = np.sign(a0) * np.sign(a1) < 0
+                    underflows += np.count_nonzero(opposite) - want.size
+        assert underflows > 0
+
 
 class TestBruteforceSmall:
     def test_shifted_pair(self):
@@ -209,6 +270,15 @@ class TestBruteforceSmall:
             cdtw_bruteforce_small(small, small, 4096)
         with pytest.raises(ResolutionZero):
             cdtw_bruteforce_small(small, small, 0)
+
+    @pytest.mark.parametrize(
+        "p_values, segments", [([0, 1e308], 4), ([0, 1e12], 4), ([0, 1e30], 1)]
+    )
+    def test_huge_tick_counts_too_large(self, p_values, segments):
+        # TooLarge before any tick is built, also where the count
+        # overflows or would need terabytes.
+        with pytest.raises(TooLarge):
+            cdtw_bruteforce_small(build_curve(p_values), build_curve([0, 1]), segments)
 
     def test_nan_segments_rejected(self):
         small = build_curve([0, 1])

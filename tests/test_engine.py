@@ -20,7 +20,7 @@ from cdtw.engine import (
     cdtw_exact,
     reconstruct_path,
 )
-from cdtw.errors import CoverageGap, InsufficientVertices, ProvenanceMissing
+from cdtw.errors import CoverageGap, InsufficientVertices, ProvenanceMissing, TooLarge
 from cdtw.propagation import BoundaryCost, Prov, _valley_span
 
 from helpers import full, path_cost, random_curve, validate
@@ -311,6 +311,19 @@ class TestRobustness:
             cdtw_exact(P, Q)
         assert "cell (2,1), level 3: " in str(info.value)
 
+    @pytest.mark.parametrize("values", [[0, 1e155, 0], [0, 1e160], [0, 1e308]])
+    def test_overflow_in_a_cell_is_too_large(self, values):
+        # Squaring a height near 1e155 overflows Python floats inside the
+        # valley family; the error names the cell and its level.
+        with pytest.raises(TooLarge) as info:
+            solve(values, [0, 1])
+        assert "cell (1,1), level 2: overflow" in str(info.value)
+
+    def test_infinite_distance_is_too_large(self):
+        # Every cell solves, but the far-corner cost is inf.
+        with pytest.raises(TooLarge, match="not finite"):
+            solve([0, 1, 1e156], [0, 1])
+
     def test_no_edge_jumps_after_valley_crossing_turns(self):
         # A single turn that crosses the valley line costs 0.5 * (t - x0)^2
         # more than the valley ride next to the entry corner, inside the
@@ -343,8 +356,10 @@ class TestRobustness:
         # Every stored edge is a reduced cost g = f - R, and travel-closure
         # (f(t) <= f(s) + R(t) - R(s) for s < t) says g never rises: checked
         # at every piece end and interior vertex, against the lowest value
-        # before it.  50 seeded pairs of 2 to 30 uniform values, plus the
-        # three 40-segment pairs of scripts/fingerprint.py.
+        # before it.  The edge is also continuous: adjacent pieces agree at
+        # their shared breakpoint within the same tolerance.  50 seeded
+        # pairs of 2 to 30 uniform values, plus the three 40-segment pairs
+        # of scripts/fingerprint.py.
         spec = importlib.util.spec_from_file_location(
             "fingerprint", Path(__file__).parents[1] / "scripts" / "fingerprint.py"
         )
@@ -362,8 +377,10 @@ class TestRobustness:
             edges = [*run.top.items(), *run.right.items()]
             edges += [(("axis", i), bc) for i, bc in enumerate(run.bottoms + run.lefts)]
             for key, bc in edges:
-                low = math.inf
+                low, end = math.inf, None
                 for qa, qb, qc, lo, hi in bc.cost.raw:
+                    g = (qa * lo + qb) * lo + qc
+                    assert end is None or abs(g - end) <= 1e-9 * (1.0 + abs(g)), (k, key, lo)
                     ts = [lo, hi]
                     if qa != 0.0 and lo < -qb / (2.0 * qa) < hi:
                         ts.insert(1, -qb / (2.0 * qa))
@@ -371,6 +388,7 @@ class TestRobustness:
                         g = (qa * t + qb) * t + qc
                         assert g - low <= 1e-9 * (1.0 + abs(g)), (k, key, t)
                         low = min(low, g)
+                    end = g
 
 
 class TestProvenanceControl:
