@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .baselines import GridConfig, cdtw_grid, discrete_frechet, dtw
 from .curves import Curve, build_curve, cell_info, point_at
 from .engine import EngineConfig, cdtw_exact, reconstruct_path
-from .errors import CdtwError, InsufficientVertices, ResolutionZero
+from .errors import CdtwError, InsufficientVertices, ResolutionZero, TooLarge
 
 EXIT_USAGE = 2
 EXIT_INVARIANT = 3
@@ -382,6 +382,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except TooLarge as exc:
+        print(f"error: input too large: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CdtwError as exc:
         print(f"solver invariant violation: {exc}", file=sys.stderr)

@@ -38,7 +38,7 @@ class EmptyInput(CdtwError):
 
 
 class TooLarge(CdtwError):
-    """An exhaustive oracle was asked to handle an instance beyond its limits."""
+    """An input is beyond what a solver or oracle can handle in floats or memory."""
 
 
 class ResolutionZero(CdtwError):

@@ -98,21 +98,17 @@ def constant(value: float, lo: float, hi: float) -> PiecewiseQuadratic:
 # construction hygiene
 
 
-def normalize_raw(
-    pieces: Sequence[Raw],
-    tags: Optional[Sequence[Any]] = None,
-) -> Tuple[List[Raw], Optional[List[Any]]]:
+def normalize_raw(pieces: Sequence[Raw], tags: Sequence[Any]) -> Tuple[List[Raw], List[Any]]:
     """Snap abutting domains, drop sub-tolerance slivers, merge equal pieces.
 
     One pass: drop each sliver (widening the next piece down to its start,
     or the last kept piece up to the end), snap the piece to the last kept
-    one and merge it into that one.  When tags are supplied (one per piece)
-    merging only happens between pieces with equal tags, and the surviving
-    tag list is returned.
+    one and merge it into that one.  Merging only happens between pieces
+    with equal tags (one per piece), and the surviving tag list is returned.
     """
     n = len(pieces)
     if n < 2:
-        return list(pieces), (None if tags is None else list(tags))
+        return list(pieces), list(tags)
     tol = TOLERANCE
     out: List[Raw] = []
     out_tags: List[Any] = []
@@ -128,7 +124,7 @@ def normalize_raw(
             continue
         pending = None
         last_hi, last_snap = hi, None
-        t = None if tags is None else tags[k]
+        t = tags[k]
         if out:
             pa, pb, pc, plo, phi = out[-1]
             if lo != phi:
@@ -154,8 +150,8 @@ def normalize_raw(
             out[-1] = (pa, pb, pc, plo, hi)
         else:
             out = [pieces[-1]]
-            out_tags = [None if tags is None else tags[-1]]
-    return out, (None if tags is None else out_tags)
+            out_tags = [tags[-1]]
+    return out, out_tags
 
 
 # ---------------------------------------------------------------------------

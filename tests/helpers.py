@@ -127,7 +127,7 @@ def shift_raw(f: Sequence[pw.Raw], beta: float) -> List[pw.Raw]:
     """g(t) = f(t + beta) on the domain moved by -beta, normalised."""
     out = [(*pw.compose_linear(a, b, c, 1.0, beta), lo - beta, hi - beta)
            for a, b, c, lo, hi in f]
-    return pw.normalize_raw(out)[0]
+    return pw.normalize_raw(out, [None] * len(out))[0]
 
 
 def restrict_raw(raw: Sequence[pw.Raw], lo: float, hi: float) -> List[pw.Raw]:
@@ -144,7 +144,7 @@ def restrict_raw(raw: Sequence[pw.Raw], lo: float, hi: float) -> List[pw.Raw]:
         # Degenerate (point) restriction: keep the covering piece.
         p = raw[pw.locate(raw, 0.5 * (lo + hi))]
         out = [(p[0], p[1], p[2], lo, hi)]
-    return pw.normalize_raw(out)[0]
+    return pw.normalize_raw(out, [None] * len(out))[0]
 
 
 # ---------------------------------------------------------------------------

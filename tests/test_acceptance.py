@@ -142,21 +142,29 @@ def test_complexity_bounds_never_fire():
     for _ in range(100):
         P = random_curve(rng, 20)
         Q = random_curve(rng, 20)
-        stats = cdtw_exact(P, Q, config=EngineConfig(record_path=False)).stats
-        assert stats.flags == []
+        res = cdtw_exact(P, Q, config=EngineConfig(record_path=False))
         n = P.num_segments
         m = Q.num_segments
-        for k, cnt in stats.pieces_per_level.items():
+        # pieces per anti-diagonal level k = i + j; a base-case edge counts
+        # towards the level of the only cell it feeds
+        run = res.run
+        levels = {}
+        edges = [(i + 1, bc) for i, bc in enumerate(run.bottoms, start=1)]
+        edges += [(j + 1, bc) for j, bc in enumerate(run.lefts, start=1)]
+        edges += [(i + j, bc) for table in (run.top, run.right) for (i, j), bc in table.items()]
+        for k, bc in edges:
+            levels[k] = levels.get(k, 0) + len(bc.cost.raw)
+        for k, cnt in levels.items():
             assert cnt <= 2 * k**4
             growth[k] = max(growth.get(k, 0), cnt)
-        assert stats.total_pieces <= 2 * (n + m) ** 5
+        assert res.stats.total_pieces == sum(levels.values()) <= 2 * (n + m) ** 5
     # empirical growth: max pieces observed per anti-diagonal level
     peak = max(growth.values())
     peak_level = max(growth, key=growth.get)
     sample = {k: growth[k] for k in sorted(growth)[:: max(1, len(growth) // 8)]}
     report(
         "complexity bounds",
-        f"100 runs at 19x19 segments, no flags; peak {peak} pieces at level "
+        f"100 runs at 19x19 segments, within both bounds; peak {peak} pieces at level "
         f"{peak_level}; growth {sample}",
     )
 

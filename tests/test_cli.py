@@ -91,8 +91,11 @@ class TestCompute:
         out = json.loads(capsys.readouterr().out)
         assert out["stats"]["cells_solved"] == 1
         assert out["stats"]["total_pieces"] > 0
-        assert out["stats"]["max_distinct_ab"] >= 1
-        assert out["stats"]["flags"] == []
+        assert out["stats"]["edges"] == 4  # two base-case edges, two cell outputs
+        assert out["stats"]["max_edge_pieces"] >= 1
+        assert set(out["stats"]) == {
+            "total_pieces", "edges", "max_edge_pieces", "wall_time", "cells_solved"
+        }
 
     def test_sub_tolerance_segment(self, tmp_path, capsys):
         # The fifth vertex lies 3.9e-9 above the fourth.
@@ -170,6 +173,13 @@ class TestCompute:
         assert main(["compute", a, b]) == 2
         err = capsys.readouterr().err
         assert "wide.csv" in err and "overflows" in err
+
+    def test_overflowing_grid_ticks_are_too_large(self, tmp_path, capsys):
+        a = write(tmp_path, "a.csv", "0\n1e308\n")
+        b = write(tmp_path, "b.csv", "0\n1\n")
+        rc = main(["compute", a, b, "--measure", "cdtw-grid", "--resolution", "4"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: input too large: segment 1 ")
 
     def test_missing_file(self, tmp_path, capsys):
         b = write(tmp_path, "b.csv", "0\n1\n")
@@ -320,6 +330,16 @@ class TestMatrix:
         assert "a.csv" not in err
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_overflowing_pair_is_too_large(self, tmp_path, capsys, jobs):
+        # The worker re-raises TooLarge with both file names.
+        write(tmp_path, "a.csv", "0\n1e155\n0\n")
+        write(tmp_path, "b.csv", "0\n1\n")
+        assert main(["matrix", str(tmp_path), "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: input too large: ")
+        assert "a.csv vs " in err and "b.csv: cell (1,1), level 2: overflow" in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_one_value_file_named(self, tmp_path, capsys, jobs):
         write(tmp_path, "a.csv", "0\n1\n")
         write(tmp_path, "b.csv", "0.5\n")
@@ -402,6 +422,14 @@ class TestOracleCheck:
         rc = main(["oracle-check", a, b, "--resolutions", "2", "--tol", "0"])
         assert rc == 4
         assert "sandwich" in capsys.readouterr().err
+
+    def test_overflowing_solve_is_too_large(self, tmp_path, capsys):
+        a = write(tmp_path, "a.csv", "0\n1e155\n0\n")
+        b = write(tmp_path, "b.csv", "0\n1\n")
+        assert main(["oracle-check", a, b]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: input too large: cell (1,1), level 2: overflow")
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_tol_must_be_finite_and_nonnegative(self, pair, tol, capsys):

@@ -1,6 +1,7 @@
 """Whole-curve solver tests: closed-form values, warp path reconstruction,
 invariances, statistics, and serialization."""
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -215,39 +216,43 @@ class TestStats:
     def test_default_stats_all_zero(self):
         s = SolveStats()
         assert s.total_pieces == 0
-        assert s.pieces_per_level == {}
-        assert s.max_distinct_ab == 0
+        assert s.edges == 0
+        assert s.max_edge_pieces == 0
+        assert s.wall_time == 0.0
         assert s.cells_solved == 0
-        assert s.flags == []
 
     def test_single_cell_counts(self):
         res = solve([0, 1], [0.5, 1.5])
         stats = res.stats
         assert stats.cells_solved == 1
-        # level 2 holds the one interior cell's two output edges
-        assert 2 in stats.pieces_per_level
-        assert stats.pieces_per_level[2] <= 8
-        assert stats.total_pieces >= stats.pieces_per_level[2]
+        # one bottom and one left base-case edge, and the cell's two outputs
+        assert stats.edges == 4
+        assert 1 <= stats.max_edge_pieces <= stats.total_pieces <= 4 * stats.max_edge_pieces
         assert stats.wall_time >= 0.0
 
     def test_piece_counts_track_tables(self):
+        # The same counts bench/workloads._edge_pieces takes from result.run.
         rng = random.Random(65)
         P = random_curve(rng, 5)
         Q = random_curve(rng, 4)
-        res = cdtw_exact(P, Q)
-        run = res.run
-        manual = sum(len(bc.cost.pieces) for bc in run.top.values())
-        manual += sum(len(bc.cost.pieces) for bc in run.right.values())
-        manual += sum(len(bc.cost.pieces) for bc in run.bottoms)
-        manual += sum(len(bc.cost.pieces) for bc in run.lefts)
-        assert res.stats.total_pieces == manual
+        for record_path in (True, False):
+            res = cdtw_exact(P, Q, EngineConfig(record_path=record_path))
+            run = res.run
+            edges = [*run.top.values(), *run.right.values(), *run.bottoms, *run.lefts]
+            counts = [len(bc.cost.pieces) for bc in edges]
+            assert res.stats.total_pieces == sum(counts)
+            assert res.stats.edges == len(counts)
+            assert res.stats.max_edge_pieces == max(counts)
 
-    def test_no_flags_on_small_inputs(self):
+    def test_small_inputs_within_complexity_bounds(self):
         rng = random.Random(67)
         for _ in range(5):
             P = random_curve(rng, 6)
             Q = random_curve(rng, 6)
-            assert cdtw_exact(P, Q).stats.flags == []
+            n, m = P.num_segments, Q.num_segments
+            stats = cdtw_exact(P, Q).stats
+            assert stats.edges == 2 * n * m + n + m
+            assert stats.total_pieces <= 2 * (n + m) ** 5
 
     def test_distinct_slope_pairs_bounded_per_edge(self):
         rng = random.Random(69)
@@ -260,24 +265,7 @@ class TestStats:
             len({(round(p.a / 1e-7), round(p.b / 1e-7)) for p in bc.cost.pieces})
             for bc in edges
         )
-        assert res.stats.max_distinct_ab == most >= 1
-
-    def test_flags_name_levels_over_the_bound(self, monkeypatch):
-        # Inflate the level-3 count past 2 * 3^4 and the total past
-        # 2 (n + m)^5: the finished solve must report both.
-        original = engine._count_edge
-
-        def inflated(stats, level, f):
-            original(stats, level, f)
-            if level == 3:
-                stats.pieces_per_level[3] += 2 * 3**4
-                stats.total_pieces += 2 * 4**5
-
-        monkeypatch.setattr(engine, "_count_edge", inflated)
-        flags = solve([0, 1, 0], [0, 1, 0.5]).stats.flags
-        assert any(flag.startswith("level 3: ") for flag in flags)
-        assert any(flag.startswith("total pieces ") for flag in flags)
-        assert not any(flag.startswith("level 2: ") for flag in flags)
+        assert 1 <= most <= res.stats.max_edge_pieces
 
 
 class TestRobustness:
@@ -460,5 +448,8 @@ class TestSerialization:
 
     def test_stats_json_keys_are_strings(self):
         res = solve([0, 1, 2], [1, 0])
-        data = res.stats.to_json()
-        assert all(isinstance(k, str) for k in data["pieces_per_level"])
+        data = json.loads(json.dumps(res.stats.to_json()))
+        assert data == dataclasses.asdict(res.stats)
+        assert list(data) == [
+            "total_pieces", "edges", "max_edge_pieces", "wall_time", "cells_solved"
+        ]
