@@ -153,8 +153,11 @@ def cmd_compute(args: argparse.Namespace) -> int:
         if args.path:
             path = reconstruct_path(res).to_json()
             out["path"] = args.path
-            with open(args.path, "w") as fh:
-                json.dump(path, fh)
+            try:
+                with open(args.path, "w") as fh:
+                    json.dump(path, fh)
+            except OSError as exc:
+                raise _UsageError(f"{args.path}: {exc.strerror or exc}")
     else:
         out["value"] = _round(_one_distance(args.measure, args.resolution, a, b))
 

@@ -166,7 +166,7 @@ def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> Cdt
 def _departure(bc: BoundaryCost, t: float) -> Tuple[float, Prov]:
     """Where a path to point t of an edge (or the valley) got onto it, t
     or the start of its travel, and the provenance of that arrival."""
-    prov: Prov = bc.prov[pw.locate(bc.cost.raw, t)][1]
+    prov = bc.prov[pw.locate(bc.cost.raw, t)]
     if prov.kind != "travel":
         return t, prov
     if prov.inner is None or prov.inner.kind == "travel":
@@ -177,82 +177,54 @@ def _departure(bc: BoundaryCost, t: float) -> Tuple[float, Prov]:
 def _trace(run: SolveRun) -> WarpPath:
     """Backtrack provenance from the top-right corner to the origin.
 
-    Each step reads an edge at one coordinate, undoing any travel along
-    it (or along the valley, in a ride), appends the winning fragment's
-    in-cell legs (in reverse) and continues from its source point on an
-    input edge.  The level i + j drops by one per cell, so the walk
-    terminates.
+    Each step reads an edge at one coordinate t, undoes any travel along
+    it (and, for a valley ride, hops onto the valley and undoes the travel
+    there), then runs from the turn point to the source s on an input
+    edge and onto that edge: s is the source map at t, or the input edge's
+    end for a corner route.  The level i + j drops by one per cell, so the
+    walk terminates.
     """
     P, Q = run.P, run.Q
-    n, m = P.num_segments, Q.num_segments
     pts: List[Tuple[float, float]] = [(P.length, Q.length)]
-    edge, i, j, t = "right", n, m, Q.length
+    edge, i, j, t = "right", P.num_segments, Q.num_segments, Q.length
 
-    while True:
+    while i and j:
         bc = run.right[(i, j)] if edge == "right" else run.top[(i, j)]
         cell = cell_info(P, Q, i, j)
         x0, x1 = cell.x_range
         y0, y1 = cell.y_range
-        c = cell.offset
+        t0 = t
         t, prov = _departure(bc, t)
-        pts.append((x1, t) if edge == "right" else (t, y1))
-
-        if prov.kind in ("Av", "C1T"):
-            pts.append((t, y0))
-            nxt = ("bottom", t)
-        elif prov.kind in ("Ah", "C1"):
-            pts.append((x0, t))
-            nxt = ("left", t)
-        elif prov.kind == "corner":
-            if prov.side == "bottom":
-                pts.append((x1, y0))
-                nxt = ("bottom", x1)
-            else:
-                pts.append((x0, y1))
-                nxt = ("left", y1)
-        elif prov.kind == "C2":
-            alpha, beta = prov.data
-            s = alpha * t + beta
-            pts.append((s, t))
-            pts.append((s, y0))
-            nxt = ("bottom", s)
-        elif prov.kind == "C2T":
-            alpha, beta = prov.data
-            sig = alpha * t + beta
-            pts.append((t, sig))
-            pts.append((x0, sig))
-            nxt = ("left", sig)
-        elif prov.kind == "B":
+        ox, oy = (x1, t) if edge == "right" else (t, y1)
+        if t != t0:  # travel: the path turned onto the edge here
+            pts.append((ox, oy))
+        if prov.kind == "B":
             valley = run.records.get((i, j))
             if valley is None:
                 raise ProvenanceMissing(f"no valley record for cell ({i},{j})")
+            c = cell.offset
             v = t if edge == "top" else t + c
             pts.append((v, v - c))
             v, prov = _departure(valley, v)
-            pts.append((v, v - c))
-            if prov.side == "bottom":
-                pts.append((v, y0))
-                nxt = ("bottom", v)
-            else:
-                pts.append((x0, v - c))
-                nxt = ("left", v - c)
-        else:
-            raise ProvenanceMissing(f"unknown provenance kind {prov.kind!r}")
+            ox, oy = v, v - c
+            pts.append((ox, oy))
+            t = ox if prov.side == "bottom" else oy
 
-        side, s = nxt
-        if side == "bottom":
-            if j > 1:
-                edge, j, t = "top", j - 1, s
-            else:
-                pts.append((0.0, 0.0))
-                break
+        if prov.kind == "corner":
+            s = x1 if prov.side == "bottom" else y1
+        elif len(prov.data) == 2:
+            alpha, beta = prov.data
+            s = alpha * t + beta
         else:
-            if i > 1:
-                edge, i, t = "right", i - 1, s
-            else:
-                pts.append((0.0, 0.0))
-                break
+            raise ProvenanceMissing(f"no source for provenance {prov.kind!r} in cell ({i},{j})")
+        if prov.side == "bottom":
+            pts += [(s, oy), (s, y0)]
+            edge, j, t = "top", j - 1, s
+        else:
+            pts += [(ox, s), (x0, s)]
+            edge, i, t = "right", i - 1, s
 
+    pts.append((0.0, 0.0))
     return _polish_path(P, Q, pts)
 
 

@@ -80,13 +80,16 @@ PREF_LEFT = 2.0
 class Prov(NamedTuple):
     """Per-piece provenance: which path family produced the winning cost.
 
-    kind is one of 'base', 'Av', 'Ah', 'corner', 'B', 'B1', 'C1', 'C1T',
-    'C2', 'C2T', 'travel'; side is the input edge ('' for B: the valley).
-    data holds what the path trace cannot derive: for C2 kinds the linear
-    map t -> source coordinate, for travel the departure coordinate.
-    inner nests the pre-travel provenance.
+    pref leads the tag, as the lower envelope's tie-break.  kind is one of
+    'base', 'Av', 'Ah', 'corner', 'B', 'B1', 'C1', 'C1T', 'C2', 'C2T',
+    'travel'; side is the input edge ('' for B: the valley).  data is the
+    source map (alpha, beta) of a route from an input edge (source
+    coordinate alpha * t + beta at exit coordinate t; none for a corner
+    route, which leaves at the edge's end) or travel's departure
+    coordinate.  inner nests the pre-travel provenance.
     """
 
+    pref: float
     kind: str
     side: str
     data: Tuple = ()
@@ -98,23 +101,25 @@ class BoundaryCost(NamedTuple):
     docstring) plus per-piece provenance."""
 
     cost: PiecewiseQuadratic
-    prov: Tuple
+    prov: Tuple[Prov, ...]
 
 
-# The fixed tags, made once rather than per cell.
-B_TAG = (PREF_B, Prov("B", ""))
-B1_BOTTOM_TAG = (PREF_BOTTOM, Prov("B1", "bottom"))
-B1_LEFT_TAG = (PREF_LEFT, Prov("B1", "left"))
-C1T_TAG = (PREF_BOTTOM, Prov("C1T", "bottom"))
-C1_TAG = (PREF_LEFT, Prov("C1", "left"))
-AV_TAG = (PREF_BOTTOM, Prov("Av", "bottom"))
-AH_TAG = (PREF_LEFT, Prov("Ah", "left"))
-CORNER_LEFT_TAG = (PREF_LEFT, Prov("corner", "left"))
-CORNER_BOTTOM_TAG = (PREF_BOTTOM, Prov("corner", "bottom"))
-# A candidate cost over part of an output edge, tagged (pref, provenance).
-Fragment = Tuple[PiecewiseQuadratic, Tuple[float, Prov]]
+# The fixed tags, made once rather than per cell.  A route that leaves
+# its input edge where it exits, at the same coordinate, maps by identity.
+IDENTITY = (1.0, 0.0)
+B_TAG = Prov(PREF_B, "B", "")
+B1_BOTTOM_TAG = Prov(PREF_BOTTOM, "B1", "bottom", IDENTITY)
+B1_LEFT_TAG = Prov(PREF_LEFT, "B1", "left", IDENTITY)
+C1T_TAG = Prov(PREF_BOTTOM, "C1T", "bottom", IDENTITY)
+C1_TAG = Prov(PREF_LEFT, "C1", "left", IDENTITY)
+AV_TAG = Prov(PREF_BOTTOM, "Av", "bottom", IDENTITY)
+AH_TAG = Prov(PREF_LEFT, "Ah", "left", IDENTITY)
+CORNER_LEFT_TAG = Prov(PREF_LEFT, "corner", "left")
+CORNER_BOTTOM_TAG = Prov(PREF_BOTTOM, "corner", "bottom")
+# A candidate cost over part of an output edge, with its tag.
+Fragment = Tuple[PiecewiseQuadratic, Prov]
 # A route through an output edge's start corner: (constant cost, tag).
-Corner = Tuple[float, Tuple[float, Prov]]
+Corner = Tuple[float, Prov]
 
 
 def _end_value(f: PiecewiseQuadratic, idx: int) -> float:
@@ -250,8 +255,8 @@ def base_case(P: Curve, Q: Curve) -> Tuple[List[BoundaryCost], List[BoundaryCost
     """
     axes = []
     for curve, start, tag in (
-        (P, Q.vertices[0], (PREF_BOTTOM, Prov("base", "bottom"))),
-        (Q, P.vertices[0], (PREF_LEFT, Prov("base", "left"))),
+        (P, Q.vertices[0], Prov(PREF_BOTTOM, "base", "bottom")),
+        (Q, P.vertices[0], Prov(PREF_LEFT, "base", "left")),
     ):
         costs: List[BoundaryCost] = []
         acc = 0.0
@@ -495,9 +500,9 @@ def propagate_type_c(
     # C2: bottom to right, single turn; C2T: left to top, the same with the
     # axes swapped and the valley offset negated.
     for frag, alpha, beta in _c2_catalogue(gb, x0, x1, y0, y1, c, valley):
-        right.append((frag, (PREF_BOTTOM, Prov("C2", "bottom", (alpha, beta)))))
+        right.append((frag, Prov(PREF_BOTTOM, "C2", "bottom", (alpha, beta))))
     for frag, alpha, beta in _c2_catalogue(gl, y0, y1, x0, x1, -c, valley):
-        top.append((frag, (PREF_LEFT, Prov("C2T", "left", (alpha, beta)))))
+        top.append((frag, Prov(PREF_LEFT, "C2T", "left", (alpha, beta))))
     return top, right
 
 
@@ -523,8 +528,8 @@ def _nonincreasing(raw: Sequence[pw.Raw], low: float) -> bool:
 
 
 def apply_edge_travel(
-    env: PiecewiseQuadratic, tags: Sequence[Tuple[float, Prov]], start: Corner
-) -> Tuple[PiecewiseQuadratic, Sequence[Tuple[float, Prov]]]:
+    env: PiecewiseQuadratic, tags: Sequence[Prov], start: Corner
+) -> Tuple[PiecewiseQuadratic, Sequence[Prov]]:
     """Allow paths to continue along the output edge (or valley) after any exit.
 
     Travel along the edge is free in reduced costs, so the result is the
@@ -538,7 +543,7 @@ def apply_edge_travel(
     g, args, mtags = pw.cumulative_min(env, tags, start)
     # A flat piece departs from the argmin s*: wrap its source's provenance.
     return g, [
-        tag if arg is None else (tag[0], Prov("travel", "", (arg,), tag[1]))
+        tag if arg is None else Prov(tag.pref, "travel", "", (arg,), tag)
         for arg, tag in zip(args, mtags)
     ]
 

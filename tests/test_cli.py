@@ -86,6 +86,13 @@ class TestCompute:
         assert data["points"][0] == [0.0, 0.0]
         assert data["points"][-1] == [1.0, 1.0]
 
+    def test_unwritable_path_file(self, pair, tmp_path, capsys):
+        target = str(tmp_path / "no" / "such" / "warp.json")
+        assert main(["compute", *pair, "--path", target]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {target}: ")
+
     def test_stats_json(self, pair, capsys):
         assert main(["compute", *pair, "--stats"]) == 0
         out = json.loads(capsys.readouterr().out)

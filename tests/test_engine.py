@@ -22,7 +22,7 @@ from cdtw.engine import (
     reconstruct_path,
 )
 from cdtw.errors import CoverageGap, InsufficientVertices, ProvenanceMissing, TooLarge
-from cdtw.propagation import BoundaryCost, Prov, _valley_span
+from cdtw.propagation import PREF_BOTTOM, BoundaryCost, Prov, _valley_span
 
 from helpers import full, path_cost, random_curve, validate
 
@@ -155,12 +155,15 @@ class TestPathCertificates:
         assert cost == pytest.approx(res.value, abs=slack)
 
     def test_annotations_cover_every_leg(self):
+        # Every leg the trace emits runs along an axis or rides a valley;
+        # a wrong turn point in a trace step would show as a diagonal leg.
         rng = random.Random(53)
-        P = random_curve(rng, 4)
-        Q = random_curve(rng, 3)
-        path = reconstruct_path(cdtw_exact(P, Q))
-        assert len(path.annotations) == len(path.points) - 1
-        assert set(path.annotations) <= {"axis-parallel", "valley-ride", "diagonal"}
+        for _ in range(40):
+            P = random_curve(rng, rng.randint(2, 6))
+            Q = random_curve(rng, rng.randint(2, 6))
+            path = reconstruct_path(cdtw_exact(P, Q))
+            assert len(path.annotations) == len(path.points) - 1
+            assert set(path.annotations) <= {"axis-parallel", "valley-ride"}, path
 
     def test_valley_ride_annotation_on_shifted_pair(self):
         path = reconstruct_path(solve([0, 1], [0.5, 1.5]))
@@ -417,9 +420,17 @@ class TestProvenanceControl:
         del run.records[key]
         with pytest.raises(ProvenanceMissing, match="no valley record"):
             engine._trace(run)
-        bad = (1.0, Prov("travel", "", (0.0,), None))
+        bad = Prov(1.0, "travel", "", (0.0,), None)
         run.records[key] = valley._replace(prov=(bad,) * len(valley.prov))
         with pytest.raises(ProvenanceMissing, match="malformed travel"):
+            engine._trace(run)
+        # A tag with no source map that is not a corner route names no
+        # source point, so the trace cannot take its step.
+        run.records[key] = valley
+        last = run.right[key]
+        base = Prov(PREF_BOTTOM, "base", "bottom")
+        run.right[key] = last._replace(prov=(base,) * len(last.prov))
+        with pytest.raises(ProvenanceMissing, match="no source"):
             engine._trace(run)
 
     def test_validate_mode_passes(self):

@@ -63,7 +63,7 @@ def travel(f, qc):
     apply_edge_travel of the reduced cost f - qc, with qc added back."""
     qa, qb, qcc = qc[:3]
     g = pw.from_raw([(a - qa, b - qb, c - qcc, lo, hi) for a, b, c, lo, hi in f.raw])
-    g, _ = apply_edge_travel(g, [(1.0, Prov("base", "bottom"))] * len(g), NO_CORNER)
+    g, _ = apply_edge_travel(g, [Prov(1.0, "base", "bottom")] * len(g), NO_CORNER)
     return pw.from_raw([(a + qa, b + qb, c + qcc, lo, hi) for a, b, c, lo, hi in g.raw])
 
 
@@ -328,7 +328,7 @@ class TestOffsetCumulativeMin:
         # env - edge falls everywhere, so no travel can win and the reduced
         # cost env - edge comes back with its own pieces and tags.
         env = pwq((0.3, -1.7, 2.9, 0, 1), (0.1, -1.3, 2.7, 1, 2))
-        tags = [(1.0, Prov("C2", "bottom", (0.0, 0.0))), (2.0, Prov("C1", "left"))]
+        tags = [Prov(1.0, "C2", "bottom", (0.0, 0.0)), Prov(2.0, "C1", "left")]
         # minus the integral of |u - 0.7| from 0
         neg = [(0.5, -0.7, 0.0, 0.0, 0.7), (-0.5, 0.7, -0.49, 0.7, 2.0)]
         diff = add_raw(env.raw, neg)
@@ -341,11 +341,11 @@ class TestOffsetCumulativeMin:
         # Each piece of env falls, but the envelope of partial fragments
         # jumps up at 1: past it, travelling from the low point is cheaper.
         env = pwq((0, -1, 2, 0, 1), (0, -1, 4, 1, 2))
-        tags = [(1.0, Prov("C2", "bottom", (0.0, 0.0))), (2.0, Prov("C1", "left"))]
+        tags = [Prov(1.0, "C2", "bottom", (0.0, 0.0)), Prov(2.0, "C1", "left")]
         g, gtags = apply_edge_travel(env, tags, NO_CORNER)
         assert g.value(1.5) == pytest.approx(1.0)
-        assert gtags[-1][1].kind == "travel"
-        assert gtags[-1][1].data == (1.0,)
+        assert gtags[-1].kind == "travel"
+        assert gtags[-1].data == (1.0,)
 
 
 class TestLowerEnvelope:

@@ -89,10 +89,10 @@ def random_consistent_input(rng, cell: Cell, side: str) -> BoundaryCost:
     f, _ = pw.lower_envelope(items, lo, hi)
     g = reduced(cell, side, f)
     pref = PREF_BOTTOM if side == "bottom" else PREF_LEFT
-    g, _ = apply_edge_travel(g, [(pref, Prov("base", side))] * len(g), NO_CORNER)
+    g, _ = apply_edge_travel(g, [Prov(pref, "base", side)] * len(g), NO_CORNER)
     mn, _ = minimum(full(cell, side, g))
     g = lifted(g, 0.1 - min(mn, 0.0))
-    tags = tuple((pref, Prov("base", side)) for _ in g.pieces)
+    tags = tuple(Prov(pref, "base", side) for _ in g.pieces)
     return BoundaryCost(g, tags)
 
 
@@ -136,7 +136,7 @@ def straight_transport(cell: Cell, bottom: BoundaryCost, left: BoundaryCost, sid
         b_top, b_right, _ = propagate_type_b(cell, bottom, left)
         frags = frags + (b_top if side == "top" else b_right)
     kinds = ("C1T" if side == "top" else "C1", "B")
-    pieces = [p for f, tag in frags if tag[1].kind in kinds for p in f.raw]
+    pieces = [p for f, tag in frags if tag.kind in kinds for p in f.raw]
     ride = edge_height_running(cell, side)
 
     def value(t: float) -> float:
@@ -373,11 +373,11 @@ class TestTypeA:
         Q = build_curve([1, 0])
         cell = cell_info(P, Q, 1, 1)
         zero = reduced(cell, "bottom", pw.constant(0.0, *cell.x_range))
-        bc = BoundaryCost(zero, ((PREF_BOTTOM, Prov("base", "bottom")),) * len(zero))
+        bc = BoundaryCost(zero, (Prov(PREF_BOTTOM, "base", "bottom"),) * len(zero))
         dear = reduced(cell, "left", pw.constant(100.0, *cell.y_range))
-        left = BoundaryCost(dear, ((PREF_LEFT, Prov("base", "left")),) * len(dear))
+        left = BoundaryCost(dear, (Prov(PREF_LEFT, "base", "left"),) * len(dear))
         (top, tags), _right = type_a(cell, bc, left)
-        assert {tag[1].kind for tag in tags} == {"Av"}
+        assert {tag.kind for tag in tags} == {"Av"}
         top = full(cell, "top", top)
         for t in np.linspace(*cell.x_range, 15):
             want = integrate_height_on_leg(P, Q, (t, 0), (t, 1), samples=4096)
@@ -485,7 +485,7 @@ class TestTypeA:
                 scale = 1.0 + max(abs(env.value(x)) for x in xs)
                 for x in xs:
                     assert abs(out.value(x) - env.value(x)) <= 1e-9 * scale
-                assert all(tag[1].kind != "travel" for tag in out_tags)
+                assert all(tag.kind != "travel" for tag in out_tags)
 
 
 class TestTypeB:
@@ -509,7 +509,7 @@ class TestTypeB:
         assert f_right.value(0.5) == pytest.approx(0.125, abs=1e-9)
         # winner at the corner rides the edge after a valley exit
         k = pw.locate(right.cost.raw, 1.0)
-        prov = right.prov[k][1]
+        prov = right.prov[k]
         assert prov.kind == "travel" and prov.inner.kind == "B"
 
     def test_zero_at_valley_endpoint_gives_pure_transport(self):
@@ -519,8 +519,8 @@ class TestTypeB:
         (vx0, vy0), (vx1, vy1) = cell.valley
         zero_b = reduced(cell, "bottom", pw.constant(0.0, *cell.x_range))
         zero_l = reduced(cell, "left", pw.constant(0.0, *cell.y_range))
-        bottom = BoundaryCost(zero_b, ((PREF_BOTTOM, Prov("base", "bottom")),) * len(zero_b))
-        left = BoundaryCost(zero_l, ((PREF_LEFT, Prov("base", "left")),) * len(zero_l))
+        bottom = BoundaryCost(zero_b, (Prov(PREF_BOTTOM, "base", "bottom"),) * len(zero_b))
+        left = BoundaryCost(zero_l, (Prov(PREF_LEFT, "base", "left"),) * len(zero_l))
         top, _right, rec = propagate_type_b(cell, bottom, left)
         (b3_top, _), = top
         b3_top = full(cell, "top", b3_top)
@@ -609,11 +609,11 @@ class TestTypeC:
         y0, y1 = cell.y_range
         const_l = reduced(cell, "left", pw.constant(k, y0, y1))
         const_b = reduced(cell, "bottom", pw.constant(0.0, *cell.x_range))
-        bottom = BoundaryCost(const_b, ((PREF_BOTTOM, Prov("base", "bottom")),) * len(const_b))
-        left = BoundaryCost(const_l, ((PREF_LEFT, Prov("base", "left")),) * len(const_l))
+        bottom = BoundaryCost(const_b, (Prov(PREF_BOTTOM, "base", "bottom"),) * len(const_b))
+        left = BoundaryCost(const_l, (Prov(PREF_LEFT, "base", "left"),) * len(const_l))
         _top, right = type_c(cell, bottom, left)
         c1 = next(
-            (f, t) for f, t in right if t[1].kind == "C1"
+            (f, t) for f, t in right if t.kind == "C1"
         )[0]
         c1 = full(cell, "right", c1)
         x0, x1 = cell.x_range
@@ -642,7 +642,7 @@ class TestTypeC:
         s_k = float(np.linspace(x0, x1, 1000)[400])
         kinked = pw.from_raw([(0.0, -k, k * s_k, x0, s_k), (0.0, k, -k * s_k, s_k, x1)])
         kinked = reduced(cell, "bottom", kinked)
-        bottom = BoundaryCost(kinked, ((PREF_BOTTOM, Prov("base", "bottom")),) * len(kinked))
+        bottom = BoundaryCost(kinked, (Prov(PREF_BOTTOM, "base", "bottom"),) * len(kinked))
         cases.append((cell, bottom, cases[0][2]))
         for cell, bottom, left in cases:
             _top, right = type_c(cell, bottom, left)
@@ -651,7 +651,7 @@ class TestTypeC:
             right_f = full(cell, "right", right_bc.cost)
             x0, x1 = cell.x_range
             y0, y1 = cell.y_range
-            bots = [(f, t) for f, t in right if t[1].kind == "C2"]
+            bots = [(f, t) for f, t in right if t.kind == "C2"]
             c1 = straight_transport(cell, bottom, left, "right")
             ss = np.linspace(x0, x1, 1000)
             f_bottom = full(cell, "bottom", bottom.cost)
@@ -758,15 +758,15 @@ class TestTypeC:
             top, right = type_c(cell, bottom, left)
             x0, x1 = cell.x_range
             y0, y1 = cell.y_range
-            c2 = [t[1].data for _f, t in right if t[1].kind == "C2"]
-            c2t = [t[1].data for _f, t in top if t[1].kind == "C2T"]
+            c2 = [t.data for _f, t in right if t.kind == "C2"]
+            c2t = [t.data for _f, t in top if t.kind == "C2T"]
             assert (0.0, x0) not in c2 and (0.0, x1) not in c2
             assert (0.0, y0) not in c2t and (0.0, y1) not in c2t
-            assert all(t[1].kind != "corner" for _f, t in top + right)
+            assert all(t.kind != "corner" for _f, t in top + right)
             h_bottom, v_left, _, _ = _edge_integrals(cell)
             (k_top, tag_t), (k_right, tag_r) = _corner_routes(bottom, left, h_bottom, v_left)
-            assert tag_r == (PREF_BOTTOM, Prov("corner", "bottom"))
-            assert tag_t == (PREF_LEFT, Prov("corner", "left"))
+            assert tag_r == Prov(PREF_BOTTOM, "corner", "bottom")
+            assert tag_t == Prov(PREF_LEFT, "corner", "left")
             corner_right = full(cell, "right", pw.constant(k_right, y0, y1))
             corner_top = full(cell, "top", pw.constant(k_top, x0, x1))
             fb, fl = costs(cell, bottom, left)
@@ -846,7 +846,7 @@ class TestTypeC:
                 keep = [(a, b) for g, a, b in full if not crossing(g, a, b, box[2], box[4])]
                 assert [(a, b) for _g, a, b in cut] == keep
                 dropped += len(full) - len(cut)
-                emitted = [t[1].data for _f, t in top + right if t[1].kind == kind]
+                emitted = [t.data for _f, t in top + right if t.kind == kind]
                 assert emitted == keep
         assert dropped > 0
 
@@ -867,7 +867,7 @@ class TestTypeC:
                     top, right = type_c(cell, bottom, left)
                     for kind, f, box in frames(cell, bottom, left):
                         full = _c2_catalogue(f, *box, False)
-                        emitted = [t[1].data for _f, t in top + right if t[1].kind == kind]
+                        emitted = [t.data for _f, t in top + right if t.kind == kind]
                         assert emitted == [(a, b) for _g, a, b in full]
 
     def test_travel_with_zero_offset_is_cumulative_min(self):
@@ -938,7 +938,7 @@ class TestSolveCell:
             for t in np.linspace(x0, x1, 25):
                 route = fl.value(y1) + through_cost(cell, (x0, y1), (t, y1))
                 assert top.value(t) <= route + 1e-9 * scale
-            corner_wins += any(tag[1].kind == "corner" for tag in top_bc.prov + right_bc.prov)
+            corner_wins += any(tag.kind == "corner" for tag in top_bc.prov + right_bc.prov)
         assert corner_wins > 0
 
     def test_against_through_cost_oracle(self):
@@ -1011,8 +1011,10 @@ class TestSolveCell:
 
     def test_provenance_routes_are_feasible(self):
         # every winning tag must describe a monotone route: travel rewinds
-        # only backwards along the edge, valley entries precede exits, and
-        # single-turn sources stay inside the input edge
+        # only backwards along the edge, valley entries precede exits, a
+        # corner route leaves the input edge that ends at the output's
+        # start, and every source map sends the exit coordinate onto the
+        # input edge named by the tag's side
         rng = random.Random(41)
         for _ in range(25):
             P, Q, cell = random_cell(rng)
@@ -1023,31 +1025,36 @@ class TestSolveCell:
             c = cell.offset
             tol = 1e-7 * (1 + abs(x1) + abs(y1))
 
+            def on_source(prov, t):
+                alpha, beta = prov.data
+                s = alpha * t + beta
+                lo, hi = (x0, x1) if prov.side == "bottom" else (y0, y1)
+                assert prov.side in ("bottom", "left"), prov
+                assert lo - tol <= s <= hi + tol, prov
+
             def check(prov, t, edge):
                 if prov.kind == "travel":
                     assert prov.data[0] <= t + tol
                     check(prov.inner, prov.data[0], edge)
-                    return
-                if prov.kind == "C2":
-                    s = prov.data[0] * t + prov.data[1]
-                    assert x0 - tol <= s <= x1 + tol
-                elif prov.kind == "C2T":
-                    s = prov.data[0] * t + prov.data[1]
-                    assert y0 - tol <= s <= y1 + tol
                 elif prov.kind == "B":
                     # the valley cost's tag at the exit: the entry, wrapped
                     # in travel where the path rides from an earlier point
                     v_exit = t if edge == "top" else t + c
-                    entry = rec.prov[pw.locate(rec.cost.raw, v_exit)][1]
+                    entry = rec.prov[pw.locate(rec.cost.raw, v_exit)]
                     v_in = v_exit
                     if entry.kind == "travel":
                         v_in, entry = entry.data[0], entry.inner
                     assert v_in <= v_exit + tol
                     assert entry.kind == "B1"
-                    assert entry.side in ("bottom", "left")
+                    on_source(entry, v_in if entry.side == "bottom" else v_in - c)
+                elif prov.kind == "corner":
+                    assert prov.data == ()
+                    assert prov.side == ("left" if edge == "top" else "bottom")
+                else:
+                    on_source(prov, t)
 
             for edge, bc in (("top", top), ("right", right)):
-                for piece, (_pref, prov) in zip(bc.cost.pieces, bc.prov):
+                for piece, prov in zip(bc.cost.pieces, bc.prov):
                     check(prov, 0.5 * (piece.lo + piece.hi), edge)
 
     def test_valley_argmins_nondecreasing(self):
@@ -1064,7 +1071,7 @@ class TestSolveCell:
                 continue
             seen += 1
             last = -INF
-            for piece, (_pref, prov) in zip(rec.cost.pieces, rec.prov):
+            for piece, prov in zip(rec.cost.pieces, rec.prov):
                 arg = prov.data[0] if prov.kind == "travel" else None
                 src = piece.lo if arg is None else arg
                 assert src >= last - 1e-9
@@ -1096,9 +1103,9 @@ class TestSolveCell:
                 (top, top_tags), (right, right_tags) = type_a(cell, bottom, left)
                 assert len(top) <= sources["bottom"] + 2
                 assert len(right) <= sources["left"] + 2
-                kinds.update(tag[1].kind for tag in top_tags + right_tags)
+                kinds.update(tag.kind for tag in top_tags + right_tags)
                 continue
-            for frag, (_pref, prov) in top + right:
+            for frag, prov in top + right:
                 kinds.add(prov.kind)
                 assert len(frag) <= sources[prov.side] + 2, prov
         assert kinds == {"Av", "Ah", "corner", "B", "C1", "C1T", "C2", "C2T"}
