@@ -12,8 +12,8 @@ of printing: ``--against before.json`` (with the flags that made it)
 lists the pairs and edges that differ and the worst relative difference
 in values, path points, grid values and edge functions, and exits 1 if
 any of them is above 1e-12.  A path that changes shape also lists the
-points found on one side only, marking each that lies on one
-axis-parallel line with both its neighbours (dropping it leaves the same
+points found on one side only, marking each that lies on one line, of
+any slope, with both its neighbours (dropping it leaves the same
 polyline).  Two edge functions are compared at the ends and midpoint of
 every span between the breakpoints of either, each evaluated with its
 piece covering the span; spans narrower than the solver tolerance are
@@ -27,7 +27,8 @@ itself.  Three pairs of 41 vertices (n = m = 40 segments) are solved
 without path recording.  Each solve contributes its value, path points,
 path annotations and total piece count; ``--edges`` adds every edge's
 cost function f (coefficients and domains, the stored reduced cost plus
-the edge's running integral of the height) with its provenance, and ``--grid``
+the edge's running integral of the height) with its provenance, keyed by
+the cell of the curves reduced to their turning points, and ``--grid``
 adds ``cdtw_grid`` at resolutions 4, 16 and 64 for the 60 small pairs.
 Floats are written with repr, so equal output means bit-identical results.
 """
@@ -82,7 +83,7 @@ def fingerprint(a: list, b: list, record_path: bool, edges: bool, grid: bool) ->
         out["edges"] = {}
         for name, table in (("top", run.top), ("right", run.right)):
             for key, bc in table.items():
-                ride = edge_height_running(cell_info(P, Q, *key), name).raw
+                ride = edge_height_running(cell_info(run.P, run.Q, *key), name).raw
                 f, prov = [], []
                 # each piece of g cut at R's breakpoints inside it, none merged
                 for (a, b, c, lo, hi), tag in zip(bc.cost.raw, bc.prov):
@@ -135,8 +136,10 @@ def _edge_diff(before: list, after: list) -> float:
 
 def _one_side_points(path: list, other: list) -> str:
     """The points of path missing from other, each marked when it lies on
-    one axis-parallel line with both its neighbours in path."""
+    one line, of any slope, with both its neighbours in path (within
+    MAX_REL_DIFF of the largest coordinate)."""
     have = {tuple(p) for p in other}
+    scale = max((abs(x) for pt in path for x in pt), default=0.0)
     notes = []
     for k, p in enumerate(path):
         if tuple(p) in have:
@@ -144,7 +147,8 @@ def _one_side_points(path: list, other: list) -> str:
         note = repr(p)
         if 0 < k < len(path) - 1:
             (x0, y0), (x1, y1) = path[k - 1], path[k + 1]
-            if x0 == p[0] == x1 or y0 == p[1] == y1:
+            cross = (p[0] - x0) * (y1 - y0) - (p[1] - y0) * (x1 - x0)
+            if abs(cross) <= MAX_REL_DIFF * scale * (abs(x1 - x0) + abs(y1 - y0)):
                 note += " (collinear with its neighbours)"
         notes.append(note)
     return ", ".join(notes) or "none"

@@ -1,11 +1,14 @@
 """Dynamic program over the whole parameter space.
 
-Cells are solved in nondecreasing level order (level = i + j), so both
-input edges of a cell are ready when it is visited.  The final distance is
-the cost at the top-right corner, the smaller of the last cell's two output
-edges read there, as every cell reads its far corner.  Per-piece
-provenance collected during propagation supports exact path
-reconstruction by backtracking.
+A cell pairs two monotone runs of the curves, not two input segments: a
+vertex between segments that run the same way is no turning point, so the
+value does not depend on the sampling rate.  Cells are solved in
+nondecreasing level order (level = i + j), so both input edges of a cell
+are ready when it is visited.  The final distance is the cost at the
+top-right corner, the smaller of the last cell's two output edges read
+there, as every cell reads its far corner.  Per-piece provenance
+collected during propagation supports exact path reconstruction by
+backtracking.
 """
 
 from __future__ import annotations
@@ -31,11 +34,11 @@ class SolveStats:
     """Piece-count bookkeeping for the complexity bounds.
 
     total_pieces counts quadratic pieces over all stored (reduced) edges,
-    the n + m base-case edges and both outputs of every cell; edges is the
-    number of those edges and max_edge_pieces the most pieces on one.
-    cells_solved is n * m, one cell per pair of segments of the curves
-    as built, also where a vertex joins two segments that run the same
-    way.
+    the n' + m' base-case edges and both outputs of every cell, where
+    n' and m' count the monotone runs between turning points; edges is
+    the number of those edges, 2n'm' + n' + m', and
+    max_edge_pieces the most pieces on one.  cells_solved is n * m, one
+    cell per pair of segments of the curves as built.
     """
 
     total_pieces: int = 0
@@ -70,8 +73,9 @@ class WarpPath:
 class SolveRun:
     """Everything produced by one solve, kept for backtracking and stats.
 
-    records holds the valley cost of every cell the B family rides, and
-    only in a solve with path recording.
+    P and Q are the curves reduced to their turning points, which the
+    cells index.  records holds the valley cost of every cell the B family
+    rides, and only in a solve with path recording.
     """
 
     P: Curve
@@ -105,6 +109,16 @@ def _count_edge(stats: SolveStats, f: pw.PiecewiseQuadratic) -> None:
         stats.max_edge_pieces = n
 
 
+def _turning_points(C: Curve) -> Tuple[Curve, List[int]]:
+    """C with only its first, last and direction-changing vertices, and
+    their indices.  Arc-length coordinates are kept, not re-summed, so the
+    cells and the path need no mapping back."""
+    v = C.vertices
+    keep = [k for k in range(1, len(v) - 1) if (v[k] > v[k - 1]) != (v[k + 1] > v[k])]
+    keep = [0, *keep, len(v) - 1]
+    return Curve(tuple(v[k] for k in keep), tuple(C.prefix_lengths[k] for k in keep)), keep
+
+
 def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> CdtwResult:
     """Exact continuous warping distance between two 1D polygonal curves.
 
@@ -114,7 +128,8 @@ def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> Cdt
     """
     cfg = config if config is not None else EngineConfig()
     t_start = time.perf_counter()
-    stats = SolveStats()
+    stats = SolveStats(cells_solved=P.num_segments * Q.num_segments)
+    (P, kp), (Q, kq) = _turning_points(P), _turning_points(Q)
     bottoms, lefts = base_case(P, Q)
     n, m = P.num_segments, Q.num_segments
     for bc in [*bottoms, *lefts]:
@@ -131,17 +146,18 @@ def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> Cdt
             l_in = right[(i - 1, j)] if i > 1 else lefts[j - 1]
             try:
                 t_bc, r_bc, rec = solve_cell(cell, b_in, l_in)
-            except CdtwError as exc:
-                raise type(exc)(f"cell ({i},{j}), level {k}: {exc}") from exc
-            except OverflowError as exc:
-                raise TooLarge(f"cell ({i},{j}), level {k}: overflow ({exc})") from exc
+            except (CdtwError, OverflowError) as exc:
+                where = (f"cell ({i},{j}), level {k} (segments {kp[i - 1] + 1}..{kp[i]} of P, "
+                         f"{kq[j - 1] + 1}..{kq[j]} of Q as built)")
+                if isinstance(exc, OverflowError):
+                    raise TooLarge(f"{where}: overflow ({exc})") from exc
+                raise type(exc)(f"{where}: {exc}") from exc
             top[(i, j)] = t_bc
             right[(i, j)] = r_bc
             if rec is not None and cfg.record_path:
                 records[(i, j)] = rec
             _count_edge(stats, t_bc.cost)
             _count_edge(stats, r_bc.cost)
-    stats.cells_solved = n * m
 
     value = far_corner_cost(cell_info(P, Q, n, m), top[(n, m)], right[(n, m)])
     if not math.isfinite(value):
@@ -229,14 +245,15 @@ def _trace(run: SolveRun) -> WarpPath:
 
 
 def _polish_path(P: Curve, Q: Curve, rev_pts: List[Tuple[float, float]]) -> WarpPath:
-    """Reverse, deduplicate, clamp drift, merge legs on one axis-parallel
-    line, and annotate the legs.
+    """Reverse, deduplicate, clamp drift, merge collinear legs, and
+    annotate the legs.
 
     Points are clamped into [0, len(P)] x [0, len(Q)] first: a cell edge
     coordinate and the curve length can round to neighbouring floats, and
-    a point one ulp beyond the end would make the last leg step back.  The
-    path is monotone, so a point on one axis-parallel line with the point
-    two back is on it with the point between, which it replaces.
+    a point one ulp beyond the end would make the last leg step back.  A
+    point within about tol of the line through its neighbours, of any
+    slope, is dropped: the legs' cross product is at most tol times the
+    merged leg's x + y span (the path is monotone).
     """
     scale = 1.0 + P.length + Q.length
     tol = 1e-9 * scale
@@ -254,9 +271,11 @@ def _polish_path(P: Curve, Q: Curve, rev_pts: List[Tuple[float, float]]) -> Warp
         x, y = max(x, px), max(y, py)
         if abs(x - px) <= tol and abs(y - py) <= tol:
             continue
-        if len(clean) > 1 and (abs(x - clean[-2][0]) <= tol or abs(y - clean[-2][1]) <= tol):
-            clean[-1] = (x, y)
-            continue
+        if len(clean) > 1:
+            ax, ay = clean[-2]
+            if abs((px - ax) * (y - ay) - (py - ay) * (x - ax)) <= tol * (x - ax + y - ay):
+                clean[-1] = (x, y)
+                continue
         clean.append((x, y))
     if len(clean) == 1:
         clean.append((P.length, Q.length))

@@ -75,9 +75,11 @@ def test_exact_path_spans_are_called():
     assert tracer.missing == []
     calls, _ = tracing.summarize(tracer.spans)
     assert [name for name in EXACT_PATH if calls[name] == 0] == []
-    cells = P.num_segments * Q.num_segments
-    assert calls["curves.cell_info"] >= cells
-    assert calls["propagation.solve_cell"] == cells
-    assert calls["engine.stats"] == 2 * cells + P.num_segments + Q.num_segments
+    # The solver runs on the curves reduced to their turning points.
+    n, m = result.run.P.num_segments, result.run.Q.num_segments
+    assert n < P.num_segments or m < Q.num_segments
+    assert calls["curves.cell_info"] >= n * m
+    assert calls["propagation.solve_cell"] == n * m
+    assert calls["engine.stats"] == 2 * n * m + n + m
     # The tracer put every original back for the tests that follow.
     assert not hasattr(cdtw.engine.solve_cell, "__wrapped__")

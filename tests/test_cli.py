@@ -344,7 +344,8 @@ class TestMatrix:
         assert main(["matrix", str(tmp_path), "--jobs", jobs]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: input too large: ")
-        assert "a.csv vs " in err and "b.csv: cell (1,1), level 2: overflow" in err
+        assert "a.csv vs " in err
+        assert "b.csv: cell (1,1), level 2 (segments 1..1 of P, 1..1 of Q as built): overflow" in err
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_one_value_file_named(self, tmp_path, capsys, jobs):
@@ -436,7 +437,10 @@ class TestOracleCheck:
         assert main(["oracle-check", a, b]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: input too large: cell (1,1), level 2: overflow")
+        assert err.startswith(
+            "error: input too large: cell (1,1), level 2 (segments 1..1 of P, 1..1 of Q as built): "
+            "overflow"
+        )
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_tol_must_be_finite_and_nonnegative(self, pair, tol, capsys):

@@ -24,7 +24,7 @@ from cdtw.engine import (
 from cdtw.errors import CoverageGap, InsufficientVertices, ProvenanceMissing, TooLarge
 from cdtw.propagation import PREF_BOTTOM, BoundaryCost, Prov, _valley_span
 
-from helpers import full, path_cost, random_curve, validate
+from helpers import full, path_cost, random_curve, random_values, validate
 
 
 def solve(p_vals, q_vals, **kw):
@@ -60,6 +60,7 @@ class TestClosedFormValues:
             P = random_curve(rng, rng.randint(2, 7))
             Q = random_curve(rng, rng.randint(2, 7))
             res = cdtw_exact(P, Q, EngineConfig(record_path=False))
+            P, Q = res.run.P, res.run.Q
             n, m = P.num_segments, Q.num_segments
             last = cell_info(P, Q, n, m)
             f_top = full(last, "top", res.run.top[(n, m)].cost)
@@ -154,6 +155,14 @@ class TestPathCertificates:
         assert cost == pytest.approx(path_cost(P, Q, stepped, samples_per_leg=4096), abs=slack)
         assert cost == pytest.approx(res.value, abs=slack)
 
+    def test_collinear_legs_of_any_slope_merge(self):
+        # A valley ride that crosses a vertex line keeps no point there.
+        P, Q = build_curve([0, 2]), build_curve([0.5, 2.5])
+        rev = [(2.0, 2.0), (2.0, 1.5), (1.0, 0.5), (0.5, 0.0), (0.0, 0.0)]
+        path = engine._polish_path(P, Q, rev)
+        assert path.points == ((0.0, 0.0), (0.5, 0.0), (2.0, 1.5), (2.0, 2.0))
+        assert path.annotations == ("axis-parallel", "valley-ride", "axis-parallel")
+
     def test_annotations_cover_every_leg(self):
         # Every leg the trace emits runs along an axis or rides a valley;
         # a wrong turn point in a trace step would show as a diagonal leg.
@@ -197,6 +206,45 @@ class TestInvariances:
         for shift in (-3.0, 0.7, 12.0):
             moved = solve([v + shift for v in p], [v + shift for v in q]).value
             assert moved == pytest.approx(base, rel=1e-9, abs=1e-12)
+
+    def test_subdividing_segments_changes_nothing(self):
+        # CDTW does not depend on the sampling rate: a vertex inside a
+        # monotone run is no vertex of the curves the solver runs on, so
+        # cutting every segment of both curves at random interior points
+        # keeps the value, the path's polyline and the edges solved.
+        rng = random.Random(75)
+
+        def subdivide(vals):
+            out = vals[:1]
+            for a, b in zip(vals, vals[1:]):
+                cuts = sorted(rng.uniform(0.1, 0.9) for _ in range(rng.randint(1, 3)))
+                out += [a + u * (b - a) for u in cuts] + [b]
+            return out
+
+        for _ in range(12):
+            p = random_values(rng, rng.randint(2, 9))
+            q = random_values(rng, rng.randint(2, 9))
+            base = solve(p, q)
+            fine = solve(subdivide(p), subdivide(q))
+            assert fine.stats.cells_solved > base.stats.cells_solved
+            assert fine.value == pytest.approx(base.value, rel=1e-12, abs=1e-15)
+            assert fine.stats.edges == base.stats.edges
+            a, b = base.path.points, fine.path.points
+            assert len(a) == len(b) and base.path.annotations == fine.path.annotations
+            scale = max(abs(x) for pt in a for x in pt)
+            for pa, pb in zip(a, b):
+                assert pa == pytest.approx(pb, rel=0.0, abs=1e-12 * scale)
+
+    def test_monotone_curve_solves_one_row(self):
+        rng = random.Random(77)
+        P = build_curve(sorted(random_values(rng, 12)))
+        Q = random_curve(rng, 9)
+        res = cdtw_exact(P, Q)
+        m = res.run.Q.num_segments
+        assert res.run.P.vertices == (P.vertices[0], P.vertices[-1])
+        assert sorted(res.run.top) == [(1, j) for j in range(1, m + 1)]
+        assert res.stats.edges == 3 * m + 1
+        assert res.stats.cells_solved == 11 * 8
 
     def test_determinism(self):
         rng = random.Random(61)
@@ -252,8 +300,10 @@ class TestStats:
         for _ in range(5):
             P = random_curve(rng, 6)
             Q = random_curve(rng, 6)
-            n, m = P.num_segments, Q.num_segments
-            stats = cdtw_exact(P, Q).stats
+            res = cdtw_exact(P, Q)
+            stats = res.stats
+            assert stats.cells_solved == P.num_segments * Q.num_segments
+            n, m = res.run.P.num_segments, res.run.Q.num_segments
             assert stats.edges == 2 * n * m + n + m
             assert stats.total_pieces <= 2 * (n + m) ** 5
 
@@ -293,14 +343,33 @@ class TestRobustness:
         assert cdtw_exact(P, P).value == pytest.approx(0.0, abs=1e-12)
 
     def test_every_cell_error_names_the_cell_and_level(self):
-        # A segment narrower than the envelope's tolerance leaves the
-        # envelope of cell (2, 1) without coverage.  The error keeps its
-        # class and names the cell and its anti-diagonal level.
-        P = build_curve([0, 1, 1 + 1e-10, 2])
+        # A segment narrower than the envelope's tolerance, between two
+        # turns, leaves the envelope of cell (2, 2) without coverage.  The
+        # error keeps its class and names the cell, its anti-diagonal level
+        # and the segments of the curves as built that it spans.
+        P = build_curve([0, 1, 1 - 1e-10, 2])
         Q = build_curve([0.5, 1.5, 0.1])
         with pytest.raises(CoverageGap) as info:
             cdtw_exact(P, Q)
-        assert "cell (2,1), level 3: " in str(info.value)
+        assert "cell (2,2), level 4 (segments 2..2 of P, 2..2 of Q as built): " in str(info.value)
+
+    def test_sub_tolerance_segment_inside_a_run_solves(self):
+        # The same narrow segment where P runs on across it is no vertex of
+        # the reduced curve, so the pair solves inside the grid sandwich.
+        P = build_curve([0, 1, 1 + 1e-10, 2])
+        Q = build_curve([0.5, 1.5, 0.1])
+        res = cdtw_exact(P, Q)
+        assert res.run.P.vertices == (0.0, 2.0)
+        assert 0.0 < res.value <= cdtw_grid(P, Q, GridConfig(resolution=16))
+
+    def test_error_names_the_segments_as_built(self):
+        # P runs up through its first two segments, so the overflowing
+        # cell (1, 1) of the reduced curves spans segments 1..2 of P.
+        with pytest.raises(TooLarge) as info:
+            solve([0, 1, 1e156], [0, 1])
+        assert "cell (1,1), level 2 (segments 1..2 of P, 1..1 of Q as built): overflow" in str(
+            info.value
+        )
 
     @pytest.mark.parametrize("values", [[0, 1e155, 0], [0, 1e160], [0, 1e308]])
     def test_overflow_in_a_cell_is_too_large(self, values):
@@ -308,12 +377,14 @@ class TestRobustness:
         # valley family; the error names the cell and its level.
         with pytest.raises(TooLarge) as info:
             solve(values, [0, 1])
-        assert "cell (1,1), level 2: overflow" in str(info.value)
+        assert "cell (1,1), level 2 (segments 1..1 of P, 1..1 of Q as built): overflow" in str(
+            info.value
+        )
 
     def test_infinite_distance_is_too_large(self):
         # Every cell solves, but the far-corner cost is inf.
         with pytest.raises(TooLarge, match="not finite"):
-            solve([0, 1, 1e156], [0, 1])
+            solve([0, 1, -1e156], [0, 1])
 
     def test_no_edge_jumps_after_valley_crossing_turns(self):
         # A single turn that crosses the valley line costs 0.5 * (t - x0)^2
@@ -401,10 +472,12 @@ class TestProvenanceControl:
         rng = random.Random(73)
         P = random_curve(rng, 6)
         Q = random_curve(rng, 6)
-        cells = [(i, j) for i in range(1, 6) for j in range(1, 6)]
-        valleys = {c for c in cells if _valley_span(cell_info(P, Q, *c)) is not None}
+        run = cdtw_exact(P, Q).run
+        cells = [(i, j) for i in range(1, run.P.num_segments + 1)
+                 for j in range(1, run.Q.num_segments + 1)]
+        valleys = {c for c in cells if _valley_span(cell_info(run.P, run.Q, *c)) is not None}
         assert valleys and len(valleys) < len(cells)
-        records = cdtw_exact(P, Q).run.records
+        records = run.records
         assert set(records) == valleys
         assert all(isinstance(rec, BoundaryCost) for rec in records.values())
         assert cdtw_exact(P, Q, EngineConfig(record_path=False)).run.records == {}
