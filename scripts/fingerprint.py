@@ -29,7 +29,10 @@ path annotations and total piece count; ``--edges`` adds every edge's
 cost function f (coefficients and domains, the stored reduced cost plus
 the edge's running integral of the height) with its provenance, keyed by
 the cell of the curves reduced to their turning points, and ``--grid``
-adds ``cdtw_grid`` at resolutions 4, 16 and 64 for the 60 small pairs.
+adds ``cdtw_grid`` at resolutions 4, 16, 64 and 256 for the 60 small
+pairs.  At 256, 58 of them sweep more than one block of 128 columns, and
+the largest lattice has 7,425 x-ticks.  A run takes about 0.6 s, and about
+9 s with ``--grid`` (Intel Xeon, Python 3.11, numpy 2.4).
 Floats are written with repr, so equal output means bit-identical results.
 """
 
@@ -44,7 +47,7 @@ from cdtw.piecewise import TOLERANCE
 from cdtw.propagation import edge_height_running
 
 SEED = 20261017
-GRID_RESOLUTIONS = (4, 16, 64)
+GRID_RESOLUTIONS = (4, 16, 64, 256)
 MAX_REL_DIFF = 1e-12
 
 

@@ -5,7 +5,7 @@ reconstruction and complexity statistics, baseline measures (DTW, discrete
 Frechet), and the sampled-grid approximation oracle.
 """
 
-from .baselines import GridConfig, cdtw_bruteforce_small, cdtw_grid, discrete_frechet, dtw
+from .baselines import GridConfig, cdtw_grid, discrete_frechet, dtw
 from .curves import Cell, Curve, build_curve, cell_info, height, point_at
 from .engine import (
     CdtwResult,
@@ -46,7 +46,6 @@ __all__ = [
     "dtw",
     "discrete_frechet",
     "cdtw_grid",
-    "cdtw_bruteforce_small",
     "GridConfig",
     "Quadratic",
     "PiecewiseQuadratic",

@@ -9,7 +9,7 @@ of two, which makes every coarse lattice an exact subgraph of any lattice
 whose resolution is a power-of-two multiple (diagonal edges included,
 because each coarse diagonal is a chain of finer diagonals on the same
 straight line).  The lattice kernel is in ``lattice``, the one module that
-imports numpy; the grid oracles import it on their first call.
+imports numpy; the grid oracle imports it on its first call.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .curves import Curve
-from .errors import EmptyInput, ResolutionZero, TooLarge
+from .errors import EmptyInput, ResolutionZero
 
 
 def _alignment_dp(p_vertices, q_vertices, combine: Callable[[float, float], float]) -> float:
@@ -84,25 +84,6 @@ def cdtw_grid(P: Curve, Q: Curve, cfg: GridConfig) -> float:
     if not 1 <= cfg.resolution < math.inf:
         raise ResolutionZero(f"resolution must be finite and >= 1, got {cfg.resolution}")
     from .lattice import _axis_ticks, _lattice_value
-    xs = _axis_ticks(P, float(cfg.resolution), pow2=True)
-    ys = _axis_ticks(Q, float(cfg.resolution), pow2=True)
-    return _lattice_value(P, Q, xs, ys)
-
-
-def cdtw_bruteforce_small(P: Curve, Q: Curve, segments: int) -> float:
-    """Independent fine-lattice oracle for tiny instances.
-
-    Uses a uniform staircase lattice with the given subdivisions per unit
-    of arc length; no power-of-two rounding, no shared configuration with
-    the main grid entry point beyond the lattice solver itself.
-    """
-    if len(P.vertices) > 4 or len(Q.vertices) > 4:
-        raise TooLarge("bruteforce oracle accepts at most 4 vertices per curve")
-    if segments > 2048:
-        raise TooLarge("bruteforce oracle accepts at most 2048 segments per unit")
-    if not segments >= 1:
-        raise ResolutionZero(f"segments must be >= 1, got {segments}")
-    from .lattice import _axis_ticks, _lattice_value
-    xs = _axis_ticks(P, float(segments), pow2=False)
-    ys = _axis_ticks(Q, float(segments), pow2=False)
+    xs = _axis_ticks(P, float(cfg.resolution))
+    ys = _axis_ticks(Q, float(cfg.resolution))
     return _lattice_value(P, Q, xs, ys)

@@ -254,24 +254,19 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     tol = args.tol if args.tol is not None else 0.02 * exact + 0.01
 
     print("resolution,grid,gap")
-    ok = True
-    gap = 0.0
+    violations = []
     for r in resolutions:
         grid = cdtw_grid(P, Q, GridConfig(resolution=r))
         gap = grid - exact
         print(f"{_fmt(r)},{_fmt(grid)},{_fmt(gap)}")
         if gap < -1e-9 * (1 + abs(exact)):
-            ok = False
+            violations.append(f"grid below exact at resolution {_fmt(r)}: gap {_fmt(gap)}")
     if gap > tol:
-        ok = False
+        violations.append(f"final gap {_fmt(gap)} vs tol {_fmt(tol)}")
     print(f"exact,{_fmt(exact)},")
-    if not ok:
-        print(
-            f"sandwich violation: final gap {_fmt(gap)} vs tol {_fmt(tol)}",
-            file=sys.stderr,
-        )
-        return EXIT_SANDWICH
-    return 0
+    for violation in violations:
+        print(f"sandwich violation: {violation}", file=sys.stderr)
+    return EXIT_SANDWICH if violations else 0
 
 
 def cmd_heatmap(args: argparse.Namespace) -> int:

@@ -1,5 +1,5 @@
 """Shortest monotone paths on a sampled lattice of the parameter space:
-the numpy kernel behind the grid oracles in ``baselines``.
+the numpy kernel behind the grid oracle in ``baselines``.
 
 An edge's weight is the exact integral of |h| along it, h(a, b) =
 pv[a] - qv[b] the signed height at the lattice nodes: the trapezoid where
@@ -12,6 +12,14 @@ scan (``a0 * a1 < 0``) keeps exactly the crossing edges.  Grid values are
 bit-identical to a sweep that tests every edge of every column
 (``tests/helpers.reference_lattice_value``) while tick spacings and
 nonzero heights stay above 2**-1021, where halving is exact.
+
+The sweep writes in place into buffers allocated once per lattice and
+takes prefix minima with ``np.fmin``, equal to ``np.minimum`` bit for bit
+where no NaN arises.  None can: every vertex ends a segment of nonzero
+length, at least an ulp of its value and at most MAX_TICKS / resolution
+<= 2**20, so |values| stay below about 2**72 and every weight and sum is
+finite; the only inf is column 0's unreachable candidates, minus a
+finite sum still inf.
 
 Imported only when a grid value is asked for, so ``import cdtw`` and the
 exact measures never load numpy.
@@ -35,15 +43,9 @@ MAX_TICKS = 1 << 20
 Crossings = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _pow2_at_least(x: float) -> int:
-    k = 1
-    while k < x - 1e-12:
-        k *= 2
-    return k
-
-
-def _axis_ticks(curve: Curve, res: float, pow2: bool) -> np.ndarray:
-    """Lattice ticks along one curve's arc length, per segment uniform.
+def _axis_ticks(curve: Curve, res: float) -> np.ndarray:
+    """Lattice ticks along one curve's arc length, per segment uniform,
+    each segment's count rounded up to a power of two.
 
     Raises TooLarge before building any tick when a segment's tick count
     is not finite or the axis would hold more than MAX_TICKS ticks.
@@ -54,7 +56,10 @@ def _axis_ticks(curve: Curve, res: float, pow2: bool) -> np.ndarray:
         x = (ends[i] - ends[i - 1]) * res
         if not x <= MAX_TICKS:
             raise TooLarge(f"segment {i} asks for {x} lattice ticks, more than {MAX_TICKS}")
-        counts.append(_pow2_at_least(x) if pow2 else max(1, int(np.ceil(x - 1e-12))))
+        k = 1
+        while k < x - 1e-12:
+            k *= 2
+        counts.append(k)
     if sum(counts) >= MAX_TICKS:
         raise TooLarge(f"a lattice axis asks for {sum(counts) + 1} ticks, more than {MAX_TICKS}")
     parts = [np.zeros(1)]
@@ -130,22 +135,15 @@ def _crossings(
     return out[0], out[1], out[2]
 
 
-def _put_crossings(w: np.ndarray, crossings: Crossings, c: int) -> np.ndarray:
-    """w with the crossing edges of column c set to their weights."""
-    off, rows, vals = crossings
-    lo, hi = off[c], off[c + 1]
-    w[rows[lo:hi]] = vals[lo:hi]
-    return w
-
-
 def _lattice_value(P: Curve, Q: Curve, xs: np.ndarray, ys: np.ndarray) -> float:
     """Shortest monotone path value on the lattice, column by column.
 
-    Each x-tick is one vectorised step over the column of y-ticks: the
-    horizontal and diagonal edges from the previous column, then a prefix
-    sweep up the vertical edges of the new one.  Every edge starts at the
-    trapezoid, half its length times s = |a0| + |a1|; the crossing edges,
-    found a block of columns at a time, then take their closed form.
+    Each x-tick is one step over the column of y-ticks, written in place
+    into buffers allocated once per lattice: the horizontal and diagonal
+    edges from the previous column, then a prefix sweep up the vertical
+    edges of the new one.  Every edge starts at the trapezoid, half its
+    length times s = |a0| + |a1|; the crossing edges, found a block of
+    columns at a time, then take their closed form.
     """
     pv = np.interp(xs, P.prefix_lengths, P.vertices)
     qv = np.interp(ys, Q.prefix_lengths, Q.vertices)
@@ -153,35 +151,57 @@ def _lattice_value(P: Curve, Q: Curve, xs: np.ndarray, ys: np.ndarray) -> float:
     dxs, dy = np.diff(xs), np.diff(ys)
     half_dy = 0.5 * dy
     m = len(ys)
-    cum_up = np.zeros(m)
-
-    def sweep_up(cand: np.ndarray, abs_h: np.ndarray, vertical: Crossings, c: int) -> np.ndarray:
-        """Best value at each node of column c of vertical, entering it
-        from cand or from any node below by vertical edges."""
-        w_up = _put_crossings(half_dy * (abs_h[:-1] + abs_h[1:]), vertical, c)
-        np.cumsum(w_up, out=cum_up[1:])
-        return cum_up + np.minimum.accumulate(cand - cum_up)
-
-    abs_left = np.abs(pv[0] - qv)
+    # |h| on the column reached and on the one before it, each with its
+    # views without the top and without the bottom node; swapped by reference
+    now, before = [(a, a[:-1], a[1:]) for a in (np.abs(pv[0] - qv), np.empty(m))]
+    w_h, scan, dp, cum_up = np.empty(m), np.empty(m), np.empty(m), np.zeros(m)
+    w_d, w_v, half_d = np.empty(m - 1), np.empty(m - 1), np.empty(m - 1)
     cand = np.full(m, np.inf)
     cand[0] = 0.0
-    dp = sweep_up(cand, abs_left, _crossings(pv[:1], qv, runs, dxs[:0], dy)[2], 0)
-
+    cand_up, dp_low, cum_high = cand[1:], dp[:-1], cum_up[1:]
+    p_list, dx_list = pv.tolist(), dxs.tolist()
     prev_dx = None
     for start in range(0, len(dxs), _BLOCK):
         stop = min(start + _BLOCK, len(dxs))
-        horizontal, diagonal, vertical = _crossings(
+        (h_off, h_rows, h_vals), (d_off, d_rows, d_vals), (v_off, v_rows, v_vals) = _crossings(
             pv[start:stop + 1], qv, runs, dxs[start:stop], dy
         )
-        for c, (p, dx) in enumerate(zip(pv[start + 1:stop + 1], dxs[start:stop])):
-            abs_right = np.abs(p - qv)
-            w_h = _put_crossings((0.5 * dx) * (abs_left + abs_right), horizontal, c)
-            cand = dp + w_h
-            # ticks are uniform per segment, so dx often repeats
-            if dx != prev_dx:
-                half_d, prev_dx = 0.5 * (dx + dy), dx
-            w_d = _put_crossings(half_d * (abs_left[:-1] + abs_right[1:]), diagonal, c)
-            np.minimum(cand[1:], dp[:-1] + w_d, out=cand[1:])
-            dp = sweep_up(cand, abs_right, vertical, c + 1)
-            abs_left = abs_right
+        h_off, d_off, v_off = h_off.tolist(), d_off.tolist(), v_off.tolist()
+        # column k of the block is x-tick start + k; column 0 of the
+        # lattice is reached from the origin alone
+        for k in range(0 if start == 0 else 1, stop - start + 1):
+            if k:
+                before, now = now, before
+                dx = dx_list[start + k - 1]
+                np.subtract(p_list[start + k], qv, out=now[0])
+                np.abs(now[0], out=now[0])
+                np.add(before[0], now[0], out=w_h)
+                np.multiply(w_h, 0.5 * dx, out=w_h)
+                lo, hi = h_off[k - 1], h_off[k]
+                if hi > lo:
+                    w_h[h_rows[lo:hi]] = h_vals[lo:hi]
+                np.add(dp, w_h, out=cand)
+                # ticks are uniform per segment, so dx often repeats
+                if dx != prev_dx:
+                    np.add(dy, dx, out=half_d)
+                    np.multiply(half_d, 0.5, out=half_d)
+                    prev_dx = dx
+                np.add(before[1], now[2], out=w_d)
+                np.multiply(w_d, half_d, out=w_d)
+                lo, hi = d_off[k - 1], d_off[k]
+                if hi > lo:
+                    w_d[d_rows[lo:hi]] = d_vals[lo:hi]
+                np.add(dp_low, w_d, out=w_d)
+                np.minimum(cand_up, w_d, out=cand_up)
+            # best value at each node, entering it from cand or from any
+            # node below by vertical edges
+            np.add(now[1], now[2], out=w_v)
+            np.multiply(w_v, half_dy, out=w_v)
+            lo, hi = v_off[k], v_off[k + 1]
+            if hi > lo:
+                w_v[v_rows[lo:hi]] = v_vals[lo:hi]
+            np.add.accumulate(w_v, out=cum_high)
+            np.subtract(cand, cum_up, out=scan)
+            np.fmin.accumulate(scan, out=dp)
+            np.add(cum_up, dp, out=dp)
     return float(dp[-1])

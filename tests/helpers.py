@@ -5,6 +5,7 @@ dense sampling, brute-force enumeration, and direct numerical integration.
 Slower and cruder, but with failure modes unrelated to the code under test.
 The exceptions are reference implementations that a rework must match
 exactly (the lattice solver, one-piece envelope insertion), the
+small-instance lattice oracle on ticks not rounded to powers of two, the
 invariant checks on piecewise functions that only tests run, the sum,
 shift and restriction of raw pieces that only tests use, and the conversion
 between a cost along a cell edge and the reduced cost the solver stores
@@ -19,9 +20,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from cdtw import lattice
 from cdtw import piecewise as pw
 from cdtw.curves import Cell, Curve, build_curve, height, point_at
-from cdtw.errors import InvariantViolation, OutOfDomain
+from cdtw.errors import InvariantViolation, OutOfDomain, ResolutionZero, TooLarge
 from cdtw.piecewise import TOLERANCE, _compare_span
 from cdtw.propagation import edge_height_running
 
@@ -485,6 +487,45 @@ def reference_lattice_value(P: Curve, Q: Curve, xs: np.ndarray, ys: np.ndarray) 
         dp = cum_up + np.minimum.accumulate(cand - cum_up)
         h_left = h_right
     return float(dp[-1])
+
+
+def axis_ticks(curve: Curve, res: float, pow2: bool) -> np.ndarray:
+    """Lattice ticks of cdtw_grid (pow2) or of cdtw_bruteforce_small: the
+    same per-segment uniform ticks and TooLarge rule, each segment's count
+    rounded up to a power of two or to an integer."""
+    if pow2:
+        return lattice._axis_ticks(curve, res)
+    ends = curve.prefix_lengths
+    counts = []
+    for i in range(1, curve.num_segments + 1):
+        x = (ends[i] - ends[i - 1]) * res
+        if not x <= lattice.MAX_TICKS:
+            raise TooLarge(f"segment {i} asks for {x} lattice ticks")
+        counts.append(max(1, math.ceil(x - 1e-12)))
+    if sum(counts) >= lattice.MAX_TICKS:
+        raise TooLarge(f"a lattice axis asks for {sum(counts) + 1} ticks")
+    return np.concatenate(
+        [np.zeros(1)]
+        + [np.linspace(ends[i - 1], ends[i], k + 1)[1:] for i, k in enumerate(counts, 1)]
+    )
+
+
+def cdtw_bruteforce_small(P: Curve, Q: Curve, segments: int) -> float:
+    """Fine-lattice oracle for tiny instances.
+
+    Uses a uniform staircase lattice with the given subdivisions per unit
+    of arc length; no power-of-two rounding, no shared configuration with
+    cdtw_grid beyond the lattice solver itself.
+    """
+    if len(P.vertices) > 4 or len(Q.vertices) > 4:
+        raise TooLarge("bruteforce oracle accepts at most 4 vertices per curve")
+    if segments > 2048:
+        raise TooLarge("bruteforce oracle accepts at most 2048 segments per unit")
+    if not segments >= 1:
+        raise ResolutionZero(f"segments must be >= 1, got {segments}")
+    xs = axis_ticks(P, float(segments), False)
+    ys = axis_ticks(Q, float(segments), False)
+    return lattice._lattice_value(P, Q, xs, ys)
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,22 @@
 """Baseline measures and the sampled-grid approximation oracle."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 from cdtw import build_curve
-from cdtw.baselines import (
-    GridConfig,
-    cdtw_bruteforce_small,
-    cdtw_grid,
-    discrete_frechet,
-    dtw,
-)
+from cdtw.baselines import GridConfig, cdtw_grid, discrete_frechet, dtw
 from cdtw.engine import cdtw_exact
 from cdtw.errors import EmptyInput, ResolutionZero, TooLarge
-from cdtw.lattice import MAX_TICKS, _axis_ticks, _crossings, _monotone_runs
+from cdtw.lattice import MAX_TICKS, _crossings, _monotone_runs
 
 from helpers import (
+    axis_ticks as _axis_ticks,
     brute_discrete_frechet,
     brute_dtw,
+    cdtw_bruteforce_small,
     random_curve,
     reference_lattice_value,
     reference_seg_weight,
@@ -187,6 +184,28 @@ class TestGrid:
                     P, Q, _axis_ticks(P, float(r), False), _axis_ticks(Q, float(r), False)
                 )
                 assert cdtw_bruteforce_small(P, Q, r) == want
+
+    def test_bench_sized_lattices_bit_identical_to_reference(self):
+        # Resolution 256 on two walks of 13 vertices and arc length 8 (over
+        # 20 blocks of crossing columns, swept through the same buffers),
+        # and on a pair whose axes have different tick counts.
+        rng = random.Random(103)
+
+        def walk():
+            steps = [rng.choice((-1.0, 1.0)) * (0.25 + rng.random()) for _ in range(12)]
+            scale = 8.0 / sum(abs(s) for s in steps)
+            return build_curve(list(itertools.accumulate([0.0] + [s * scale for s in steps])))
+
+        pairs = [(walk(), walk()), (walk(), walk())]
+        pairs.append((build_curve([0, 1.5, 0.2, 2]), build_curve([1, 0, 0.7])))
+        for k, (P, Q) in enumerate(pairs):
+            xs, ys = _axis_ticks(P, 256.0, True), _axis_ticks(Q, 256.0, True)
+            if k < 2:
+                assert min(len(xs), len(ys)) > 20 * 128
+            else:
+                assert len(xs) != len(ys)
+            want = reference_lattice_value(P, Q, xs, ys)
+            assert cdtw_grid(P, Q, GridConfig(resolution=256)) == want
 
     @pytest.mark.parametrize(
         "p_values, resolution",

@@ -431,6 +431,22 @@ class TestOracleCheck:
         assert rc == 4
         assert "sandwich" in capsys.readouterr().err
 
+    def test_grid_below_exact_names_its_resolution(self, pair, monkeypatch, capsys):
+        # The grid falls below the exact value 0.25 at resolution 16 only;
+        # the final gap is within tol, so the one violation printed names
+        # resolution 16 and its gap, not the final gap.
+        real = cli.cdtw_grid
+
+        def grid(P, Q, cfg):
+            return 0.25 - 0.5 if cfg.resolution == 16 else real(P, Q, cfg)
+
+        monkeypatch.setattr(cli, "cdtw_grid", grid)
+        assert main(["oracle-check", *pair]) == 4
+        out, err = capsys.readouterr()
+        assert out.splitlines()[2] == "16,-0.25,-0.5"
+        assert out.splitlines()[-1] == "exact,0.25,"
+        assert err == "sandwich violation: grid below exact at resolution 16: gap -0.5\n"
+
     def test_overflowing_solve_is_too_large(self, tmp_path, capsys):
         a = write(tmp_path, "a.csv", "0\n1e155\n0\n")
         b = write(tmp_path, "b.csv", "0\n1\n")
