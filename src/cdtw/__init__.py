@@ -28,7 +28,7 @@ from .errors import (
     TooLarge,
     WrongCellType,
 )
-from .piecewise import PiecewiseQuadratic, Quadratic
+from .piecewise import PiecewiseQuadratic
 
 __all__ = [
     "build_curve",
@@ -47,7 +47,6 @@ __all__ = [
     "discrete_frechet",
     "cdtw_grid",
     "GridConfig",
-    "Quadratic",
     "PiecewiseQuadratic",
     "CdtwError",
     "InsufficientVertices",

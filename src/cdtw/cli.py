@@ -84,6 +84,16 @@ def load_series(path: str, warn: bool = True) -> List[float]:
     return values
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write text to path; a file that cannot be written is a usage error
+    naming it."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"{path}: {exc.strerror or exc}")
+
+
 def _load_pair(args: argparse.Namespace) -> Tuple[List[float], List[float]]:
     """Both series of a two-file command; a file given twice warns once."""
     a = load_series(args.a)
@@ -142,7 +152,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     out = {"measure": args.measure, "n": len(a), "m": len(b)}
     a = _measure_input(args.measure, args.a, a)
     b = _measure_input(args.measure, args.b, b)
-    stats = path = None
+    stats = None
     if args.measure == "cdtw":
         res = cdtw_exact(a, b, config=EngineConfig(record_path=bool(args.path)))
         out["value"] = _round(res.value)
@@ -151,13 +161,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
             stats["wall_time"] = _round(stats["wall_time"])
             out["stats"] = stats
         if args.path:
-            path = reconstruct_path(res).to_json()
+            _write_text(args.path, json.dumps(reconstruct_path(res).to_json()))
             out["path"] = args.path
-            try:
-                with open(args.path, "w") as fh:
-                    json.dump(path, fh)
-            except OSError as exc:
-                raise _UsageError(f"{args.path}: {exc.strerror or exc}")
     else:
         out["value"] = _round(_one_distance(args.measure, args.resolution, a, b))
 
@@ -229,11 +234,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         lines.append(name + "," + ",".join(row))
     text = "\n".join(lines) + "\n"
     if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise _UsageError(f"{args.out}: {exc.strerror or exc}")
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -282,12 +283,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
         raise _UsageError(f"{args.out}: {exc.strerror or exc}")
 
     def write(name: str, lines: List[str]) -> None:
-        target = os.path.join(args.out, name)
-        try:
-            with open(target, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
-        except OSError as exc:
-            raise _UsageError(f"{target}: {exc.strerror or exc}")
+        _write_text(os.path.join(args.out, name), "\n".join(lines) + "\n")
 
     n = args.samples
     xs = [P.length * k / (n - 1) if n > 1 else 0.0 for k in range(n)]

@@ -94,12 +94,6 @@ class CdtwResult:
     path: Optional[WarpPath] = None
     run: Optional[SolveRun] = None
 
-    def to_json(self) -> dict:
-        out = {"value": self.value, "stats": self.stats.to_json()}
-        if self.path is not None:
-            out["path"] = self.path.to_json()
-        return out
-
 
 def _count_edge(stats: SolveStats, f: pw.PiecewiseQuadratic) -> None:
     n = len(f.raw)

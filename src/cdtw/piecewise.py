@@ -12,8 +12,8 @@ breakpoint merging, continuity checks, and quadratic-intersection roots.
 Exact rational arithmetic is not an option here: envelope breakpoints are
 roots of quadratics and irrational in general.
 
-Inside an operation pieces travel as plain (a, b, c, lo, hi) tuples, "raw"
-pieces, which are much cheaper to make than Quadratic objects.
+Pieces are plain (a, b, c, lo, hi) tuples, "raw" pieces: a*s^2 + b*s + c
+restricted to the closed interval [lo, hi].
 """
 
 from __future__ import annotations
@@ -33,28 +33,10 @@ AB_BUCKET = 1e-7
 Raw = Tuple[float, float, float, float, float]
 
 
-@dataclass(frozen=True, slots=True)
-class Quadratic:
-    """a*s^2 + b*s + c restricted to the closed interval [lo, hi]."""
-
-    a: float
-    b: float
-    c: float
-    lo: float
-    hi: float
-
-    def value(self, s: float) -> float:
-        return (self.a * s + self.b) * s + self.c
-
-
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class PiecewiseQuadratic:
-    """Ordered abutting Quadratic pieces tiling one closed interval.
-
-    The pieces are stored as raw tuples, which the operations of this
-    module read; ``pieces`` builds Quadratic objects on each access.
-    Build one with ``from_raw``.
-    """
+    """Ordered abutting raw pieces tiling one closed interval.  Build one
+    with ``from_raw``."""
 
     raw: Tuple[Raw, ...]
 
@@ -62,8 +44,9 @@ class PiecewiseQuadratic:
         return f"PiecewiseQuadratic(pieces={self.pieces!r})"
 
     @property
-    def pieces(self) -> Tuple[Quadratic, ...]:
-        return tuple([Quadratic(*r) for r in self.raw])
+    def pieces(self) -> Tuple[Raw, ...]:
+        # the raw pieces; bench/workloads.py reads only their number
+        return self.raw
 
     @property
     def lo(self) -> float:
@@ -228,13 +211,14 @@ def stable_roots(a: float, b: float, c: float) -> Tuple[float, ...]:
     return (r0,)
 
 
-def _root_of_piece(p: Quadratic, target: float, lo: float, hi: float) -> float:
+def _root_of_piece(p: Raw, target: float, lo: float, hi: float) -> float:
     """Solve p(x) = target for x in [lo, hi]; falls back to bisection."""
-    for r in stable_roots(p.a, p.b, p.c - target):
+    pa, pb, pc = p[0], p[1], p[2]
+    for r in stable_roots(pa, pb, pc - target):
         if lo - TOLERANCE <= r <= hi + TOLERANCE:
             return min(max(r, lo), hi)
-    f_lo = p.value(lo) - target
-    f_hi = p.value(hi) - target
+    f_lo = (pa * lo + pb) * lo + pc - target
+    f_hi = (pa * hi + pb) * hi + pc - target
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
@@ -245,7 +229,7 @@ def _root_of_piece(p: Quadratic, target: float, lo: float, hi: float) -> float:
     a, b = lo, hi
     for _ in range(80):
         m = 0.5 * (a + b)
-        fm = p.value(m) - target
+        fm = (pa * m + pb) * m + pc - target
         if fm == 0.0:
             return m
         if (fm > 0.0) == (f_lo > 0.0):
@@ -332,7 +316,7 @@ def cumulative_min(
                 elif v_end >= m - tol:
                     flat_hi = sh
                 else:
-                    flat_hi = follow_lo = _root_of_piece(Quadratic(*p), m, sl, sh)
+                    flat_hi = follow_lo = _root_of_piece(p, m, sl, sh)
             if flat_hi is not None and flat_hi >= sl:
                 if m_key is None:
                     m_key = (m_arg, tags[locate(raw, m_arg)])

@@ -31,16 +31,9 @@ is optimal; the families above cover all optimal shapes.  Work that
 cannot change a cell's output is skipped:
 
 * no fragment for the route through an output edge's start corner: it
-  is a constant k, so travel starts at k.  No single turn from an input
-  edge's start, which C1 or C1T (B on the valley span) covers
-  (_c2_catalogue).  Other entries sit only where the minimum over
-  entries can lie (stationary points, convex kinks of the input).
-* no single turn across the valley where B applies.  Entering at (s, y0)
-  with s - c >= y0 and turning at t > s - c, it crosses the valley line
-  at V = (s, s - c).  The B path from s reaches V at the same cost and
-  rides to (t + c, t) for free, where the turn pays (t - s + c)^2 / 2;
-  past x1 it leaves at (x1, x1 - c) and travels up for (t - x1 + c)^2 / 2,
-  less still.  The transposed frame is the same.
+  is a constant k, so travel starts at k.
+* single turns only from the one sign region where they can win, at
+  stationary points (_c2_catalogue says why nothing else can).
 * no straight transport on the valley span where B applies: [vx0, vx1]
   on top, [vx0 - c, vx1 - c] on the right.  There the transport crosses
   the valley line; it is the B path that enters and leaves the valley at
@@ -363,44 +356,47 @@ def propagate_type_b(
 
 
 def _c2_catalogue(
-    f: PiecewiseQuadratic,
-    X0: float,
-    X1: float,
-    Y0: float,
-    Y1: float,
-    C: float,
-    valley: bool,
+    f: PiecewiseQuadratic, X0: float, X1: float, Y0: float, Y1: float, C: float
 ) -> List[Tuple[PiecewiseQuadratic, float, float]]:
     """Single-turn path costs from the bottom edge to the right edge,
     in normalised frame coordinates and reduced costs.
 
-    A path enters at (s, Y0-edge), runs "up" to level t, then "right" to
-    the output edge; with f the entry edge's reduced cost, the path's
-    reduced cost (its S-terms doubled by the two edges' R) is
+    A path enters at (s, Y0), runs up to level t, then right to (X1, t);
+    with f the entry edge's reduced cost, its reduced cost (its S-terms
+    doubled by the two edges' R) is
 
         pathcost(s, t) = f(s) + 2 [S(s - Y0 - C) + S(X1 - t - C) - S(s - t - C)]
                          - S(X0 - Y0 - C) - S(X1 - Y0 - C)
 
-    with S(u) = u|u|/2.  Since S'(u) = |u|, pathcost is C^1 in s wherever
-    f is, so for each t its minimum over s lies at a stationary point
-    inside a stretch where pathcost is one convex quadratic in s, at a
-    domain end, or at a convex kink of f.  This emits exactly those:
+    with S(u) = u|u|/2.  This emits, per input piece, the stationary turns
+    with s - Y0 - C >= 0 and s - t - C >= 0: paths that enter at or right
+    of the valley's foot and turn at or below the valley line.  There
+    t <= s - C <= X1 - C, so the ride term 2 S(X1 - t - C) is
+    (X1 - t - C)^2, and pathcost is f(s) + 2 (t - Y0) s plus terms free
+    of s.  On a piece a s^2 + b s + c of f with a > 0 its minimum over s
+    is at s(t) = alpha * t + beta, alpha = -1/a.  Each entry is (cost
+    fragment over the t where s(t) stays in the piece and the region,
+    alpha, beta).
 
-    * per input piece and sign region of s - Y0 - C and s - t - C, the
-      stationary solution s(t) of d pathcost / d s = 0 where the
-      curvature is positive (linear in t);
-    * fixed entries at every inner breakpoint where f kinks convexly
-      (judged on the full cost's slopes).
+    The inputs never rise (travel closure) and kink only concavely (an
+    edge is a minimum of costs smooth in its coordinate).  So nothing
+    else can win:
 
-    Nothing else can win: a minimum cannot sit at a concave kink, and at
-    the sign breaklines s = Y0 + C and s = t + C pathcost is C^1, so a
-    minimum there is a stationary point of the region on its left.  With
-    valley set (B applies), region s - Y0 - C >= 0 > s - t - C is left
-    out: the valley ride beats those paths (see the module docstring).
-    Each returned entry is (cost fragment over t, alpha, beta) with
-    source coordinate s = alpha * t + beta.
+    * s < Y0 + C with s - t - C >= 0 is empty: u = x - y - C only falls
+      on the way up, so the path would turn below Y0.
+    * s < Y0 + C with s - t - C < 0: d pathcost / d s = f'(s) - 2(t - Y0)
+      < 0 for t > Y0, so the minimum lies on the region's boundary: at
+      the valley's foot, which the valley ride covers, or at X1, which is
+      the corner route.
+    * s >= Y0 + C with s - t - C < 0: the vertical leg crosses the valley
+      line at V = (s, s - C).  The valley ride from s reaches V at the
+      same cost and rides to (t + C, t) for free, where the turn pays
+      (t - s + C)^2 / 2; past X1 it leaves at (X1, X1 - C) and travels up
+      for (t - X1 + C)^2 / 2, less still.  Without a valley segment in
+      the cell this region is at most a point.
+    * a kink of f: a minimum over s cannot sit at a concave kink unless
+      both one-sided slopes are 0, which makes it a stationary point.
 
-    The entry at X1 is the corner route, which starts the travel pass.
     A path entering at X0 first runs along the other input edge, whose
     cost meets f there and whose reduced cost never rises, so C1 from
     that edge at level t costs no more.  The transposed frame (swap axes,
@@ -409,69 +405,35 @@ def _c2_catalogue(
     tol = pw.TOLERANCE * (1.0 + abs(X0) + abs(X1) + abs(Y0) + abs(Y1))
     out: List[Tuple[PiecewiseQuadratic, float, float]] = []
     y0c = Y0 + C
-    const = -_s_halfsq(X0 - y0c) - _s_halfsq(X1 - y0c)
-    ride = (2.0, -1.0, X1 - C)  # the 2 S(X1 - t - C) term of every family
-
-    # Fixed entries: the convex kinks.
-    raw = f.raw
-    for (la, lb, lc, _, s), (ra, rb, _, _, _) in zip(raw, raw[1:]):
-        w = abs(s - y0c)  # the slope of the entry edge's running integral
-        dl, dr = 2.0 * la * s + lb + w, 2.0 * ra * s + rb + w
-        if dr - dl > 1e-9 * (abs(dl) + abs(dr)):
-            entry = (la * s + lb) * s + lc + 2.0 * _s_halfsq(s - y0c) + const
-            frag = _s_combination_raw([ride, (-2.0, -1.0, s - C)], entry, Y0, Y1)
-            out.append((pw.from_raw(frag), 0.0, s))
-
-    for pa, pb, pc, p_lo, p_hi in raw:
-        # Interior stationary solutions, split by the sign of s - Y0 - C
-        # (entry side) and of s - t - C (turn side).
-        s_splits = [p_lo, p_hi]
-        if p_lo + tol < y0c < p_hi - tol:
-            s_splits = [p_lo, y0c, p_hi]
-        for sl, sh in zip(s_splits, s_splits[1:]):
-            if sh - sl <= tol:
+    x1c = X1 - C  # the ride term (t - x1c)^2, its constant kept in const
+    const = -_s_halfsq(X0 - y0c) - _s_halfsq(X1 - y0c) + x1c * x1c
+    for pa, pb, pc, p_lo, p_hi in f.raw:
+        sl = y0c if p_lo + tol < y0c < p_hi - tol else p_lo
+        kappa = 2.0 * pa
+        if p_hi - sl <= tol or 0.5 * (sl + p_hi) < y0c or kappa <= pw.TOLERANCE:
+            continue  # off the region, or no minimum in s
+        alpha = -2.0 / kappa
+        beta = (2.0 * y0c - 2.0 * C - pb) / kappa
+        # t where s(t) >= sl, s(t) <= p_hi and s(t) - t - C >= 0, each
+        # constraint g0 * t + g1 >= 0
+        t_lo, t_hi = Y0, Y1
+        for g0, g1 in ((alpha, beta - sl), (-alpha, p_hi - beta), (alpha - 1.0, beta - C)):
+            if abs(g0) <= pw.TOLERANCE:
+                if g1 < -pw.TOLERANCE:
+                    t_hi = -math.inf
                 continue
-            sig_s = 1.0 if 0.5 * (sl + sh) - Y0 - C >= 0 else -1.0
-            for sig_d in (1.0,) if valley and sig_s > 0 else (1.0, -1.0):
-                kappa = 2.0 * pa + 2.0 * sig_s - 2.0 * sig_d
-                if kappa <= pw.TOLERANCE:
-                    continue  # not a minimum in s
-                alpha = -2.0 * sig_d / kappa
-                beta = (2.0 * sig_s * y0c - 2.0 * sig_d * C - pb) / kappa
-                # t range where s(t) stays in [sl, sh] and on the sig_d side:
-                # keep t with g0 * t + g1 >= 0 for each constraint.
-                t_lo, t_hi = Y0, Y1
-                for g0, g1 in (
-                    (alpha, beta - sl),  # s(t) >= sl
-                    (-alpha, sh - beta),  # s(t) <= sh
-                    (sig_d * (alpha - 1.0), sig_d * (beta - C)),  # sig_d * (s(t) - t - C) >= 0
-                ):
-                    if abs(g0) <= pw.TOLERANCE:
-                        if g1 < -pw.TOLERANCE:
-                            t_lo, t_hi = 1.0, 0.0
-                            break
-                        continue
-                    bound = -g1 / g0
-                    if g0 > 0:
-                        t_lo = max(t_lo, bound)
-                    else:
-                        t_hi = min(t_hi, bound)
-                if t_hi - t_lo <= tol:
-                    continue
-                qa, qb, qc = pw.compose_linear(pa, pb, pc, alpha, beta)
-                # 2 S(s(t) - Y0 - C) and -2 S(s(t) - t - C) with s(t) linear
-                ea, eb, ec = pw.compose_linear(
-                    sig_s, -2.0 * sig_s * y0c, sig_s * y0c ** 2, alpha, beta
-                )
-                da, db, dc = pw.compose_linear(
-                    -sig_d, 0.0, 0.0, alpha - 1.0, beta - C
-                )
-                base = _s_combination_raw([ride], const, t_lo, t_hi)
-                pieces = [
-                    (a + qa + ea + da, b + qb + eb + db, c + qc + ec + dc, lo, hi)
-                    for a, b, c, lo, hi in base
-                ]
-                out.append((pw.from_raw(pieces), alpha, beta))
+            if g0 > 0:
+                t_lo = max(t_lo, -g1 / g0)
+            else:
+                t_hi = min(t_hi, -g1 / g0)
+        if t_hi - t_lo <= tol:
+            continue
+        qa, qb, qc = pw.compose_linear(pa, pb, pc, alpha, beta)
+        # 2 S(s(t) - Y0 - C) and -2 S(s(t) - t - C) with s(t) linear
+        ea, eb, ec = pw.compose_linear(1.0, -2.0 * y0c, y0c ** 2, alpha, beta)
+        da, db, dc = pw.compose_linear(-1.0, 0.0, 0.0, alpha - 1.0, beta - C)
+        piece = (1.0 + qa + ea + da, -2.0 * x1c + qb + eb + db, const + qc + ec + dc, t_lo, t_hi)
+        out.append((pw.from_raw((piece,)), alpha, beta))
     return out
 
 
@@ -489,19 +451,18 @@ def propagate_type_c(
     c = cell.offset
     gb, gl = bottom.cost, left.cost
     span = _valley_span(cell)
-    valley = span is not None
     # C1 transposed: bottom to top, vertical transport; C1: left to right,
     # horizontal transport across the full cell width; both off the span.
     c1t = _across(gb, 1.0, -(y0 + c), -(y1 + c), -v_left, x0, x1, span)
     c1 = _across(gl, -1.0, x1 - c, x0 - c, -h_bottom, y0, y1,
-                 (span[0] - c, span[1] - c) if valley else None)
+                 None if span is None else (span[0] - c, span[1] - c))
     top = [] if c1t is None else [(c1t, C1T_TAG)]
     right = [] if c1 is None else [(c1, C1_TAG)]
     # C2: bottom to right, single turn; C2T: left to top, the same with the
     # axes swapped and the valley offset negated.
-    for frag, alpha, beta in _c2_catalogue(gb, x0, x1, y0, y1, c, valley):
+    for frag, alpha, beta in _c2_catalogue(gb, x0, x1, y0, y1, c):
         right.append((frag, Prov(PREF_BOTTOM, "C2", "bottom", (alpha, beta))))
-    for frag, alpha, beta in _c2_catalogue(gl, y0, y1, x0, x1, -c, valley):
+    for frag, alpha, beta in _c2_catalogue(gl, y0, y1, x0, x1, -c):
         top.append((frag, Prov(PREF_LEFT, "C2T", "left", (alpha, beta))))
     return top, right
 

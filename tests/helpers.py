@@ -6,7 +6,8 @@ Slower and cruder, but with failure modes unrelated to the code under test.
 The exceptions are reference implementations that a rework must match
 exactly (the lattice solver, one-piece envelope insertion), the
 small-instance lattice oracle on ticks not rounded to powers of two, the
-invariant checks on piecewise functions that only tests run, the sum,
+invariant checks on piecewise functions that only tests run, a piece as a
+Quadratic object for the oracles that read pieces by name, the sum,
 shift and restriction of raw pieces that only tests use, and the conversion
 between a cost along a cell edge and the reduced cost the solver stores
 for it.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,6 +51,26 @@ def random_values(
 
 def random_curve(rng: random.Random, n: int, lo: float = 0.0, hi: float = 2.0) -> Curve:
     return build_curve(random_values(rng, n, lo, hi))
+
+
+@dataclass(frozen=True)
+class Quadratic:
+    """a*s^2 + b*s + c restricted to the closed interval [lo, hi]: one raw
+    piece as an object, for oracles that read a piece by name."""
+
+    a: float
+    b: float
+    c: float
+    lo: float
+    hi: float
+
+    def value(self, s: float) -> float:
+        return (self.a * s + self.b) * s + self.c
+
+
+def quadratics(f) -> List[Quadratic]:
+    """The pieces of a PiecewiseQuadratic as Quadratic objects."""
+    return [Quadratic(*p) for p in f.raw]
 
 
 def breakpoints(f) -> List[float]:
@@ -185,7 +207,7 @@ def validate(f) -> None:
     functions never kink convexly.
     """
     tol = TOLERANCE
-    pieces = f.pieces
+    pieces = quadratics(f)
     if not pieces:
         raise InvariantViolation("empty piecewise function")
     span = abs(f.hi - f.lo) + 1.0
@@ -217,7 +239,7 @@ def validate(f) -> None:
 def minimum(f) -> Tuple[float, float]:
     """(min value, argmin) of a PiecewiseQuadratic over its whole domain."""
     best, arg = math.inf, f.lo
-    for p in f.pieces:
+    for p in quadratics(f):
         for x in (p.lo, p.hi):
             v = p.value(x)
             if v < best:

@@ -279,6 +279,15 @@ class TestMatrix:
         text = open(target).read()
         assert text.startswith(",a.csv,b.csv")
 
+    def test_unwritable_out_file(self, tmp_path, capsys):
+        write(tmp_path, "a.csv", "0\n1\n")
+        write(tmp_path, "b.csv", "0.5\n1.5\n")
+        target = str(tmp_path / "no" / "such" / "m.csv")
+        assert main(["matrix", str(tmp_path), "--out", target]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {target}: ")
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
         write(tmp_path, "a.csv", "0\n1\n")

@@ -315,7 +315,7 @@ class TestStats:
         run = res.run
         edges = [*run.top.values(), *run.right.values(), *run.bottoms, *run.lefts]
         most = max(
-            len({(round(p.a / 1e-7), round(p.b / 1e-7)) for p in bc.cost.pieces})
+            len({(round(p[0] / 1e-7), round(p[1] / 1e-7)) for p in bc.cost.raw})
             for bc in edges
         )
         assert 1 <= most <= res.stats.max_edge_pieces
@@ -452,6 +452,48 @@ class TestRobustness:
                         low = min(low, g)
                     end = g
 
+    def test_stored_edges_kink_only_concavely(self):
+        # The single-turn catalogue emits only stationary turns because no
+        # input kinks convexly: at every breakpoint of every stored edge and
+        # valley record the slope may fall but not rise, beyond
+        # 1e-9 * (1 + |dl| + |dr|).  Seeded uniform pairs, small-integer
+        # pairs (exact ties, point valleys) and scaled pairs, with paths
+        # recorded so the valley records are kept.
+        def rises(raw):
+            return [
+                (x, dl, dr)
+                for (la, lb, _, _, x), (ra, rb, _, _, _) in zip(raw, raw[1:])
+                for dl, dr in [(2.0 * la * x + lb, 2.0 * ra * x + rb)]
+                if dr - dl > 1e-9 * (1.0 + abs(dl) + abs(dr))
+            ]
+
+        # |t - 0.5| kinks convexly at 0.5 and must be flagged.
+        assert rises(((0.0, -1.0, 0.5, 0.0, 0.5), (0.0, 1.0, -0.5, 0.5, 1.0))) == [
+            (0.5, -1.0, 1.0)
+        ]
+        rng = random.Random(29)
+        pairs = []
+        for _ in range(20):
+            pairs.append([random_values(rng, rng.randint(2, 20)) for _ in "PQ"])
+        for _ in range(20):
+            pairs.append(
+                [[float(rng.randint(0, 3)) for _ in range(rng.randint(3, 12))] for _ in "PQ"]
+            )
+        for scale in (1e-3, 1e3):
+            for _ in range(3):
+                pairs.append(
+                    [[scale * v for v in random_values(rng, rng.randint(3, 12))] for _ in "PQ"]
+                )
+        breaks = valleys = 0
+        for k, (a, b) in enumerate(pairs):
+            run = solve(a, b).run
+            valleys += len(run.records)
+            edges = [*run.top.items(), *run.right.items(), *run.records.items()]
+            for key, bc in edges:
+                assert rises(bc.cost.raw) == [], (k, key)
+                breaks += len(bc.cost.raw) - 1
+        assert breaks > 3000 and valleys > 300
+
 
 class TestProvenanceControl:
     def test_path_disabled_raises(self):
@@ -521,10 +563,9 @@ class TestSerialization:
     def test_result_json_round_trip(self):
         res = solve([0, 1], [0.5, 1.5])
         path = reconstruct_path(res)
-        blob = json.dumps(res.to_json())
-        data = json.loads(blob)
-        assert data["value"] == pytest.approx(0.25, abs=1e-12)
-        assert data["stats"]["cells_solved"] == 1
+        assert res.value == pytest.approx(0.25, abs=1e-12)
+        data = json.loads(json.dumps(res.stats.to_json()))
+        assert data["cells_solved"] == 1
         pblob = json.dumps(path.to_json())
         pdata = json.loads(pblob)
         assert len(pdata["points"]) == 4

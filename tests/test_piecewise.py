@@ -10,16 +10,17 @@ from hypothesis import strategies as st
 
 from cdtw import piecewise as pw
 from cdtw.errors import CoverageGap, OutOfDomain
-from cdtw.piecewise import Quadratic
 from cdtw.propagation import Prov, apply_edge_travel
 
 from helpers import (
     NO_CORNER,
+    Quadratic,
     add_raw,
     breakpoints,
     numeric_cumulative_min,
     prefix_min,
     pwq_prefix_min,
+    quadratics,
     reference_env_insert,
     shift_raw,
     validate,
@@ -75,7 +76,8 @@ class TestEvaluate:
     def test_breakpoint_continuity(self):
         f = pwq((1, 0, 0, 0, 1), (0, 2, -1, 1, 2))
         assert pw.evaluate(f, 1.0) == pytest.approx(1.0)
-        assert f.pieces[0].value(1.0) == pytest.approx(f.pieces[1].value(1.0))
+        first, second = quadratics(f)
+        assert first.value(1.0) == pytest.approx(second.value(1.0))
 
     def test_out_of_domain(self):
         f = pwq((1, 0, 0, 0, 1))
@@ -165,7 +167,7 @@ class TestCumulativeMin:
             g, _, _ = prefix_min(f)
             for _ in range(15):
                 t = rng.uniform(0, 1)
-                expect = pwq_prefix_min(f.pieces, t)
+                expect = pwq_prefix_min(quadratics(f), t)
                 assert g.value(t) == pytest.approx(expect, abs=1e-9)
 
     def test_matches_dense_sampling_loosely(self):
@@ -206,7 +208,7 @@ class TestCumulativeMin:
         for _ in range(40):
             f = random_pwq(rng)
             g, args, _ = prefix_min(f)
-            for piece, arg in zip(g.pieces, args):
+            for piece, arg in zip(quadratics(g), args):
                 t = 0.5 * (piece.lo + piece.hi)
                 if arg is None:
                     assert g.value(t) == pytest.approx(f.value(t), abs=1e-9)
@@ -316,7 +318,7 @@ class TestOffsetCumulativeMin:
             # production addition code.
             diff = [
                 Quadratic(p.a - qc.a, p.b - qc.b, p.c - qc.c, p.lo, p.hi)
-                for p in f.pieces
+                for p in quadratics(f)
             ]
             g = travel(f, (qc.a, qc.b, qc.c, qc.lo, qc.hi))
             for _ in range(10):

@@ -41,6 +41,7 @@ from helpers import (
     minimum,
     path_cost,
     prefix_min,
+    quadratics,
     random_curve,
     random_staircase,
     reduced,
@@ -155,6 +156,21 @@ def random_cell(rng, want_same=None, nmax=4):
         cell = cell_info(P, Q, i, j)
         if want_same is None or cell.same_direction == want_same:
             return P, Q, cell
+
+
+def point_valley_cells(rng, count):
+    """count same-direction cells whose valley is a single point, from
+    curves with small integer values."""
+    cells = []
+    while len(cells) < count:
+        P = build_curve([float(rng.randint(0, 4)) for _ in range(rng.randint(3, 5))])
+        Q = build_curve([float(rng.randint(0, 4)) for _ in range(rng.randint(3, 5))])
+        for i in range(1, P.num_segments + 1):
+            for j in range(1, Q.num_segments + 1):
+                cell = cell_info(P, Q, i, j)
+                if cell.same_direction and cell.valley is not None and _valley_span(cell) is None:
+                    cells.append(cell)
+    return cells[:count]
 
 
 class TestBandIntegrals:
@@ -308,7 +324,7 @@ class TestBaseCase:
         f = bottoms[0]
         assert f.value(2.0) == pytest.approx(1.0, abs=1e-12)
         assert len(f.pieces) == 2
-        assert f.pieces[0].hi == pytest.approx(1.0, abs=1e-12)
+        assert f.raw[0][4] == pytest.approx(1.0, abs=1e-12)
 
     def test_origin_zero_and_monotone(self):
         rng = random.Random(5)
@@ -626,24 +642,22 @@ class TestTypeC:
         assert len(c1.pieces) <= 3
 
     def test_c2_interior_matches_dense_min(self):
-        # quadratic input on the bottom edge; compare the full bottom->right
-        # candidate set against brute-force minimisation over entry points
+        # travel-closed inputs on the bottom edge; compare the full
+        # bottom->right candidate set against brute-force minimisation
+        # over entry points, in cells with a valley segment, with a point
+        # valley and with none
         rng = random.Random(19)
-        cases = []
-        while len(cases) < 6:
-            P, Q, cell = random_cell(rng, want_same=True)
-            cases.append((cell, *random_cell_inputs(rng, cell)))
-        # A bottom cost with a convex kink steep enough that the best entry
-        # is the kink itself for every exit level.
-        cell = cases[0][0]
-        x0, x1 = cell.x_range
-        y0, y1 = cell.y_range
-        k = 4.0 * max(abs(x - y - cell.offset) for x in (x0, x1) for y in (y0, y1)) + 1.0
-        s_k = float(np.linspace(x0, x1, 1000)[400])
-        kinked = pw.from_raw([(0.0, -k, k * s_k, x0, s_k), (0.0, k, -k * s_k, s_k, x1)])
-        kinked = reduced(cell, "bottom", kinked)
-        bottom = BoundaryCost(kinked, (Prov(PREF_BOTTOM, "base", "bottom"),) * len(kinked))
-        cases.append((cell, bottom, cases[0][2]))
+        cells = []
+        spans = others = 0
+        while spans < 4 or others < 6:
+            _, _, cell = random_cell(rng, want_same=True)
+            has_span = _valley_span(cell) is not None
+            if (spans if has_span else others) < (4 if has_span else 6):
+                cells.append(cell)
+                spans += has_span
+                others += not has_span
+        cells += point_valley_cells(random.Random(57), 2)
+        cases = [(cell, *random_cell_inputs(rng, cell)) for cell in cells]
         for cell, bottom, left in cases:
             _top, right = type_c(cell, bottom, left)
             _top_bc, right_bc, _ = solve_cell(cell, bottom, left)
@@ -812,63 +826,38 @@ class TestTypeC:
                     turn += through_cost(cell, (t, r), (t, y1))
                     assert top.value(t) <= turn + 1e-9 * scale
 
-    def test_catalogue_drops_crossing_turns_only_where_b_applies(self):
-        # Entries of sign region (s - Y0 - C >= 0, s - t - C < 0) have
-        # alpha > 0 and their source above Y0 + C.  Where B applies the
-        # catalogue leaves exactly those out.  Where the valley is a point
-        # the region is empty, and propagate_type_c keeps the full
-        # catalogue.
-        def frames(cell, bottom, left):
+    def test_catalogue_turns_on_the_near_side_of_the_valley_line(self):
+        # Every emitted single turn enters at or right of the valley's foot
+        # (s >= Y0 + C) and turns at or below the valley line
+        # (s - t - C >= 0) over its whole domain, in both frames, and
+        # propagate_type_c emits the catalogue as it is: in cells with a
+        # valley segment, with a point valley and with none.
+        rng = random.Random(55)
+        cells = [random_cell(rng, want_same=True)[2] for _ in range(40)]
+        cells += point_valley_cells(random.Random(57), 10)
+        checked = 0
+        for cell in cells:
+            bottom, left = random_cell_inputs(rng, cell)
+            top, right = type_c(cell, bottom, left)
             x0, x1 = cell.x_range
             y0, y1 = cell.y_range
             c = cell.offset
-            return (
+            for kind, f, (X0, X1, Y0, Y1, C) in (
                 ("C2", bottom.cost, (x0, x1, y0, y1, c)),
                 ("C2T", left.cost, (y0, y1, x0, x1, -c)),
-            )
-
-        def crossing(frag, alpha, beta, Y0, C):
-            mid = 0.5 * (frag.lo + frag.hi)
-            return alpha > 0.0 and alpha * mid + beta > Y0 + C
-
-        rng = random.Random(55)
-        b_cells = dropped = 0
-        while b_cells < 25:
-            _, _, cell = random_cell(rng, want_same=True)
-            if _valley_span(cell) is None:
-                continue
-            b_cells += 1
-            bottom, left = random_cell_inputs(rng, cell)
-            top, right = type_c(cell, bottom, left)
-            for kind, f, box in frames(cell, bottom, left):
-                full = _c2_catalogue(f, *box, False)
-                cut = _c2_catalogue(f, *box, True)
-                keep = [(a, b) for g, a, b in full if not crossing(g, a, b, box[2], box[4])]
-                assert [(a, b) for _g, a, b in cut] == keep
-                dropped += len(full) - len(cut)
-                emitted = [t.data for _f, t in top + right if t.kind == kind]
-                assert emitted == keep
-        assert dropped > 0
-
-        point_cells = 0
-        rng = random.Random(57)
-        while point_cells < 10:
-            P = build_curve([float(rng.randint(0, 4)) for _ in range(rng.randint(3, 5))])
-            Q = build_curve([float(rng.randint(0, 4)) for _ in range(rng.randint(3, 5))])
-            for i in range(1, P.num_segments + 1):
-                for j in range(1, Q.num_segments + 1):
-                    cell = cell_info(P, Q, i, j)
-                    if not cell.same_direction or cell.valley is None:
-                        continue
-                    if _valley_span(cell) is not None:
-                        continue
-                    point_cells += 1
-                    bottom, left = random_cell_inputs(rng, cell)
-                    top, right = type_c(cell, bottom, left)
-                    for kind, f, box in frames(cell, bottom, left):
-                        full = _c2_catalogue(f, *box, False)
-                        emitted = [t.data for _f, t in top + right if t.kind == kind]
-                        assert emitted == [(a, b) for _g, a, b in full]
+            ):
+                cat = _c2_catalogue(f, X0, X1, Y0, Y1, C)
+                emitted = [(g.raw, t.data) for g, t in top + right if t.kind == kind]
+                assert emitted == [(g.raw, (a, b)) for g, a, b in cat]
+                tol = 1e-9 * (1.0 + abs(X0) + abs(X1) + abs(Y0) + abs(Y1))
+                for g, a, b in cat:
+                    for t in (g.lo, g.hi):
+                        s = a * t + b
+                        assert X0 - tol <= s <= X1 + tol
+                        assert s >= Y0 + C - tol
+                        assert s - t - C >= -tol
+                    checked += 1
+        assert checked > 40
 
     def test_travel_with_zero_offset_is_cumulative_min(self):
         rng = random.Random(21)
@@ -1054,7 +1043,7 @@ class TestSolveCell:
                     on_source(prov, t)
 
             for edge, bc in (("top", top), ("right", right)):
-                for piece, prov in zip(bc.cost.pieces, bc.prov):
+                for piece, prov in zip(quadratics(bc.cost), bc.prov):
                     check(prov, 0.5 * (piece.lo + piece.hi), edge)
 
     def test_valley_argmins_nondecreasing(self):
@@ -1071,7 +1060,7 @@ class TestSolveCell:
                 continue
             seen += 1
             last = -INF
-            for piece, prov in zip(rec.cost.pieces, rec.prov):
+            for piece, prov in zip(quadratics(rec.cost), rec.prov):
                 arg = prov.data[0] if prov.kind == "travel" else None
                 src = piece.lo if arg is None else arg
                 assert src >= last - 1e-9
