@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .curves import Curve
+from .curves import Curve, build_curve
 from .errors import EmptyInput, ResolutionZero
 
 
@@ -79,8 +79,10 @@ def cdtw_grid(P: Curve, Q: Curve, cfg: GridConfig) -> float:
     Always >= the exact value (grid paths are a subset of all monotone
     paths) and nonincreasing as the resolution grows through powers of
     two times the same base.  A resolution below 1, NaN or infinite
-    raises ResolutionZero before any tick is built.
+    raises ResolutionZero before any tick is built.  Value lists pass
+    through build_curve.
     """
+    P, Q = (C if isinstance(C, Curve) else build_curve(C) for C in (P, Q))
     if not 1 <= cfg.resolution < math.inf:
         raise ResolutionZero(f"resolution must be finite and >= 1, got {cfg.resolution}")
     from .lattice import _axis_ticks, _lattice_value

@@ -88,14 +88,18 @@ def build_curve(values: Sequence[float]) -> Curve:
         Curve with strictly increasing prefix lengths.
 
     Raises:
-        InsufficientVertices: fewer than 2 distinct consecutive values
-            remain, or a segment vanishes in or overflows the arc length.
+        InsufficientVertices: a value is not a finite number, fewer than
+            2 distinct consecutive values remain, or a segment vanishes in
+            or overflows the arc length.
     """
     verts = []
     for v in values:
-        fv = float(v)
+        try:
+            fv = float(v)
+        except (TypeError, ValueError):
+            fv = math.nan
         if not math.isfinite(fv):
-            raise InsufficientVertices(f"non-finite value {v!r}")
+            raise InsufficientVertices(f"value {v!r} is not a finite number")
         if not verts or fv != verts[-1]:
             verts.append(fv)
     if len(verts) < 2:

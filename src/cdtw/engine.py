@@ -6,9 +6,9 @@ value does not depend on the sampling rate.  Cells are solved in
 nondecreasing level order (level = i + j), so both input edges of a cell
 are ready when it is visited.  The final distance is the cost at the
 top-right corner, the smaller of the last cell's two output edges read
-there, as every cell reads its far corner.  Per-piece provenance
-collected during propagation supports exact path reconstruction by
-backtracking.
+there, as every cell reads its far corner.  The edges are the sweep's
+only state; their per-piece provenance supports exact path
+reconstruction by backtracking.
 """
 
 from __future__ import annotations
@@ -18,10 +18,11 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .curves import Curve, cell_info, height
-from .errors import CdtwError, InvariantViolation, ProvenanceMissing, TooLarge
+from .curves import Curve, build_curve, cell_info, height
+from .errors import CdtwError, InvariantViolation, ProvenanceMissing, TooLarge, WrongCellType
 from . import piecewise as pw
-from .propagation import BoundaryCost, Prov, base_case, far_corner_cost, solve_cell
+from .propagation import (BoundaryCost, Prov, base_case, far_corner_cost,
+                          propagate_type_b, solve_cell)
 
 
 @dataclass
@@ -74,8 +75,7 @@ class SolveRun:
     """Everything produced by one solve, kept for backtracking and stats.
 
     P and Q are the curves reduced to their turning points, which the
-    cells index.  records holds the valley cost of every cell the B family
-    rides, and only in a solve with path recording.
+    cells index.
     """
 
     P: Curve
@@ -84,7 +84,11 @@ class SolveRun:
     right: Dict[Tuple[int, int], BoundaryCost]
     bottoms: List[BoundaryCost]
     lefts: List[BoundaryCost]
-    records: Dict[Tuple[int, int], BoundaryCost]
+
+    def inputs(self, i: int, j: int) -> Tuple[BoundaryCost, BoundaryCost]:
+        """The bottom and left input edges of cell (i, j)."""
+        return (self.top[(i, j - 1)] if j > 1 else self.bottoms[i - 1],
+                self.right[(i - 1, j)] if i > 1 else self.lefts[j - 1])
 
 
 @dataclass
@@ -119,9 +123,10 @@ def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> Cdt
     Propagates boundary cost functions cell by cell; the returned value is
     the cost of the cheapest monotone unit-speed alignment path through the
     whole parameter space.  Symmetric in its arguments up to tolerance.
+    Value lists pass through build_curve.
     """
-    cfg = config if config is not None else EngineConfig()
     t_start = time.perf_counter()
+    P, Q = (C if isinstance(C, Curve) else build_curve(C) for C in (P, Q))
     stats = SolveStats(cells_solved=P.num_segments * Q.num_segments)
     (P, kp), (Q, kq) = _turning_points(P), _turning_points(Q)
     bottoms, lefts = base_case(P, Q)
@@ -129,44 +134,32 @@ def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> Cdt
     for bc in [*bottoms, *lefts]:
         _count_edge(stats, bc.cost)
 
-    top: Dict[Tuple[int, int], BoundaryCost] = {}
-    right: Dict[Tuple[int, int], BoundaryCost] = {}
-    records: Dict[Tuple[int, int], BoundaryCost] = {}
+    run = SolveRun(P, Q, {}, {}, bottoms, lefts)
     for k in range(2, n + m + 1):
         for i in range(max(1, k - m), min(n, k - 1) + 1):
             j = k - i
-            cell = cell_info(P, Q, i, j)
-            b_in = top[(i, j - 1)] if j > 1 else bottoms[i - 1]
-            l_in = right[(i - 1, j)] if i > 1 else lefts[j - 1]
             try:
-                t_bc, r_bc, rec = solve_cell(cell, b_in, l_in)
+                t_bc, r_bc = solve_cell(cell_info(P, Q, i, j), *run.inputs(i, j))
             except (CdtwError, OverflowError) as exc:
                 where = (f"cell ({i},{j}), level {k} (segments {kp[i - 1] + 1}..{kp[i]} of P, "
                          f"{kq[j - 1] + 1}..{kq[j]} of Q as built)")
                 if isinstance(exc, OverflowError):
                     raise TooLarge(f"{where}: overflow ({exc})") from exc
                 raise type(exc)(f"{where}: {exc}") from exc
-            top[(i, j)] = t_bc
-            right[(i, j)] = r_bc
-            if rec is not None and cfg.record_path:
-                records[(i, j)] = rec
+            run.top[(i, j)], run.right[(i, j)] = t_bc, r_bc
             _count_edge(stats, t_bc.cost)
             _count_edge(stats, r_bc.cost)
 
-    value = far_corner_cost(cell_info(P, Q, n, m), top[(n, m)], right[(n, m)])
+    value = far_corner_cost(cell_info(P, Q, n, m), run.top[(n, m)], run.right[(n, m)])
     if not math.isfinite(value):
         raise TooLarge(f"distance {value} is not finite")
     if value < -1e-6 * (1.0 + P.length + Q.length):
         raise InvariantViolation(f"negative distance {value}")
     value = max(value, 0.0)
 
-    run = SolveRun(P, Q, top, right, bottoms, lefts, records)
+    path = _trace(run) if config is None or config.record_path else None
     stats.wall_time = time.perf_counter() - t_start
-    result = CdtwResult(value=value, stats=stats, run=run)
-    if cfg.record_path:
-        result.path = _trace(run)
-        stats.wall_time = time.perf_counter() - t_start
-    return result
+    return CdtwResult(value, stats, path, run)
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +181,11 @@ def _trace(run: SolveRun) -> WarpPath:
     """Backtrack provenance from the top-right corner to the origin.
 
     Each step reads an edge at one coordinate t, undoes any travel along
-    it (and, for a valley ride, hops onto the valley and undoes the travel
-    there), then runs from the turn point to the source s on an input
-    edge and onto that edge: s is the source map at t, or the input edge's
-    end for a corner route.  The level i + j drops by one per cell, so the
-    walk terminates.
+    it (and, for a valley ride, re-derives the valley from the cell's
+    inputs, hops onto it and undoes the travel there), then runs from the
+    turn point to the source s on an input edge and onto that edge: s is
+    the source map at t, or the input edge's end for a corner route.  The
+    level i + j drops by one per cell, so the walk terminates.
     """
     P, Q = run.P, run.Q
     pts: List[Tuple[float, float]] = [(P.length, Q.length)]
@@ -209,9 +202,10 @@ def _trace(run: SolveRun) -> WarpPath:
         if t != t0:  # travel: the path turned onto the edge here
             pts.append((ox, oy))
         if prov.kind == "B":
-            valley = run.records.get((i, j))
-            if valley is None:
-                raise ProvenanceMissing(f"no valley record for cell ({i},{j})")
+            try:
+                valley = propagate_type_b(cell, *run.inputs(i, j))[2]
+            except WrongCellType as exc:
+                raise ProvenanceMissing(f"valley ride in cell ({i},{j}): {exc}") from exc
             c = cell.offset
             v = t if edge == "top" else t + c
             pts.append((v, v - c))

@@ -533,13 +533,11 @@ def _pin_end(
 
 def solve_cell(
     cell: Cell, bottom: BoundaryCost, left: BoundaryCost
-) -> Tuple[BoundaryCost, BoundaryCost, Optional[BoundaryCost]]:
-    """Output-edge reduced costs of one cell from its input-edge reduced
-    costs, and the valley cost of a cell the B family rides (None
-    elsewhere).  The inputs must never rise, as every base-case edge and
-    every output of this function does.
+) -> Tuple[BoundaryCost, BoundaryCost]:
+    """Output-edge reduced costs (top, right) of one cell from its
+    input-edge reduced costs.  The inputs must never rise, as every
+    base-case edge and every output of this function does.
     """
-    valley: Optional[BoundaryCost] = None
     h_bottom, v_left, h_top, v_right = _edge_integrals(cell)
     top_k, right_k = _corner_routes(bottom, left, h_bottom, v_left)
     if not cell.same_direction:
@@ -548,7 +546,7 @@ def solve_cell(
     else:
         frags_top, frags_right = propagate_type_c(cell, bottom, left, h_bottom, v_left)
         if _valley_span(cell) is not None:
-            b_top, b_right, valley = propagate_type_b(cell, bottom, left)
+            b_top, b_right, _ = propagate_type_b(cell, bottom, left)
             frags_top += b_top
             frags_right += b_right
         fin_top, prov_top = apply_edge_travel(*pw.lower_envelope(frags_top, *cell.x_range), top_k)
@@ -572,6 +570,4 @@ def solve_cell(
     elif at_right < at_top:
         fin_top = _pin_end(fin_top, -1, top_hi, at_right - h_top)
 
-    top_bc = BoundaryCost(fin_top, tuple(prov_top))
-    right_bc = BoundaryCost(fin_right, tuple(prov_right))
-    return top_bc, right_bc, valley
+    return BoundaryCost(fin_top, tuple(prov_top)), BoundaryCost(fin_right, tuple(prov_right))

@@ -9,7 +9,7 @@ import pytest
 from cdtw import build_curve
 from cdtw.baselines import GridConfig, cdtw_grid, discrete_frechet, dtw
 from cdtw.engine import cdtw_exact
-from cdtw.errors import EmptyInput, ResolutionZero, TooLarge
+from cdtw.errors import EmptyInput, InsufficientVertices, ResolutionZero, TooLarge
 from cdtw.lattice import MAX_TICKS, _crossings, _monotone_runs
 
 from helpers import (
@@ -139,6 +139,14 @@ class TestGrid:
         Q = build_curve([0.5, 1.5])
         got = cdtw_grid(P, Q, GridConfig(resolution=256))
         assert abs(got - 0.25) <= 0.02
+
+    def test_value_lists_build_curves(self):
+        # Plain value lists go through build_curve, and its checks apply.
+        P, Q = build_curve([0, 1]), build_curve([0.5, 1.5])
+        cfg = GridConfig(resolution=4)
+        assert cdtw_grid([0.0, 1.0], [0.5, 1.5], cfg) == cdtw_grid(P, Q, cfg)
+        with pytest.raises(InsufficientVertices):
+            cdtw_grid([0.0, None], Q, cfg)
 
     def test_resolution_validation(self):
         P = build_curve([0, 1])

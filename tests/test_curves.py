@@ -44,6 +44,14 @@ class TestBuildCurve:
         with pytest.raises(InsufficientVertices, match=r"segment 1 from -1e\+308 to 1e\+308 overflows"):
             build_curve([-1e308, 1e308])
 
+    def test_non_numeric_value_rejected(self):
+        with pytest.raises(InsufficientVertices, match="value 'a' is not a finite number"):
+            build_curve(["a", 1])
+
+    def test_none_value_rejected(self):
+        with pytest.raises(InsufficientVertices, match="value None is not a finite number"):
+            build_curve([None, 1])
+
     def test_prefix_strictly_increasing(self):
         rng = random.Random(7)
         for _ in range(50):

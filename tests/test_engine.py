@@ -22,7 +22,7 @@ from cdtw.engine import (
     reconstruct_path,
 )
 from cdtw.errors import CoverageGap, InsufficientVertices, ProvenanceMissing, TooLarge
-from cdtw.propagation import PREF_BOTTOM, BoundaryCost, Prov, _valley_span
+from cdtw.propagation import B_TAG, PREF_BOTTOM, Prov, _valley_span, propagate_type_b
 
 from helpers import full, path_cost, random_curve, random_values, validate
 
@@ -322,6 +322,13 @@ class TestStats:
 
 
 class TestRobustness:
+    def test_value_lists_build_curves(self):
+        # Plain value lists go through build_curve, and its checks apply.
+        res, want = cdtw_exact([0.0, 1.0], [0.5, 1.5]), solve([0, 1], [0.5, 1.5])
+        assert (res.value, res.path) == (want.value, want.path)
+        with pytest.raises(InsufficientVertices, match="'a' is not a finite number"):
+            cdtw_exact(["a", 1.0], [0.5, 1.5])
+
     def test_sub_tolerance_segment_inside_sandwich(self):
         # P[3] -> P[4] is a 3.9e-9 segment: adding its edge integral once
         # gave an empty function and a bare IndexError.
@@ -455,10 +462,10 @@ class TestRobustness:
     def test_stored_edges_kink_only_concavely(self):
         # The single-turn catalogue emits only stationary turns because no
         # input kinks convexly: at every breakpoint of every stored edge and
-        # valley record the slope may fall but not rise, beyond
+        # valley cost the slope may fall but not rise, beyond
         # 1e-9 * (1 + |dl| + |dr|).  Seeded uniform pairs, small-integer
-        # pairs (exact ties, point valleys) and scaled pairs, with paths
-        # recorded so the valley records are kept.
+        # pairs (exact ties, point valleys) and scaled pairs; each valley is
+        # re-derived from its cell's stored inputs, as the path trace does.
         def rises(raw):
             return [
                 (x, dl, dr)
@@ -487,8 +494,12 @@ class TestRobustness:
         breaks = valleys = 0
         for k, (a, b) in enumerate(pairs):
             run = solve(a, b).run
-            valleys += len(run.records)
-            edges = [*run.top.items(), *run.right.items(), *run.records.items()]
+            edges = [*run.top.items(), *run.right.items()]
+            for i, j in run.top:
+                cell = cell_info(run.P, run.Q, i, j)
+                if _valley_span(cell) is not None:
+                    edges.append((("valley", i, j), propagate_type_b(cell, *run.inputs(i, j))[2]))
+                    valleys += 1
             for key, bc in edges:
                 assert rises(bc.cost.raw) == [], (k, key)
                 breaks += len(bc.cost.raw) - 1
@@ -508,45 +519,61 @@ class TestProvenanceControl:
         p2 = reconstruct_path(res)
         assert p1 is p2
 
-    def test_records_hold_valley_cells_only(self):
-        # One valley cost per cell the B family rides, and none without
-        # path recording.
-        rng = random.Random(73)
-        P = random_curve(rng, 6)
-        Q = random_curve(rng, 6)
-        run = cdtw_exact(P, Q).run
-        cells = [(i, j) for i in range(1, run.P.num_segments + 1)
-                 for j in range(1, run.Q.num_segments + 1)]
-        valleys = {c for c in cells if _valley_span(cell_info(run.P, run.Q, *c)) is not None}
-        assert valleys and len(valleys) < len(cells)
-        records = run.records
-        assert set(records) == valleys
-        assert all(isinstance(rec, BoundaryCost) for rec in records.values())
-        assert cdtw_exact(P, Q, EngineConfig(record_path=False)).run.records == {}
-
     def test_trace_names_missing_valley_provenance(self):
-        # The optimal path of this one-cell pair rides the valley; without
-        # its valley cost, or with a travel tag that has no source there,
-        # the trace raises ProvenanceMissing rather than guessing.
+        # The optimal path of this one-cell pair rides the valley, which
+        # the trace re-derives from the cell's inputs.  A valley tag in a
+        # cell with no valley segment, a travel tag with no source, or a
+        # tag that names no source point makes the trace raise
+        # ProvenanceMissing rather than guess.
         res = solve([0, 1], [0.5, 1.5])
         run = res.run
         assert engine._trace(run) == res.path
-        (key, valley), = run.records.items()
-        del run.records[key]
-        with pytest.raises(ProvenanceMissing, match="no valley record"):
-            engine._trace(run)
+        key = (1, 1)
+        last = run.right[key]
+        # An opposite-direction cell has no valley to ride.
+        flat = solve([0, 1], [1, 0], config=EngineConfig(record_path=False)).run
+        flat.right[key] = last._replace(prov=(B_TAG,) * len(last.prov))
+        with pytest.raises(ProvenanceMissing, match=r"cell \(1,1\)"):
+            engine._trace(flat)
         bad = Prov(1.0, "travel", "", (0.0,), None)
-        run.records[key] = valley._replace(prov=(bad,) * len(valley.prov))
+        run.right[key] = last._replace(prov=(bad,) * len(last.prov))
         with pytest.raises(ProvenanceMissing, match="malformed travel"):
             engine._trace(run)
         # A tag with no source map that is not a corner route names no
         # source point, so the trace cannot take its step.
-        run.records[key] = valley
-        last = run.right[key]
         base = Prov(PREF_BOTTOM, "base", "bottom")
         run.right[key] = last._replace(prov=(base,) * len(last.prov))
         with pytest.raises(ProvenanceMissing, match="no source"):
             engine._trace(run)
+
+    def test_trace_of_a_run_without_path(self):
+        # Path recording decides only whether the trace runs: a solve
+        # without it stores the same edges, raw pieces and provenance,
+        # and tracing them gives the path of the solve with it.  20
+        # seeded noise pairs, over 300 cells with a valley segment.
+        rng = random.Random(83)
+        valleys = 0
+        for k in range(20):
+            P = random_curve(rng, rng.randint(8, 16))
+            Q = random_curve(rng, rng.randint(8, 16))
+            bare = cdtw_exact(P, Q, EngineConfig(record_path=False))
+            traced = cdtw_exact(P, Q)
+            assert bare.path is None and bare.value == traced.value
+            a, b = bare.run, traced.run
+            for name in ("top", "right"):
+                ta, tb = getattr(a, name), getattr(b, name)
+                assert ta.keys() == tb.keys(), (k, name)
+                for key in ta:
+                    assert tuple(ta[key].cost.raw) == tuple(tb[key].cost.raw), (k, name, key)
+                    assert ta[key].prov == tb[key].prov, (k, name, key)
+            assert len(a.bottoms + a.lefts) == len(b.bottoms + b.lefts)
+            for ea, eb in zip(a.bottoms + a.lefts, b.bottoms + b.lefts):
+                assert tuple(ea.cost.raw) == tuple(eb.cost.raw) and ea.prov == eb.prov, k
+            assert engine._trace(a) == traced.path, k
+            valleys += sum(
+                _valley_span(cell_info(a.P, a.Q, i, j)) is not None for i, j in a.top
+            )
+        assert valleys >= 300
 
     def test_validate_mode_passes(self):
         # every output edge function of a solve passes validate

@@ -378,7 +378,7 @@ class TestTypeA:
         Q = build_curve([1, 0])
         bottoms, lefts = base_case(P, Q)
         cell = cell_info(P, Q, 1, 1)
-        top, right = outputs(cell, *solve_cell(cell, bottoms[0], lefts[0])[:2])
+        top, right = outputs(cell, *solve_cell(cell, bottoms[0], lefts[0]))
         assert right.value(1.0) == pytest.approx(1.0, abs=1e-9)
         assert top.value(1.0) == pytest.approx(1.0, abs=1e-9)
 
@@ -517,7 +517,7 @@ class TestTypeB:
         Q = build_curve([0.5, 1.5])
         bottoms, lefts = base_case(P, Q)
         cell = cell_info(P, Q, 1, 1)
-        top, right, rec = solve_cell(cell, bottoms[0], lefts[0])
+        top, right = solve_cell(cell, bottoms[0], lefts[0])
         f_top, f_right = outputs(cell, top, right)
         assert f_right.value(1.0) == pytest.approx(0.25, abs=1e-9)
         assert f_top.value(1.0) == pytest.approx(0.25, abs=1e-9)
@@ -660,7 +660,7 @@ class TestTypeC:
         cases = [(cell, *random_cell_inputs(rng, cell)) for cell in cells]
         for cell, bottom, left in cases:
             _top, right = type_c(cell, bottom, left)
-            _top_bc, right_bc, _ = solve_cell(cell, bottom, left)
+            _top_bc, right_bc = solve_cell(cell, bottom, left)
             right = [(full(cell, "right", f), t) for f, t in right]
             right_f = full(cell, "right", right_bc.cost)
             x0, x1 = cell.x_range
@@ -760,22 +760,29 @@ class TestTypeC:
                     assert ride.value(t) <= want + 1e-12 * (1.0 + abs(want))
 
     def test_no_fixed_entry_at_either_end(self):
-        # Fixed entries have alpha = 0 and beta = the entry coordinate.
-        # Neither frame emits one at the domain start (C1 or C1T covers
-        # it) or end, and no corner fragment: the entry at the domain end
-        # is the corner route, the input's end cost travelling along the
-        # output edge, which starts the travel pass as it caps type A.
+        # Every C2 and C2T entry is a stationary turn, never a fixed entry
+        # (alpha = 0): at the middle of its domain the source s(t) =
+        # alpha * t + beta lies on an input piece a s^2 + b s + c with
+        # a > 0 and alpha = -1/a.  No corner fragment either: the entry at
+        # the domain end is the corner route, the input's end cost
+        # travelling along the output edge, which starts the travel pass
+        # as it caps type A.
         rng = random.Random(51)
+        turns = 0
         for _ in range(20):
             _, _, cell = random_cell(rng, want_same=True)
             bottom, left = random_cell_inputs(rng, cell)
             top, right = type_c(cell, bottom, left)
             x0, x1 = cell.x_range
             y0, y1 = cell.y_range
-            c2 = [t.data for _f, t in right if t.kind == "C2"]
-            c2t = [t.data for _f, t in top if t.kind == "C2T"]
-            assert (0.0, x0) not in c2 and (0.0, x1) not in c2
-            assert (0.0, y0) not in c2t and (0.0, y1) not in c2t
+            for frags, kind, f in ((right, "C2", bottom.cost), (top, "C2T", left.cost)):
+                for frag, tag in frags:
+                    if tag.kind != kind:
+                        continue
+                    alpha, beta = tag.data
+                    a = f.raw[pw.locate(f.raw, alpha * 0.5 * (frag.lo + frag.hi) + beta)][0]
+                    assert a > 0 and alpha == pytest.approx(-1.0 / a, rel=1e-12), tag
+                    turns += 1
             assert all(t.kind != "corner" for _f, t in top + right)
             h_bottom, v_left, _, _ = _edge_integrals(cell)
             (k_top, tag_t), (k_right, tag_r) = _corner_routes(bottom, left, h_bottom, v_left)
@@ -791,6 +798,7 @@ class TestTypeC:
             for t in np.linspace(x0, x1, 9):
                 want = fl_end + through_cost(cell, (x0, y1), (t, y1))
                 assert corner_top.value(t) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert turns >= 10
 
     def test_valley_ride_beats_crossing_single_turns(self):
         # A single turn that rises across the valley line at V = (s, s - c)
@@ -807,7 +815,7 @@ class TestTypeC:
                 continue
             done += 1
             bottom, left = random_cell_inputs(rng, cell)
-            top, right = outputs(cell, *solve_cell(cell, bottom, left)[:2])
+            top, right = outputs(cell, *solve_cell(cell, bottom, left))
             fb, fl = costs(cell, bottom, left)
             x0, x1 = cell.x_range
             y0, y1 = cell.y_range
@@ -877,7 +885,7 @@ class TestSolveCell:
         Q = build_curve([0, 1])
         bottoms, lefts = base_case(P, Q)
         cell = cell_info(P, Q, 1, 1)
-        _top, right = outputs(cell, *solve_cell(cell, bottoms[0], lefts[0])[:2])
+        _top, right = outputs(cell, *solve_cell(cell, bottoms[0], lefts[0]))
         assert right.value(1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_outputs_validate_and_cover(self):
@@ -885,7 +893,7 @@ class TestSolveCell:
         for _ in range(30):
             P, Q, cell = random_cell(rng)
             bottom, left = random_cell_inputs(rng, cell)
-            top, right, _ = solve_cell(cell, bottom, left)
+            top, right = solve_cell(cell, bottom, left)
             assert top.cost.lo == pytest.approx(cell.x_range[0], abs=1e-9)
             assert top.cost.hi == pytest.approx(cell.x_range[1], abs=1e-9)
             assert right.cost.lo == pytest.approx(cell.y_range[0], abs=1e-9)
@@ -898,7 +906,7 @@ class TestSolveCell:
         for _ in range(30):
             P, Q, cell = random_cell(rng)
             bottom, left = random_cell_inputs(rng, cell)
-            top, right = outputs(cell, *solve_cell(cell, bottom, left)[:2])
+            top, right = outputs(cell, *solve_cell(cell, bottom, left))
             bottom, left = costs(cell, bottom, left)
             assert top.value(top.hi) == pytest.approx(right.value(right.hi), abs=1e-9)
             # output corner meeting an input edge equals the input's value
@@ -915,7 +923,7 @@ class TestSolveCell:
         for _ in range(40):
             _, _, cell = random_cell(rng, want_same=True)
             bottom, left = random_cell_inputs(rng, cell)
-            top_bc, right_bc, _ = solve_cell(cell, bottom, left)
+            top_bc, right_bc = solve_cell(cell, bottom, left)
             top, right = outputs(cell, top_bc, right_bc)
             fb, fl = costs(cell, bottom, left)
             x0, x1 = cell.x_range
@@ -941,7 +949,7 @@ class TestSolveCell:
             y0, y1 = cell.y_range
             scale = 1 + abs(x1) + abs(y1)
             bottom, left = random_cell_inputs(rng, cell)
-            top, right = outputs(cell, *solve_cell(cell, bottom, left)[:2])
+            top, right = outputs(cell, *solve_cell(cell, bottom, left))
             fb, fl = costs(cell, bottom, left)
 
             def oracle(o):
@@ -980,7 +988,7 @@ class TestSolveCell:
         for _ in range(12):
             P, Q, cell = random_cell(rng, want_same=True)
             bottom, left = random_cell_inputs(rng, cell)
-            _top, right = outputs(cell, *solve_cell(cell, bottom, left)[:2])
+            _top, right = outputs(cell, *solve_cell(cell, bottom, left))
             fb, _ = costs(cell, bottom, left)
             x0, x1 = cell.x_range
             y0, y1 = cell.y_range
@@ -1008,7 +1016,7 @@ class TestSolveCell:
         for _ in range(25):
             P, Q, cell = random_cell(rng)
             bottom, left = random_cell_inputs(rng, cell)
-            top, right, rec = solve_cell(cell, bottom, left)
+            top, right = solve_cell(cell, bottom, left)
             x0, x1 = cell.x_range
             y0, y1 = cell.y_range
             c = cell.offset
@@ -1029,6 +1037,7 @@ class TestSolveCell:
                     # the valley cost's tag at the exit: the entry, wrapped
                     # in travel where the path rides from an earlier point
                     v_exit = t if edge == "top" else t + c
+                    rec = propagate_type_b(cell, bottom, left)[2]
                     entry = rec.prov[pw.locate(rec.cost.raw, v_exit)]
                     v_in = v_exit
                     if entry.kind == "travel":
