@@ -13,9 +13,15 @@ better, by the direction ``BENCHMARK.json`` (in BEFORE, else AFTER) gives
 the metric.  Operations attempted and failed are summed per side, and a
 traced run (``--trace 1``) also lists the spans it could not attach.
 
+Every run compiles the package from source, as a fresh checkout does:
+each side runs with ``PYTHONDONTWRITEBYTECODE=1``, and every
+``__pycache__`` under its ``src/`` is deleted before each run, so neither
+side's ``setup_s`` or command start-up is timed against cached bytecode.
+
 ``--out FILE`` also writes all of it as one JSON record: the machine (as
-``bench/run.py`` reports it), the seeds, every seed's metrics on both
-sides, and per metric the medians, quartiles, change and wins.
+``bench/run.py`` reports it), the bytecode regime, the seeds, every seed's
+metrics on both sides, and per metric the medians, quartiles, change and
+wins.
 
 Only the standard library is used; the benchmark's own requirements are
 those of ``bench/run.py``.
@@ -24,6 +30,7 @@ those of ``bench/run.py``.
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -56,14 +63,28 @@ def directions(roots: Tuple[str, str]) -> Dict[str, str]:
     return {}
 
 
+BYTECODE = "none: PYTHONDONTWRITEBYTECODE=1, and no __pycache__ under src/ at the start of any run"
+
+
+def drop_bytecode(root: str) -> None:
+    """Delete every __pycache__ directory under root/src."""
+    for dirpath, dirnames, _ in os.walk(os.path.join(root, "src")):
+        if "__pycache__" in dirnames:
+            dirnames.remove("__pycache__")
+            shutil.rmtree(os.path.join(dirpath, "__pycache__"))
+
+
 def run_once(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One benchmark run; the parsed record and summary lines."""
+    """One benchmark run, compiling the package from source; the parsed
+    record and summary lines."""
     cmd = [
         sys.executable, "bench/run.py",
         "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds), "--trace", str(trace),
     ]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    drop_bytecode(root)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode not in (0, 1) or len(lines) < 2:
         sys.stderr.write(proc.stderr)
@@ -156,6 +177,7 @@ def main(argv=None) -> int:
             "workload": args.workload,
             "seconds": args.seconds,
             "trace": args.trace,
+            "bytecode": BYTECODE,
             "seeds": seeds,
             # the checkouts need not be commits, so the machine's commit is left out
             "machine": {

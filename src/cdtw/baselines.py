@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .curves import Curve, build_curve
 from .errors import EmptyInput, ResolutionZero
@@ -62,8 +61,7 @@ def discrete_frechet(p_vertices: Sequence[float], q_vertices: Sequence[float]) -
     return _alignment_dp(p_vertices, q_vertices, max)
 
 
-@dataclass(frozen=True)
-class GridConfig:
+class GridConfig(NamedTuple):
     """Lattice density for the sampled approximation.
 
     resolution counts lattice points per unit of arc length before

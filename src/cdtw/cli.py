@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NoReturn, Optional, Sequence, Tuple, Union
 
 from .baselines import GridConfig, cdtw_grid, discrete_frechet, dtw
 from .curves import Curve, build_curve, cell_info, point_at
@@ -132,7 +132,8 @@ def _one_distance(measure: str, resolution: Optional[float], a: _Input, b: _Inpu
     return cdtw_exact(a, b, config=EngineConfig(record_path=False)).value
 
 
-# module level so matrix workers can be pickled
+# module level, and called by its global name, so that bench/layers.json can
+# bind the span cli.matrix_task to it
 def _matrix_task(args: Tuple[str, Optional[float], _Input, _Input, str, str]) -> float:
     """One matrix entry; a solver error names both series files."""
     measure, resolution, a, b, path_a, path_b = args
@@ -140,6 +141,82 @@ def _matrix_task(args: Tuple[str, Optional[float], _Input, _Input, str, str]) ->
         return _one_distance(measure, resolution, a, b)
     except CdtwError as exc:
         raise type(exc)(f"{path_a} vs {path_b}: {exc}") from exc
+
+
+def _matrix_share(pairs: list, start: int, step: int) -> Tuple[List[float], Optional[tuple]]:
+    """Values of pairs[start::step] up to the first pair that fails, and
+    that failure as (pair index, exception), or None."""
+    values: List[float] = []
+    for k in range(start, len(pairs), step):
+        try:
+            values.append(_matrix_task(pairs[k]))
+        except Exception as exc:  # raised by the command, in matrix order
+            return values, (k, exc)
+    return values, None
+
+
+def _matrix_worker(pairs: list, start: int, step: int, write_fd: int) -> NoReturn:
+    """Body of a forked worker: solve one share and send it down the pipe,
+    a failure as its pair index and exception (class and message).  It
+    never returns: it leaves through os._exit, so no code of the forking
+    process runs twice."""
+    status = 1
+    try:
+        share = _matrix_share(pairs, start, step)
+        import pickle  # here, not at the top: only forked runs need it
+
+        with os.fdopen(write_fd, "wb") as out:
+            pickle.dump(share, out)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _matrix_values(pairs: list, jobs: int) -> List[float]:
+    """Every pair's value in order, from this process and min(jobs, pairs)
+    - 1 forked workers; without os.fork, from this process alone.
+
+    With w processes, share k holds pairs k, k + w, k + 2w, ... and this
+    process solves share 0 while the workers solve the others.  Every
+    worker is reaped on every path; then the failure that comes first in
+    matrix order is raised, as --jobs 1 raises it.
+    """
+    workers = min(jobs, len(pairs)) if hasattr(os, "fork") else 1
+    children: list = []  # (pid, read end of its pipe)
+    try:
+        for k in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _matrix_worker(pairs, k, workers, write_fd)
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb")))
+        shares = [_matrix_share(pairs, 0, workers)]
+        sent = [pipe.read() for _, pipe in children]
+    except BaseException:
+        import signal
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        codes = []
+        for pid, pipe in children:
+            pipe.close()
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    if any(codes):
+        raise RuntimeError(f"matrix workers exited with codes {codes}")
+    if sent:
+        import pickle
+
+        shares += map(pickle.loads, sent)
+    failures = [failure for _, failure in shares if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    values: List[float] = [0.0] * len(pairs)
+    for k, (share, _) in enumerate(shares):
+        values[k::workers] = share
+    return values
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -209,18 +286,10 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         for i in range(len(files))
         for j in range(i + 1, len(files))
     ]
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        if args.measure == "cdtw-grid":
-            # numpy once, before the fork, rather than once in every worker
-            from . import lattice  # noqa: F401
-        # about four chunks of pairs per worker: fewer round trips, still balanced
-        chunksize = max(1, len(pairs) // (4 * args.jobs))
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            values = list(pool.map(_matrix_task, pairs, chunksize=chunksize))
-    else:
-        values = [_matrix_task(task) for task in pairs]
+    if args.jobs > 1 and args.measure == "cdtw-grid":
+        # numpy once, before the fork, rather than once in every worker
+        from . import lattice  # noqa: F401
+    values = _matrix_values(pairs, args.jobs)
 
     n = len(files)
     cells = [["0"] * n for _ in range(n)]

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .errors import IndexOutOfRange, InsufficientVertices, OutOfDomain
@@ -26,8 +25,7 @@ from .errors import IndexOutOfRange, InsufficientVertices, OutOfDomain
 _EDGE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(NamedTuple):
     """An arc-length parametrised polygonal curve over 1D values.
 
     vertices holds the (deduplicated) values, prefix_lengths the cumulative

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .curves import Curve, build_curve, cell_info, height
 from .errors import CdtwError, InvariantViolation, ProvenanceMissing, TooLarge, WrongCellType
@@ -25,12 +24,10 @@ from .propagation import (BoundaryCost, Prov, base_case, far_corner_cost,
                           propagate_type_b, solve_cell)
 
 
-@dataclass
-class EngineConfig:
+class EngineConfig(NamedTuple):
     record_path: bool = True
 
 
-@dataclass
 class SolveStats:
     """Piece-count bookkeeping for the complexity bounds.
 
@@ -42,18 +39,31 @@ class SolveStats:
     cell per pair of segments of the curves as built.
     """
 
-    total_pieces: int = 0
-    edges: int = 0
-    max_edge_pieces: int = 0
-    wall_time: float = 0.0
-    cells_solved: int = 0
+    __slots__ = ("total_pieces", "edges", "max_edge_pieces", "wall_time", "cells_solved")
+
+    def __init__(self, total_pieces: int = 0, edges: int = 0, max_edge_pieces: int = 0,
+                 wall_time: float = 0.0, cells_solved: int = 0) -> None:
+        self.total_pieces = total_pieces
+        self.edges = edges
+        self.max_edge_pieces = max_edge_pieces
+        self.wall_time = wall_time
+        self.cells_solved = cells_solved
+
+    def __repr__(self) -> str:
+        return f"SolveStats({', '.join(f'{k}={v!r}' for k, v in self.to_json().items())})"
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.to_json() == other.to_json()
+
+    __hash__ = None  # mutable: the solver counts into it
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {k: getattr(self, k) for k in self.__slots__}
 
 
-@dataclass(frozen=True)
-class WarpPath:
+class WarpPath(NamedTuple):
     """Monotone polyline from (0,0) to (p,q) realising the optimal cost.
 
     annotations has one label per leg: 'axis-parallel', 'valley-ride', or
@@ -70,8 +80,7 @@ class WarpPath:
         }
 
 
-@dataclass
-class SolveRun:
+class SolveRun(NamedTuple):
     """Everything produced by one solve, kept for backtracking and stats.
 
     P and Q are the curves reduced to their turning points, which the
@@ -91,8 +100,7 @@ class SolveRun:
                 self.right[(i - 1, j)] if i > 1 else self.lefts[j - 1])
 
 
-@dataclass
-class CdtwResult:
+class CdtwResult(NamedTuple):
     value: float
     stats: SolveStats
     path: Optional[WarpPath] = None

@@ -19,7 +19,6 @@ restricted to the closed interval [lo, hi].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CoverageGap, InvariantViolation, OutOfDomain
@@ -33,12 +32,31 @@ AB_BUCKET = 1e-7
 Raw = Tuple[float, float, float, float, float]
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
 class PiecewiseQuadratic:
     """Ordered abutting raw pieces tiling one closed interval.  Build one
-    with ``from_raw``."""
+    with ``from_raw``; it is immutable, hashable and equal to another with
+    the same pieces."""
 
+    __slots__ = ("raw",)
     raw: Tuple[Raw, ...]
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.raw == other.raw
+
+    def __hash__(self) -> int:
+        return hash(self.raw)
+
+    # copy and pickle rebuild through from_raw, as __setattr__ refuses
+    def __reduce__(self) -> Tuple[Any, Tuple[Tuple[Raw, ...]]]:
+        return from_raw, (self.raw,)
 
     def __repr__(self) -> str:
         return f"PiecewiseQuadratic(pieces={self.pieces!r})"

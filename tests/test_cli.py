@@ -1,10 +1,11 @@
 """Command line interface tests, run in process through cli.main."""
 
 import json
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -20,6 +21,19 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that runs for more than 60 s instead of letting it hang."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture
@@ -261,7 +275,7 @@ class TestMatrix:
         assert got == dtw([0, 1, 2], [0, 2])
 
     def test_jobs_parallel_matches_serial(self, tmp_path, capsys):
-        # 9 files give 36 pairs, dispatched to 3 workers in chunks of 3.
+        # 9 files give 36 pairs: the command and 2 forked workers solve 12 each.
         for k, vals in enumerate(("0\n1\n", "0.5\n1.5\n", "1\n0\n", "0\n2\n1\n")):
             write(tmp_path, f"s{k}.csv", vals)
         for k in range(4, 9):
@@ -322,11 +336,9 @@ class TestMatrix:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_solver_error_names_the_pair(self, tmp_path, monkeypatch, capsys, jobs):
-        # 7 files give 21 pairs, so with 2 workers each chunk holds 2 pairs:
-        # (b, c) fails alongside (b, d).  The workers are forked, so they
-        # inherit the patched solver.
-        if jobs != "1" and multiprocessing.get_start_method() != "fork":
-            pytest.skip("workers started without fork do not see the patched solver")
+        # 7 files give 21 pairs; with --jobs 2, (b, c) is pair 6, in the
+        # command's own share.  A worker is forked, so it inherits the
+        # patched solver.
         write(tmp_path, "a.csv", "0\n1\n")
         write(tmp_path, "b.csv", "0.5\n1.5\n")
         write(tmp_path, "c.csv", "1\n0\n2\n")
@@ -345,16 +357,90 @@ class TestMatrix:
         assert "b.csv vs " in err and "c.csv: cell (1,1): corner value mismatch" in err
         assert "a.csv" not in err
 
+    @pytest.mark.parametrize("jobs", ["1", "2", "3"])
+    def test_first_failure_in_matrix_order(self, tmp_path, monkeypatch, capsys, deadline, jobs):
+        # 7 files give 21 pairs.  (a, g) is pair 5 and fails early, (e, f) is
+        # pair 18 and fails late: with 2 or 3 processes the command solves
+        # pair 18 itself and a worker solves pair 5.
+        names = dict(a="0\n1\n", b="0.5\n1.5\n", c="1\n0\n2\n", d="0\n3\n",
+                     e="2\n0\n", f="0\n2\n1\n", g="1\n0\n")
+        paths = {name: write(tmp_path, f"{name}.csv", text) for name, text in names.items()}
+        original = cli.cdtw_exact
+        failing = {((0.0, 1.0), (1.0, 0.0)): "early", ((2.0, 0.0), (0.0, 2.0, 1.0)): "late"}
+
+        def solver(P, Q, config=None):
+            if (P.vertices, Q.vertices) in failing:
+                raise InvariantViolation(failing[P.vertices, Q.vertices])
+            return original(P, Q, config=config)
+
+        monkeypatch.setattr(cli, "cdtw_exact", solver)
+        assert main(["matrix", str(tmp_path), "--jobs", jobs]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"solver invariant violation: {paths['a']} vs {paths['g']}: early\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_jobs_never_exceed_pairs(self, tmp_path, monkeypatch, capsys, deadline):
+        # 3 files give 3 pairs: the command and at most 2 forked workers.
+        for k in range(3):
+            write(tmp_path, f"s{k}.csv", f"0\n{k + 1}\n")
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        assert main(["matrix", str(tmp_path), "--jobs", "16"]) == 0
+        assert len(forks) <= 2
+        assert capsys.readouterr().out.count("\n") == 4
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_interrupted_command_kills_its_workers(self, tmp_path, monkeypatch, deadline):
+        # The command is interrupted in its own share while its worker is
+        # stuck: the worker is killed and reaped, and the interrupt goes on.
+        for k in range(3):
+            write(tmp_path, f"s{k}.csv", f"0\n{k + 1}\n")
+        command = os.getpid()
+
+        def solver(P, Q, config=None):
+            if os.getpid() == command:
+                raise KeyboardInterrupt
+            time.sleep(120)
+
+        monkeypatch.setattr(cli, "cdtw_exact", solver)
+        with pytest.raises(KeyboardInterrupt):
+            main(["matrix", str(tmp_path), "--jobs", "2"])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_more_jobs_than_cores_match_serial(self, tmp_path, capsys, deadline):
+        # 5 files give 10 pairs, so at most 10 processes on any host.
+        for k in range(5):
+            write(tmp_path, f"s{k}.json", json.dumps([0.0, k / 3, 1.0 - k / 5, 0.25]))
+        assert main(["matrix", str(tmp_path), "--jobs", "1"]) == 0
+        serial = capsys.readouterr().out
+        jobs = (os.cpu_count() or 1) + 1
+        assert main(["matrix", str(tmp_path), "--jobs", str(jobs)]) == 0
+        assert capsys.readouterr().out == serial
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_overflowing_pair_is_too_large(self, tmp_path, capsys, jobs):
-        # The worker re-raises TooLarge with both file names.
-        write(tmp_path, "a.csv", "0\n1e155\n0\n")
-        write(tmp_path, "b.csv", "0\n1\n")
+        # The first overflowing pair, (a, z), is pair 1: with --jobs 2 the
+        # worker solves it and sends TooLarge back with both file names.
+        write(tmp_path, "a.csv", "0\n1\n")
+        write(tmp_path, "b.csv", "0\n2\n")
+        write(tmp_path, "z.csv", "0\n1e155\n0\n")
         assert main(["matrix", str(tmp_path), "--jobs", jobs]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: input too large: ")
         assert "a.csv vs " in err
-        assert "b.csv: cell (1,1), level 2 (segments 1..1 of P, 1..1 of Q as built): overflow" in err
+        assert "z.csv: cell (1,1), level 2 (segments 1..1 of P, 1..1 of Q as built): overflow" in err
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_one_value_file_named(self, tmp_path, capsys, jobs):
@@ -366,16 +452,28 @@ class TestMatrix:
 
 
 def test_exact_commands_never_load_numpy(tmp_path):
-    """A fresh interpreter runs compute and matrix without numpy; the grid
-    oracle loads it when first called."""
+    """A fresh interpreter runs compute and matrix without numpy, and
+    without dataclasses or concurrent.futures unless they were loaded
+    before cdtw; the grid oracle loads numpy when first called."""
     a = write(tmp_path, "a.csv", "0\n1\n2\n")
     b = write(tmp_path, "b.json", "[0.5, 1.5, 0.0]")
+    write(tmp_path, "c.csv", "1\n0\n")  # 3 pairs, so --jobs 2 forks a worker
     code = (
         "import sys\n"
+        "before = set(sys.modules)\n"
+        "added = []\n"
+        "def check():\n"
+        "    added.append(sorted({'dataclasses', 'concurrent.futures'} & (set(sys.modules) - before)))\n"
         "import cdtw, cdtw.cli\n"
+        "check()\n"
         "a, b, d = sys.argv[1:]\n"
         "assert cdtw.cli.main(['compute', a, b]) == 0\n"
+        "check()\n"
         "assert cdtw.cli.main(['matrix', d, '--jobs', '1']) == 0\n"
+        "check()\n"
+        "assert cdtw.cli.main(['matrix', d, '--jobs', '2']) == 0\n"
+        "check()\n"
+        "print(added)\n"
         "print('numpy' in sys.modules)\n"
         "P, Q = cdtw.build_curve([0.0, 1.0]), cdtw.build_curve([0.5, 1.5])\n"
         "print(cdtw.cdtw_grid(P, Q, cdtw.GridConfig(resolution=1)))\n"
@@ -387,7 +485,8 @@ def test_exact_commands_never_load_numpy(tmp_path):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    *_, before, grid, after = proc.stdout.splitlines()
+    *_, added, before, grid, after = proc.stdout.splitlines()
+    assert added == "[[], [], [], []]"
     assert (before, after) == ("False", "True")
     assert float(grid) == pytest.approx(0.5, abs=1e-9)
 

@@ -1,7 +1,6 @@
 """Whole-curve solver tests: closed-form values, warp path reconstruction,
 invariances, statistics, and serialization."""
 
-import dataclasses
 import importlib.util
 import json
 import math
@@ -271,6 +270,20 @@ class TestStats:
         assert s.max_edge_pieces == 0
         assert s.wall_time == 0.0
         assert s.cells_solved == 0
+
+    def test_stats_compare_by_value(self):
+        s = SolveStats(edges=4, wall_time=0.5)
+        assert s == SolveStats(0, 4, 0, 0.5, 0)
+        assert s != SolveStats(edges=4)
+        assert s != s.to_json()
+        s.cells_solved = 1  # the solver counts into it
+        assert s.cells_solved == 1
+        with pytest.raises(TypeError):
+            hash(s)
+        with pytest.raises(AttributeError):
+            s.extra = 1
+        assert repr(s) == ("SolveStats(total_pieces=0, edges=4, max_edge_pieces=0, "
+                           "wall_time=0.5, cells_solved=1)")
 
     def test_single_cell_counts(self):
         res = solve([0, 1], [0.5, 1.5])
@@ -601,7 +614,14 @@ class TestSerialization:
     def test_stats_json_keys_are_strings(self):
         res = solve([0, 1, 2], [1, 0])
         data = json.loads(json.dumps(res.stats.to_json()))
-        assert data == dataclasses.asdict(res.stats)
+        stats = res.stats
+        assert data == {
+            "total_pieces": stats.total_pieces,
+            "edges": stats.edges,
+            "max_edge_pieces": stats.max_edge_pieces,
+            "wall_time": stats.wall_time,
+            "cells_solved": stats.cells_solved,
+        }
         assert list(data) == [
             "total_pieces", "edges", "max_edge_pieces", "wall_time", "cells_solved"
         ]

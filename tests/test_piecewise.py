@@ -2,6 +2,7 @@
 cumulative minima, and the lower envelope."""
 
 import math
+import pickle
 import random
 
 import pytest
@@ -522,6 +523,19 @@ class TestValidateAndSerialise:
     def test_concave_kink_accepted(self):
         f = pwq((0, 1, 0, 0, 1), (0, -1, 2, 1, 2))
         validate(f)
+
+    def test_immutable_hashable_value(self):
+        f = pwq((0, 1, 0, 0, 1), (0, -1, 2, 1, 2))
+        g = pwq((0, 1, 0, 0, 1), (0, -1, 2, 1, 2))
+        assert f == g and hash(f) == hash(g) and f != TENT and f != f.raw
+        assert len({f, g, TENT}) == 2
+        with pytest.raises(AttributeError):
+            f.raw = TENT.raw
+        with pytest.raises(AttributeError):
+            del f.raw
+        with pytest.raises(AttributeError):
+            f.extra = 1
+        assert pickle.loads(pickle.dumps(f)) == f
 
 
 @settings(max_examples=100, deadline=None)
