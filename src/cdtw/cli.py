@@ -234,11 +234,11 @@ def cmd_compute(args: argparse.Namespace) -> int:
         res = cdtw_exact(a, b, config=EngineConfig(record_path=bool(args.path)))
         out["value"] = _round(res.value)
         if args.stats:
-            stats = res.stats.to_json()
+            stats = res.stats._asdict()
             stats["wall_time"] = _round(stats["wall_time"])
             out["stats"] = stats
         if args.path:
-            _write_text(args.path, json.dumps(reconstruct_path(res).to_json()))
+            _write_text(args.path, json.dumps(reconstruct_path(res)._asdict()))
             out["path"] = args.path
     else:
         out["value"] = _round(_one_distance(args.measure, args.resolution, a, b))

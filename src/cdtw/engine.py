@@ -28,7 +28,7 @@ class EngineConfig(NamedTuple):
     record_path: bool = True
 
 
-class SolveStats:
+class SolveStats(NamedTuple):
     """Piece-count bookkeeping for the complexity bounds.
 
     total_pieces counts quadratic pieces over all stored (reduced) edges,
@@ -39,28 +39,11 @@ class SolveStats:
     cell per pair of segments of the curves as built.
     """
 
-    __slots__ = ("total_pieces", "edges", "max_edge_pieces", "wall_time", "cells_solved")
-
-    def __init__(self, total_pieces: int = 0, edges: int = 0, max_edge_pieces: int = 0,
-                 wall_time: float = 0.0, cells_solved: int = 0) -> None:
-        self.total_pieces = total_pieces
-        self.edges = edges
-        self.max_edge_pieces = max_edge_pieces
-        self.wall_time = wall_time
-        self.cells_solved = cells_solved
-
-    def __repr__(self) -> str:
-        return f"SolveStats({', '.join(f'{k}={v!r}' for k, v in self.to_json().items())})"
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.to_json() == other.to_json()
-
-    __hash__ = None  # mutable: the solver counts into it
-
-    def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in self.__slots__}
+    total_pieces: int = 0
+    edges: int = 0
+    max_edge_pieces: int = 0
+    wall_time: float = 0.0
+    cells_solved: int = 0
 
 
 class WarpPath(NamedTuple):
@@ -72,12 +55,6 @@ class WarpPath(NamedTuple):
 
     points: Tuple[Tuple[float, float], ...]
     annotations: Tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "points": [[x, y] for x, y in self.points],
-            "annotations": list(self.annotations),
-        }
 
 
 class SolveRun(NamedTuple):
@@ -107,12 +84,13 @@ class CdtwResult(NamedTuple):
     run: Optional[SolveRun] = None
 
 
-def _count_edge(stats: SolveStats, f: pw.PiecewiseQuadratic) -> None:
+def _count_edge(counts: List[int], f: pw.PiecewiseQuadratic) -> None:
+    """Add edge f to counts: total_pieces, edges, max_edge_pieces."""
     n = len(f.raw)
-    stats.total_pieces += n
-    stats.edges += 1
-    if n > stats.max_edge_pieces:
-        stats.max_edge_pieces = n
+    counts[0] += n
+    counts[1] += 1
+    if n > counts[2]:
+        counts[2] = n
 
 
 def _turning_points(C: Curve) -> Tuple[Curve, List[int]]:
@@ -135,12 +113,13 @@ def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> Cdt
     """
     t_start = time.perf_counter()
     P, Q = (C if isinstance(C, Curve) else build_curve(C) for C in (P, Q))
-    stats = SolveStats(cells_solved=P.num_segments * Q.num_segments)
+    cells_solved = P.num_segments * Q.num_segments
+    counts = [0, 0, 0]
     (P, kp), (Q, kq) = _turning_points(P), _turning_points(Q)
     bottoms, lefts = base_case(P, Q)
     n, m = P.num_segments, Q.num_segments
     for bc in [*bottoms, *lefts]:
-        _count_edge(stats, bc.cost)
+        _count_edge(counts, bc.cost)
 
     run = SolveRun(P, Q, {}, {}, bottoms, lefts)
     for k in range(2, n + m + 1):
@@ -155,8 +134,8 @@ def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> Cdt
                     raise TooLarge(f"{where}: overflow ({exc})") from exc
                 raise type(exc)(f"{where}: {exc}") from exc
             run.top[(i, j)], run.right[(i, j)] = t_bc, r_bc
-            _count_edge(stats, t_bc.cost)
-            _count_edge(stats, r_bc.cost)
+            _count_edge(counts, t_bc.cost)
+            _count_edge(counts, r_bc.cost)
 
     value = far_corner_cost(cell_info(P, Q, n, m), run.top[(n, m)], run.right[(n, m)])
     if not math.isfinite(value):
@@ -166,7 +145,7 @@ def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> Cdt
     value = max(value, 0.0)
 
     path = _trace(run) if config is None or config.record_path else None
-    stats.wall_time = time.perf_counter() - t_start
+    stats = SolveStats(*counts, time.perf_counter() - t_start, cells_solved)
     return CdtwResult(value, stats, path, run)
 
 

@@ -19,7 +19,7 @@ restricted to the closed interval [lo, hi].
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CoverageGap, InvariantViolation, OutOfDomain
 
@@ -32,34 +32,11 @@ AB_BUCKET = 1e-7
 Raw = Tuple[float, float, float, float, float]
 
 
-class PiecewiseQuadratic:
+class PiecewiseQuadratic(NamedTuple):
     """Ordered abutting raw pieces tiling one closed interval.  Build one
-    with ``from_raw``; it is immutable, hashable and equal to another with
-    the same pieces."""
+    with ``from_raw``."""
 
-    __slots__ = ("raw",)
     raw: Tuple[Raw, ...]
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.raw == other.raw
-
-    def __hash__(self) -> int:
-        return hash(self.raw)
-
-    # copy and pickle rebuild through from_raw, as __setattr__ refuses
-    def __reduce__(self) -> Tuple[Any, Tuple[Tuple[Raw, ...]]]:
-        return from_raw, (self.raw,)
-
-    def __repr__(self) -> str:
-        return f"PiecewiseQuadratic(pieces={self.pieces!r})"
 
     @property
     def pieces(self) -> Tuple[Raw, ...]:
@@ -74,6 +51,9 @@ class PiecewiseQuadratic:
     def hi(self) -> float:
         return self.raw[-1][4]
 
+    # The number of pieces, not of the tuple's one field: callers read
+    # len(f) as a piece count.  _make and _replace compare len with the
+    # field count, so they are not for this class.
     def __len__(self) -> int:
         return len(self.raw)
 
@@ -81,14 +61,9 @@ class PiecewiseQuadratic:
         return evaluate(self, s)
 
 
-_set_raw = PiecewiseQuadratic.raw.__set__
-
-
 def from_raw(raw: Iterable[Raw]) -> PiecewiseQuadratic:
     """PiecewiseQuadratic over raw pieces taken as they are."""
-    f = object.__new__(PiecewiseQuadratic)
-    _set_raw(f, tuple(raw))
-    return f
+    return tuple.__new__(PiecewiseQuadratic, (tuple(raw),))
 
 
 def constant(value: float, lo: float, hi: float) -> PiecewiseQuadratic:

@@ -54,7 +54,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import piecewise as pw
 from .curves import Cell, Curve
-from .errors import InvariantViolation, WrongCellType
+from .errors import InvariantViolation, OutOfDomain, WrongCellType
 from .piecewise import PiecewiseQuadratic
 
 # Tie-break preferences: fragments sourced from the left edge beat fragments
@@ -221,7 +221,7 @@ def edge_height_running(cell: Cell, side: str) -> PiecewiseQuadratic:
         y = y1 if side == "top" else y0
         sgn, p, lo, hi = 1.0, (-(y + c) if same else y - c), x0, x1
     else:
-        raise ValueError(f"unknown side {side!r}")
+        raise OutOfDomain(f"unknown side {side!r}")
     start = -sgn * _s_halfsq(sgn * lo + p)
     return pw.from_raw(_s_combination_raw([(sgn, sgn, p)], start, lo, hi))
 

@@ -1,6 +1,7 @@
 """Whole-curve solver tests: closed-form values, warp path reconstruction,
 invariances, statistics, and serialization."""
 
+import ast
 import importlib.util
 import json
 import math
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cdtw import build_curve, cell_info, engine
+from cdtw import build_curve, cell_info, engine, errors
 from cdtw.baselines import GridConfig, cdtw_grid
 from cdtw.engine import (
     EngineConfig,
@@ -275,11 +276,12 @@ class TestStats:
         s = SolveStats(edges=4, wall_time=0.5)
         assert s == SolveStats(0, 4, 0, 0.5, 0)
         assert s != SolveStats(edges=4)
-        assert s != s.to_json()
-        s.cells_solved = 1  # the solver counts into it
+        assert s != s._asdict()
+        with pytest.raises(AttributeError):
+            s.cells_solved = 1  # built once, at the end of the solve
+        s = s._replace(cells_solved=1)
         assert s.cells_solved == 1
-        with pytest.raises(TypeError):
-            hash(s)
+        assert hash(s) == hash(SolveStats(0, 4, 0, 0.5, 1))
         with pytest.raises(AttributeError):
             s.extra = 1
         assert repr(s) == ("SolveStats(total_pieces=0, edges=4, max_edge_pieces=0, "
@@ -604,16 +606,16 @@ class TestSerialization:
         res = solve([0, 1], [0.5, 1.5])
         path = reconstruct_path(res)
         assert res.value == pytest.approx(0.25, abs=1e-12)
-        data = json.loads(json.dumps(res.stats.to_json()))
+        data = json.loads(json.dumps(res.stats._asdict()))
         assert data["cells_solved"] == 1
-        pblob = json.dumps(path.to_json())
+        pblob = json.dumps(path._asdict())
         pdata = json.loads(pblob)
         assert len(pdata["points"]) == 4
         assert len(pdata["annotations"]) == 3
 
     def test_stats_json_keys_are_strings(self):
         res = solve([0, 1, 2], [1, 0])
-        data = json.loads(json.dumps(res.stats.to_json()))
+        data = json.loads(json.dumps(res.stats._asdict()))
         stats = res.stats
         assert data == {
             "total_pieces": stats.total_pieces,
@@ -625,3 +627,22 @@ class TestSerialization:
         assert list(data) == [
             "total_pieces", "edges", "max_edge_pieces", "wall_time", "cells_solved"
         ]
+
+
+def test_package_raises_only_cdtw_errors():
+    """Every `raise Name(...)` outside the CLI names a CdtwError subclass,
+    so one except clause catches every failure the library reports."""
+    found, foreign = 0, []
+    for path in sorted(Path(engine.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and isinstance(node.exc.func, ast.Name)):
+                continue
+            found += 1
+            cls = getattr(errors, node.exc.func.id, None)
+            if not (isinstance(cls, type) and issubclass(cls, errors.CdtwError)):
+                foreign.append(f"{path.name}:{node.lineno} {node.exc.func.id}")
+    assert found >= 20  # the walk saw the package's raises
+    assert foreign == []

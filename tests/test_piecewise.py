@@ -4,6 +4,7 @@ cumulative minima, and the lower envelope."""
 import math
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -350,6 +351,14 @@ class TestOffsetCumulativeMin:
         assert gtags[-1].kind == "travel"
         assert gtags[-1].data == (1.0,)
 
+    def test_upward_step_past_slack_gets_travel(self):
+        # A step up by 1e-8, ten times the slack _nonincreasing allows: the
+        # envelope is not its own minimum, and travel holds the value at 1.
+        env = pwq((0, 0, 1.0, 0, 0.5), (0, 0, 1.0 + 1e-8, 0.5, 1))
+        tags = [Prov(1.0, "C2", "bottom", (0.0, 0.0)), Prov(2.0, "C1", "left")]
+        g, _ = apply_edge_travel(env, tags, NO_CORNER)
+        assert g.value(0.75) <= 1.0 + 2e-9
+
 
 class TestLowerEnvelope:
     def test_two_parabolas(self):
@@ -379,6 +388,14 @@ class TestLowerEnvelope:
         f2 = pwq((0, 0, 1, 0.6, 1.0))
         with pytest.raises(CoverageGap):
             pw.lower_envelope(ranked([f1, f2]), 0.0, 1.0)
+
+    def test_fragment_outside_raises_no_coverage(self):
+        with pytest.raises(CoverageGap, match="no coverage"):
+            pw.lower_envelope(ranked([pwq((0, 0, 1, 2.0, 3.0))]), 0.0, 1.0)
+
+    def test_fragment_short_of_the_end_raises_gap(self):
+        with pytest.raises(CoverageGap, match=re.escape("gap [0.5, 1.0]")):
+            pw.lower_envelope(ranked([pwq((0, 0, 1, 0.0, 0.5))]), 0.0, 1.0)
 
     def test_partial_fragments_compose(self):
         f1 = pwq((0, 0, 2, 0.0, 0.7))

@@ -10,7 +10,7 @@ import pytest
 from cdtw import build_curve, cell_info, point_at
 from cdtw import piecewise as pw
 from cdtw.curves import Cell
-from cdtw.errors import WrongCellType
+from cdtw.errors import InvariantViolation, OutOfDomain, WrongCellType
 from cdtw.propagation import (
     PREF_BOTTOM,
     PREF_LEFT,
@@ -20,6 +20,7 @@ from cdtw.propagation import (
     _c2_catalogue,
     _corner_routes,
     _edge_integrals,
+    _pin_end,
     _s_combination_raw,
     _valley_span,
     apply_edge_travel,
@@ -303,6 +304,11 @@ class TestEdgeHeightRunning:
             r = edge_height_running(cell, side)
             want = _edge_integrals(cell)[("bottom", "left", "top", "right").index(side)]
             assert r.value(r.hi) == pytest.approx(want, abs=1e-12)
+
+    def test_unknown_side_names_it(self):
+        _, _, cell, _ = next(self.each_edge())
+        with pytest.raises(OutOfDomain, match="'middle'"):
+            edge_height_running(cell, "middle")
 
 
 class TestBaseCase:
@@ -877,6 +883,17 @@ class TestTypeC:
         want, _, _ = prefix_min(f)
         for s in np.linspace(f.lo, f.hi, 200):
             assert out.value(s) == pytest.approx(want.value(s), abs=1e-9)
+
+
+class TestPinEnd:
+    def test_mismatch_past_bound_raises(self):
+        with pytest.raises(InvariantViolation, match="corner value mismatch"):
+            _pin_end(pw.constant(1.0, 0.0, 1.0), -1, 1.0, 1.0 + 1e-4)
+
+    def test_drift_within_bound_is_pinned_exactly(self):
+        target = 1.0 + 1e-7
+        g = _pin_end(pw.constant(1.0, 0.0, 1.0), -1, 1.0, target)
+        assert g.value(1.0) == target
 
 
 class TestSolveCell:
