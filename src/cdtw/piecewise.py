@@ -4,8 +4,7 @@ Boundary cost functions of the warping dynamic program are continuous
 piecewise quadratics.  This module implements the operations the solver
 needs: evaluation, substitution of the argument, the cumulative minimum
 g(t) = min_{s <= t} f(s), the minimum with a constant, and the lower
-envelope of a set of partially overlapping fragments.  Operations that
-take per-piece tags carry them through to the pieces of their result.
+envelope of a set of partially overlapping fragments.
 
 All arithmetic is binary64 with one fixed tolerance, TOLERANCE, used for
 breakpoint merging, continuity checks, and quadratic-intersection roots.
@@ -13,7 +12,10 @@ Exact rational arithmetic is not an option here: envelope breakpoints are
 roots of quadratics and irrational in general.
 
 Pieces are plain (a, b, c, lo, hi) tuples, "raw" pieces: a*s^2 + b*s + c
-restricted to the closed interval [lo, hi].
+restricted to the closed interval [lo, hi].  The tagged operations
+(cumulative_min, capped, lower_envelope) build their result as one list of
+(a, b, c, lo, hi, tag) entries, sorted by lo, and hand it to normalize,
+which makes it a function with one tag per piece.
 """
 
 from __future__ import annotations
@@ -74,25 +76,26 @@ def constant(value: float, lo: float, hi: float) -> PiecewiseQuadratic:
 # construction hygiene
 
 
-def normalize_raw(pieces: Sequence[Raw], tags: Sequence[Any]) -> Tuple[List[Raw], List[Any]]:
-    """Snap abutting domains, drop sub-tolerance slivers, merge equal pieces.
+def normalize(entries: List[tuple], lo: float, hi: float) -> Tuple[PiecewiseQuadratic, List[Any]]:
+    """The function and the tags of entries tiling [lo, hi] in order.
 
-    One pass: drop each sliver (widening the next piece down to its start,
-    or the last kept piece up to the end), snap the piece to the last kept
-    one and merge it into that one.  Merging only happens between pieces
-    with equal tags (one per piece), and the surviving tag list is returned.
+    One pass: the first entry starts at lo and the last ends at hi (both
+    rewritten in place); a sub-tolerance sliver is dropped, widening the
+    next entry down to its start or the last kept piece up to the end; an
+    entry is snapped to the last kept piece and merged into it when their
+    tags are equal and their coefficients agree within tolerance.
     """
-    n = len(pieces)
-    if n < 2:
-        return list(pieces), list(tags)
+    a, b, c, _, h, t = entries[0]
+    entries[0] = (a, b, c, lo, h, t)
+    a, b, c, l, _, t = entries[-1]
+    entries[-1] = (a, b, c, l, hi, t)
     tol = TOLERANCE
     out: List[Raw] = []
     out_tags: List[Any] = []
     pending: Optional[float] = None
     last_hi = 0.0  # the last kept piece's own upper end, before snapping
     last_snap: Optional[float] = None  # where that piece was snapped to
-    for k in range(n):
-        a, b, c, lo, hi = pieces[k]
+    for a, b, c, lo, hi, t in entries:
         if pending is not None:
             lo = min(lo, pending)
         if hi - lo <= tol:
@@ -100,7 +103,6 @@ def normalize_raw(pieces: Sequence[Raw], tags: Sequence[Any]) -> Tuple[List[Raw]
             continue
         pending = None
         last_hi, last_snap = hi, None
-        t = tags[k]
         if out:
             pa, pb, pc, plo, phi = out[-1]
             if lo != phi:
@@ -119,15 +121,15 @@ def normalize_raw(pieces: Sequence[Raw], tags: Sequence[Any]) -> Tuple[List[Raw]
         out_tags.append(t)
     if pending is not None:
         if out:
-            hi = max(last_hi, max(p[4] for p in pieces))
+            hi = max(last_hi, max(e[4] for e in entries))
             if last_snap is not None:
                 hi = max(hi, last_snap)
             pa, pb, pc, plo, _ = out[-1]
             out[-1] = (pa, pb, pc, plo, hi)
         else:
-            out = [pieces[-1]]
-            out_tags = [tags[-1]]
-    return out, out_tags
+            out = [entries[-1][:5]]
+            out_tags = [entries[-1][5]]
+    return from_raw(out), out_tags
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +254,7 @@ def cumulative_min(
     """
     tol = TOLERANCE
     raw = f.raw
-    out: List[Raw] = []
-    keys: List[Tuple[Optional[float], Any]] = []  # (annotation, tag) per piece
+    out: List[tuple] = []  # entries tagged (annotation, tag)
     # The running minimum (k at first), where f attains it, and the key of
     # a flat piece at it (None until looked up).
     m, m_arg, m_key = start[0], None, (None, start[1])
@@ -313,42 +314,35 @@ def cumulative_min(
             if flat_hi is not None and flat_hi >= sl:
                 if m_key is None:
                     m_key = (m_arg, tags[locate(raw, m_arg)])
-                out.append((0.0, 0.0, m, sl, flat_hi))
-                keys.append(m_key)
+                out.append((0.0, 0.0, m, sl, flat_hi, m_key))
             if follow_lo is not None:
                 if sh >= follow_lo:
-                    out.append((a, b, c, follow_lo, sh))
-                    keys.append((None, tags[k]))
+                    out.append((a, b, c, follow_lo, sh, (None, tags[k])))
                 if v_end < m:
                     m, m_arg, m_key = v_end, sh, None
 
-    pieces, keys = normalize_raw(out, keys)
-    if len(pieces) > len(raw) + 1:
+    # The stages tile f's domain, so the end rewrite changes nothing.
+    g, keys = normalize(out, raw[0][3], raw[-1][4])
+    if len(g) > len(raw) + 1:
         distinct = distinct_ab(raw)
-        if len(pieces) > len(raw) + distinct + 1:
+        if len(g) > len(raw) + distinct + 1:
             raise InvariantViolation(
-                f"cumulative minimum grew from {len(raw)} to {len(pieces)} pieces "
+                f"cumulative minimum grew from {len(raw)} to {len(g)} pieces "
                 f"with only {distinct} distinct coefficient pairs"
             )
-    args = [key[0] for key in keys]
-    return from_raw(pieces), args, [key[1] for key in keys]
+    return g, [key[0] for key in keys], [key[1] for key in keys]
 
 
 # ---------------------------------------------------------------------------
-# lower envelope
-#
-# The envelope under construction is a list of (a, b, c, lo, hi, tag)
-# entries, sorted by lo and tiling the part of the interval covered so far.
-# A tag is a tuple whose first item is its preference number.
+# lower envelope: a list of entries tiling the part covered so far
 
 
 def _span_entry(
-    e: tuple, q: tuple, d: Tuple[float, float, float], s0: float, s1: float
-) -> tuple:
-    """The entry of e or q that is lower on [s0, s1], where their
-    difference q - e = d = (da, db, dc) has no root inside."""
+    out: List[tuple], e: tuple, q: tuple, da: float, db: float, dc: float, s0: float, s1: float
+) -> None:
+    """Append the entry of e or q that is lower on [s0, s1], where their
+    difference q - e = da*s^2 + db*s + dc has no root inside."""
     tol = TOLERANCE
-    da, db, dc = d[0], d[1], d[2]
     mid = 0.5 * (s0 + s1)
     dv = (da * mid + db) * mid + dc
     scale = 1.0 + abs((e[0] * mid + e[1]) * mid + e[2]) + abs((q[0] * mid + q[1]) * mid + q[2])
@@ -365,26 +359,23 @@ def _span_entry(
         w = q if q[5][0] > e[5][0] else e
     else:
         w = q if dv < 0.0 else e
-    return (w[0], w[1], w[2], s0, s1, w[5])
+    out.append((w[0], w[1], w[2], s0, s1, w[5]))
 
 
-def _compare_span(e: tuple, q: tuple, a: float, b: float) -> List[tuple]:
-    """Pointwise minimum of envelope entries e and q on [a, b], as entries."""
+def _compare_span(out: List[tuple], e: tuple, q: tuple, a: float, b: float) -> None:
+    """Append the pointwise minimum of envelope entries e and q on [a, b]
+    to out, as entries."""
     tol = TOLERANCE
-    d = (q[0] - e[0], q[1] - e[1], q[2] - e[2])
-    if abs(d[0]) > tol or abs(d[1]) > tol:
+    da, db, dc = q[0] - e[0], q[1] - e[1], q[2] - e[2]
+    s0 = a
+    if abs(da) > tol or abs(db) > tol:
         # Spans end at the difference's roots inside (a, b), which come
         # sorted and distinct.
-        out: List[tuple] = []
-        s0 = a
-        for s1 in stable_roots(*d):
+        for s1 in stable_roots(da, db, dc):
             if a + tol < s1 < b - tol:
-                out.append(_span_entry(e, q, d, s0, s1))
+                _span_entry(out, e, q, da, db, dc, s0, s1)
                 s0 = s1
-        if out:
-            out.append(_span_entry(e, q, d, s0, b))
-            return out
-    return [_span_entry(e, q, d, a, b)]
+    _span_entry(out, e, q, da, db, dc, s0, b)
 
 
 def _env_merge(
@@ -392,16 +383,24 @@ def _env_merge(
 ) -> List[tuple]:
     """Envelope of env and one fragment's pieces clipped to [lo, hi].
 
-    One walk over both: where a piece overlaps an entry the two are
-    compared span by span, where it overlaps nothing it fills the gap,
-    and an entry reaching past the piece's end is carried, cut there, to
-    the next piece.  The pieces tile their domain in order, so nothing
+    An empty env takes the clipped pieces as they are.  Otherwise one
+    walk over both: where a piece overlaps an entry the two are compared
+    span by span, where it overlaps nothing it fills the gap, and an
+    entry reaching past the piece's end is carried, cut there, to the
+    next piece.  The pieces tile their domain in order, so nothing
     emitted for one piece reaches into the next, and the result is the
     same as inserting the pieces one at a time.  It stays sorted by lo.
     """
     tol = TOLERANCE
-    todo = env[::-1]  # entries not yet passed, the next one last
     out: List[tuple] = []
+    if not env:
+        for p in raw:
+            ql = lo if lo > p[3] else p[3]
+            qh = hi if hi < p[4] else p[4]
+            if qh - ql > tol and ql < qh - tol:
+                out.append((p[0], p[1], p[2], ql, qh, tag))
+        return out
+    todo = env[::-1]  # entries not yet passed, the next one last
     for p in raw:
         ql = lo if lo > p[3] else p[3]
         qh = hi if hi < p[4] else p[4]
@@ -426,7 +425,7 @@ def _env_merge(
             if elo < a - tol:
                 out.append((e[0], e[1], e[2], elo, a, e[5]))
             if b > a:
-                out.extend(_compare_span(e, q, a, b))
+                _compare_span(out, e, q, a, b)
                 cur = b
             if ehi > b + tol:
                 todo.append((e[0], e[1], e[2], b, ehi, e[5]))
@@ -449,9 +448,11 @@ def capped(
     the cut, or more where f rises) is compared span by span.
     """
     tol = TOLERANCE
-    q = (0.0, 0.0, cap, f.lo, f.hi, cap_tag)
+    raw = f.raw
+    f_lo, f_hi = raw[0][3], raw[-1][4]
+    q = (0.0, 0.0, cap, f_lo, f_hi, cap_tag)
     env: List[tuple] = []
-    for a, b, c, lo, hi in f.raw:
+    for a, b, c, lo, hi in raw:
         c += shift
         low = (a * lo + b) * lo + c
         high = (a * hi + b) * hi + c
@@ -465,9 +466,8 @@ def capped(
         elif cap - high > tol * (1.0 + abs(high) + abs(cap)):
             env.append((a, b, c, lo, hi, tag))
         else:
-            env += _compare_span((a, b, c, lo, hi, tag), q, lo, hi)
-    pieces, tags = normalize_raw([e[:5] for e in env], [e[5] for e in env])
-    return from_raw(pieces), tags
+            _compare_span(env, (a, b, c, lo, hi, tag), q, lo, hi)
+    return normalize(env, f_lo, f_hi)
 
 
 def lower_envelope(
@@ -498,11 +498,4 @@ def lower_envelope(
             cur = e[4]
     if cur < hi - span_tol:
         raise CoverageGap(f"gap [{cur}, {hi}] in envelope coverage")
-    pieces = [e[:5] for e in env]
-    tags = [e[5] for e in env]
-    a0, b0, c0, _, h0 = pieces[0]
-    pieces[0] = (a0, b0, c0, lo, h0)
-    a0, b0, c0, l0, _ = pieces[-1]
-    pieces[-1] = (a0, b0, c0, l0, hi)
-    pieces, tags = normalize_raw(pieces, tags)
-    return from_raw(pieces), tags
+    return normalize(env, lo, hi)

@@ -43,7 +43,8 @@ cannot change a cell's output is skipped:
   cap up to where the input falls through it and the input after it
   (piecewise.capped).  The valley entries and exits, like the
   transports, are one unnormalised pass over an input (_leg); each
-  output edge is normalised once, by capped, the envelope or travel.
+  output edge is normalised once, by piecewise.normalize, which ends
+  capped, the envelope and travel alike.
 * travel returns the envelope as it is when it never rises from k.
 """
 

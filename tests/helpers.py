@@ -151,7 +151,7 @@ def shift_raw(f: Sequence[pw.Raw], beta: float) -> List[pw.Raw]:
     """g(t) = f(t + beta) on the domain moved by -beta, normalised."""
     out = [(*pw.compose_linear(a, b, c, 1.0, beta), lo - beta, hi - beta)
            for a, b, c, lo, hi in f]
-    return pw.normalize_raw(out, [None] * len(out))[0]
+    return list(pw.normalize([(*p, None) for p in out], out[0][3], out[-1][4])[0].raw)
 
 
 def restrict_raw(raw: Sequence[pw.Raw], lo: float, hi: float) -> List[pw.Raw]:
@@ -168,7 +168,7 @@ def restrict_raw(raw: Sequence[pw.Raw], lo: float, hi: float) -> List[pw.Raw]:
         # Degenerate (point) restriction: keep the covering piece.
         p = raw[pw.locate(raw, 0.5 * (lo + hi))]
         out = [(p[0], p[1], p[2], lo, hi)]
-    return pw.normalize_raw(out, [None] * len(out))[0]
+    return list(pw.normalize([(*p, None) for p in out], out[0][3], out[-1][4])[0].raw)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +282,7 @@ def reference_env_insert(env: List[tuple], q: tuple) -> List[tuple]:
         if elo < a - tol:
             out.append((e[0], e[1], e[2], elo, a, e[5]))
         if b > a:
-            out.extend(_compare_span(e, q, a, b))
+            _compare_span(out, e, q, a, b)
             cur = b
         if ehi > b + tol:
             out.append((e[0], e[1], e[2], b, ehi, e[5]))

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import math
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -407,6 +408,23 @@ class TestRobustness:
         # Every cell solves, but the far-corner cost is inf.
         with pytest.raises(TooLarge, match="not finite"):
             solve([0, 1, -1e156], [0, 1])
+
+    def test_negative_distance_is_an_invariant_violation(self, monkeypatch):
+        # A far-corner cost below zero by more than the rounding slack is
+        # no distance: the solve raises instead of clamping it to 0.
+        monkeypatch.setattr(engine, "far_corner_cost", lambda *args: -1.0)
+        with pytest.raises(errors.InvariantViolation, match=r"^negative distance -1\.0$"):
+            solve([0, 1], [0.5, 1.5])
+
+    def test_path_stepping_back_is_an_invariant_violation(self):
+        # With p = q = 1 a leg may step back by 3e-6 (drift, clamped); the
+        # leg to x = 0.4999 steps back by 1e-4.
+        P = Q = build_curve([0, 1])
+        path = engine._polish_path(P, Q, [(1.0, 1.0), (0.5 - 1e-7, 0.6), (0.5, 0.5), (0.0, 0.0)])
+        assert path.points == ((0.0, 0.0), (0.5, 0.5), (0.5, 0.6), (1.0, 1.0))
+        with pytest.raises(errors.InvariantViolation, match=re.escape(
+                "non-monotone path leg (0.5,0.5) -> (0.4999,0.6)")):
+            engine._polish_path(P, Q, [(1.0, 1.0), (0.4999, 0.6), (0.5, 0.5), (0.0, 0.0)])
 
     def test_no_edge_jumps_after_valley_crossing_turns(self):
         # A single turn that crosses the valley line costs 0.5 * (t - x0)^2

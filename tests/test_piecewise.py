@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdtw import piecewise as pw
-from cdtw.errors import CoverageGap, OutOfDomain
+from cdtw.errors import CoverageGap, InvariantViolation, OutOfDomain
 from cdtw.propagation import Prov, apply_edge_travel
 
 from helpers import (
@@ -257,6 +257,17 @@ class TestCumulativeMin:
         assert args == [None, None]
         assert tags == ["a", "b"]
 
+    def test_growth_check_fires(self):
+        # Four pieces with one coefficient pair, each jumping up past the
+        # running minimum and falling below it: every piece after the
+        # first splits into a flat piece and one that follows it: seven
+        # pieces, where four pieces with one distinct pair allow six.
+        f = pw.from_raw([(0.0, -1.0, 0.5 * k, float(k), float(k + 1)) for k in range(4)])
+        with pytest.raises(InvariantViolation, match=re.escape(
+                "cumulative minimum grew from 4 to 7 pieces with only 1 distinct coefficient pairs")):
+            pw.cumulative_min(f, ["s"] * 4, NO_CORNER)
+        # Three such pieces give five, within the allowance.
+        assert len(pw.cumulative_min(pw.from_raw(f.raw[:3]), ["s"] * 3, NO_CORNER)[0]) == 5
 
     def test_start_value_caps_and_keeps_its_tag(self):
         # With start = (k, tag) the result is min(cumulative_min(f), k); a
@@ -503,6 +514,51 @@ class TestEnvelopeMerge:
                     if b - a > 0:
                         want = reference_env_insert(want, (p[0], p[1], p[2], a, b, tag))
             assert env == want
+
+
+class TestNormalize:
+    # The expected outputs are literals: the normaliser's results, pinned
+    # bit for bit.
+
+    def test_sliver_mid_list_widens_the_next_piece_down(self):
+        f, tags = pw.normalize([
+            (1.0, 0.0, 0.0, 0.0, 0.4, "a"),
+            (0.0, 0.0, 0.5, 0.4, 0.4 + 1e-12, "b"),
+            (0.0, 1.0, 0.0, 0.4 + 2e-12, 1.0, "c"),
+        ], 0.0, 1.0)
+        assert f.raw == ((1.0, 0.0, 0.0, 0.0, 0.4), (0.0, 1.0, 0.0, 0.4, 1.0))
+        assert tags == ["a", "c"]
+
+    def test_trailing_sliver_extends_the_last_kept_piece(self):
+        f, tags = pw.normalize([
+            (0.0, 0.0, 1.0, 0.0, 0.5, "a"),
+            (0.0, 1.0, 0.5, 0.5, 1.0, "b"),
+            (0.0, 0.0, 2.0, 1.0, 1.0 + 1e-12, "c"),
+        ], 0.0, 1.0 + 1e-12)
+        assert f.raw == ((0.0, 0.0, 1.0, 0.0, 0.5), (0.0, 1.0, 0.5, 0.5, 1.000000000001))
+        assert tags == ["a", "b"]
+
+    def test_gap_is_snapped(self):
+        f, tags = pw.normalize([
+            (0.0, 0.0, 1.0, 0.0, 0.5, "a"),
+            (0.0, 0.0, 2.0, 0.5 + 1e-12, 1.0, "b"),
+        ], 0.0, 1.0)
+        assert f.raw == ((0.0, 0.0, 1.0, 0.0, 0.5), (0.0, 0.0, 2.0, 0.5, 1.0))
+        assert tags == ["a", "b"]
+
+    def test_merges_equal_tags_only(self):
+        entries = [(1.0, 0.0, 0.0, 0.0, 0.5), (1.0 + 1e-12, 0.0, 0.0, 0.5, 1.0)]
+        f, tags = pw.normalize([(*p, t) for p, t in zip(entries, "aa")], 0.0, 1.0)
+        assert f.raw == ((1.0, 0.0, 0.0, 0.0, 1.0),)
+        assert tags == ["a"]
+        f, tags = pw.normalize([(*p, t) for p, t in zip(entries, "ab")], 0.0, 1.0)
+        assert f.raw == ((1.0, 0.0, 0.0, 0.0, 0.5), (1.000000000001, 0.0, 0.0, 0.5, 1.0))
+        assert tags == ["a", "b"]
+
+    def test_one_entry_takes_the_domain_ends(self):
+        f, tags = pw.normalize([(0.5, -1.0, 2.0, 0.1, 0.9, "t")], 0.0, 1.0)
+        assert f.raw == ((0.5, -1.0, 2.0, 0.0, 1.0),)
+        assert tags == ["t"]
 
 
 class TestStableRoots:

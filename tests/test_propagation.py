@@ -430,7 +430,7 @@ class TestTypeA:
         x0, x1 = cell.x_range
         eps = 1e-13
         pieces = [(0.0, 0.0, 1.0, x0, x0 + eps), (0.0, 0.0, 1.0, x0 + eps, x1)]
-        f, _ = pw.normalize_raw(pieces, [None] * len(pieces))
+        f, _ = pw.normalize([(*p, None) for p in pieces], x0, x1)
         assert len(f) == 1  # hygiene collapses the sliver before propagation
 
     def test_one_cut_matches_the_envelope(self):
