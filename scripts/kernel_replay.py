@@ -4,13 +4,13 @@
     PYTHONPATH=src python scripts/kernel_replay.py --out before.txt
     PYTHONPATH=src python scripts/kernel_replay.py --check before.txt
 
-It solves ``--pairs`` noise pairs of n = m = 50 values, uniform in [0, 1)
-and drawn as the ``solve_noise`` benchmark draws them for ``--seed``,
-without path recording, and records the arguments of every call of
-``piecewise.lower_envelope``, ``piecewise.capped`` and
+It solves the first three pairs of seed 41 of the ``solve_noise``
+benchmark (``bench/corpus.noise_pairs``: n = m = 50 values, uniform in
+[0, 1)) without path recording, and records the arguments of every call
+of ``piecewise.lower_envelope``, ``piecewise.capped`` and
 ``piecewise.cumulative_min`` the solver makes.  Then it replays the calls
-of each kernel on their own, ``--repeat`` times with the garbage
-collector off, and prints the number of calls and the best µs per call.
+of each kernel on their own, five times with the garbage collector off,
+and prints the number of calls and the best µs per call.
 
 ``--out FILE`` writes the output of every replayed call (its pieces and
 tags, and for ``cumulative_min`` its annotations) with ``repr``, one line
@@ -23,24 +23,18 @@ Only the standard library is used.
 
 import argparse
 import gc
-import random
+import os
 import sys
 import time
 
 from cdtw import EngineConfig, cdtw_exact
 from cdtw import piecewise as pw
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench"))
+from corpus import noise_pairs  # noqa: E402
+
 KERNELS = ("lower_envelope", "capped", "cumulative_min")
-VERTICES = 50
-
-
-def noise_pairs(seed: int, count: int) -> list:
-    """The value lists of the ``solve_noise`` benchmark's pairs for seed."""
-    rng = random.Random(f"solve_noise:{seed}")
-    return [
-        ([rng.random() for _ in range(VERTICES)], [rng.random() for _ in range(VERTICES)])
-        for _ in range(count)
-    ]
+SEED, PAIRS, REPEAT = 41, 3, 5
 
 
 def record(pairs: list) -> dict:
@@ -97,17 +91,14 @@ def outputs(calls: dict) -> list:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=41)
-    parser.add_argument("--pairs", type=int, default=3)
-    parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--out", help="write every call's output to this file")
     parser.add_argument("--check", help="compare every call's output with this file")
     args = parser.parse_args(argv)
 
-    calls = record(noise_pairs(args.seed, args.pairs))
+    calls = record(noise_pairs(SEED, PAIRS))
     for name in KERNELS:
         if calls[name]:
-            per_call = replay(getattr(pw, name), calls[name], args.repeat)
+            per_call = replay(getattr(pw, name), calls[name], REPEAT)
             print(f"{name:15s} {len(calls[name]):6d} calls  {per_call * 1e6:7.2f} us per call")
     if not (args.out or args.check):
         return 0

@@ -23,13 +23,9 @@ from __future__ import annotations
 import math
 from typing import Any, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import CoverageGap, InvariantViolation, OutOfDomain
+from .errors import CoverageGap, OutOfDomain
 
 TOLERANCE = 1e-9
-
-# Bucket width for counting distinct leading-coefficient pairs; exact float
-# equality would fragment counts meaninglessly.
-AB_BUCKET = 1e-7
 
 Raw = Tuple[float, float, float, float, float]
 
@@ -156,11 +152,6 @@ def locate(raw: Sequence[Raw], s: float) -> int:
         if s <= p[4]:
             return k
     return len(raw) - 1
-
-
-def distinct_ab(raw: Sequence[Raw]) -> int:
-    """Distinct (a, b) coefficient pairs among raw pieces, in AB_BUCKET buckets."""
-    return len({(round(p[0] / AB_BUCKET), round(p[1] / AB_BUCKET)) for p in raw})
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +312,11 @@ def cumulative_min(
                 if v_end < m:
                     m, m_arg, m_key = v_end, sh, None
 
-    # The stages tile f's domain, so the end rewrite changes nothing.
+    # The stages tile f's domain, so the end rewrite changes nothing.  A
+    # piece has at most two stages, a const stage appends one entry and a
+    # follow stage two, and a piece with two stages has one of each, so g
+    # has at most 3 * len(raw) pieces by construction.
     g, keys = normalize(out, raw[0][3], raw[-1][4])
-    if len(g) > len(raw) + 1:
-        distinct = distinct_ab(raw)
-        if len(g) > len(raw) + distinct + 1:
-            raise InvariantViolation(
-                f"cumulative minimum grew from {len(raw)} to {len(g)} pieces "
-                f"with only {distinct} distinct coefficient pairs"
-            )
     return g, [key[0] for key in keys], [key[1] for key in keys]
 
 
@@ -383,23 +370,15 @@ def _env_merge(
 ) -> List[tuple]:
     """Envelope of env and one fragment's pieces clipped to [lo, hi].
 
-    An empty env takes the clipped pieces as they are.  Otherwise one
-    walk over both: where a piece overlaps an entry the two are compared
-    span by span, where it overlaps nothing it fills the gap, and an
-    entry reaching past the piece's end is carried, cut there, to the
-    next piece.  The pieces tile their domain in order, so nothing
+    One walk over both: where a piece overlaps an entry the two are
+    compared span by span, where it overlaps nothing it fills the gap,
+    and an entry reaching past the piece's end is carried, cut there, to
+    the next piece.  The pieces tile their domain in order, so nothing
     emitted for one piece reaches into the next, and the result is the
     same as inserting the pieces one at a time.  It stays sorted by lo.
     """
     tol = TOLERANCE
     out: List[tuple] = []
-    if not env:
-        for p in raw:
-            ql = lo if lo > p[3] else p[3]
-            qh = hi if hi < p[4] else p[4]
-            if qh - ql > tol and ql < qh - tol:
-                out.append((p[0], p[1], p[2], ql, qh, tag))
-        return out
     todo = env[::-1]  # entries not yet passed, the next one last
     for p in raw:
         ql = lo if lo > p[3] else p[3]

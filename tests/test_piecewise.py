@@ -257,17 +257,23 @@ class TestCumulativeMin:
         assert args == [None, None]
         assert tags == ["a", "b"]
 
-    def test_growth_check_fires(self):
+    def test_upward_jumps_add_a_flat_and_a_follow_piece_each(self):
         # Four pieces with one coefficient pair, each jumping up past the
         # running minimum and falling below it: every piece after the
-        # first splits into a flat piece and one that follows it: seven
-        # pieces, where four pieces with one distinct pair allow six.
+        # first gives a flat piece and one that follows it, seven pieces
+        # from four (at most three per piece can come out).
         f = pw.from_raw([(0.0, -1.0, 0.5 * k, float(k), float(k + 1)) for k in range(4)])
-        with pytest.raises(InvariantViolation, match=re.escape(
-                "cumulative minimum grew from 4 to 7 pieces with only 1 distinct coefficient pairs")):
-            pw.cumulative_min(f, ["s"] * 4, NO_CORNER)
-        # Three such pieces give five, within the allowance.
-        assert len(pw.cumulative_min(pw.from_raw(f.raw[:3]), ["s"] * 3, NO_CORNER)[0]) == 5
+        g, args, tags = pw.cumulative_min(f, ["s0", "s1", "s2", "s3"], NO_CORNER)
+        assert g.raw == (
+            (0.0, -1.0, 0.0, 0.0, 1.0), (0.0, 0.0, -1.0, 1.0, 1.5),
+            (0.0, -1.0, 0.5, 1.5, 2.0), (0.0, 0.0, -1.5, 2.0, 2.5),
+            (0.0, -1.0, 1.0, 2.5, 3.0), (0.0, 0.0, -2.0, 3.0, 3.5),
+            (0.0, -1.0, 1.5, 3.5, 4.0),
+        )
+        assert args == [None, 1.0, None, 2.0, None, 3.0, None]
+        assert tags == ["s0", "s0", "s1", "s1", "s2", "s2", "s3"]
+        # Equal tags merge nothing here: the pieces differ in coefficients.
+        assert pw.cumulative_min(f, ["s"] * 4, NO_CORNER)[0] == g
 
     def test_start_value_caps_and_keeps_its_tag(self):
         # With start = (k, tag) the result is min(cumulative_min(f), k); a
@@ -281,6 +287,7 @@ class TestCumulativeMin:
             ref, _, _ = prefix_min(f)
             k = rng.uniform(-2.5, 2.5)
             g, args, out_tags = pw.cumulative_min(f, tags, (k, "corner"))
+            assert len(g) <= 3 * len(f)
             for j in range(40):
                 t = j / 39.0
                 assert g.value(t) == pytest.approx(min(ref.value(t), k), abs=1e-9)
@@ -584,13 +591,13 @@ class TestValidateAndSerialise:
 
     def test_validate_rejects_jump(self):
         f = pwq((0, 0, 0, 0, 1), (0, 0, 5, 1, 2))
-        with pytest.raises(pw.InvariantViolation):
+        with pytest.raises(InvariantViolation):
             validate(f)
 
     def test_validate_rejects_convex_kink(self):
         # |s - 1| has a convex kink at 1: left deriv -1 < right deriv +1.
         f = pwq((0, -1, 1, 0, 1), (0, 1, -1, 1, 2))
-        with pytest.raises(pw.InvariantViolation):
+        with pytest.raises(InvariantViolation):
             validate(f)
 
     def test_concave_kink_accepted(self):
