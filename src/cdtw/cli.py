@@ -18,6 +18,7 @@ from .baselines import GridConfig, cdtw_grid, discrete_frechet, dtw
 from .curves import Curve, build_curve, cell_info, point_at
 from .engine import EngineConfig, cdtw_exact, reconstruct_path
 from .errors import CdtwError, InsufficientVertices, ResolutionZero, TooLarge
+from .piecewise import ORACLE_SLACK
 
 EXIT_USAGE = 2
 EXIT_INVARIANT = 3
@@ -329,7 +330,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         grid = cdtw_grid(P, Q, GridConfig(resolution=r))
         gap = grid - exact
         print(f"{_fmt(r)},{_fmt(grid)},{_fmt(gap)}")
-        if gap < -1e-9 * (1 + abs(exact)):
+        if gap < -ORACLE_SLACK * (1 + abs(exact)):
             violations.append(f"grid below exact at resolution {_fmt(r)}: gap {_fmt(gap)}")
     if gap > tol:
         violations.append(f"final gap {_fmt(gap)} vs tol {_fmt(tol)}")

@@ -19,10 +19,7 @@ import math
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .errors import IndexOutOfRange, InsufficientVertices, OutOfDomain
-
-# Slack used when clamping arc-length parameters to curve domains and when
-# deciding whether a valley degenerates to a single point.
-_EDGE_TOL = 1e-12
+from .piecewise import ARC_SLACK, VALLEY_MISS_SLACK
 
 
 class Curve(NamedTuple):
@@ -118,7 +115,7 @@ def build_curve(values: Sequence[float]) -> Curve:
 def point_at(curve: Curve, s: float) -> float:
     """Value of the curve at arc-length position s."""
     total = curve.length
-    if s < -_EDGE_TOL * (1.0 + total) or s > total * (1.0 + _EDGE_TOL) + _EDGE_TOL:
+    if s < -ARC_SLACK * (1.0 + total) or s > total * (1.0 + ARC_SLACK) + ARC_SLACK:
         raise OutOfDomain(f"arc length {s} outside [0, {total}]")
     s = min(max(s, 0.0), total)
     # Right-open bisect keeps interior breakpoints on the left segment; both
@@ -163,7 +160,7 @@ def cell_info(P: Curve, Q: Curve, i: int, j: int) -> Cell:
         c = (x0 - y0) - dp * (p0 - q0)
         vx_lo = max(x0, y0 + c)
         vx_hi = min(x1, y1 + c)
-        if vx_hi < vx_lo - _EDGE_TOL:
+        if vx_hi < vx_lo - VALLEY_MISS_SLACK:
             valley = None
         else:  # a near miss clips to a point inside [x0, x1]
             vx_lo, vx_hi = min(vx_lo, x1), max(vx_hi, x0)

@@ -140,7 +140,7 @@ def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> Cdt
     value = far_corner_cost(cell_info(P, Q, n, m), run.top[(n, m)], run.right[(n, m)])
     if not math.isfinite(value):
         raise TooLarge(f"distance {value} is not finite")
-    if value < -1e-6 * (1.0 + P.length + Q.length):
+    if value < -pw.DRIFT_SLACK * (1.0 + P.length + Q.length):
         raise InvariantViolation(f"negative distance {value}")
     value = max(value, 0.0)
 
@@ -231,7 +231,8 @@ def _polish_path(P: Curve, Q: Curve, rev_pts: List[Tuple[float, float]]) -> Warp
     merged leg's x + y span (the path is monotone).
     """
     scale = 1.0 + P.length + Q.length
-    tol = 1e-9 * scale
+    tol = pw.PATH_MERGE_SLACK * scale
+    drift = pw.DRIFT_SLACK * scale
     pts = [
         (min(max(x, 0.0), P.length), min(max(y, 0.0), Q.length))
         for x, y in reversed(rev_pts)
@@ -241,7 +242,7 @@ def _polish_path(P: Curve, Q: Curve, rev_pts: List[Tuple[float, float]]) -> Warp
     clean: List[Tuple[float, float]] = [pts[0]]
     for x, y in pts[1:]:
         px, py = clean[-1]
-        if x - px < -1e-6 * scale or y - py < -1e-6 * scale:
+        if x - px < -drift or y - py < -drift:
             raise InvariantViolation(f"non-monotone path leg ({px},{py}) -> ({x},{y})")
         x, y = max(x, px), max(y, py)
         if abs(x - px) <= tol and abs(y - py) <= tol:
@@ -261,9 +262,7 @@ def _polish_path(P: Curve, Q: Curve, rev_pts: List[Tuple[float, float]]) -> Warp
         dx, dy = bx - ax, by - ay
         if dx <= tol or dy <= tol:
             annots.append("axis-parallel")
-        elif abs(dx - dy) <= 1e-6 * scale and height(
-            P, Q, 0.5 * (ax + bx), 0.5 * (ay + by)
-        ) <= 1e-6 * scale:
+        elif abs(dx - dy) <= drift and height(P, Q, 0.5 * (ax + bx), 0.5 * (ay + by)) <= drift:
             annots.append("valley-ride")
         else:
             annots.append("diagonal")

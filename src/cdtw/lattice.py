@@ -31,6 +31,7 @@ import numpy as np
 
 from .curves import Curve
 from .errors import TooLarge
+from .piecewise import ARC_SLACK
 
 # Most ticks on one lattice axis: far above the few thousand of resolution
 # 256 on curves of arc length about 10, and low enough that a runaway count
@@ -57,7 +58,7 @@ def _axis_ticks(curve: Curve, res: float) -> np.ndarray:
         if not x <= MAX_TICKS:
             raise TooLarge(f"segment {i} asks for {x} lattice ticks, more than {MAX_TICKS}")
         k = 1
-        while k < x - 1e-12:
+        while k < x - ARC_SLACK:
             k *= 2
         counts.append(k)
     if sum(counts) >= MAX_TICKS:

@@ -6,11 +6,6 @@ needs: evaluation, substitution of the argument, the cumulative minimum
 g(t) = min_{s <= t} f(s), the minimum with a constant, and the lower
 envelope of a set of partially overlapping fragments.
 
-All arithmetic is binary64 with one fixed tolerance, TOLERANCE, used for
-breakpoint merging, continuity checks, and quadratic-intersection roots.
-Exact rational arithmetic is not an option here: envelope breakpoints are
-roots of quadratics and irrational in general.
-
 Pieces are plain (a, b, c, lo, hi) tuples, "raw" pieces: a*s^2 + b*s + c
 restricted to the closed interval [lo, hi].  The tagged operations
 (cumulative_min, capped, lower_envelope) build their result as one list of
@@ -25,7 +20,38 @@ from typing import Any, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CoverageGap, OutOfDomain
 
+# ---------------------------------------------------------------------------
+# precision policy: every slack of the package, one entry per role
+#
+# Binary64 throughout: envelope breakpoints are irrational roots.  "Relative
+# to x, y" means times (1 + |x| + |y|), written in that order at every site
+# so that it rounds the same.  Constants, not knobs: moving one moves values.
+
+# The algebra's rounding, a few ulps of order-1 values after a few steps.
+# Absolute in slivers, degenerate coefficients, roots, the comparisons of
+# cumulative_min and _env_merge and _nonincreasing's start; relative to the
+# operands in locate, _s_combination_raw, _c2_catalogue, capped's clearance,
+# _span_entry's tie and normalize's merge.
 TOLERANCE = 1e-9
+# A hole in an edge's coverage, relative to its ends: a thousand TOLERANCE.
+COVERAGE_SLACK = 1e3 * TOLERANCE
+# TOLERANCE per cell summed over a solve, relative to _pin_end's target or
+# to the curves' lengths (a negative distance, a path leg stepping back or
+# riding the valley).
+DRIFT_SLACK = 1e-6
+# _polish_path merges points this close, relative to the curves' lengths.
+PATH_MERGE_SLACK = 1e-9
+# Arc-length rounding: point_at's clamp, relative to the length, and
+# _axis_ticks' count just above a power of two, absolute.
+ARC_SLACK = 1e-12
+# Whether a valley degenerates, decided twice: cell_info keeps a valley line
+# missing its cell by one difference of arc lengths (absolute) as a point;
+# _valley_span rides no valley shorter, relative to its ends (a ride within
+# the algebra's slack; type C covers the point).
+VALLEY_MISS_SLACK = 1e-12
+VALLEY_POINT_SLACK = 1e-9
+# oracle-check: a grid value below the exact one by more, relative to it.
+ORACLE_SLACK = 1e-9
 
 Raw = Tuple[float, float, float, float, float]
 
@@ -75,34 +101,42 @@ def constant(value: float, lo: float, hi: float) -> PiecewiseQuadratic:
 def normalize(entries: List[tuple], lo: float, hi: float) -> Tuple[PiecewiseQuadratic, List[Any]]:
     """The function and the tags of entries tiling [lo, hi] in order.
 
-    One pass: the first entry starts at lo and the last ends at hi (both
-    rewritten in place); a sub-tolerance sliver is dropped, widening the
-    next entry down to its start or the last kept piece up to the end; an
-    entry is snapped to the last kept piece and merged into it when their
-    tags are equal and their coefficients agree within tolerance.
+    One pass: a hole past COVERAGE_SLACK before the first start, between a
+    start and the furthest end before it, or after the last end raises
+    CoverageGap.  The first entry starts at lo and the last ends at hi
+    (rewritten in place, after their check); a sub-tolerance sliver is
+    dropped, widening the next entry down to its start or the last kept
+    piece up to hi; an entry is snapped to the last kept piece and merged
+    into it when their tags are equal and coefficients agree within tolerance.
     """
-    a, b, c, _, h, t = entries[0]
+    gap = COVERAGE_SLACK * (1.0 + abs(lo) + abs(hi))
+    a, b, c, l, h, t = entries[0]
+    if l > lo + gap:
+        raise CoverageGap(f"gap [{lo}, {l}] in envelope coverage")
     entries[0] = (a, b, c, lo, h, t)
-    a, b, c, l, _, t = entries[-1]
+    a, b, c, l, h, t = entries[-1]
+    if h < hi - gap:
+        raise CoverageGap(f"gap [{h}, {hi}] in envelope coverage")
     entries[-1] = (a, b, c, l, hi, t)
+    reach = lo
     tol = TOLERANCE
     out: List[Raw] = []
     out_tags: List[Any] = []
     pending: Optional[float] = None
-    last_hi = 0.0  # the last kept piece's own upper end, before snapping
-    last_snap: Optional[float] = None  # where that piece was snapped to
     for a, b, c, lo, hi, t in entries:
+        if lo > reach + gap:
+            raise CoverageGap(f"gap [{reach}, {lo}] in envelope coverage")
+        if hi > reach:
+            reach = hi
         if pending is not None:
             lo = min(lo, pending)
         if hi - lo <= tol:
             pending = lo
             continue
         pending = None
-        last_hi, last_snap = hi, None
         if out:
             pa, pb, pc, plo, phi = out[-1]
             if lo != phi:
-                last_snap = phi
                 lo = phi
                 hi = max(hi, phi)
             if (
@@ -117,11 +151,8 @@ def normalize(entries: List[tuple], lo: float, hi: float) -> Tuple[PiecewiseQuad
         out_tags.append(t)
     if pending is not None:
         if out:
-            hi = max(last_hi, max(e[4] for e in entries))
-            if last_snap is not None:
-                hi = max(hi, last_snap)
             pa, pb, pc, plo, _ = out[-1]
-            out[-1] = (pa, pb, pc, plo, hi)
+            out[-1] = (pa, pb, pc, plo, entries[-1][4])
         else:
             out = [entries[-1][:5]]
             out_tags = [entries[-1][5]]
@@ -468,13 +499,4 @@ def lower_envelope(
         env = _env_merge(env, f.raw, tag, lo, hi)
     if not env:
         raise CoverageGap(f"no coverage of [{lo}, {hi}]")
-    span_tol = 1e3 * TOLERANCE * (1.0 + abs(lo) + abs(hi))
-    cur = lo
-    for e in env:
-        if e[3] > cur + span_tol:
-            raise CoverageGap(f"gap [{cur}, {e[3]}] in envelope coverage")
-        if e[4] > cur:
-            cur = e[4]
-    if cur < hi - span_tol:
-        raise CoverageGap(f"gap [{cur}, {hi}] in envelope coverage")
     return normalize(env, lo, hi)

@@ -302,7 +302,7 @@ def _valley_span(cell: Cell) -> Optional[Tuple[float, float]]:
     if cell.valley is None:
         return None
     (vx0, _), (vx1, _) = cell.valley
-    if vx1 - vx0 <= pw.TOLERANCE * (1.0 + abs(vx0) + abs(vx1)):
+    if vx1 - vx0 <= pw.VALLEY_POINT_SLACK * (1.0 + abs(vx0) + abs(vx1)):
         return None  # point valley: no riding possible, handled as type C
     return vx0, vx1
 
@@ -522,7 +522,7 @@ def _pin_end(
     delta = target - cur
     if delta == 0.0:
         return f
-    if abs(delta) > 1e-6 * (1.0 + abs(target)):
+    if abs(delta) > pw.DRIFT_SLACK * (1.0 + abs(target)):
         raise InvariantViolation(
             f"corner value mismatch: {cur} vs {target} at {'hi' if idx else 'lo'} end"
         )

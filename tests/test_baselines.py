@@ -121,6 +121,12 @@ class TestDiscreteFrechet:
 
 
 class TestGrid:
+    def test_tick_count_just_above_a_power_of_two(self):
+        # A segment of 4 + d ticks gets 4 when d is within 1e-12, the
+        # rounding of its arc length, and 8 past it.
+        for d, ticks in ((3e-13, 5), (3e-12, 9)):
+            assert len(_axis_ticks(build_curve([0, 4 + d]), 1.0, True)) == ticks
+
     def test_identical_zero_any_resolution(self):
         P = build_curve([0, 1, 0.5, 2])
         for res in (1, 3, 17, 64):

@@ -554,6 +554,12 @@ class TestOracleCheck:
         assert out.splitlines()[2] == "16,-0.25,-0.5"
         assert out.splitlines()[-1] == "exact,0.25,"
         assert err == "sandwich violation: grid below exact at resolution 16: gap -0.5\n"
+        # The slack is 1e-9 * (1 + |exact|), 1.25e-9 here: 3x below violates.
+        monkeypatch.setattr(cli, "cdtw_grid", lambda P, Q, cfg: (
+            0.25 - 3.75e-9 if cfg.resolution == 16 else real(P, Q, cfg)))
+        assert main(["oracle-check", *pair]) == 4
+        _, err = capsys.readouterr()
+        assert err.startswith("sandwich violation: grid below exact at resolution 16: gap -3.75")
 
     def test_overflowing_solve_is_too_large(self, tmp_path, capsys):
         a = write(tmp_path, "a.csv", "0\n1e155\n0\n")

@@ -74,6 +74,16 @@ class TestPointAt:
         with pytest.raises(OutOfDomain):
             point_at(c, 1.5)
 
+    def test_clamp_slack_is_relative_to_the_length(self):
+        # A position up to about 1e-12 * (1 + length) outside the curve is
+        # clamped onto it; 3x that is out of domain.
+        c = build_curve([0, 2])
+        assert point_at(c, 2 + 9e-13) == 2.0
+        assert point_at(c, -9e-13) == 0.0
+        for s in (2 + 9e-12, -9e-12):
+            with pytest.raises(OutOfDomain):
+                point_at(c, s)
+
     def test_vertex_values_recovered(self):
         c = build_curve([0.3, 1.7, 0.2, 0.9])
         for v, s in zip(c.vertices, c.prefix_lengths):
@@ -138,6 +148,15 @@ class TestCellInfo:
         cell = cell_info(P, Q, 1, 1)
         assert cell.same_direction
         assert cell.valley is None
+
+    def test_near_miss_within_slack_clips_to_a_point(self):
+        # Q = [1 + d, 2 + d] puts the valley line x - y = 1 + d a distance d
+        # right of cell (1, 1): within 1e-12 it touches the corner (1, 0)
+        # as a point valley, beyond it the valley misses the cell.
+        P = build_curve([0, 1])
+        cell = cell_info(P, build_curve([1 + 3e-13, 2 + 3e-13]), 1, 1)
+        assert cell.valley == ((1.0, 1.0 - cell.offset), (1.0, 1.0 - cell.offset))
+        assert cell_info(P, build_curve([1 + 3e-12, 2 + 3e-12]), 1, 1).valley is None
 
     def test_index_range(self):
         P = build_curve([0, 1])

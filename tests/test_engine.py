@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from cdtw import build_curve, cell_info, engine, errors
+from cdtw import piecewise as pw
 from cdtw.baselines import GridConfig, cdtw_grid
 from cdtw.engine import (
     EngineConfig,
@@ -415,6 +416,10 @@ class TestRobustness:
         monkeypatch.setattr(engine, "far_corner_cost", lambda *args: -1.0)
         with pytest.raises(errors.InvariantViolation, match=r"^negative distance -1\.0$"):
             solve([0, 1], [0.5, 1.5])
+        # The slack is 1e-6 * (1 + p + q), 3e-6 here: 3x that raises.
+        monkeypatch.setattr(engine, "far_corner_cost", lambda *args: -9e-6)
+        with pytest.raises(errors.InvariantViolation, match=r"^negative distance -9e-06$"):
+            solve([0, 1], [0.5, 1.5])
 
     def test_path_stepping_back_is_an_invariant_violation(self):
         # With p = q = 1 a leg may step back by 3e-6 (drift, clamped); the
@@ -425,6 +430,26 @@ class TestRobustness:
         with pytest.raises(errors.InvariantViolation, match=re.escape(
                 "non-monotone path leg (0.5,0.5) -> (0.4999,0.6)")):
             engine._polish_path(P, Q, [(1.0, 1.0), (0.4999, 0.6), (0.5, 0.5), (0.0, 0.0)])
+        # The step-back slack is 1e-6 * (1 + p + q), 3e-6: 9e-6 raises.
+        with pytest.raises(errors.InvariantViolation, match=re.escape(
+                "non-monotone path leg (0.5,0.5) -> (0.499991,0.6)")):
+            engine._polish_path(P, Q, [(1.0, 1.0), (0.499991, 0.6), (0.5, 0.5), (0.0, 0.0)])
+
+    def test_path_merge_and_valley_legs_within_slack_only(self):
+        # With p = q = 1 a point off the line through its neighbours by a
+        # cross product up to 1e-9 * (1 + p + q) times the legs' x + y span
+        # (6e-9 here) is dropped; 3x that stays.
+        P = Q = build_curve([0, 1])
+        for e, kept in ((1.8e-9, False), (1.8e-8, True)):
+            path = engine._polish_path(P, Q, [(1.0, 1.0), (0.5, 0.5 + e), (0.0, 0.0)])
+            assert path.points == (((0.0, 0.0), (0.5, 0.5 + e), (1.0, 1.0)) if kept
+                                   else ((0.0, 0.0), (1.0, 1.0)))
+        # A leg rides the valley where its dx - dy and its midpoint height
+        # are within 1e-6 * (1 + p + q) = 3e-6: d = 9e-7 is a ride, 9e-6 not.
+        for d, kind in ((9e-7, "valley-ride"), (9e-6, "diagonal")):
+            path = engine._polish_path(P, Q, [(1.0, 1.0), (0.5, 0.5 - d), (0.0, 0.0)])
+            assert path.points == ((0.0, 0.0), (0.5, 0.5 - d), (1.0, 1.0))
+            assert path.annotations == (kind, kind)
 
     def test_no_edge_jumps_after_valley_crossing_turns(self):
         # A single turn that crosses the valley line costs 0.5 * (t - x0)^2
@@ -664,3 +689,25 @@ def test_package_raises_only_cdtw_errors():
                 foreign.append(f"{path.name}:{node.lineno} {node.exc.func.id}")
     assert found >= 20  # the walk saw the package's raises
     assert foreign == []
+
+
+def test_slack_literals_live_only_in_the_precision_table():
+    """Every float literal in src/cdtw that reads as a slack (nonzero and
+    below 1e-3 in magnitude, or 1e3) sits in piecewise's table: the
+    module-level assignments to TOLERANCE and the *_SLACK names."""
+    table = [name for name in vars(pw) if name == "TOLERANCE" or name.endswith("_SLACK")]
+    in_table, stray = [], []
+    for path in sorted(Path(engine.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        entries = set()
+        if path.name == "piecewise.py":
+            for node in tree.body:
+                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") in table:
+                    entries.update(map(id, ast.walk(node)))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                    and (0 < abs(node.value) < 1e-3 or abs(node.value) == 1e3)):
+                where = f"{path.name}:{node.lineno} {node.value!r}"
+                (in_table if id(node) in entries else stray).append(where)
+    assert len(table) >= 8 and in_table  # the walk saw the table
+    assert stray == []

@@ -86,6 +86,16 @@ class TestEvaluate:
         with pytest.raises(OutOfDomain):
             pw.evaluate(f, 2.0)
 
+    def test_domain_slack_is_relative_to_the_ends(self):
+        # On [2, 3] a point is accepted up to 1e-9 * (1 + 2 + 3) = 6e-9
+        # outside, and read at the nearer end; 3x that is out of domain.
+        f = pwq((1, 0, 0, 2, 3))
+        assert pw.evaluate(f, 3 + 1.8e-9) == 9.0
+        assert pw.evaluate(f, 2 - 1.8e-9) == 4.0
+        for s in (3 + 1.8e-8, 2 - 1.8e-8):
+            with pytest.raises(OutOfDomain):
+                pw.evaluate(f, s)
+
 
 class TestAffineSubstitute:
     def test_shift(self):
@@ -406,6 +416,13 @@ class TestLowerEnvelope:
         f2 = pwq((0, 0, 1, 0.6, 1.0))
         with pytest.raises(CoverageGap):
             pw.lower_envelope(ranked([f1, f2]), 0.0, 1.0)
+        # Holes of 6e-6, three times the coverage slack (2e-6 here), at the
+        # start and inside.
+        with pytest.raises(CoverageGap, match=re.escape("gap [0.0, 6e-06]")):
+            pw.lower_envelope(ranked([pwq((0, 0, 1, 6e-6, 1.0))]), 0.0, 1.0)
+        halves = [pwq((0, 0, 1, 0.0, 0.5)), pwq((0, 0, 2, 0.500006, 1.0))]
+        with pytest.raises(CoverageGap, match=re.escape("gap [0.5, 0.500006]")):
+            pw.lower_envelope(ranked(halves), 0.0, 1.0)
 
     def test_fragment_outside_raises_no_coverage(self):
         with pytest.raises(CoverageGap, match="no coverage"):
@@ -414,6 +431,12 @@ class TestLowerEnvelope:
     def test_fragment_short_of_the_end_raises_gap(self):
         with pytest.raises(CoverageGap, match=re.escape("gap [0.5, 1.0]")):
             pw.lower_envelope(ranked([pwq((0, 0, 1, 0.0, 0.5))]), 0.0, 1.0)
+        # The coverage slack is 1e3 * 1e-9 * (1 + |lo| + |hi|), 2e-6 here:
+        # a hole of 6e-6 is a gap, one of 6e-7 is snapped shut.
+        with pytest.raises(CoverageGap, match=re.escape("gap [0.999994, 1.0]")):
+            pw.lower_envelope(ranked([pwq((0, 0, 1, 0.0, 0.999994))]), 0.0, 1.0)
+        env, _ = pw.lower_envelope(ranked([pwq((0, 0, 1, 0.0, 0.9999994))]), 0.0, 1.0)
+        assert env.raw == ((0, 0, 1, 0.0, 1.0),)
 
     def test_partial_fragments_compose(self):
         f1 = pwq((0, 0, 2, 0.0, 0.7))
@@ -562,10 +585,30 @@ class TestNormalize:
         assert f.raw == ((1.0, 0.0, 0.0, 0.0, 0.5), (1.000000000001, 0.0, 0.0, 0.5, 1.0))
         assert tags == ["a", "b"]
 
+    def test_merge_slack_is_relative_to_the_coefficients(self):
+        # Equal tags merge where coefficients agree within
+        # 1e-9 * (1 + |c| + |c'|), about 5e-9 for c = 2: 1.5e-9 apart
+        # merge, 1.5e-8 apart stay two pieces.
+        f, tags = pw.normalize([
+            (0.0, 0.0, 2.0, 0.0, 0.5, "a"), (0.0, 0.0, 2.0 + 1.5e-9, 0.5, 1.0, "a"),
+        ], 0.0, 1.0)
+        assert f.raw == ((0.0, 0.0, 2.0, 0.0, 1.0),)
+        assert tags == ["a"]
+        f, tags = pw.normalize([
+            (0.0, 0.0, 2.0, 0.0, 0.5, "a"), (0.0, 0.0, 2.0 + 1.5e-8, 0.5, 1.0, "a"),
+        ], 0.0, 1.0)
+        assert f.raw == ((0.0, 0.0, 2.0, 0.0, 0.5), (0.0, 0.0, 2.0 + 1.5e-8, 0.5, 1.0))
+        assert tags == ["a", "a"]
+
     def test_one_entry_takes_the_domain_ends(self):
-        f, tags = pw.normalize([(0.5, -1.0, 2.0, 0.1, 0.9, "t")], 0.0, 1.0)
+        # Ends within the coverage slack, 1e3 * 1e-9 * (1 + 0 + 1), are
+        # moved to the domain's; farther ones are a gap.
+        f, tags = pw.normalize([(0.5, -1.0, 2.0, 1e-6, 1.0 - 1e-6, "t")], 0.0, 1.0)
         assert f.raw == ((0.5, -1.0, 2.0, 0.0, 1.0),)
         assert tags == ["t"]
+        for lo, hi in ((0.1, 1.0), (0.0, 0.9)):
+            with pytest.raises(CoverageGap):
+                pw.normalize([(0.5, -1.0, 2.0, lo, hi, "t")], 0.0, 1.0)
 
 
 class TestStableRoots:

@@ -511,6 +511,16 @@ class TestTypeA:
 
 
 class TestTypeB:
+    def test_valley_span_slack_is_relative_to_its_ends(self):
+        # P = [0, 1] against Q = [1 - L, 2 - L] has the valley [1 - L, 1] in
+        # cell (1, 1).  It is ridden only if L exceeds about
+        # 1e-9 * (1 + |1 - L| + 1) = 3e-9; a shorter one is a point valley.
+        P = build_curve([0, 1])
+        for L, rides in ((9e-9, True), (9e-10, False)):
+            cell = cell_info(P, build_curve([1 - L, 2 - L]), 1, 1)
+            assert cell.valley is not None
+            assert (_valley_span(cell) is not None) == rides
+
     def test_wrong_cell_type(self):
         rng = random.Random(11)
         _, _, cell = random_cell(rng, want_same=False)
@@ -889,6 +899,9 @@ class TestPinEnd:
     def test_mismatch_past_bound_raises(self):
         with pytest.raises(InvariantViolation, match="corner value mismatch"):
             _pin_end(pw.constant(1.0, 0.0, 1.0), -1, 1.0, 1.0 + 1e-4)
+        # The bound is 1e-6 * (1 + |target|): 3e-6 * (1 + 2) past target 2.
+        with pytest.raises(InvariantViolation, match="corner value mismatch"):
+            _pin_end(pw.constant(2.0 - 9e-6, 0.0, 1.0), 0, 2.0 - 9e-6, 2.0)
 
     def test_drift_within_bound_is_pinned_exactly(self):
         target = 1.0 + 1e-7
