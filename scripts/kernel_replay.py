@@ -8,15 +8,19 @@ It solves the first three pairs of seed 41 of the ``solve_noise``
 benchmark (``bench/corpus.noise_pairs``: n = m = 50 values, uniform in
 [0, 1)) without path recording, and records the arguments of every call
 of ``piecewise.lower_envelope``, ``piecewise.capped`` and
-``piecewise.cumulative_min`` the solver makes.  Then it replays the calls
-of each kernel on their own, five times with the garbage collector off,
-and prints the number of calls and the best µs per call.
+``piecewise.cumulative_min`` the solver makes, in the form the solver
+passes them: ``lower_envelope`` gets each fragment as a list of raw
+pieces with its tag.  Then it replays the calls of each kernel on their
+own, five times with the garbage collector off, and prints the number of
+calls and the best µs per call.
 
 ``--out FILE`` writes the output of every replayed call (its pieces and
 tags, and for ``cumulative_min`` its annotations) with ``repr``, one line
 per call.  ``--check FILE`` compares the outputs with such a file, made
 under another version of ``src``, and exits 1 if any call differs, so
-equal files mean bit-identical kernels on these inputs.
+equal files mean bit-identical kernels on these inputs.  Only outputs are
+written, so a recording made while ``lower_envelope`` took fragments as
+``PiecewiseQuadratic`` objects checks the raw-list form as well.
 
 Only the standard library is used.
 """
@@ -46,7 +50,8 @@ def record(pairs: list) -> dict:
         kernel, log = originals[name], calls[name]
 
         def wrapper(*args):
-            # copy the lists a caller could reuse; everything else is immutable
+            # copy the argument lists a caller could reuse; the fragments'
+            # piece lists in lower_envelope's items are not changed later
             log.append(tuple(list(a) if isinstance(a, list) else a for a in args))
             return kernel(*args)
 

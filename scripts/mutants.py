@@ -52,7 +52,7 @@ ARC = "ARC_SLACK * (1.0 + total) or s > total * (1.0 + ARC_SLACK) + ARC_SLACK"
 
 def c2t_shifted(dc: str) -> str:
     """The C2T line with dc added to every fragment piece's constant."""
-    shifted = f"pw.from_raw([(*p[:2], p[2] + {dc}, *p[3:]) for p in frag.raw])"
+    shifted = f"[(*p[:2], p[2] + {dc}, *p[3:]) for p in frag]"
     return C2T.replace("(frag,", f"({shifted},")
 
 

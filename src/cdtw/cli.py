@@ -52,7 +52,7 @@ def load_series(path: str, warn: bool = True) -> List[float]:
         raise _UsageError(f"{path}: {getattr(exc, 'strerror', None) or exc}")
     if path.endswith(".json"):
         try:
-            data = json.loads(text)
+            data = json.loads(text, parse_int=float)  # past the float range: inf
         except json.JSONDecodeError as exc:
             raise _UsageError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
         if not isinstance(data, list) or not all(

@@ -91,7 +91,7 @@ def build_curve(values: Sequence[float]) -> Curve:
     for v in values:
         try:
             fv = float(v)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # an int past the float range overflows
             fv = math.nan
         if not math.isfinite(fv):
             raise InsufficientVertices(f"value {v!r} is not a finite number")

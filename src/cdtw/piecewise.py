@@ -10,7 +10,8 @@ Pieces are plain (a, b, c, lo, hi) tuples, "raw" pieces: a*s^2 + b*s + c
 restricted to the closed interval [lo, hi].  The tagged operations
 (cumulative_min, capped, lower_envelope) build their result as one list of
 (a, b, c, lo, hi, tag) entries, sorted by lo, and hand it to normalize,
-which makes it a function with one tag per piece.
+which makes it a function with one tag per piece.  lower_envelope takes
+its fragments as raw pieces too, unnormalised, as the solver makes them.
 """
 
 from __future__ import annotations
@@ -82,7 +83,11 @@ class PiecewiseQuadratic(NamedTuple):
         return len(self.raw)
 
     def value(self, s: float) -> float:
-        return evaluate(self, s)
+        """Value of the covering piece at s; OutOfDomain outside [lo, hi]."""
+        raw = self.raw
+        a, b, c, _, _ = raw[locate(raw, s)]
+        s = min(max(s, raw[0][3]), raw[-1][4])
+        return (a * s + b) * s + c
 
 
 def from_raw(raw: Iterable[Raw]) -> PiecewiseQuadratic:
@@ -104,20 +109,22 @@ def normalize(entries: List[tuple], lo: float, hi: float) -> Tuple[PiecewiseQuad
     One pass: a hole past COVERAGE_SLACK before the first start, between a
     start and the furthest end before it, or after the last end raises
     CoverageGap.  The first entry starts at lo and the last ends at hi
-    (rewritten in place, after their check); a sub-tolerance sliver is
-    dropped, widening the next entry down to its start or the last kept
-    piece up to hi; an entry is snapped to the last kept piece and merged
-    into it when their tags are equal and coefficients agree within tolerance.
+    (rewritten in place if they differ, after their check); a sub-tolerance
+    sliver is dropped, widening the next entry down to its start or the
+    last kept piece up to hi; an entry snaps to the last kept piece and
+    merges into it when tags are equal and coefficients within tolerance.
     """
     gap = COVERAGE_SLACK * (1.0 + abs(lo) + abs(hi))
     a, b, c, l, h, t = entries[0]
-    if l > lo + gap:
-        raise CoverageGap(f"gap [{lo}, {l}] in envelope coverage")
-    entries[0] = (a, b, c, lo, h, t)
+    if l != lo:
+        if l > lo + gap:
+            raise CoverageGap(f"gap [{lo}, {l}] in envelope coverage")
+        entries[0] = (a, b, c, lo, h, t)
     a, b, c, l, h, t = entries[-1]
-    if h < hi - gap:
-        raise CoverageGap(f"gap [{h}, {hi}] in envelope coverage")
-    entries[-1] = (a, b, c, l, hi, t)
+    if h != hi:
+        if h < hi - gap:
+            raise CoverageGap(f"gap [{h}, {hi}] in envelope coverage")
+        entries[-1] = (a, b, c, l, hi, t)
     reach = lo
     tol = TOLERANCE
     out: List[Raw] = []
@@ -139,9 +146,9 @@ def normalize(entries: List[tuple], lo: float, hi: float) -> Tuple[PiecewiseQuad
             if lo != phi:
                 lo = phi
                 hi = max(hi, phi)
-            if (
-                out_tags[-1] == t
-                and abs(pa - a) <= tol * (1.0 + abs(pa) + abs(a))
+            if out_tags[-1] == t and (  # about half the merges are exact
+                pa == a and pb == b and pc == c
+                or abs(pa - a) <= tol * (1.0 + abs(pa) + abs(a))
                 and abs(pb - b) <= tol * (1.0 + abs(pb) + abs(b))
                 and abs(pc - c) <= tol * (1.0 + abs(pc) + abs(c))
             ):
@@ -161,14 +168,6 @@ def normalize(entries: List[tuple], lo: float, hi: float) -> Tuple[PiecewiseQuad
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-
-def evaluate(f: PiecewiseQuadratic, s: float) -> float:
-    """Value of the covering piece at s; OutOfDomain outside [lo, hi]."""
-    raw = f.raw
-    a, b, c, _, _ = raw[locate(raw, s)]
-    s = min(max(s, raw[0][3]), raw[-1][4])
-    return (a * s + b) * s + c
 
 
 def locate(raw: Sequence[Raw], s: float) -> int:
@@ -481,12 +480,13 @@ def capped(
 
 
 def lower_envelope(
-    items: Sequence[Tuple[PiecewiseQuadratic, Tuple]],
+    items: Sequence[Tuple[Sequence[Raw], Tuple]],
     lo: float,
     hi: float,
 ) -> Tuple[PiecewiseQuadratic, List[Tuple]]:
-    """Pointwise minimum of (fragment, tag) items, with one tag per
-    output piece: the tag of the fragment that piece comes from.
+    """Pointwise minimum of (fragment, tag) items, fragments as raw pieces
+    in order, with one tag per output piece: the tag of the fragment that
+    piece comes from.
 
     A tag is a tuple led by a preference number; ties go to the larger
     one.  Fragments may cover only parts of [lo, hi]; jointly they must
@@ -495,8 +495,8 @@ def lower_envelope(
     if not items:
         raise CoverageGap("no candidate fragments")
     env: List[tuple] = []
-    for f, tag in items:
-        env = _env_merge(env, f.raw, tag, lo, hi)
+    for raw, tag in items:
+        env = _env_merge(env, raw, tag, lo, hi)
     if not env:
         raise CoverageGap(f"no coverage of [{lo}, {hi}]")
     return normalize(env, lo, hi)

@@ -23,7 +23,7 @@ all in reduced costs.  With S(u) = u|u|/2, the integral of |u|:
   envelope merges the fragments, and the travel pass along an output
   edge is its cumulative minimum from the corner route.  The valley is
   one more edge, of zero height, so its R is 0: the ride along it is the
-  same travel pass, with no corner route (propagate_type_b).
+  same travel pass, with no corner route (valley_ride).
 
 Every emitted fragment is the exact cost of a realisable path family, so
 the envelope is a true upper bound everywhere and tight where some family
@@ -41,10 +41,11 @@ cannot change a cell's output is skipped:
   span it misses the line and adds one quadratic to its input (_across).
 * no span-by-span comparison in type A but at the cut: the output is the
   cap up to where the input falls through it and the input after it
-  (piecewise.capped).  The valley entries and exits, like the
-  transports, are one unnormalised pass over an input (_leg); each
-  output edge is normalised once, by piecewise.normalize, which ends
-  capped, the envelope and travel alike.
+  (piecewise.capped).
+* no function object per fragment: every family hands the envelope raw
+  pieces (the valley entries and exits, like the transports, are one
+  pass over an input, _leg); each output edge is normalised once, by
+  piecewise.normalize, which ends capped, the envelope and travel alike.
 * travel returns the envelope as it is when it never rises from k.
 """
 
@@ -110,8 +111,8 @@ AV_TAG = Prov(PREF_BOTTOM, "Av", "bottom", IDENTITY)
 AH_TAG = Prov(PREF_LEFT, "Ah", "left", IDENTITY)
 CORNER_LEFT_TAG = Prov(PREF_LEFT, "corner", "left")
 CORNER_BOTTOM_TAG = Prov(PREF_BOTTOM, "corner", "bottom")
-# A candidate cost over part of an output edge, with its tag.
-Fragment = Tuple[PiecewiseQuadratic, Prov]
+# A candidate cost over part of an output edge, raw pieces in order, and its tag.
+Fragment = Tuple[Sequence[pw.Raw], Prov]
 # A route through an output edge's start corner: (constant cost, tag).
 Corner = Tuple[float, Prov]
 
@@ -177,19 +178,19 @@ def _leg(
 def _across(
     f: PiecewiseQuadratic, sgn: float, p0: float, p1: float, const: float, lo: float, hi: float,
     skip: Optional[Tuple[float, float]] = None,
-) -> Optional[PiecewiseQuadratic]:
+) -> List[pw.Raw]:
     """The reduced cost after a straight transport across a same-direction
-    cell from every point t of f's edge [lo, hi] off skip: f(t) +
-    2 S(sgn*t + p0) - 2 S(sgn*t + p1) + const with p0 >= p1, the
+    cell from every point t of f's edge [lo, hi] off skip, as raw pieces:
+    f(t) + 2 S(sgn*t + p0) - 2 S(sgn*t + p1) + const with p0 >= p1, the
     transport's integral doubled by the entry and exit edges' R.  skip is
     the span where the transports cross the valley, which B covers; the
-    result has a hole there, and is None if nothing is left."""
+    result has a hole there, and is empty if nothing is left."""
     out: List[pw.Raw] = []
     for plo, phi in ((lo, hi),) if skip is None else ((lo, skip[0]), (skip[1], hi)):
         if phi - plo > pw.TOLERANCE:
             for q in _s_combination_raw([(2.0, sgn, p0), (-2.0, sgn, p1)], const, plo, phi):
                 out += _leg(f.raw, 0.0, q, q[3], q[4])
-    return pw.from_raw(out) if out else None
+    return out
 
 
 def _edge_integrals(cell: Cell) -> Tuple[float, float, float, float]:
@@ -307,49 +308,52 @@ def _valley_span(cell: Cell) -> Optional[Tuple[float, float]]:
     return vx0, vx1
 
 
-def propagate_type_b(
-    cell: Cell, bottom: BoundaryCost, left: BoundaryCost
-) -> Tuple[List[Fragment], List[Fragment], BoundaryCost]:
-    """(top, right) valley-riding fragments and the valley's cost:
-    transport both inputs to the valley, ride it, and transport to the
-    outputs.
-
-    The valley is a zero-height edge, so its R is 0 and the ride is the
-    travel pass with no corner route; the valley cost, over x, tags each
-    piece with its entry (B1), wrapped in travel where the path rides.
-    The transport from the valley to an output point does not depend on
-    where the path leaves it (any reachable exit gives the same dip
-    integral), so the ride captures every entry point.  On the span each
-    input edge's R is one quadratic, which doubles the transport's
-    square.  So each entry and each exit is one pass over an input's
-    pieces (_leg): clip to the span, which lies inside both inputs
-    (cell_info clips the valley to the cell), shift by c where the frames
-    differ, and add one quadratic.
+def valley_ride(
+    cell: Cell, bottom: BoundaryCost, left: BoundaryCost, span: Optional[Tuple[float, float]]
+) -> Tuple[PiecewiseQuadratic, Sequence[Prov]]:
+    """The valley's cost over x on span = _valley_span(cell), one tag per
+    piece: the ride, a travel pass with no corner route (R is 0 on the
+    valley), over both inputs' transports to it, tagged with their entry
+    (B1) and wrapped in travel where the path rides.  Each entry, like
+    each exit in propagate_type_b, is one pass over an input (_leg): clip
+    to the span, which cell_info keeps inside both inputs, shift by c
+    where the frames differ, and add one quadratic (on the span the input
+    edge's R is one, which doubles the transport's square).
     """
-    span = _valley_span(cell)
-    if not cell.same_direction or span is None:
+    if span is None:  # as in every opposite-direction cell
         raise WrongCellType("type B needs a same-direction cell with a valley")
     vx0, vx1 = span
-    x0, x1 = cell.x_range
-    y0, y1 = cell.y_range
+    x0 = cell.x_range[0]
+    y0 = cell.y_range[0]
     c = cell.offset
     s00 = _s_halfsq(x0 - y0 - c)
-
     # Entry from the bottom edge at (v, y0), climbing to the valley.
     b1_bottom = _leg(bottom.cost.raw, 0.0, (1.0, -2.0 * (y0 + c), (y0 + c) ** 2 - s00), vx0, vx1)
     # Entry from the left edge at (x0, v - c), moving right to the valley.
     b1_left = _leg(left.cost.raw, -c, (1.0, -2.0 * x0, x0 * x0 + s00), vx0, vx1)
-    b2, tags = apply_edge_travel(*pw.lower_envelope(
-        [(pw.from_raw(b1_bottom), B1_BOTTOM_TAG), (pw.from_raw(b1_left), B1_LEFT_TAG)],
-        vx0, vx1), (math.inf, None))
+    return apply_edge_travel(*pw.lower_envelope(
+        [(b1_bottom, B1_BOTTOM_TAG), (b1_left, B1_LEFT_TAG)], vx0, vx1), (math.inf, None))
 
+
+def propagate_type_b(
+    cell: Cell, bottom: BoundaryCost, left: BoundaryCost, span: Optional[Tuple[float, float]]
+) -> Tuple[List[Fragment], List[Fragment]]:
+    """(top, right) valley-riding fragments on span = _valley_span(cell):
+    ride the valley and transport to the outputs.  The transport from the
+    valley to an output point does not depend on where the path leaves it
+    (any reachable exit gives the same dip integral), so the ride captures
+    every entry point."""
+    b2 = valley_ride(cell, bottom, left, span)[0].raw
+    vx0, vx1 = span
+    x0, x1 = cell.x_range
+    y0, y1 = cell.y_range
+    c = cell.offset
     # Exit upward to the top edge at (t, y1): transport (y1 - t + c)^2 / 2.
     up = (1.0, -2.0 * (y1 + c), (y1 + c) ** 2 + _s_halfsq(x0 - y1 - c))
-    top = [(pw.from_raw(_leg(b2.raw, 0.0, up, vx0, vx1)), B_TAG)]
     # Exit rightward to (x1, tau): valley coordinate tau + c.
     side = (1.0, -2.0 * (x1 - c), (x1 - c) ** 2 - _s_halfsq(x1 - y0 - c))
-    right = [(pw.from_raw(_leg(b2.raw, c, side, vx0 - c, vx1 - c)), B_TAG)]
-    return top, right, BoundaryCost(b2, tuple(tags))
+    return ([(_leg(b2, 0.0, up, vx0, vx1), B_TAG)],
+            [(_leg(b2, c, side, vx0 - c, vx1 - c), B_TAG)])
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +362,7 @@ def propagate_type_b(
 
 def _c2_catalogue(
     f: PiecewiseQuadratic, X0: float, X1: float, Y0: float, Y1: float, C: float
-) -> List[Tuple[PiecewiseQuadratic, float, float]]:
+) -> List[Tuple[Tuple[pw.Raw], float, float]]:
     """Single-turn path costs from the bottom edge to the right edge,
     in normalised frame coordinates and reduced costs.
 
@@ -376,8 +380,8 @@ def _c2_catalogue(
     (X1 - t - C)^2, and pathcost is f(s) + 2 (t - Y0) s plus terms free
     of s.  On a piece a s^2 + b s + c of f with a > 0 its minimum over s
     is at s(t) = alpha * t + beta, alpha = -1/a.  Each entry is (cost
-    fragment over the t where s(t) stays in the piece and the region,
-    alpha, beta).
+    fragment over the t where s(t) stays in the piece and the region, one
+    raw piece, alpha, beta).
 
     The inputs never rise (travel closure) and kink only concavely (an
     edge is a minimum of costs smooth in its coordinate).  So nothing
@@ -404,7 +408,7 @@ def _c2_catalogue(
     negate C) yields the left-to-top family, where C1T covers X0.
     """
     tol = pw.TOLERANCE * (1.0 + abs(X0) + abs(X1) + abs(Y0) + abs(Y1))
-    out: List[Tuple[PiecewiseQuadratic, float, float]] = []
+    out: List[Tuple[Tuple[pw.Raw], float, float]] = []
     y0c = Y0 + C
     x1c = X1 - C  # the ride term (t - x1c)^2, its constant kept in const
     const = -_s_halfsq(X0 - y0c) - _s_halfsq(X1 - y0c) + x1c * x1c
@@ -434,31 +438,31 @@ def _c2_catalogue(
         ea, eb, ec = pw.compose_linear(1.0, -2.0 * y0c, y0c ** 2, alpha, beta)
         da, db, dc = pw.compose_linear(-1.0, 0.0, 0.0, alpha - 1.0, beta - C)
         piece = (1.0 + qa + ea + da, -2.0 * x1c + qb + eb + db, const + qc + ec + dc, t_lo, t_hi)
-        out.append((pw.from_raw((piece,)), alpha, beta))
+        out.append(((piece,), alpha, beta))
     return out
 
 
 def propagate_type_c(
-    cell: Cell, bottom: BoundaryCost, left: BoundaryCost, h_bottom: float, v_left: float
+    cell: Cell, bottom: BoundaryCost, left: BoundaryCost, h_bottom: float, v_left: float,
+    span: Optional[Tuple[float, float]],
 ) -> Tuple[List[Fragment], List[Fragment]]:
     """(top, right) fragments of the straight transports (C1 families)
     and single-turn paths (C2 families) of a same-direction cell, with or
     without a valley; H and V are the integrals of h along the bottom and
-    up the left edge."""
+    up the left edge, span = _valley_span(cell)."""
     if not cell.same_direction:
         raise WrongCellType("type C applies to same-direction cells")
     x0, x1 = cell.x_range
     y0, y1 = cell.y_range
     c = cell.offset
     gb, gl = bottom.cost, left.cost
-    span = _valley_span(cell)
     # C1 transposed: bottom to top, vertical transport; C1: left to right,
     # horizontal transport across the full cell width; both off the span.
     c1t = _across(gb, 1.0, -(y0 + c), -(y1 + c), -v_left, x0, x1, span)
     c1 = _across(gl, -1.0, x1 - c, x0 - c, -h_bottom, y0, y1,
                  None if span is None else (span[0] - c, span[1] - c))
-    top = [] if c1t is None else [(c1t, C1T_TAG)]
-    right = [] if c1 is None else [(c1, C1_TAG)]
+    top = [(c1t, C1T_TAG)] if c1t else []
+    right = [(c1, C1_TAG)] if c1 else []
     # C2: bottom to right, single turn; C2T: left to top, the same with the
     # axes swapped and the valley offset negated.
     for frag, alpha, beta in _c2_catalogue(gb, x0, x1, y0, y1, c):
@@ -545,9 +549,10 @@ def solve_cell(
         (fin_top, prov_top), (fin_right, prov_right) = propagate_type_a(
             cell, bottom, left, h_bottom, v_left, top_k, right_k)
     else:
-        frags_top, frags_right = propagate_type_c(cell, bottom, left, h_bottom, v_left)
-        if _valley_span(cell) is not None:
-            b_top, b_right, _ = propagate_type_b(cell, bottom, left)
+        span = _valley_span(cell)
+        frags_top, frags_right = propagate_type_c(cell, bottom, left, h_bottom, v_left, span)
+        if span is not None:
+            b_top, b_right = propagate_type_b(cell, bottom, left, span)
             frags_top += b_top
             frags_right += b_right
         fin_top, prov_top = apply_edge_travel(*pw.lower_envelope(frags_top, *cell.x_range), top_k)

@@ -337,6 +337,37 @@ def path_cost(
     return total
 
 
+def exact_path_cost(
+    P: Curve, Q: Curve, points: Sequence[Tuple[float, float]]
+) -> float:
+    """Integral of h along a polyline path in parameter space, in closed
+    form.
+
+    Each leg is cut where it crosses a vertex line of P or of Q; between
+    cuts both curves are linear along the leg, so P - Q is linear in the
+    leg's arc length.  Each sub-leg is cut once more where P - Q is zero,
+    so h is linear on every part and the trapezoid rule is exact there.
+    """
+    total = 0.0
+    for (ax, ay), (bx, by) in zip(points, points[1:]):
+        dx, dy = bx - ax, by - ay
+        length = abs(dx) + abs(dy)
+        if length == 0.0:
+            continue
+        cuts = {0.0, 1.0}
+        for lo, hi, d, ends in ((ax, bx, dx, P.prefix_lengths), (ay, by, dy, Q.prefix_lengths)):
+            cuts.update((u - lo) / d for u in ends if min(lo, hi) < u < max(lo, hi))
+        cuts = sorted(cuts)
+        d = [point_at(P, ax + t * dx) - point_at(Q, ay + t * dy) for t in cuts]
+        for t0, t1, d0, d1 in zip(cuts, cuts[1:], d, d[1:]):
+            w = (t1 - t0) * length
+            if d0 * d1 < 0.0:  # h is zero at w * |d0| / (|d0| + |d1|) into the part
+                total += w * (d0 * d0 + d1 * d1) / (2.0 * (abs(d0) + abs(d1)))
+            else:
+                total += w * (abs(d0) + abs(d1)) / 2.0
+    return total
+
+
 def random_staircase(
     rng: random.Random,
     start: Tuple[float, float],

@@ -168,6 +168,14 @@ class TestCompute:
         assert main(["compute", a, b]) == 2
         assert "numeric array" in capsys.readouterr().err
 
+    def test_huge_json_integer_names_file(self, tmp_path, capsys):
+        # a JSON integer past the float range overflows in float()
+        a = write(tmp_path, "big.json", f"[{10**400}, 0]")
+        b = write(tmp_path, "b.csv", "0\n1\n")
+        assert main(["compute", a, b]) == 2
+        err = capsys.readouterr().err
+        assert "big.json" in err and "not a finite number" in err
+
     @pytest.mark.parametrize("measure", ["cdtw", "dtw", "dfrechet"])
     @pytest.mark.parametrize("name,text", [("bad.csv", ""), ("bad.json", "[0.5, NaN]")])
     def test_empty_or_nan_series_names_file(self, tmp_path, capsys, measure, name, text):

@@ -48,6 +48,12 @@ class TestBuildCurve:
         with pytest.raises(InsufficientVertices, match="value 'a' is not a finite number"):
             build_curve(["a", 1])
 
+    def test_huge_integer_value_rejected(self):
+        # float() of an int past the float range overflows rather than
+        # giving inf
+        with pytest.raises(InsufficientVertices, match=r"0 is not a finite number"):
+            build_curve([10**400, 1.0])
+
     def test_none_value_rejected(self):
         with pytest.raises(InsufficientVertices, match="value None is not a finite number"):
             build_curve([None, 1])

@@ -24,9 +24,9 @@ from cdtw.engine import (
     reconstruct_path,
 )
 from cdtw.errors import CoverageGap, InsufficientVertices, ProvenanceMissing, TooLarge
-from cdtw.propagation import B_TAG, PREF_BOTTOM, Prov, _valley_span, propagate_type_b
+from cdtw.propagation import B_TAG, PREF_BOTTOM, BoundaryCost, Prov, _valley_span, valley_ride
 
-from helpers import full, path_cost, random_curve, random_values, validate
+from helpers import exact_path_cost, full, path_cost, random_curve, random_values, validate
 
 
 def solve(p_vals, q_vals, **kw):
@@ -115,8 +115,8 @@ class TestPathCertificates:
             for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
                 assert x1 >= x0 - 1e-9
                 assert y1 >= y0 - 1e-9
-            cost = path_cost(P, Q, pts, samples_per_leg=512)
-            assert cost == pytest.approx(res.value, abs=2e-5 * (1 + res.value))
+            cost = exact_path_cost(P, Q, pts)
+            assert abs(cost - res.value) <= 1e-10 * res.value
 
     def test_last_leg_never_steps_back(self):
         # A cell edge sits at y = 8.0 while len(Q) rounds to
@@ -152,10 +152,11 @@ class TestPathCertificates:
         assert len(pts) == 3
         for a, b, c in zip(pts, pts[1:], pts[2:]):
             assert not a[0] == b[0] == c[0] and not a[1] == b[1] == c[1]
+        # the stepped path is not the solver's: sampled on both sides
         slack = 2e-5 * (1 + res.value)
         cost = path_cost(P, Q, pts, samples_per_leg=4096)
         assert cost == pytest.approx(path_cost(P, Q, stepped, samples_per_leg=4096), abs=slack)
-        assert cost == pytest.approx(res.value, abs=slack)
+        assert abs(exact_path_cost(P, Q, pts) - res.value) <= 1e-10 * res.value
 
     def test_collinear_legs_of_any_slope_merge(self):
         # A valley ride that crosses a vertex line keeps no point there.
@@ -345,6 +346,8 @@ class TestRobustness:
         assert (res.value, res.path) == (want.value, want.path)
         with pytest.raises(InsufficientVertices, match="'a' is not a finite number"):
             cdtw_exact(["a", 1.0], [0.5, 1.5])
+        with pytest.raises(InsufficientVertices, match="is not a finite number"):
+            cdtw_exact([10**400, 0.0], [0.0, 1.0])
 
     def test_sub_tolerance_segment_inside_sandwich(self):
         # P[3] -> P[4] is a 3.9e-9 segment: adding its edge integral once
@@ -556,7 +559,8 @@ class TestRobustness:
             for i, j in run.top:
                 cell = cell_info(run.P, run.Q, i, j)
                 if _valley_span(cell) is not None:
-                    edges.append((("valley", i, j), propagate_type_b(cell, *run.inputs(i, j))[2]))
+                    valley = valley_ride(cell, *run.inputs(i, j), _valley_span(cell))
+                    edges.append((("valley", i, j), BoundaryCost(*valley)))
                     valleys += 1
             for key, bc in edges:
                 assert rises(bc.cost.raw) == [], (k, key)

@@ -57,7 +57,7 @@ def random_pwq(rng, lo=0.0, hi=1.0, max_pieces=5, amp=2.0):
 def ranked(cands):
     """Envelope items tagging each candidate with its rank in cands, so
     that on ties the earlier candidate wins."""
-    return [(f, (-float(k), None)) for k, f in enumerate(cands)]
+    return [(f.raw, (-float(k), None)) for k, f in enumerate(cands)]
 
 
 def travel(f, qc):
@@ -73,28 +73,28 @@ def travel(f, qc):
 class TestEvaluate:
     def test_single_piece(self):
         f = pwq((1, 0, 0, 0, 1))
-        assert pw.evaluate(f, 0.5) == pytest.approx(0.25)
+        assert f.value(0.5) == pytest.approx(0.25)
 
     def test_breakpoint_continuity(self):
         f = pwq((1, 0, 0, 0, 1), (0, 2, -1, 1, 2))
-        assert pw.evaluate(f, 1.0) == pytest.approx(1.0)
+        assert f.value(1.0) == pytest.approx(1.0)
         first, second = quadratics(f)
         assert first.value(1.0) == pytest.approx(second.value(1.0))
 
     def test_out_of_domain(self):
         f = pwq((1, 0, 0, 0, 1))
         with pytest.raises(OutOfDomain):
-            pw.evaluate(f, 2.0)
+            f.value(2.0)
 
     def test_domain_slack_is_relative_to_the_ends(self):
         # On [2, 3] a point is accepted up to 1e-9 * (1 + 2 + 3) = 6e-9
         # outside, and read at the nearer end; 3x that is out of domain.
         f = pwq((1, 0, 0, 2, 3))
-        assert pw.evaluate(f, 3 + 1.8e-9) == 9.0
-        assert pw.evaluate(f, 2 - 1.8e-9) == 4.0
+        assert f.value(3 + 1.8e-9) == 9.0
+        assert f.value(2 - 1.8e-9) == 4.0
         for s in (3 + 1.8e-8, 2 - 1.8e-8):
             with pytest.raises(OutOfDomain):
-                pw.evaluate(f, s)
+                f.value(s)
 
 
 class TestAffineSubstitute:
@@ -487,7 +487,7 @@ class TestLowerEnvelope:
         f1 = pwq((1, 0, 0, 0, 1))
         f2 = pwq((1, 0, 0, 0, 1))
         env, tags = pw.lower_envelope(
-            [(f1, (0.0, "low")), (f2, (1.0, "high"))], 0.0, 1.0
+            [(f1.raw, (0.0, "low")), (f2.raw, (1.0, "high"))], 0.0, 1.0
         )
         assert all(t[1] == "high" for t in tags)
 
@@ -499,7 +499,7 @@ class TestLowerEnvelope:
         lo, hi = 17.16067336731037, 20.83796051744831
         e = pwq((1.5, -55.15930725206905, 520.6139702059293, lo, hi))
         q = pwq((-0.5, 20.83796051744831, -201.3341183480361, lo, hi))
-        env, _ = pw.lower_envelope([(e, (1.0, "e")), (q, (1.0, "q"))], lo, hi)
+        env, _ = pw.lower_envelope([(e.raw, (1.0, "e")), (q.raw, (1.0, "q"))], lo, hi)
         for k in range(11):
             s = lo + (hi - lo) * k / 10
             assert env.value(s) <= min(e.value(s), q.value(s)) + 1e-9

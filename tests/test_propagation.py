@@ -30,6 +30,7 @@ from cdtw.propagation import (
     propagate_type_b,
     propagate_type_c,
     solve_cell,
+    valley_ride,
 )
 
 from helpers import (
@@ -70,9 +71,20 @@ def type_a(cell: Cell, bottom: BoundaryCost, left: BoundaryCost):
 
 
 def type_c(cell: Cell, bottom: BoundaryCost, left: BoundaryCost):
-    """propagate_type_c with the edge integrals that solve_cell hands it."""
+    """propagate_type_c with the edge integrals and valley span that
+    solve_cell hands it."""
     h_bottom, v_left, _, _ = _edge_integrals(cell)
-    return propagate_type_c(cell, bottom, left, h_bottom, v_left)
+    return propagate_type_c(cell, bottom, left, h_bottom, v_left, _valley_span(cell))
+
+
+def type_b(cell: Cell, bottom: BoundaryCost, left: BoundaryCost):
+    """propagate_type_b with the valley span that solve_cell hands it."""
+    return propagate_type_b(cell, bottom, left, _valley_span(cell))
+
+
+def valley(cell: Cell, bottom: BoundaryCost, left: BoundaryCost) -> BoundaryCost:
+    """The valley's cost and tags, as the path trace re-derives them."""
+    return BoundaryCost(*valley_ride(cell, bottom, left, _valley_span(cell)))
 
 
 def random_consistent_input(rng, cell: Cell, side: str) -> BoundaryCost:
@@ -87,7 +99,7 @@ def random_consistent_input(rng, cell: Cell, side: str) -> BoundaryCost:
         s0 = rng.uniform(lo, hi)
         qb = -2 * qa * s0
         qc = rng.uniform(0, 1.5) + qa * s0 * s0
-        items.append((pw.from_raw([(qa, qb, qc, lo, hi)]), (0,)))
+        items.append(([(qa, qb, qc, lo, hi)], (0,)))
     f, _ = pw.lower_envelope(items, lo, hi)
     g = reduced(cell, side, f)
     pref = PREF_BOTTOM if side == "bottom" else PREF_LEFT
@@ -135,10 +147,10 @@ def straight_transport(cell: Cell, bottom: BoundaryCost, left: BoundaryCost, sid
     top, right = type_c(cell, bottom, left)
     frags = top if side == "top" else right
     if _valley_span(cell) is not None:
-        b_top, b_right, _ = propagate_type_b(cell, bottom, left)
+        b_top, b_right = type_b(cell, bottom, left)
         frags = frags + (b_top if side == "top" else b_right)
     kinds = ("C1T" if side == "top" else "C1", "B")
-    pieces = [p for f, tag in frags if tag.kind in kinds for p in f.raw]
+    pieces = [p for f, tag in frags if tag.kind in kinds for p in f]
     ride = edge_height_running(cell, side)
 
     def value(t: float) -> float:
@@ -208,7 +220,7 @@ class TestBandIntegrals:
         # from a zero full cost on the bottom edge to the top edge
         g = reduced(cell, "bottom", zero)
         g = _across(g, 1.0, -(y0 + c), -(y1 + c), -v_left, *cell.x_range)
-        band = full(cell, "top", g)
+        band = full(cell, "top", pw.from_raw(g))
         for t in np.linspace(*cell.x_range, 17):
             want = integrate_height_on_leg(P, Q, (t, y0), (t, y1), samples=4096)
             assert band.value(t) == pytest.approx(want, abs=1e-6)
@@ -445,7 +457,7 @@ class TestTypeA:
                                  ((PREF_LEFT, "f"), (PREF_BOTTOM, "k"))):
                 got, got_tags = pw.capped(f, shift, tag, cap, cap_tag)
                 want, want_tags = pw.lower_envelope(
-                    [(lifted_f, tag), (pw.constant(cap, lo, hi), cap_tag)], lo, hi)
+                    [(lifted_f.raw, tag), (pw.constant(cap, lo, hi).raw, cap_tag)], lo, hi)
                 assert got_tags == want_tags
                 assert len(got) == len(want)
                 for p, q in zip(got.raw, want.raw):
@@ -461,7 +473,7 @@ class TestTypeA:
                 qa = rng.uniform(-1.0, 1.5)
                 s0 = rng.uniform(lo, hi)
                 qc = rng.uniform(0.0, 1.5) + qa * s0 * s0
-                items.append((pw.from_raw([(qa, -2.0 * qa * s0, qc, lo, hi)]), (0,)))
+                items.append(([(qa, -2.0 * qa * s0, qc, lo, hi)], (0,)))
             f, _, _ = prefix_min(pw.lower_envelope(items, lo, hi)[0])
             top, bottom = f.value(lo), f.value(hi)
             shift = rng.uniform(-1.0, 1.0)
@@ -526,7 +538,7 @@ class TestTypeB:
         _, _, cell = random_cell(rng, want_same=False)
         bottom, left = random_cell_inputs(rng, cell)
         with pytest.raises(WrongCellType):
-            propagate_type_b(cell, bottom, left)
+            type_b(cell, bottom, left)
 
     def test_shifted_pair_through_cost(self):
         P = build_curve([0, 1])
@@ -553,9 +565,9 @@ class TestTypeB:
         zero_l = reduced(cell, "left", pw.constant(0.0, *cell.y_range))
         bottom = BoundaryCost(zero_b, (Prov(PREF_BOTTOM, "base", "bottom"),) * len(zero_b))
         left = BoundaryCost(zero_l, (Prov(PREF_LEFT, "base", "left"),) * len(zero_l))
-        top, _right, rec = propagate_type_b(cell, bottom, left)
+        top, _right = type_b(cell, bottom, left)
         (b3_top, _), = top
-        b3_top = full(cell, "top", b3_top)
+        b3_top = full(cell, "top", pw.from_raw(b3_top))
         # exit at top coordinate t costs only the climb from the valley
         c = cell.offset
         y1 = cell.y_range[1]
@@ -574,7 +586,7 @@ class TestTypeB:
                 continue
             bottom, left = random_cell_inputs(rng, cell)
             try:
-                _top, _right, rec = propagate_type_b(cell, bottom, left)
+                rec = valley(cell, bottom, left)
             except WrongCellType:
                 continue
             done += 1
@@ -606,10 +618,11 @@ class TestTypeB:
                 continue
             done += 1
             bottom, left = random_cell_inputs(rng, cell)
-            top, right, _ = propagate_type_b(cell, bottom, left)
+            top, right = type_b(cell, bottom, left)
             (b_top, _), = top
             (b_right, _), = right
-            b_top, b_right = full(cell, "top", b_top), full(cell, "right", b_right)
+            b_top = full(cell, "top", pw.from_raw(b_top))
+            b_right = full(cell, "right", pw.from_raw(b_right))
             fb, fl = costs(cell, bottom, left)
             x0, x1 = cell.x_range
             y0, y1 = cell.y_range
@@ -647,7 +660,7 @@ class TestTypeC:
         c1 = next(
             (f, t) for f, t in right if t.kind == "C1"
         )[0]
-        c1 = full(cell, "right", c1)
+        c1 = full(cell, "right", pw.from_raw(c1))
         x0, x1 = cell.x_range
         c = cell.offset
         for tau in np.linspace(y0, y1, 11):
@@ -677,7 +690,7 @@ class TestTypeC:
         for cell, bottom, left in cases:
             _top, right = type_c(cell, bottom, left)
             _top_bc, right_bc = solve_cell(cell, bottom, left)
-            right = [(full(cell, "right", f), t) for f, t in right]
+            right = [(full(cell, "right", pw.from_raw(f)), t) for f, t in right]
             right_f = full(cell, "right", right_bc.cost)
             x0, x1 = cell.x_range
             y0, y1 = cell.y_range
@@ -765,12 +778,13 @@ class TestTypeC:
             c = cell.offset
             c1t = _across(bottom.cost, 1.0, -(y0 + c), -(y1 + c), -v_left, x0, x1)
             c1 = _across(left.cost, -1.0, x1 - c, x0 - c, -h_bottom, y0, y1)
-            [(b_top, _)], [(b_right, _)], _ = propagate_type_b(cell, bottom, left)
+            [(b_top, _)], [(b_right, _)] = type_b(cell, bottom, left)
             for side, straight, ride, lo, hi in (
                 ("top", c1t, b_top, span[0], span[1]),
                 ("right", c1, b_right, span[0] - c, span[1] - c),
             ):
-                straight, ride = full(cell, side, straight), full(cell, side, ride)
+                straight = full(cell, side, pw.from_raw(straight))
+                ride = full(cell, side, pw.from_raw(ride))
                 for t in np.linspace(lo, hi, 25):
                     want = straight.value(t)
                     assert ride.value(t) <= want + 1e-12 * (1.0 + abs(want))
@@ -796,7 +810,7 @@ class TestTypeC:
                     if tag.kind != kind:
                         continue
                     alpha, beta = tag.data
-                    a = f.raw[pw.locate(f.raw, alpha * 0.5 * (frag.lo + frag.hi) + beta)][0]
+                    a = f.raw[pw.locate(f.raw, alpha * 0.5 * (frag[0][3] + frag[-1][4]) + beta)][0]
                     assert a > 0 and alpha == pytest.approx(-1.0 / a, rel=1e-12), tag
                     turns += 1
             assert all(t.kind != "corner" for _f, t in top + right)
@@ -871,11 +885,11 @@ class TestTypeC:
                 ("C2T", left.cost, (y0, y1, x0, x1, -c)),
             ):
                 cat = _c2_catalogue(f, X0, X1, Y0, Y1, C)
-                emitted = [(g.raw, t.data) for g, t in top + right if t.kind == kind]
-                assert emitted == [(g.raw, (a, b)) for g, a, b in cat]
+                emitted = [(g, t.data) for g, t in top + right if t.kind == kind]
+                assert emitted == [(g, (a, b)) for g, a, b in cat]
                 tol = 1e-9 * (1.0 + abs(X0) + abs(X1) + abs(Y0) + abs(Y1))
                 for g, a, b in cat:
-                    for t in (g.lo, g.hi):
+                    for t in (g[0][3], g[-1][4]):
                         s = a * t + b
                         assert X0 - tol <= s <= X1 + tol
                         assert s >= Y0 + C - tol
@@ -1067,7 +1081,7 @@ class TestSolveCell:
                     # the valley cost's tag at the exit: the entry, wrapped
                     # in travel where the path rides from an earlier point
                     v_exit = t if edge == "top" else t + c
-                    rec = propagate_type_b(cell, bottom, left)[2]
+                    rec = valley(cell, bottom, left)
                     entry = rec.prov[pw.locate(rec.cost.raw, v_exit)]
                     v_in = v_exit
                     if entry.kind == "travel":
@@ -1094,7 +1108,7 @@ class TestSolveCell:
             P, Q, cell = random_cell(rng, want_same=True)
             bottom, left = random_cell_inputs(rng, cell)
             try:
-                _top, _right, rec = propagate_type_b(cell, bottom, left)
+                rec = valley(cell, bottom, left)
             except WrongCellType:
                 continue
             seen += 1
@@ -1121,7 +1135,8 @@ class TestSolveCell:
             if cell.same_direction:
                 top, right = type_c(cell, bottom, left)
                 try:
-                    b_top, b_right, rec = propagate_type_b(cell, bottom, left)
+                    b_top, b_right = type_b(cell, bottom, left)
+                    rec = valley(cell, bottom, left)
                 except WrongCellType:
                     pass
                 else:
