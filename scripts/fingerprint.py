@@ -11,10 +11,11 @@ Where a change is allowed to move results by rounding, compare instead
 of printing: ``--against before.json`` (with the flags that made it)
 lists the pairs and edges that differ and the worst relative difference
 in values, path points, grid values and edge functions, and exits 1 if
-any of them is above 1e-12.  A path that changes shape also lists the
-points found on one side only, marking each that lies on one line, of
-any slope, with both its neighbours (dropping it leaves the same
-polyline).  Two edge functions are compared at the ends and midpoint of
+any of them is above 1e-12 or if any pair's total piece count differs
+(rounding can move a value, but it should not split or merge pieces).
+A path that changes shape also lists the points found on one side
+only, marking each that lies on one line, of any slope, with both its
+neighbours (dropping it leaves the same polyline).  Two edge functions are compared at the ends and midpoint of
 every span between the breakpoints of either, each evaluated with its
 piece covering the span; spans narrower than the solver tolerance are
 skipped, so that a breakpoint moved by rounding at a jump does not read
@@ -159,12 +160,13 @@ def _one_side_points(path: list, other: list) -> str:
 
 def compare(before: list, after: list) -> int:
     """Print what differs between two fingerprints; 1 if anything moved by
-    more than MAX_REL_DIFF (or changed shape), else 0."""
+    more than MAX_REL_DIFF (or changed shape) or a piece count changed,
+    else 0."""
     if len(before) != len(after):
         print(f"pair count differs: {len(before)} vs {len(after)}")
         return 1
     worst = dict.fromkeys(("value", "path", "edges", "grid"), 0.0)
-    n_edges = n_prov = 0
+    n_edges = n_prov = n_pieces = 0
     for k, (b, a) in enumerate(zip(before, after)):
         notes = []
         vb, va = b["value"], a["value"]
@@ -172,6 +174,7 @@ def compare(before: list, after: list) -> int:
             worst["value"] = max(worst["value"], _rel(vb, va, max(abs(vb), abs(va))))
             notes.append(f"value {vb!r} -> {va!r}")
         if b["total_pieces"] != a["total_pieces"]:
+            n_pieces += 1
             notes.append(f"total_pieces {b['total_pieces']} -> {a['total_pieces']}")
         bp, ap = b.get("path", []), a.get("path", [])
         if b.get("annotations") != a.get("annotations") or len(bp) != len(ap):
@@ -212,8 +215,10 @@ def compare(before: list, after: list) -> int:
             print(f"pair {k}: {note}")
     if n_edges:
         print(f"{n_edges} edge functions differ, {n_prov} of them in provenance")
+    if n_pieces:
+        print(f"{n_pieces} pairs differ in total_pieces")
     print("worst relative difference: " + ", ".join(f"{k} {v:.3g}" for k, v in worst.items()))
-    return 1 if max(worst.values()) > MAX_REL_DIFF else 0
+    return 1 if max(worst.values()) > MAX_REL_DIFF or n_pieces else 0
 
 
 def main() -> int:

@@ -20,7 +20,10 @@ times its value (looser), the sites that share an entry at ten times their
 slack, and the ten mutants of the first raise-site census: the distance
 scaled by 0.99, 1.01 and 1 +- 1e-9, single-turn (C2T) fragments shifted by
 -1e-8 and +1e-10, ``PREF_BOTTOM`` 2.5, and the ``_nonincreasing`` and
-``_pin_end`` slacks at 100 and 10,000 times.  Edits write no float
+``_pin_end`` slacks at 100 and 10,000 times.  Three more edit the
+conditional clamps that stand for builtin ``max`` and ``min``: ``_leg``'s
+clamps with the flipped tie order, ``_leg``'s overlap test closed, and
+``_c2_catalogue``'s range update taking a tie.  Edits write no float
 literal below 1e-3 (they scale ``TOLERANCE``), so the census test of such
 literals does not stand in for the test that should kill them.
 
@@ -45,7 +48,8 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIMEOUT = 1200.0  # seconds per tier-1 run
 PW, PROP, ENG = "src/cdtw/piecewise.py", "src/cdtw/propagation.py", "src/cdtw/engine.py"
-C2T = 'top.append((frag, Prov(PREF_LEFT, "C2T", "left", (alpha, beta))))'
+C2T = 'top.append((frag, tuple.__new__(Prov, (PREF_LEFT, "C2T", "left", (alpha, beta), None))))'
+LEG_CLAMP = "lo if lo > l else l, hi if hi < h else h"
 VALUE = "value = max(value, 0.0)\n"
 ARC = "ARC_SLACK * (1.0 + total) or s > total * (1.0 + ARC_SLACK) + ARC_SLACK"
 
@@ -87,6 +91,10 @@ MUTANTS = [
     ("pref-bottom-2.5", PROP, "PREF_BOTTOM = 1.0", "PREF_BOTTOM = 2.5", 1),
     ("nonincreasing-x100", PROP, "> low + pw.TOLERANCE:", "> low + 100 * pw.TOLERANCE:", 1),
     ("pin-end-x1e4", PROP, "> pw.DRIFT_SLACK *", "> 1e4 * pw.DRIFT_SLACK *", 1),
+    # the conditional clamps that stand for builtin max and min
+    ("leg-flipped-ties", PROP, LEG_CLAMP, "l if l > lo else lo, h if h < hi else hi", 1),
+    ("leg-overlap-closed", PROP, "if l < hi and h > lo:", "if l <= hi and h > lo:", 1),
+    ("c2-range-tie", PROP, "if x > t_lo:", "if x >= t_lo:", 1),
 ]
 
 

@@ -158,14 +158,16 @@ def cell_info(P: Curve, Q: Curve, i: int, j: int) -> Cell:
     if dp == dq:
         # P(x) - Q(y) = dp * (x - y - c) inside the cell.
         c = (x0 - y0) - dp * (p0 - q0)
-        vx_lo = max(x0, y0 + c)
-        vx_hi = min(x1, y1 + c)
+        # the clamps break ties as max and min do, without their call cost
+        vx_lo = y0 + c if y0 + c > x0 else x0
+        vx_hi = y1 + c if y1 + c < x1 else x1
         if vx_hi < vx_lo - VALLEY_MISS_SLACK:
             valley = None
         else:  # a near miss clips to a point inside [x0, x1]
-            vx_lo, vx_hi = min(vx_lo, x1), max(vx_hi, x0)
+            vx_lo = x1 if x1 < vx_lo else vx_lo
+            vx_hi = x0 if x0 > vx_hi else vx_hi
             valley = ((vx_lo, vx_lo - c), (vx_hi, vx_hi - c))
-        return Cell(i, j, (x0, x1), (y0, y1), dp, dq, c, valley)
+        return tuple.__new__(Cell, (i, j, (x0, x1), (y0, y1), dp, dq, c, valley))
     # P(x) - Q(y) = dp * (x + y - c') inside the cell.
     c = (x0 + y0) - dp * (p0 - q0)
-    return Cell(i, j, (x0, x1), (y0, y1), dp, dq, c, None)
+    return tuple.__new__(Cell, (i, j, (x0, x1), (y0, y1), dp, dq, c, None))

@@ -86,7 +86,9 @@ class PiecewiseQuadratic(NamedTuple):
         """Value of the covering piece at s; OutOfDomain outside [lo, hi]."""
         raw = self.raw
         a, b, c, _, _ = raw[locate(raw, s)]
-        s = min(max(s, raw[0][3]), raw[-1][4])
+        lo, hi = raw[0][3], raw[-1][4]
+        s = lo if lo > s else s  # max(s, lo), then min(s, hi), ties as theirs
+        s = hi if hi < s else s
         return (a * s + b) * s + c
 
 
@@ -177,7 +179,7 @@ def locate(raw: Sequence[Raw], s: float) -> int:
     tol = TOLERANCE * (1.0 + abs(lo) + abs(hi))
     if s < lo - tol or s > hi + tol:
         raise OutOfDomain(f"{s} outside [{lo}, {hi}]")
-    s = min(max(s, lo), hi)
+    # unclamped: s below lo stops at the first piece, s above hi falls to the last
     for k, p in enumerate(raw):
         if s <= p[4]:
             return k
@@ -469,7 +471,10 @@ def capped(
             low, high = high, low
         if a != 0.0 and lo < -b / (2.0 * a) < hi:
             v = c - b * b / (4.0 * a)
-            low, high = min(low, v), max(high, v)
+            if v < low:  # min(low, v) and max(high, v), ties as theirs
+                low = v
+            elif v > high:
+                high = v
         if low - cap > tol * (1.0 + abs(low) + abs(cap)):
             env.append((0.0, 0.0, cap, lo, hi, cap_tag))
         elif cap - high > tol * (1.0 + abs(high) + abs(cap)):

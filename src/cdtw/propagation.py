@@ -170,9 +170,14 @@ def _leg(
     [lo + beta, hi + beta] and q = (a, b, c, ...) one quadratic: one pass
     that clips, shifts and adds, with no normalisation."""
     qa, qb, qc = q[0], q[1], q[2]
-    return [(a + qa, 2.0 * a * beta + b + qb, (a * beta + b) * beta + c + qc,
-             max(l - beta, lo), min(h - beta, hi))
-            for a, b, c, l, h in raw if l - beta < hi and h - beta > lo]
+    out = []
+    for a, b, c, l, h in raw:
+        l -= beta
+        h -= beta
+        if l < hi and h > lo:  # the clamps break ties as max and min do
+            out.append((a + qa, 2.0 * a * beta + b + qb, (a * beta + b) * beta + c + qc,
+                        lo if lo > l else l, hi if hi < h else h))
+    return out
 
 
 def _across(
@@ -200,8 +205,9 @@ def _edge_integrals(cell: Cell) -> Tuple[float, float, float, float]:
     y0, y1 = cell.y_range
     c = cell.offset
     dy = -1.0 if cell.same_direction else 1.0
-    s00, s10 = _s_halfsq(x0 + dy * y0 - c), _s_halfsq(x1 + dy * y0 - c)
-    s01, s11 = _s_halfsq(x0 + dy * y1 - c), _s_halfsq(x1 + dy * y1 - c)
+    u00, u10, u01, u11 = x0 + dy * y0 - c, x1 + dy * y0 - c, x0 + dy * y1 - c, x1 + dy * y1 - c
+    s00, s10 = u00 * abs(u00) / 2.0, u10 * abs(u10) / 2.0  # S(u), inlined per cell
+    s01, s11 = u01 * abs(u01) / 2.0, u11 * abs(u11) / 2.0
     return s10 - s00, dy * (s01 - s00), s11 - s01, dy * (s11 - s10)
 
 
@@ -427,10 +433,12 @@ def _c2_catalogue(
                 if g1 < -pw.TOLERANCE:
                     t_hi = -math.inf
                 continue
+            x = -g1 / g0
             if g0 > 0:
-                t_lo = max(t_lo, -g1 / g0)
-            else:
-                t_hi = min(t_hi, -g1 / g0)
+                if x > t_lo:
+                    t_lo = x
+            elif x < t_hi:
+                t_hi = x
         if t_hi - t_lo <= tol:
             continue
         qa, qb, qc = pw.compose_linear(pa, pb, pc, alpha, beta)
@@ -466,9 +474,10 @@ def propagate_type_c(
     # C2: bottom to right, single turn; C2T: left to top, the same with the
     # axes swapped and the valley offset negated.
     for frag, alpha, beta in _c2_catalogue(gb, x0, x1, y0, y1, c):
-        right.append((frag, Prov(PREF_BOTTOM, "C2", "bottom", (alpha, beta))))
+        right.append(
+            (frag, tuple.__new__(Prov, (PREF_BOTTOM, "C2", "bottom", (alpha, beta), None))))
     for frag, alpha, beta in _c2_catalogue(gl, y0, y1, x0, x1, -c):
-        top.append((frag, Prov(PREF_LEFT, "C2T", "left", (alpha, beta))))
+        top.append((frag, tuple.__new__(Prov, (PREF_LEFT, "C2T", "left", (alpha, beta), None))))
     return top, right
 
 
@@ -509,7 +518,7 @@ def apply_edge_travel(
     g, args, mtags = pw.cumulative_min(env, tags, start)
     # A flat piece departs from the argmin s*: wrap its source's provenance.
     return g, [
-        tag if arg is None else Prov(tag.pref, "travel", "", (arg,), tag)
+        tag if arg is None else tuple.__new__(Prov, (tag.pref, "travel", "", (arg,), tag))
         for arg, tag in zip(args, mtags)
     ]
 
@@ -564,16 +573,23 @@ def solve_cell(
     # its edge, so its corner values are those of its end pieces, and an
     # edge's cost at its end is the reduced cost plus the edge's integral.
     # A start corner is pinned down to its corner route where it reads above.
-    top_lo, right_lo = _end_value(fin_top, 0), _end_value(fin_right, 0)
+    a, b, c, s, _ = fin_top.raw[0]
+    top_lo = (a * s + b) * s + c
+    a, b, c, s, _ = fin_right.raw[0]
+    right_lo = (a * s + b) * s + c
     if right_lo > right_k[0]:
         fin_right = _pin_end(fin_right, 0, right_lo, right_k[0])
     if top_lo > top_k[0]:
         fin_top = _pin_end(fin_top, 0, top_lo, top_k[0])
-    top_hi, right_hi = _end_value(fin_top, -1), _end_value(fin_right, -1)
+    a, b, c, _, s = fin_top.raw[-1]
+    top_hi = (a * s + b) * s + c
+    a, b, c, _, s = fin_right.raw[-1]
+    right_hi = (a * s + b) * s + c
     at_top, at_right = top_hi + h_top, right_hi + v_right
     if at_top < at_right:
         fin_right = _pin_end(fin_right, -1, right_hi, at_top - v_right)
     elif at_right < at_top:
         fin_top = _pin_end(fin_top, -1, top_hi, at_right - h_top)
 
-    return BoundaryCost(fin_top, tuple(prov_top)), BoundaryCost(fin_right, tuple(prov_right))
+    return (tuple.__new__(BoundaryCost, (fin_top, tuple(prov_top))),
+            tuple.__new__(BoundaryCost, (fin_right, tuple(prov_right))))

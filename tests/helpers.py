@@ -4,8 +4,9 @@ Everything here is deliberately independent of the production algorithms:
 dense sampling, brute-force enumeration, and direct numerical integration.
 Slower and cruder, but with failure modes unrelated to the code under test.
 The exceptions are reference implementations that a rework must match
-exactly (the lattice solver, one-piece envelope insertion), the
-small-instance lattice oracle on ticks not rounded to powers of two, the
+exactly (the lattice solver, one-piece envelope insertion, and _leg,
+locate and PiecewiseQuadratic.value clamping with builtin max and min),
+the small-instance lattice oracle on ticks not rounded to powers of two, the
 invariant checks on piecewise functions that only tests run, a piece as a
 Quadratic object for the oracles that read pieces by name, the sum,
 shift and restriction of raw pieces that only tests use, and the conversion
@@ -293,6 +294,37 @@ def reference_env_insert(env: List[tuple], q: tuple) -> List[tuple]:
         else:
             out.insert(right, tail)
     return out
+
+
+def reference_leg(
+    raw: Sequence[pw.Raw], beta: float, q: Sequence[float], lo: float, hi: float
+) -> List[pw.Raw]:
+    """propagation._leg as a comprehension clamping with builtin max and
+    min: the tie order (and so the signed zeros) its plain loop must keep."""
+    qa, qb, qc = q[0], q[1], q[2]
+    return [(a + qa, 2.0 * a * beta + b + qb, (a * beta + b) * beta + c + qc,
+             max(l - beta, lo), min(h - beta, hi))
+            for a, b, c, l, h in raw if l - beta < hi and h - beta > lo]
+
+
+def reference_locate(raw: Sequence[pw.Raw], s: float) -> int:
+    """piecewise.locate with s clamped to the domain by builtin max and min."""
+    lo, hi = raw[0][3], raw[-1][4]
+    tol = TOLERANCE * (1.0 + abs(lo) + abs(hi))
+    if s < lo - tol or s > hi + tol:
+        raise OutOfDomain(f"{s} outside [{lo}, {hi}]")
+    s = min(max(s, lo), hi)
+    for k, p in enumerate(raw):
+        if s <= p[4]:
+            return k
+    return len(raw) - 1
+
+
+def reference_value(f, s: float) -> float:
+    """PiecewiseQuadratic.value with the builtin clamp."""
+    a, b, c, _, _ = f.raw[reference_locate(f.raw, s)]
+    s = min(max(s, f.raw[0][3]), f.raw[-1][4])
+    return (a * s + b) * s + c
 
 
 # ---------------------------------------------------------------------------

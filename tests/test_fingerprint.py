@@ -3,7 +3,8 @@
 tests/data/fingerprint.json is the output of ``scripts/fingerprint.py``
 with no flags: the value, path, path annotations and piece count of 63
 exact solves.  A change that moves a value or a path point by more than
-1e-12 relative, or changes a path's shape, fails here.  Remake the file
+1e-12 relative, changes a path's shape or changes a solve's total piece
+count fails here.  Remake the file
 only with a change that says in CHANGES.md why its results move.
 """
 

@@ -24,6 +24,8 @@ from helpers import (
     pwq_prefix_min,
     quadratics,
     reference_env_insert,
+    reference_locate,
+    reference_value,
     shift_raw,
     validate,
 )
@@ -95,6 +97,21 @@ class TestEvaluate:
         for s in (3 + 1.8e-8, 2 - 1.8e-8):
             with pytest.raises(OutOfDomain):
                 f.value(s)
+
+    def test_clamp_breaks_ties_as_the_builtins(self):
+        # s = -0.0 or 0.0 read at a domain end of 0.0 or -0.0, and points
+        # just outside the ends: locate and value agree with the clamp
+        # min(max(s, lo), hi), signed zero of the value included.
+        rng = random.Random(30)
+        zeros = (-0.0, 0.0)
+        domains = [(z, 1.0) for z in zeros] + [(-1.0, z) for z in zeros]
+        for lo, hi in domains:
+            mid = 0.5 * (lo + hi)
+            f = pwq((0.0, 1.0, -0.0, lo, mid), (rng.uniform(-1, 1), 1.0, -0.0, mid, hi))
+            for s in (*zeros, lo - 1e-10, hi + 1e-10, rng.uniform(lo, hi)):
+                assert pw.locate(f.raw, s) == reference_locate(f.raw, s)
+                assert repr(f.value(s)) == repr(reference_value(f, s))
+        assert repr(pwq((0.0, 1.0, -0.0, 0.0, 1.0)).value(-0.0)) == "-0.0"
 
 
 class TestAffineSubstitute:

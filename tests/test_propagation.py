@@ -20,6 +20,7 @@ from cdtw.propagation import (
     _c2_catalogue,
     _corner_routes,
     _edge_integrals,
+    _leg,
     _pin_end,
     _s_combination_raw,
     _valley_span,
@@ -47,6 +48,7 @@ from helpers import (
     random_curve,
     random_staircase,
     reduced,
+    reference_leg,
     validate,
 )
 
@@ -644,6 +646,15 @@ class TestTypeC:
         with pytest.raises(WrongCellType):
             type_c(cell, bottom, left)
 
+    def test_catalogue_range_ties_keep_the_range_end(self):
+        # On f = s^2 - 2s over [0, 1] the turn s(t) = t + 1 stays inside
+        # the piece from t = -(1 - 1) / 1 = -0.0 on: a tie with Y0 = 0.0,
+        # which keeps Y0, as max(0.0, -0.0) does.
+        f = pw.from_raw([(1.0, -2.0, 0.0, 0.0, 1.0)])
+        ((piece,), alpha, beta), = _c2_catalogue(f, 0.0, 1.0, 0.0, 1.0, 0.0)
+        assert (alpha, beta, piece[3:]) == (-1.0, 1.0, (0.0, 0.5))
+        assert math.copysign(1.0, piece[3]) > 0
+
     def test_c1_constant_shift(self):
         # A cell without a valley, where C1 spans the whole right edge.
         rng = random.Random(17)
@@ -907,6 +918,27 @@ class TestTypeC:
         want, _, _ = prefix_min(f)
         for s in np.linspace(f.lo, f.hi, 200):
             assert out.value(s) == pytest.approx(want.value(s), abs=1e-9)
+
+
+class TestLeg:
+    def test_clamps_break_ties_as_the_builtins(self):
+        # Window ends at -0.0 and 0.0, pieces ending exactly at a window end
+        # and pieces touching the window at one point: the plain loop gives
+        # the comprehension's pieces, signed zeros included.
+        rng = random.Random(30)
+        marks = [-1.0, -0.0, 0.0, 0.5, 1.0]
+        for _ in range(500):
+            beta = 0.0 if rng.random() < 0.5 else rng.uniform(-1.0, 1.0)
+            xs = sorted(rng.sample(marks, 3) + [rng.uniform(-1.5, 1.5) for _ in range(2)])
+            raw = [(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2), l, h)
+                   for l, h in zip(xs, xs[1:])]
+            lo, hi = sorted(rng.sample(marks, 2))
+            q = (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
+            assert repr(_leg(raw, beta, q, lo, hi)) == repr(reference_leg(raw, beta, q, lo, hi))
+        # max(-0.0, 0.0) is -0.0 and min(-0.0, 0.0) is -0.0
+        piece = (1.0, 0.0, 0.0)
+        assert math.copysign(1.0, _leg([(*piece, -0.0, 1.0)], 0.0, piece, 0.0, 1.0)[0][3]) < 0
+        assert math.copysign(1.0, _leg([(*piece, -1.0, -0.0)], 0.0, piece, -1.0, 0.0)[0][4]) < 0
 
 
 class TestPinEnd:
