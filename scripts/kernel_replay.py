@@ -12,11 +12,11 @@ of ``piecewise.lower_envelope``, ``piecewise.capped`` and
 passes them: ``lower_envelope`` gets each fragment as a list of raw
 pieces with its tag.  It records every ``propagation.solve_cell`` call
 too, and sorts the cells into three kinds: opposite-direction cells,
-same-direction cells with a valley span to ride (``_valley_span``) and
-same-direction cells without one.  Then it replays the calls of each
-kernel, and the cells of each kind, on their own, five times with the
-garbage collector off, and prints the number of calls and the best µs
-per call.
+same-direction cells with a valley to ride (``cell.valley``, which
+``curves.cell_info`` sets) and same-direction cells without one.  Then
+it replays the calls of each kernel, and the cells of each kind, on
+their own, five times with the garbage collector off, and prints the
+number of calls and the best µs per call.
 
 ``--out FILE`` writes the output of every replayed call (its pieces and
 tags, for ``cumulative_min`` its annotations, and for ``solve_cell`` both
@@ -52,7 +52,7 @@ def cell_kind(cell) -> str:
     """Which of CELL_KINDS a cell is."""
     if not cell.same_direction:
         return "opposite"
-    return "no valley" if propagation._valley_span(cell) is None else "valley"
+    return "no valley" if cell.valley is None else "valley"
 
 
 def record(pairs: list) -> dict:

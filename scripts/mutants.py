@@ -23,7 +23,8 @@ scaled by 0.99, 1.01 and 1 +- 1e-9, single-turn (C2T) fragments shifted by
 ``_pin_end`` slacks at 100 and 10,000 times.  Three more edit the
 conditional clamps that stand for builtin ``max`` and ``min``: ``_leg``'s
 clamps with the flipped tie order, ``_leg``'s overlap test closed, and
-``_c2_catalogue``'s range update taking a tie.  Edits write no float
+``_c2_catalogue``'s range update taking a tie.  One cuts the bisection
+of ``_root_of_piece`` from 80 steps to 8.  Edits write no float
 literal below 1e-3 (they scale ``TOLERANCE``), so the census test of such
 literals does not stand in for the test that should kill them.
 
@@ -67,7 +68,6 @@ MUTANTS = [
     ("drift-x10", PW, "DRIFT_SLACK = 1e-6", "DRIFT_SLACK = 1e-5", 1),
     ("path-merge-x10", PW, "PATH_MERGE_SLACK = 1e-9", "PATH_MERGE_SLACK = 1e-8", 1),
     ("arc-x10", PW, "ARC_SLACK = 1e-12", "ARC_SLACK = 1e-11", 1),
-    ("valley-miss-x10", PW, "VALLEY_MISS_SLACK = 1e-12", "VALLEY_MISS_SLACK = 1e-11", 1),
     ("valley-point-x10", PW, "VALLEY_POINT_SLACK = 1e-9", "VALLEY_POINT_SLACK = 1e-8", 1),
     ("oracle-x10", PW, "ORACLE_SLACK = 1e-9", "ORACLE_SLACK = 1e-8", 1),
     # sites sharing an entry, each at 10x
@@ -95,6 +95,8 @@ MUTANTS = [
     ("leg-flipped-ties", PROP, LEG_CLAMP, "l if l > lo else lo, h if h < hi else hi", 1),
     ("leg-overlap-closed", PROP, "if l < hi and h > lo:", "if l <= hi and h > lo:", 1),
     ("c2-range-tie", PROP, "if x > t_lo:", "if x >= t_lo:", 1),
+    # cumulative_min's bisection fallback, stopped early
+    ("bisect-steps-8", PW, "for _ in range(80):", "for _ in range(8):", 1),
 ]
 
 

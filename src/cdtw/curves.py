@@ -19,7 +19,7 @@ import math
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .errors import IndexOutOfRange, InsufficientVertices, OutOfDomain
-from .piecewise import ARC_SLACK, VALLEY_MISS_SLACK
+from .piecewise import ARC_SLACK, VALLEY_POINT_SLACK
 
 
 class Curve(NamedTuple):
@@ -54,8 +54,10 @@ class Cell(NamedTuple):
     offset is the constant of the in-cell height line: for same-direction
     cells h = |x - y - offset| (valley line x - y = offset), for
     opposite-direction cells h = |x + y - offset|.  valley is the clipped
-    slope-1 zero segment ((x_lo, y_lo), (x_hi, y_hi)), possibly degenerate
-    to a point, or None when the line misses the cell or directions differ.
+    slope-1 zero segment ((x_lo, y_lo), (x_hi, y_hi)) that a path can
+    ride, or None when the line misses the cell, touches it for no longer
+    than VALLEY_POINT_SLACK relative to its ends (the single-turn families
+    cover such a point), or the directions differ.
     A named tuple: the solver builds one per cell.
     """
 
@@ -140,8 +142,8 @@ def cell_info(P: Curve, Q: Curve, i: int, j: int) -> Cell:
         i, j: 1-based segment indices into P and Q.
 
     Returns:
-        Cell with the valley clipped to the cell rectangle (None if the
-        zero line misses the cell or the directions are opposite).
+        Cell with the valley clipped to the cell rectangle; the one
+        decision whether a path can ride it (None otherwise, see Cell).
 
     Raises:
         IndexOutOfRange: index outside 1..num_segments.
@@ -161,11 +163,9 @@ def cell_info(P: Curve, Q: Curve, i: int, j: int) -> Cell:
         # the clamps break ties as max and min do, without their call cost
         vx_lo = y0 + c if y0 + c > x0 else x0
         vx_hi = y1 + c if y1 + c < x1 else x1
-        if vx_hi < vx_lo - VALLEY_MISS_SLACK:
-            valley = None
-        else:  # a near miss clips to a point inside [x0, x1]
-            vx_lo = x1 if x1 < vx_lo else vx_lo
-            vx_hi = x0 if x0 > vx_hi else vx_hi
+        if vx_hi - vx_lo <= VALLEY_POINT_SLACK * (1.0 + abs(vx_lo) + abs(vx_hi)):
+            valley = None  # a miss, or a point: nothing to ride
+        else:
             valley = ((vx_lo, vx_lo - c), (vx_hi, vx_hi - c))
         return tuple.__new__(Cell, (i, j, (x0, x1), (y0, y1), dp, dq, c, valley))
     # P(x) - Q(y) = dp * (x + y - c') inside the cell.

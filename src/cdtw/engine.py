@@ -20,8 +20,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .curves import Curve, build_curve, cell_info, height
 from .errors import CdtwError, InvariantViolation, ProvenanceMissing, TooLarge, WrongCellType
 from . import piecewise as pw
-from .propagation import (BoundaryCost, Prov, _valley_span, base_case, far_corner_cost,
-                          solve_cell, valley_ride)
+from .propagation import BoundaryCost, Prov, base_case, far_corner_cost, solve_cell, valley_ride
 
 
 class EngineConfig(NamedTuple):
@@ -190,7 +189,7 @@ def _trace(run: SolveRun) -> WarpPath:
             pts.append((ox, oy))
         if prov.kind == "B":
             try:
-                valley = BoundaryCost(*valley_ride(cell, *run.inputs(i, j), _valley_span(cell)))
+                valley = BoundaryCost(*valley_ride(cell, *run.inputs(i, j)))
             except WrongCellType as exc:
                 raise ProvenanceMissing(f"valley ride in cell ({i},{j}): {exc}") from exc
             c = cell.offset

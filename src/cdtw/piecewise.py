@@ -45,11 +45,9 @@ PATH_MERGE_SLACK = 1e-9
 # Arc-length rounding: point_at's clamp, relative to the length, and
 # _axis_ticks' count just above a power of two, absolute.
 ARC_SLACK = 1e-12
-# Whether a valley degenerates, decided twice: cell_info keeps a valley line
-# missing its cell by one difference of arc lengths (absolute) as a point;
-# _valley_span rides no valley shorter, relative to its ends (a ride within
-# the algebra's slack; type C covers the point).
-VALLEY_MISS_SLACK = 1e-12
+# cell_info gives a cell no valley to ride when the valley is no longer
+# than this, relative to its ends (a ride within the algebra's slack; type C
+# covers the point).
 VALLEY_POINT_SLACK = 1e-9
 # oracle-check: a grid value below the exact one by more, relative to it.
 ORACLE_SLACK = 1e-9
@@ -230,27 +228,19 @@ def stable_roots(a: float, b: float, c: float) -> Tuple[float, ...]:
 
 
 def _root_of_piece(p: Raw, target: float, lo: float, hi: float) -> float:
-    """Solve p(x) = target for x in [lo, hi]; falls back to bisection."""
+    """Solve p(x) = target for x in [lo, hi], where p(lo) > target > p(hi)
+    (cumulative_min's one call); falls back to bisection."""
     pa, pb, pc = p[0], p[1], p[2]
     for r in stable_roots(pa, pb, pc - target):
         if lo - TOLERANCE <= r <= hi + TOLERANCE:
             return min(max(r, lo), hi)
-    f_lo = (pa * lo + pb) * lo + pc - target
-    f_hi = (pa * hi + pb) * hi + pc - target
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0.0:
-        # No sign change: report the endpoint closer to the target.
-        return lo if abs(f_lo) <= abs(f_hi) else hi
     a, b = lo, hi
     for _ in range(80):
         m = 0.5 * (a + b)
         fm = (pa * m + pb) * m + pc - target
         if fm == 0.0:
             return m
-        if (fm > 0.0) == (f_lo > 0.0):
+        if fm > 0.0:
             a = m
         else:
             b = m

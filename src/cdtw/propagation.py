@@ -305,30 +305,21 @@ def propagate_type_a(
 # type B: valley riding
 
 
-def _valley_span(cell: Cell) -> Optional[Tuple[float, float]]:
-    if cell.valley is None:
-        return None
-    (vx0, _), (vx1, _) = cell.valley
-    if vx1 - vx0 <= pw.VALLEY_POINT_SLACK * (1.0 + abs(vx0) + abs(vx1)):
-        return None  # point valley: no riding possible, handled as type C
-    return vx0, vx1
-
-
 def valley_ride(
-    cell: Cell, bottom: BoundaryCost, left: BoundaryCost, span: Optional[Tuple[float, float]]
+    cell: Cell, bottom: BoundaryCost, left: BoundaryCost
 ) -> Tuple[PiecewiseQuadratic, Sequence[Prov]]:
-    """The valley's cost over x on span = _valley_span(cell), one tag per
-    piece: the ride, a travel pass with no corner route (R is 0 on the
-    valley), over both inputs' transports to it, tagged with their entry
+    """The valley's cost over x on its span [vx0, vx1] (cell.valley), one
+    tag per piece: the ride, a travel pass with no corner route (R is 0 on
+    the valley), over both inputs' transports to it, tagged with their entry
     (B1) and wrapped in travel where the path rides.  Each entry, like
     each exit in propagate_type_b, is one pass over an input (_leg): clip
     to the span, which cell_info keeps inside both inputs, shift by c
     where the frames differ, and add one quadratic (on the span the input
     edge's R is one, which doubles the transport's square).
     """
-    if span is None:  # as in every opposite-direction cell
+    if cell.valley is None:  # as in every opposite-direction cell
         raise WrongCellType("type B needs a same-direction cell with a valley")
-    vx0, vx1 = span
+    (vx0, _), (vx1, _) = cell.valley
     x0 = cell.x_range[0]
     y0 = cell.y_range[0]
     c = cell.offset
@@ -342,15 +333,15 @@ def valley_ride(
 
 
 def propagate_type_b(
-    cell: Cell, bottom: BoundaryCost, left: BoundaryCost, span: Optional[Tuple[float, float]]
+    cell: Cell, bottom: BoundaryCost, left: BoundaryCost
 ) -> Tuple[List[Fragment], List[Fragment]]:
-    """(top, right) valley-riding fragments on span = _valley_span(cell):
-    ride the valley and transport to the outputs.  The transport from the
+    """(top, right) valley-riding fragments on cell.valley's span: ride
+    the valley and transport to the outputs.  The transport from the
     valley to an output point does not depend on where the path leaves it
     (any reachable exit gives the same dip integral), so the ride captures
     every entry point."""
-    b2 = valley_ride(cell, bottom, left, span)[0].raw
-    vx0, vx1 = span
+    b2 = valley_ride(cell, bottom, left)[0].raw
+    (vx0, vy0), (vx1, vy1) = cell.valley
     x0, x1 = cell.x_range
     y0, y1 = cell.y_range
     c = cell.offset
@@ -359,7 +350,7 @@ def propagate_type_b(
     # Exit rightward to (x1, tau): valley coordinate tau + c.
     side = (1.0, -2.0 * (x1 - c), (x1 - c) ** 2 - _s_halfsq(x1 - y0 - c))
     return ([(_leg(b2, 0.0, up, vx0, vx1), B_TAG)],
-            [(_leg(b2, c, side, vx0 - c, vx1 - c), B_TAG)])
+            [(_leg(b2, c, side, vy0, vy1), B_TAG)])
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +442,12 @@ def _c2_catalogue(
 
 
 def propagate_type_c(
-    cell: Cell, bottom: BoundaryCost, left: BoundaryCost, h_bottom: float, v_left: float,
-    span: Optional[Tuple[float, float]],
+    cell: Cell, bottom: BoundaryCost, left: BoundaryCost, h_bottom: float, v_left: float
 ) -> Tuple[List[Fragment], List[Fragment]]:
     """(top, right) fragments of the straight transports (C1 families)
     and single-turn paths (C2 families) of a same-direction cell, with or
     without a valley; H and V are the integrals of h along the bottom and
-    up the left edge, span = _valley_span(cell)."""
+    up the left edge."""
     if not cell.same_direction:
         raise WrongCellType("type C applies to same-direction cells")
     x0, x1 = cell.x_range
@@ -465,10 +455,10 @@ def propagate_type_c(
     c = cell.offset
     gb, gl = bottom.cost, left.cost
     # C1 transposed: bottom to top, vertical transport; C1: left to right,
-    # horizontal transport across the full cell width; both off the span.
-    c1t = _across(gb, 1.0, -(y0 + c), -(y1 + c), -v_left, x0, x1, span)
-    c1 = _across(gl, -1.0, x1 - c, x0 - c, -h_bottom, y0, y1,
-                 None if span is None else (span[0] - c, span[1] - c))
+    # horizontal transport across the full cell width; both off the valley.
+    skip_x, skip_y = (None, None) if cell.valley is None else zip(*cell.valley)
+    c1t = _across(gb, 1.0, -(y0 + c), -(y1 + c), -v_left, x0, x1, skip_x)
+    c1 = _across(gl, -1.0, x1 - c, x0 - c, -h_bottom, y0, y1, skip_y)
     top = [(c1t, C1T_TAG)] if c1t else []
     right = [(c1, C1_TAG)] if c1 else []
     # C2: bottom to right, single turn; C2T: left to top, the same with the
@@ -558,10 +548,9 @@ def solve_cell(
         (fin_top, prov_top), (fin_right, prov_right) = propagate_type_a(
             cell, bottom, left, h_bottom, v_left, top_k, right_k)
     else:
-        span = _valley_span(cell)
-        frags_top, frags_right = propagate_type_c(cell, bottom, left, h_bottom, v_left, span)
-        if span is not None:
-            b_top, b_right = propagate_type_b(cell, bottom, left, span)
+        frags_top, frags_right = propagate_type_c(cell, bottom, left, h_bottom, v_left)
+        if cell.valley is not None:
+            b_top, b_right = propagate_type_b(cell, bottom, left)
             frags_top += b_top
             frags_right += b_right
         fin_top, prov_top = apply_edge_travel(*pw.lower_envelope(frags_top, *cell.x_range), top_k)

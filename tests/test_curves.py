@@ -155,14 +155,24 @@ class TestCellInfo:
         assert cell.same_direction
         assert cell.valley is None
 
-    def test_near_miss_within_slack_clips_to_a_point(self):
+    def test_touch_or_near_miss_is_no_valley(self):
         # Q = [1 + d, 2 + d] puts the valley line x - y = 1 + d a distance d
-        # right of cell (1, 1): within 1e-12 it touches the corner (1, 0)
-        # as a point valley, beyond it the valley misses the cell.
+        # right of cell (1, 1); at d = 0 it touches the corner (1, 0).  A
+        # point has nothing to ride, so neither a touch nor a near miss
+        # gives the cell a valley.
         P = build_curve([0, 1])
-        cell = cell_info(P, build_curve([1 + 3e-13, 2 + 3e-13]), 1, 1)
-        assert cell.valley == ((1.0, 1.0 - cell.offset), (1.0, 1.0 - cell.offset))
-        assert cell_info(P, build_curve([1 + 3e-12, 2 + 3e-12]), 1, 1).valley is None
+        for d in (0.0, 3e-13, 3e-12):
+            cell = cell_info(P, build_curve([1 + d, 2 + d]), 1, 1)
+            assert cell.same_direction and cell.valley is None, d
+
+    def test_valley_slack_is_relative_to_its_ends(self):
+        # P = [0, 1] against Q = [1 - L, 2 - L] has the valley [1 - L, 1] in
+        # cell (1, 1).  It is a valley only if L exceeds about
+        # 1e-9 * (1 + |1 - L| + 1) = 3e-9; a shorter one is a point.
+        P = build_curve([0, 1])
+        cell = cell_info(P, build_curve([1 - 9e-9, 2 - 9e-9]), 1, 1)
+        assert cell.valley == ((cell.offset, 0.0), (1.0, 1.0 - cell.offset))
+        assert cell_info(P, build_curve([1 - 9e-10, 2 - 9e-10]), 1, 1).valley is None
 
     def test_index_range(self):
         P = build_curve([0, 1])

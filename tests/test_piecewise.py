@@ -329,6 +329,19 @@ class TestCumulativeMin:
                     assert g.value(t) == pytest.approx(f.value(arg), abs=1e-6)
         assert capped > 0
 
+    def test_cut_found_by_bisection(self):
+        # A slope of -1e-9 is below the tolerance, so stable_roots reports
+        # no root and the cut where f falls through k = 1 - 3e-9, at
+        # s = 3, is found by bisection.
+        f = pw.from_raw([(0.0, -1e-9, 1.0, 0.0, 10.0)])
+        g, args, tags = pw.cumulative_min(f, ["f"], (1.0 - 3e-9, "k"))
+        (flat, follow) = g.raw
+        assert flat[:4] == (0.0, 0.0, 1.0 - 3e-9, 0.0)
+        assert follow == (0.0, -1e-9, 1.0, flat[4], 10.0)
+        assert flat[4] == pytest.approx(3.0, abs=1e-6)
+        assert args == [None, None]
+        assert tags == ["k", "f"]
+
 
 class TestOffsetCumulativeMin:
     def test_zero_offset_reduction(self):

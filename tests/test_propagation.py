@@ -23,7 +23,6 @@ from cdtw.propagation import (
     _leg,
     _pin_end,
     _s_combination_raw,
-    _valley_span,
     apply_edge_travel,
     base_case,
     edge_height_running,
@@ -73,20 +72,19 @@ def type_a(cell: Cell, bottom: BoundaryCost, left: BoundaryCost):
 
 
 def type_c(cell: Cell, bottom: BoundaryCost, left: BoundaryCost):
-    """propagate_type_c with the edge integrals and valley span that
-    solve_cell hands it."""
+    """propagate_type_c with the edge integrals that solve_cell hands it."""
     h_bottom, v_left, _, _ = _edge_integrals(cell)
-    return propagate_type_c(cell, bottom, left, h_bottom, v_left, _valley_span(cell))
+    return propagate_type_c(cell, bottom, left, h_bottom, v_left)
 
 
 def type_b(cell: Cell, bottom: BoundaryCost, left: BoundaryCost):
-    """propagate_type_b with the valley span that solve_cell hands it."""
-    return propagate_type_b(cell, bottom, left, _valley_span(cell))
+    """propagate_type_b as solve_cell calls it."""
+    return propagate_type_b(cell, bottom, left)
 
 
 def valley(cell: Cell, bottom: BoundaryCost, left: BoundaryCost) -> BoundaryCost:
     """The valley's cost and tags, as the path trace re-derives them."""
-    return BoundaryCost(*valley_ride(cell, bottom, left, _valley_span(cell)))
+    return BoundaryCost(*valley_ride(cell, bottom, left))
 
 
 def random_consistent_input(rng, cell: Cell, side: str) -> BoundaryCost:
@@ -148,7 +146,7 @@ def straight_transport(cell: Cell, bottom: BoundaryCost, left: BoundaryCost, sid
     span, where the ride stands for it (the smaller where both cover t)."""
     top, right = type_c(cell, bottom, left)
     frags = top if side == "top" else right
-    if _valley_span(cell) is not None:
+    if cell.valley is not None:
         b_top, b_right = type_b(cell, bottom, left)
         frags = frags + (b_top if side == "top" else b_right)
     kinds = ("C1T" if side == "top" else "C1", "B")
@@ -174,8 +172,9 @@ def random_cell(rng, want_same=None, nmax=4):
 
 
 def point_valley_cells(rng, count):
-    """count same-direction cells whose valley is a single point, from
-    curves with small integer values."""
+    """count same-direction cells whose valley line meets the cell only at
+    a point (so cell_info gives them no valley), from curves with small
+    integer values."""
     cells = []
     while len(cells) < count:
         P = build_curve([float(rng.randint(0, 4)) for _ in range(rng.randint(3, 5))])
@@ -183,7 +182,10 @@ def point_valley_cells(rng, count):
         for i in range(1, P.num_segments + 1):
             for j in range(1, Q.num_segments + 1):
                 cell = cell_info(P, Q, i, j)
-                if cell.same_direction and cell.valley is not None and _valley_span(cell) is None:
+                x0, x1 = cell.x_range
+                y0, y1 = cell.y_range
+                meets = max(x0, y0 + cell.offset) <= min(x1, y1 + cell.offset)
+                if cell.same_direction and meets and cell.valley is None:
                     cells.append(cell)
     return cells[:count]
 
@@ -525,16 +527,6 @@ class TestTypeA:
 
 
 class TestTypeB:
-    def test_valley_span_slack_is_relative_to_its_ends(self):
-        # P = [0, 1] against Q = [1 - L, 2 - L] has the valley [1 - L, 1] in
-        # cell (1, 1).  It is ridden only if L exceeds about
-        # 1e-9 * (1 + |1 - L| + 1) = 3e-9; a shorter one is a point valley.
-        P = build_curve([0, 1])
-        for L, rides in ((9e-9, True), (9e-10, False)):
-            cell = cell_info(P, build_curve([1 - L, 2 - L]), 1, 1)
-            assert cell.valley is not None
-            assert (_valley_span(cell) is not None) == rides
-
     def test_wrong_cell_type(self):
         rng = random.Random(11)
         _, _, cell = random_cell(rng, want_same=False)
@@ -691,7 +683,7 @@ class TestTypeC:
         spans = others = 0
         while spans < 4 or others < 6:
             _, _, cell = random_cell(rng, want_same=True)
-            has_span = _valley_span(cell) is not None
+            has_span = cell.valley is not None
             if (spans if has_span else others) < (4 if has_span else 6):
                 cells.append(cell)
                 spans += has_span
@@ -778,8 +770,7 @@ class TestTypeC:
         done = 0
         while done < 40:
             _, _, cell = random_cell(rng, want_same=True)
-            span = _valley_span(cell)
-            if span is None:
+            if cell.valley is None:
                 continue
             done += 1
             bottom, left = random_cell_inputs(rng, cell)
@@ -790,9 +781,10 @@ class TestTypeC:
             c1t = _across(bottom.cost, 1.0, -(y0 + c), -(y1 + c), -v_left, x0, x1)
             c1 = _across(left.cost, -1.0, x1 - c, x0 - c, -h_bottom, y0, y1)
             [(b_top, _)], [(b_right, _)] = type_b(cell, bottom, left)
+            (vx0, vy0), (vx1, vy1) = cell.valley
             for side, straight, ride, lo, hi in (
-                ("top", c1t, b_top, span[0], span[1]),
-                ("right", c1, b_right, span[0] - c, span[1] - c),
+                ("top", c1t, b_top, vx0, vx1),
+                ("right", c1, b_right, vy0, vy1),
             ):
                 straight = full(cell, side, pw.from_raw(straight))
                 ride = full(cell, side, pw.from_raw(ride))
@@ -852,7 +844,7 @@ class TestTypeC:
         done = 0
         while done < 10:
             _, _, cell = random_cell(rng, want_same=True)
-            if _valley_span(cell) is None:
+            if cell.valley is None:
                 continue
             done += 1
             bottom, left = random_cell_inputs(rng, cell)
