@@ -24,9 +24,12 @@ scaled by 0.99, 1.01 and 1 +- 1e-9, single-turn (C2T) fragments shifted by
 conditional clamps that stand for builtin ``max`` and ``min``: ``_leg``'s
 clamps with the flipped tie order, ``_leg``'s overlap test closed, and
 ``_c2_catalogue``'s range update taking a tie.  One cuts the bisection
-of ``_root_of_piece`` from 80 steps to 8.  Edits write no float
-literal below 1e-3 (they scale ``TOLERANCE``), so the census test of such
-literals does not stand in for the test that should kill them.
+of ``_root_of_piece`` from 80 steps to 8.  Two more drop the checks that
+stand for a cell-type guard: the path trace's test for a valley before it
+re-derives one, and ``cell_info``'s fast index test, taking index 0.
+Edits write no float literal below 1e-3 (they scale ``TOLERANCE``), so
+the census test of such literals does not stand in for the test that
+should kill them.
 
 ``MUTANTS.json`` at the repository root holds the pytest command, the Python version, the counts
 of killed, survived and errored mutants, and per mutant its name, file,
@@ -97,6 +100,10 @@ MUTANTS = [
     ("c2-range-tie", PROP, "if x > t_lo:", "if x >= t_lo:", 1),
     # cumulative_min's bisection fallback, stopped early
     ("bisect-steps-8", PW, "for _ in range(80):", "for _ in range(8):", 1),
+    # the checks that stand for the cell-type guards: the trace's valley
+    # test, and cell_info's fast index test taking index 0
+    ("trace-valley-check", ENG, "if cell.valley is None:", "if False:", 1),
+    ("cell-index-low", "src/cdtw/curves.py", "(0 < i < len(vp) and", "(0 <= i < len(vp) and", 1),
 ]
 
 

@@ -26,7 +26,6 @@ from .errors import (
     ProvenanceMissing,
     ResolutionZero,
     TooLarge,
-    WrongCellType,
 )
 from .piecewise import PiecewiseQuadratic
 
@@ -52,7 +51,6 @@ __all__ = [
     "InsufficientVertices",
     "OutOfDomain",
     "IndexOutOfRange",
-    "WrongCellType",
     "CoverageGap",
     "InvariantViolation",
     "ProvenanceMissing",

@@ -41,38 +41,28 @@ class Curve(NamedTuple):
     def num_segments(self) -> int:
         return len(self.vertices) - 1
 
-    def segment_dir(self, i: int) -> int:
-        """Sign (+1 or -1) of segment i's slope in value per arc length."""
-        if not 1 <= i <= self.num_segments:
-            raise IndexOutOfRange(f"segment index {i} not in 1..{self.num_segments}")
-        return 1 if self.vertices[i] > self.vertices[i - 1] else -1
-
 
 class Cell(NamedTuple):
-    """One parameter-space cell, spanned by segment i of P and j of Q.
+    """One parameter-space cell, spanned by a segment of P and one of Q.
 
-    offset is the constant of the in-cell height line: for same-direction
-    cells h = |x - y - offset| (valley line x - y = offset), for
-    opposite-direction cells h = |x + y - offset|.  valley is the clipped
-    slope-1 zero segment ((x_lo, y_lo), (x_hi, y_hi)) that a path can
-    ride, or None when the line misses the cell, touches it for no longer
-    than VALLEY_POINT_SLACK relative to its ends (the single-turn families
-    cover such a point), or the directions differ.
+    x_range and y_range are the segments' arc-length spans.  The cell's
+    type is same_direction (whether the segments run the same way) and
+    valley; cell_info decides it once and solve_cell alone dispatches on
+    it.  offset is the constant of the in-cell height line: for
+    same-direction cells h = |x - y - offset| (valley line x - y =
+    offset), for opposite-direction cells h = |x + y - offset|.  valley is
+    the clipped slope-1 zero segment ((x_lo, y_lo), (x_hi, y_hi)) that a
+    path can ride, or None when the line misses the cell, touches it for
+    no longer than VALLEY_POINT_SLACK relative to its ends (the
+    single-turn families cover such a point), or the directions differ.
     A named tuple: the solver builds one per cell.
     """
 
-    i: int
-    j: int
     x_range: Tuple[float, float]
     y_range: Tuple[float, float]
-    dir_p: int
-    dir_q: int
+    same_direction: bool
     offset: float
     valley: Optional[Tuple[Tuple[float, float], Tuple[float, float]]]
-
-    @property
-    def same_direction(self) -> bool:
-        return self.dir_p == self.dir_q
 
 
 def build_curve(values: Sequence[float]) -> Curve:
@@ -123,10 +113,11 @@ def point_at(curve: Curve, s: float) -> float:
     # Right-open bisect keeps interior breakpoints on the left segment; both
     # sides agree at the breakpoint so the choice is immaterial.
     k = bisect.bisect_left(curve.prefix_lengths, s)
+    v = curve.vertices
     if k == 0:
-        return curve.vertices[0]
-    d = curve.segment_dir(k)
-    return curve.vertices[k - 1] + d * (s - curve.prefix_lengths[k - 1])
+        return v[0]
+    d = 1 if v[k] > v[k - 1] else -1
+    return v[k - 1] + d * (s - curve.prefix_lengths[k - 1])
 
 
 def height(P: Curve, Q: Curve, x: float, y: float) -> float:
@@ -135,7 +126,8 @@ def height(P: Curve, Q: Curve, x: float, y: float) -> float:
 
 
 def cell_info(P: Curve, Q: Curve, i: int, j: int) -> Cell:
-    """Geometry of cell (i, j): direction signs, height-line offset, valley.
+    """Geometry and type of cell (i, j): segment spans, whether they run
+    the same way, height-line offset, valley.
 
     Args:
         P, Q: the two curves.
@@ -150,8 +142,8 @@ def cell_info(P: Curve, Q: Curve, i: int, j: int) -> Cell:
     """
     vp, vq = P.vertices, Q.vertices
     if not (0 < i < len(vp) and 0 < j < len(vq)):
-        P.segment_dir(i)  # raises IndexOutOfRange for a bad i or j
-        Q.segment_dir(j)
+        k, n = (j, len(vq) - 1) if 0 < i < len(vp) else (i, len(vp) - 1)  # i first
+        raise IndexOutOfRange(f"segment index {k} not in 1..{n}")
     p0, q0 = vp[i - 1], vq[j - 1]
     dp = 1 if vp[i] > p0 else -1
     dq = 1 if vq[j] > q0 else -1
@@ -167,7 +159,7 @@ def cell_info(P: Curve, Q: Curve, i: int, j: int) -> Cell:
             valley = None  # a miss, or a point: nothing to ride
         else:
             valley = ((vx_lo, vx_lo - c), (vx_hi, vx_hi - c))
-        return tuple.__new__(Cell, (i, j, (x0, x1), (y0, y1), dp, dq, c, valley))
+        return tuple.__new__(Cell, ((x0, x1), (y0, y1), True, c, valley))
     # P(x) - Q(y) = dp * (x + y - c') inside the cell.
     c = (x0 + y0) - dp * (p0 - q0)
-    return tuple.__new__(Cell, (i, j, (x0, x1), (y0, y1), dp, dq, c, None))
+    return tuple.__new__(Cell, ((x0, x1), (y0, y1), False, c, None))

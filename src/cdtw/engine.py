@@ -18,7 +18,7 @@ import time
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .curves import Curve, build_curve, cell_info, height
-from .errors import CdtwError, InvariantViolation, ProvenanceMissing, TooLarge, WrongCellType
+from .errors import CdtwError, InvariantViolation, ProvenanceMissing, TooLarge
 from . import piecewise as pw
 from .propagation import BoundaryCost, Prov, base_case, far_corner_cost, solve_cell, valley_ride
 
@@ -188,10 +188,9 @@ def _trace(run: SolveRun) -> WarpPath:
         if t != t0:  # travel: the path turned onto the edge here
             pts.append((ox, oy))
         if prov.kind == "B":
-            try:
-                valley = BoundaryCost(*valley_ride(cell, *run.inputs(i, j)))
-            except WrongCellType as exc:
-                raise ProvenanceMissing(f"valley ride in cell ({i},{j}): {exc}") from exc
+            if cell.valley is None:
+                raise ProvenanceMissing(f"valley ride in cell ({i},{j}), which has no valley")
+            valley = BoundaryCost(*valley_ride(cell, *run.inputs(i, j)))
             c = cell.offset
             v = t if edge == "top" else t + c
             pts.append((v, v - c))

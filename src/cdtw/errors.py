@@ -17,10 +17,6 @@ class IndexOutOfRange(CdtwError):
     """A segment or cell index is outside the valid range."""
 
 
-class WrongCellType(CdtwError):
-    """A propagation family was applied to a cell of the wrong direction type."""
-
-
 class CoverageGap(CdtwError):
     """Candidate fragments fail to cover the required output interval."""
 

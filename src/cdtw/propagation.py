@@ -56,7 +56,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import piecewise as pw
 from .curves import Cell, Curve
-from .errors import InvariantViolation, OutOfDomain, WrongCellType
+from .errors import InvariantViolation, OutOfDomain
 from .piecewise import PiecewiseQuadratic
 
 # Tie-break preferences: fragments sourced from the left edge beat fragments
@@ -294,8 +294,6 @@ def propagate_type_a(
     along the bottom edge, k the corner routes.  These stand for all paths
     (see the module docstring).  Ties go to PREF_LEFT: the left corner on
     top, the horizontal transport on right."""
-    if cell.same_direction:
-        raise WrongCellType("type A applies to opposite-direction cells")
     top = pw.capped(bottom.cost, v_left, AV_TAG, *top_k)
     right = pw.capped(left.cost, h_bottom, AH_TAG, *right_k)
     return top, right
@@ -317,8 +315,6 @@ def valley_ride(
     where the frames differ, and add one quadratic (on the span the input
     edge's R is one, which doubles the transport's square).
     """
-    if cell.valley is None:  # as in every opposite-direction cell
-        raise WrongCellType("type B needs a same-direction cell with a valley")
     (vx0, _), (vx1, _) = cell.valley
     x0 = cell.x_range[0]
     y0 = cell.y_range[0]
@@ -448,8 +444,6 @@ def propagate_type_c(
     and single-turn paths (C2 families) of a same-direction cell, with or
     without a valley; H and V are the integrals of h along the bottom and
     up the left edge."""
-    if not cell.same_direction:
-        raise WrongCellType("type C applies to same-direction cells")
     x0, x1 = cell.x_range
     y0, y1 = cell.y_range
     c = cell.offset

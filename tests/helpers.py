@@ -9,21 +9,24 @@ locate and PiecewiseQuadratic.value clamping with builtin max and min),
 the small-instance lattice oracle on ticks not rounded to powers of two, the
 invariant checks on piecewise functions that only tests run, a piece as a
 Quadratic object for the oracles that read pieces by name, the sum,
-shift and restriction of raw pieces that only tests use, and the conversion
+shift and restriction of raw pieces that only tests use, the conversion
 between a cost along a cell edge and the reduced cost the solver stores
-for it.
+for it, and the multi-precision twin, which runs the solver itself on
+mpmath numbers.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import types
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from cdtw import lattice
+from cdtw import curves, engine, lattice, propagation
 from cdtw import piecewise as pw
 from cdtw.curves import Cell, Curve, build_curve, height, point_at
 from cdtw.errors import InvariantViolation, OutOfDomain, ResolutionZero, TooLarge
@@ -657,3 +660,54 @@ def brute_discrete_frechet(p: Sequence[float], q: Sequence[float]) -> float:
         cost = max(abs(p[i] - q[j]) for i, j in al)
         best = min(best, cost)
     return best
+
+
+# ---------------------------------------------------------------------------
+# multi-precision twin
+
+
+@contextmanager
+def mp_twin(dps: int = 40, shrink: float = 1e-20) -> Iterator[None]:
+    """Run the solver unchanged on mpmath numbers of dps digits: a
+    reference free of float rounding.  Build its curves with mp_curve.
+
+    Binds math in piecewise, propagation and engine to a shim with
+    mpmath's sqrt, inf and isfinite, sets mpmath.mp.dps, and scales every
+    precision-table entry but DRIFT_SLACK by shrink, with the copies of
+    ARC_SLACK and VALLEY_POINT_SLACK that curves imports.  DRIFT_SLACK
+    stays: it bounds _pin_end's far-corner gap, which does not shrink with
+    precision (ROADMAP item 18).  Everything is restored on exit, also
+    after an exception.
+    """
+    import mpmath
+
+    shim = types.SimpleNamespace(sqrt=mpmath.sqrt, inf=mpmath.inf, isfinite=mpmath.isfinite)
+    table = [name for name in vars(pw) if name == "TOLERANCE" or name.endswith("_SLACK")]
+    new = {(module, "math"): shim for module in (pw, propagation, engine)}
+    new.update({(pw, name): getattr(pw, name) * shrink for name in table if name != "DRIFT_SLACK"})
+    new.update({(curves, name): getattr(curves, name) * shrink
+                for name in ("ARC_SLACK", "VALLEY_POINT_SLACK")})
+    old = {key: getattr(*key) for key in new}
+    old_dps = mpmath.mp.dps
+    try:
+        mpmath.mp.dps = dps
+        for (module, name), value in new.items():
+            setattr(module, name, value)
+        yield
+    finally:
+        mpmath.mp.dps = old_dps
+        for (module, name), value in old.items():
+            setattr(module, name, value)
+
+
+def mp_curve(values: Sequence[float]) -> Curve:
+    """A Curve of mpf vertices with prefix lengths summed in mpf, for
+    mp_twin (build_curve rounds to float).  Consecutive values must
+    differ; call it inside mp_twin, whose precision the sums take."""
+    import mpmath
+
+    verts = [mpmath.mpf(v) for v in values]
+    prefix = [mpmath.mpf(0)]
+    for a, b in zip(verts, verts[1:]):
+        prefix.append(prefix[-1] + abs(b - a))
+    return Curve(tuple(verts), tuple(prefix))

@@ -168,6 +168,18 @@ class TestCompute:
         assert main(["compute", a, b]) == 2
         assert "numeric array" in capsys.readouterr().err
 
+    def test_invalid_json_names_file_and_line(self, tmp_path, capsys):
+        a = write(tmp_path, "a.json", "[0,\n1")
+        b = write(tmp_path, "b.json", "[0, 1]")
+        assert main(["compute", a, b]) == 2
+        assert "a.json:2: invalid JSON" in capsys.readouterr().err
+
+    def test_three_columns_rejected(self, tmp_path, capsys):
+        a = write(tmp_path, "a.csv", "0\n1,2,3\n")
+        b = write(tmp_path, "b.csv", "0\n1\n")
+        assert main(["compute", a, b]) == 2
+        assert "a.csv:2: expected 1 or 2 columns, got 3" in capsys.readouterr().err
+
     def test_huge_json_integer_names_file(self, tmp_path, capsys):
         # a JSON integer past the float range overflows in float()
         a = write(tmp_path, "big.json", f"[{10**400}, 0]")
@@ -327,6 +339,27 @@ class TestMatrix:
     def test_too_few_files(self, tmp_path, capsys):
         write(tmp_path, "only.csv", "0\n1\n")
         assert main(["matrix", str(tmp_path)]) == 2
+
+    def test_missing_directory(self, tmp_path, capsys):
+        assert main(["matrix", str(tmp_path / "absent")]) == 2
+        assert "absent" in capsys.readouterr().err
+
+    def test_grid_requires_resolution(self, tmp_path, capsys):
+        write(tmp_path, "a.csv", "0\n1\n")
+        write(tmp_path, "b.csv", "0.5\n1.5\n")
+        assert main(["matrix", str(tmp_path), "--measure", "cdtw-grid"]) == 2
+        assert "requires --resolution" in capsys.readouterr().err
+
+    def test_dead_worker_is_an_error(self, tmp_path, monkeypatch, deadline):
+        # A worker that exits without sending its share leaves values
+        # missing: the command raises instead of printing a matrix.
+        for k in range(3):
+            write(tmp_path, f"s{k}.csv", f"0\n{k + 1}\n")
+        monkeypatch.setattr(cli, "_matrix_worker", lambda *args: os._exit(3))
+        with pytest.raises(RuntimeError, match=r"matrix workers exited with codes \[3\]"):
+            main(["matrix", str(tmp_path), "--jobs", "2"])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_each_file_parsed_once(self, tmp_path, monkeypatch, capsys):
         for k, vals in enumerate(("0\n1\n", "0.5\n1.5\n", "1\n0\n", "0\n2\n1\n")):

@@ -195,21 +195,18 @@ class TestCellInfo:
             cell_info(P, Q, i, j)
 
     def test_cell_fields_and_directions(self):
-        assert Cell._fields == (
-            "i", "j", "x_range", "y_range", "dir_p", "dir_q", "offset", "valley"
-        )
+        assert Cell._fields == ("x_range", "y_range", "same_direction", "offset", "valley")
         rng = random.Random(11)
         for _ in range(30):
             P = random_curve(rng, rng.randint(2, 6))
             Q = random_curve(rng, rng.randint(2, 6))
+            p, q = P.vertices, Q.vertices
             for i in range(1, P.num_segments + 1):
                 for j in range(1, Q.num_segments + 1):
                     cell = cell_info(P, Q, i, j)
-                    assert (cell.i, cell.j) == (i, j)
-                    assert (cell.dir_p, cell.dir_q) == (P.segment_dir(i), Q.segment_dir(j))
                     assert cell.x_range == (P.prefix_lengths[i - 1], P.prefix_lengths[i])
                     assert cell.y_range == (Q.prefix_lengths[j - 1], Q.prefix_lengths[j])
-                    assert cell.same_direction == (cell.dir_p == cell.dir_q)
+                    assert cell.same_direction is ((p[i] > p[i - 1]) == (q[j] > q[j - 1]))
 
     def test_cell_is_immutable(self):
         cell = cell_info(build_curve([0, 1]), build_curve([0.5, 1.5]), 1, 1)

@@ -10,7 +10,7 @@ import pytest
 from cdtw import build_curve, cell_info, point_at
 from cdtw import piecewise as pw
 from cdtw.curves import Cell
-from cdtw.errors import InvariantViolation, OutOfDomain, WrongCellType
+from cdtw.errors import InvariantViolation, OutOfDomain
 from cdtw.propagation import (
     PREF_BOTTOM,
     PREF_LEFT,
@@ -388,13 +388,6 @@ class TestBaseCase:
 
 
 class TestTypeA:
-    def test_wrong_cell_type(self):
-        rng = random.Random(9)
-        _, _, cell = random_cell(rng, want_same=True)
-        bottom, left = random_cell_inputs(rng, cell)
-        with pytest.raises(WrongCellType):
-            type_a(cell, bottom, left)
-
     def test_opposite_pair_corner_value(self):
         P = build_curve([0, 1])
         Q = build_curve([1, 0])
@@ -527,13 +520,6 @@ class TestTypeA:
 
 
 class TestTypeB:
-    def test_wrong_cell_type(self):
-        rng = random.Random(11)
-        _, _, cell = random_cell(rng, want_same=False)
-        bottom, left = random_cell_inputs(rng, cell)
-        with pytest.raises(WrongCellType):
-            type_b(cell, bottom, left)
-
     def test_shifted_pair_through_cost(self):
         P = build_curve([0, 1])
         Q = build_curve([0.5, 1.5])
@@ -579,10 +565,7 @@ class TestTypeB:
             if vx1 - vx0 < 1e-3:
                 continue
             bottom, left = random_cell_inputs(rng, cell)
-            try:
-                rec = valley(cell, bottom, left)
-            except WrongCellType:
-                continue
+            rec = valley(cell, bottom, left)
             done += 1
             # The valley's cost before the ride: enter from the bottom at
             # (v, y0) and climb, or from the left at (x0, v - c) and walk
@@ -631,13 +614,6 @@ class TestTypeB:
 
 
 class TestTypeC:
-    def test_wrong_cell_type(self):
-        rng = random.Random(15)
-        _, _, cell = random_cell(rng, want_same=False)
-        bottom, left = random_cell_inputs(rng, cell)
-        with pytest.raises(WrongCellType):
-            type_c(cell, bottom, left)
-
     def test_catalogue_range_ties_keep_the_range_end(self):
         # On f = s^2 - 2s over [0, 1] the turn s(t) = t + 1 stays inside
         # the piece from t = -(1 - 1) / 1 = -0.0 on: a tie with Y0 = 0.0,
@@ -1131,10 +1107,9 @@ class TestSolveCell:
         while seen < 10:
             P, Q, cell = random_cell(rng, want_same=True)
             bottom, left = random_cell_inputs(rng, cell)
-            try:
-                rec = valley(cell, bottom, left)
-            except WrongCellType:
+            if cell.valley is None:
                 continue
+            rec = valley(cell, bottom, left)
             seen += 1
             last = -INF
             for piece, prov in zip(quadratics(rec.cost), rec.prov):
@@ -1158,12 +1133,9 @@ class TestSolveCell:
             sources = {"bottom": len(bottom.cost), "left": len(left.cost)}
             if cell.same_direction:
                 top, right = type_c(cell, bottom, left)
-                try:
+                if cell.valley is not None:
                     b_top, b_right = type_b(cell, bottom, left)
                     rec = valley(cell, bottom, left)
-                except WrongCellType:
-                    pass
-                else:
                     top, right = top + b_top, right + b_right
                     sources[""] = len(rec.cost)
             else:
