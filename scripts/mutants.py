@@ -10,10 +10,11 @@ runs with ``-x``,
     PYTHONPATH=src python -m pytest -q -x -p no:cacheprovider
 
 and the original file is put back.  The first failing test kills the
-mutant; a mutant that fails no test "survived".  Runs go one at a time,
-without bytecode files and with an empty Hypothesis database each, so a
-timing gate never runs beside another run and no run reuses another's
-examples.
+mutant; a mutant that fails no test "survived", or is "equivalent" when
+``EQUIVALENT`` gives the reason no input can tell it from the source.
+Runs go one at a time, without bytecode files and with an empty
+Hypothesis database each, so a timing gate never runs beside another run
+and no run reuses another's examples.
 
 The list holds every entry of the precision table in ``piecewise`` at ten
 times its value (looser), the sites that share an entry at ten times their
@@ -23,18 +24,22 @@ scaled by 0.99, 1.01 and 1 +- 1e-9, single-turn (C2T) fragments shifted by
 ``_pin_end`` slacks at 100 and 10,000 times.  Three more edit the
 conditional clamps that stand for builtin ``max`` and ``min``: ``_leg``'s
 clamps with the flipped tie order, ``_leg``'s overlap test closed, and
-``_c2_catalogue``'s range update taking a tie.  One cuts the bisection
-of ``_root_of_piece`` from 80 steps to 8.  Two more drop the checks that
-stand for a cell-type guard: the path trace's test for a valley before it
-re-derives one, and ``cell_info``'s fast index test, taking index 0.
-Edits write no float literal below 1e-3 (they scale ``TOLERANCE``), so
+``_c2_catalogue``'s range updates taking a tie, at its lower bound and
+at its two upper bounds.  One cuts the bisection of ``_root_of_piece``
+from 80 steps to 8.  Two more drop the checks that stand for a cell-type
+guard: the path trace's test for a valley before it re-derives one, and
+``cell_info``'s fast index test, taking index 0.  One maps the value of a
+solve in ``cdtw_exact``'s short-curve frame back with its power of two
+off by one.  Edits write no float literal below 1e-3 (they scale ``TOLERANCE``), so
 the census test of such literals does not stand in for the test that
 should kill them.
 
-``MUTANTS.json`` at the repository root holds the pytest command, the Python version, the counts
-of killed, survived and errored mutants, and per mutant its name, file,
-edit, result, seconds, and the killing test id with the first line of its
-failure.  A tier-1 run that takes longer than TIMEOUT seconds is an error.
+``MUTANTS.json`` at the repository root holds the pytest command, the
+Python version, the counts of killed, survived, equivalent and errored
+mutants, and per mutant its name, file, edit, result, seconds, and the
+killing test id with the first line of its failure or the reason it is
+equivalent.  A tier-1 run that takes longer than TIMEOUT seconds is an
+error.
 
 Only the standard library is used.
 """
@@ -52,7 +57,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIMEOUT = 1200.0  # seconds per tier-1 run
 PW, PROP, ENG = "src/cdtw/piecewise.py", "src/cdtw/propagation.py", "src/cdtw/engine.py"
-C2T = 'top.append((frag, tuple.__new__(Prov, (PREF_LEFT, "C2T", "left", (alpha, beta), None))))'
+C2T = "top += _c2_catalogue(gl, y0, y1, x0, x1, -c, C2T_HEAD)"
 LEG_CLAMP = "lo if lo > l else l, hi if hi < h else h"
 VALUE = "value = max(value, 0.0)\n"
 ARC = "ARC_SLACK * (1.0 + total) or s > total * (1.0 + ARC_SLACK) + ARC_SLACK"
@@ -61,7 +66,7 @@ ARC = "ARC_SLACK * (1.0 + total) or s > total * (1.0 + ARC_SLACK) + ARC_SLACK"
 def c2t_shifted(dc: str) -> str:
     """The C2T line with dc added to every fragment piece's constant."""
     shifted = f"[(*p[:2], p[2] + {dc}, *p[3:]) for p in frag]"
-    return C2T.replace("(frag,", f"({shifted},")
+    return C2T.replace("_c2_catalogue(", f"[({shifted}, tag) for frag, tag in _c2_catalogue(") + "]"
 
 
 # (name, file, old, new, count): the precision table at 10x first.
@@ -98,13 +103,24 @@ MUTANTS = [
     ("leg-flipped-ties", PROP, LEG_CLAMP, "l if l > lo else lo, h if h < hi else hi", 1),
     ("leg-overlap-closed", PROP, "if l < hi and h > lo:", "if l <= hi and h > lo:", 1),
     ("c2-range-tie", PROP, "if x > t_lo:", "if x >= t_lo:", 1),
+    ("c2-upper-tie", PROP, "if x < t_hi:", "if x <= t_hi:", 2),
     # cumulative_min's bisection fallback, stopped early
     ("bisect-steps-8", PW, "for _ in range(80):", "for _ in range(8):", 1),
     # the checks that stand for the cell-type guards: the trace's valley
     # test, and cell_info's fast index test taking index 0
     ("trace-valley-check", ENG, "if cell.valley is None:", "if False:", 1),
     ("cell-index-low", "src/cdtw/curves.py", "(0 < i < len(vp) and", "(0 <= i < len(vp) and", 1),
+    # the short-curve frame, mapping the value back with its exponent off by one
+    ("frame-value-exponent", ENG, "ldexp(value, -2 * shift)", "ldexp(value, 1 - 2 * shift)", 1),
 ]
+
+
+# Mutants that no test can kill, with the reason.
+EQUIVALENT = {
+    "c2-upper-tie": "equal floats differ only as 0.0 and -0.0, and an upper bound t_hi <= 0 "
+    "leaves the turn's range [t_lo, t_hi] with t_lo >= Y0 >= 0 empty, so the turn is dropped "
+    "either way",
+}
 
 
 def run_one(tmp: str, name: str, path: str, old: str, new: str, count: int) -> dict:
@@ -130,7 +146,9 @@ def run_one(tmp: str, name: str, path: str, old: str, new: str, count: int) -> d
     failed = re.findall(r"^(?:FAILED|ERROR) (\S+)(?: - (.*))?$", out, re.M)
     rec = {"name": name, "file": path, "old": old, "new": new, "count": count,
            "seconds": round(time.perf_counter() - t0, 1)}
-    if code == 0:
+    if code == 0 and name in EQUIVALENT:
+        rec["result"], rec["detail"] = "equivalent", EQUIVALENT[name]
+    elif code == 0:
         rec["result"] = "survived"
     elif failed:
         rec["result"] = "killed"
@@ -165,6 +183,7 @@ def main() -> int:
         "python": platform.python_version(),
         "killed": sum(r["result"] == "killed" for r in results),
         "survived": sum(r["result"] == "survived" for r in results),
+        "equivalent": sum(r["result"] == "equivalent" for r in results),
         "errors": sum(r["result"] == "error" for r in results),
         "mutants": results,
     }

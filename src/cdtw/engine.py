@@ -60,7 +60,8 @@ class SolveRun(NamedTuple):
     """Everything produced by one solve, kept for backtracking and stats.
 
     P and Q are the curves reduced to their turning points, which the
-    cells index.
+    cells index; they and the edges are in the solve's frame (cdtw_exact
+    scales short curves by a power of two).
     """
 
     P: Curve
@@ -115,6 +116,12 @@ def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> Cdt
     cells_solved = P.num_segments * Q.num_segments
     counts = [0, 0, 0]
     (P, kp), (Q, kq) = _turning_points(P), _turning_points(Q)
+    # Short curves are solved scaled by 2^shift, exact in binary64, so only
+    # the absolute slacks see another scale; no vertex passes about 2^54.
+    longer = max(P.length, Q.length)
+    shift = -math.frexp(longer)[1] if longer < pw.UNIT_FRAME_BELOW else 0
+    if shift:
+        P, Q = (Curve(*(tuple(math.ldexp(u, shift) for u in seq) for seq in C)) for C in (P, Q))
     bottoms, lefts = base_case(P, Q)
     n, m = P.num_segments, Q.num_segments
     for bc in [*bottoms, *lefts]:
@@ -144,6 +151,11 @@ def cdtw_exact(P: Curve, Q: Curve, config: Optional[EngineConfig] = None) -> Cdt
     value = max(value, 0.0)
 
     path = _trace(run) if config is None or config.record_path else None
+    if shift:  # back from the frame, exactly: the path ends at the lengths as built
+        value = math.ldexp(value, -2 * shift)
+        if path is not None:
+            path = path._replace(points=tuple(
+                (math.ldexp(x, -shift), math.ldexp(y, -shift)) for x, y in path.points))
     stats = SolveStats(*counts, time.perf_counter() - t_start, cells_solved)
     return CdtwResult(value, stats, path, run)
 

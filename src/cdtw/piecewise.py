@@ -51,6 +51,9 @@ ARC_SLACK = 1e-12
 VALLEY_POINT_SLACK = 1e-9
 # oracle-check: a grid value below the exact one by more, relative to it.
 ORACLE_SLACK = 1e-9
+# cdtw_exact scales curves whose longer length is below this by a power of
+# two, exactly, so that it lies in [0.5, 1): the scale of the slacks above.
+UNIT_FRAME_BELOW = 0.5
 
 Raw = Tuple[float, float, float, float, float]
 
@@ -73,12 +76,6 @@ class PiecewiseQuadratic(NamedTuple):
     @property
     def hi(self) -> float:
         return self.raw[-1][4]
-
-    # The number of pieces, not of the tuple's one field: callers read
-    # len(f) as a piece count.  _make and _replace compare len with the
-    # field count, so they are not for this class.
-    def __len__(self) -> int:
-        return len(self.raw)
 
     def value(self, s: float) -> float:
         """Value of the covering piece at s; OutOfDomain outside [lo, hi]."""

@@ -111,6 +111,10 @@ AV_TAG = Prov(PREF_BOTTOM, "Av", "bottom", IDENTITY)
 AH_TAG = Prov(PREF_LEFT, "Ah", "left", IDENTITY)
 CORNER_LEFT_TAG = Prov(PREF_LEFT, "corner", "left")
 CORNER_BOTTOM_TAG = Prov(PREF_BOTTOM, "corner", "bottom")
+BASE_BOTTOM_TAG = Prov(PREF_BOTTOM, "base", "bottom")
+BASE_LEFT_TAG = Prov(PREF_LEFT, "base", "left")
+C2_HEAD = (PREF_BOTTOM, "C2", "bottom")  # a single turn: head + (source map, None)
+C2T_HEAD = (PREF_LEFT, "C2T", "left")
 # A candidate cost over part of an output edge, raw pieces in order, and its tag.
 Fragment = Tuple[Sequence[pw.Raw], Prov]
 # A route through an output edge's start corner: (constant cost, tag).
@@ -255,15 +259,13 @@ def base_case(P: Curve, Q: Curve) -> Tuple[List[BoundaryCost], List[BoundaryCost
     bottom edge of row 1 and per left edge of column 1.
     """
     axes = []
-    for curve, start, tag in (
-        (P, Q.vertices[0], Prov(PREF_BOTTOM, "base", "bottom")),
-        (Q, P.vertices[0], Prov(PREF_LEFT, "base", "left")),
-    ):
+    for curve, start, tags in ((P, Q.vertices[0], (BASE_BOTTOM_TAG,)),
+                               (Q, P.vertices[0], (BASE_LEFT_TAG,))):
         costs: List[BoundaryCost] = []
         acc = 0.0
         for k in range(1, curve.num_segments + 1):
             u0, u1 = curve.prefix_lengths[k - 1], curve.prefix_lengths[k]
-            costs.append(BoundaryCost(pw.constant(acc, u0, u1), (tag,)))
+            costs.append(tuple.__new__(BoundaryCost, (pw.constant(acc, u0, u1), tags)))
             # h on the segment runs linearly, at unit slope, between these
             h0, h1 = curve.vertices[k - 1] - start, curve.vertices[k] - start
             acc += abs(_s_halfsq(h1) - _s_halfsq(h0))
@@ -354,8 +356,8 @@ def propagate_type_b(
 
 
 def _c2_catalogue(
-    f: PiecewiseQuadratic, X0: float, X1: float, Y0: float, Y1: float, C: float
-) -> List[Tuple[Tuple[pw.Raw], float, float]]:
+    f: PiecewiseQuadratic, X0: float, X1: float, Y0: float, Y1: float, C: float, head: Tuple
+) -> List[Fragment]:
     """Single-turn path costs from the bottom edge to the right edge,
     in normalised frame coordinates and reduced costs.
 
@@ -372,9 +374,9 @@ def _c2_catalogue(
     t <= s - C <= X1 - C, so the ride term 2 S(X1 - t - C) is
     (X1 - t - C)^2, and pathcost is f(s) + 2 (t - Y0) s plus terms free
     of s.  On a piece a s^2 + b s + c of f with a > 0 its minimum over s
-    is at s(t) = alpha * t + beta, alpha = -1/a.  Each entry is (cost
-    fragment over the t where s(t) stays in the piece and the region, one
-    raw piece, alpha, beta).
+    is at s(t) = alpha * t + beta, alpha = -1/a.  Each entry is a fragment:
+    the cost over the t where s(t) stays in the piece and the region, one
+    raw piece, tagged with head and the source map (alpha, beta).
 
     The inputs never rise (travel closure) and kink only concavely (an
     edge is a minimum of costs smooth in its coordinate).  So nothing
@@ -401,7 +403,7 @@ def _c2_catalogue(
     negate C) yields the left-to-top family, where C1T covers X0.
     """
     tol = pw.TOLERANCE * (1.0 + abs(X0) + abs(X1) + abs(Y0) + abs(Y1))
-    out: List[Tuple[Tuple[pw.Raw], float, float]] = []
+    out: List[Fragment] = []
     y0c = Y0 + C
     x1c = X1 - C  # the ride term (t - x1c)^2, its constant kept in const
     const = -_s_halfsq(X0 - y0c) - _s_halfsq(X1 - y0c) + x1c * x1c
@@ -412,20 +414,18 @@ def _c2_catalogue(
             continue  # off the region, or no minimum in s
         alpha = -2.0 / kappa
         beta = (2.0 * y0c - 2.0 * C - pb) / kappa
-        # t where s(t) >= sl, s(t) <= p_hi and s(t) - t - C >= 0, each
-        # constraint g0 * t + g1 >= 0
+        # t where s(t) <= p_hi, s(t) >= sl and s(t) - t - C >= 0, each g0 * t + g1 >= 0 at
+        # x = -g1 / g0: g0 = -alpha > 0 bounds t from below, g0 = alpha, alpha - 1 < 0 above
         t_lo, t_hi = Y0, Y1
-        for g0, g1 in ((alpha, beta - sl), (-alpha, p_hi - beta), (alpha - 1.0, beta - C)):
-            if abs(g0) <= pw.TOLERANCE:
-                if g1 < -pw.TOLERANCE:
-                    t_hi = -math.inf
-                continue
-            x = -g1 / g0
-            if g0 > 0:
-                if x > t_lo:
-                    t_lo = x
-            elif x < t_hi:
-                t_hi = x
+        x = -(p_hi - beta) / -alpha
+        if x > t_lo:
+            t_lo = x
+        x = -(beta - sl) / alpha
+        if x < t_hi:
+            t_hi = x
+        x = -(beta - C) / (alpha - 1.0)
+        if x < t_hi:
+            t_hi = x
         if t_hi - t_lo <= tol:
             continue
         qa, qb, qc = pw.compose_linear(pa, pb, pc, alpha, beta)
@@ -433,7 +433,7 @@ def _c2_catalogue(
         ea, eb, ec = pw.compose_linear(1.0, -2.0 * y0c, y0c ** 2, alpha, beta)
         da, db, dc = pw.compose_linear(-1.0, 0.0, 0.0, alpha - 1.0, beta - C)
         piece = (1.0 + qa + ea + da, -2.0 * x1c + qb + eb + db, const + qc + ec + dc, t_lo, t_hi)
-        out.append(((piece,), alpha, beta))
+        out.append(((piece,), tuple.__new__(Prov, (*head, (alpha, beta), None))))
     return out
 
 
@@ -457,11 +457,8 @@ def propagate_type_c(
     right = [(c1, C1_TAG)] if c1 else []
     # C2: bottom to right, single turn; C2T: left to top, the same with the
     # axes swapped and the valley offset negated.
-    for frag, alpha, beta in _c2_catalogue(gb, x0, x1, y0, y1, c):
-        right.append(
-            (frag, tuple.__new__(Prov, (PREF_BOTTOM, "C2", "bottom", (alpha, beta), None))))
-    for frag, alpha, beta in _c2_catalogue(gl, y0, y1, x0, x1, -c):
-        top.append((frag, tuple.__new__(Prov, (PREF_LEFT, "C2T", "left", (alpha, beta), None))))
+    right += _c2_catalogue(gb, x0, x1, y0, y1, c, C2_HEAD)
+    top += _c2_catalogue(gl, y0, y1, x0, x1, -c, C2T_HEAD)
     return top, right
 
 

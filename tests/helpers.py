@@ -468,17 +468,6 @@ def cell_through_cost(
 # dense-sampling oracles for piecewise functions
 
 
-def dense_min(
-    funcs: Sequence[Callable[[float], float]], lo: float, hi: float, n: int = 1000
-) -> List[Tuple[float, float]]:
-    """(s, min over funcs at s) at n uniform samples."""
-    out = []
-    for k in range(n):
-        s = lo + (hi - lo) * (k + 0.5) / n
-        out.append((s, min(f(s) for f in funcs)))
-    return out
-
-
 def prefix_min(f: pw.PiecewiseQuadratic):
     """pw.cumulative_min with a None tag on every piece and no start value:
     the plain prefix minimum, its argmin annotations and the None tags."""
@@ -521,14 +510,6 @@ def pwq_prefix_min(pieces, t: float) -> float:
             continue
         best = min(best, quad_min_on(p.a, p.b, p.c, p.lo, hi))
     return best
-
-
-def numeric_integral(f: Callable[[float], float], lo: float, hi: float, n: int = 4000) -> float:
-    """Midpoint-rule integral, for validating closed-form integrals."""
-    if hi <= lo:
-        return 0.0
-    h = (hi - lo) / n
-    return h * sum(f(lo + (k + 0.5) * h) for k in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -672,16 +653,19 @@ def mp_twin(dps: int = 40, shrink: float = 1e-20) -> Iterator[None]:
     reference free of float rounding.  Build its curves with mp_curve.
 
     Binds math in piecewise, propagation and engine to a shim with
-    mpmath's sqrt, inf and isfinite, sets mpmath.mp.dps, and scales every
-    precision-table entry but DRIFT_SLACK by shrink, with the copies of
-    ARC_SLACK and VALLEY_POINT_SLACK that curves imports.  DRIFT_SLACK
+    mpmath's sqrt, inf, isfinite, frexp and ldexp (engine's short-curve
+    frame), sets mpmath.mp.dps, and scales TOLERANCE and every *_SLACK
+    entry of the precision table but DRIFT_SLACK by shrink, with the copies
+    of ARC_SLACK and VALLEY_POINT_SLACK that curves imports (the frame's
+    UNIT_FRAME_BELOW is a length, not a slack, and stays).  DRIFT_SLACK
     stays: it bounds _pin_end's far-corner gap, which does not shrink with
     precision (ROADMAP item 18).  Everything is restored on exit, also
     after an exception.
     """
     import mpmath
 
-    shim = types.SimpleNamespace(sqrt=mpmath.sqrt, inf=mpmath.inf, isfinite=mpmath.isfinite)
+    shim = types.SimpleNamespace(sqrt=mpmath.sqrt, inf=mpmath.inf, isfinite=mpmath.isfinite,
+                                 frexp=mpmath.frexp, ldexp=mpmath.ldexp)
     table = [name for name in vars(pw) if name == "TOLERANCE" or name.endswith("_SLACK")]
     new = {(module, "math"): shim for module in (pw, propagation, engine)}
     new.update({(pw, name): getattr(pw, name) * shrink for name in table if name != "DRIFT_SLACK"})

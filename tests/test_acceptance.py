@@ -119,19 +119,19 @@ def test_invariance_suite():
         v = cdtw_exact(build_curve(p), build_curve(q)).value
 
         sym = cdtw_exact(build_curve(q), build_curve(p)).value
-        assert abs(sym - v) <= 1e-9 * (1 + abs(v))
+        assert abs(sym - v) <= 1e-12 * (1 + abs(v))
 
         shift = rng.uniform(-5, 5)
         moved = cdtw_exact(
             build_curve([x + shift for x in p]), build_curve([x + shift for x in q])
         ).value
-        assert moved == pytest.approx(v, rel=1e-9, abs=1e-12)
+        assert moved == pytest.approx(v, rel=1e-12, abs=1e-12)
 
         lam = rng.choice([0.5, 2.0, 10.0])
         scaled = cdtw_exact(
             build_curve([lam * x for x in p]), build_curve([lam * x for x in q])
         ).value
-        assert scaled == pytest.approx(lam * lam * v, rel=1e-6)
+        assert scaled == pytest.approx(lam * lam * v, rel=1e-12)
         if v > 1e-9:
             worst = max(worst, abs(scaled - lam * lam * v) / (lam * lam * v))
     report("invariance suite", f"100 pairs, worst scaling residual {worst:.2e}")

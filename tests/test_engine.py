@@ -190,7 +190,7 @@ class TestInvariances:
             Q = random_curve(rng, rng.randint(2, 5))
             a = cdtw_exact(P, Q).value
             b = cdtw_exact(Q, P).value
-            assert abs(a - b) <= 1e-9 * (1 + abs(a))
+            assert abs(a - b) <= 1e-12 * (1 + abs(a))
 
     def test_value_scaling(self):
         rng = random.Random(57)
@@ -199,7 +199,7 @@ class TestInvariances:
         base = solve(p, q).value
         for lam in (0.5, 2.0, 10.0):
             scaled = solve([lam * v for v in p], [lam * v for v in q]).value
-            assert scaled == pytest.approx(lam * lam * base, rel=1e-6)
+            assert scaled == pytest.approx(lam * lam * base, rel=1e-12)
 
     def test_translation(self):
         rng = random.Random(59)
@@ -208,7 +208,7 @@ class TestInvariances:
         base = solve(p, q).value
         for shift in (-3.0, 0.7, 12.0):
             moved = solve([v + shift for v in p], [v + shift for v in q]).value
-            assert moved == pytest.approx(base, rel=1e-9, abs=1e-12)
+            assert moved == pytest.approx(base, rel=1e-12, abs=1e-12)
 
     def test_subdividing_segments_changes_nothing(self):
         # CDTW does not depend on the sampling rate: a vertex inside a

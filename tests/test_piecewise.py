@@ -68,7 +68,7 @@ def travel(f, qc):
     apply_edge_travel of the reduced cost f - qc, with qc added back."""
     qa, qb, qcc = qc[:3]
     g = pw.from_raw([(a - qa, b - qb, c - qcc, lo, hi) for a, b, c, lo, hi in f.raw])
-    g, _ = apply_edge_travel(g, [Prov(1.0, "base", "bottom")] * len(g), NO_CORNER)
+    g, _ = apply_edge_travel(g, [Prov(1.0, "base", "bottom")] * len(g.raw), NO_CORNER)
     return pw.from_raw([(a + qa, b + qb, c + qcc, lo, hi) for a, b, c, lo, hi in g.raw])
 
 
@@ -154,7 +154,7 @@ class TestAddQuadratic:
     def test_breakpoint_union(self):
         f = pw.constant(0.0, 0.0, 1.0)
         h = pw.from_raw(add_raw(f.raw, TENT.raw))
-        assert len(h) == 2
+        assert len(h.raw) == 2
         assert h.value(1.0) == pytest.approx(0.25)
 
     def test_evaluate_commutes(self):
@@ -250,10 +250,10 @@ class TestCumulativeMin:
         rng = random.Random(26)
         for _ in range(60):
             f = random_pwq(rng)
-            tags = [f"piece{k}" for k in range(len(f))]
+            tags = [f"piece{k}" for k in range(len(f.raw))]
             g, args, out_tags = pw.cumulative_min(f, tags, NO_CORNER)
             g0, args0, _ = prefix_min(f)
-            assert len(out_tags) == len(g) == len(args)
+            assert len(out_tags) == len(g.raw) == len(args)
             for piece, arg, tag in zip(g.raw, args, out_tags):
                 # a follow piece lies inside the piece it follows; a flat one
                 # names the piece covering its argmin, left at a breakpoint
@@ -277,7 +277,7 @@ class TestCumulativeMin:
         # One decreasing line cut in two: the pieces merge with None tags
         # and with equal tags, and stay apart with different tags.
         f = pwq((0, -1, 1, 0, 0.5), (0, -1, 1, 0.5, 1))
-        assert len(prefix_min(f)[0]) == 1
+        assert len(prefix_min(f)[0].raw) == 1
         assert pw.cumulative_min(f, ["a", "a"], NO_CORNER)[2] == ["a"]
         g, args, tags = pw.cumulative_min(f, ["a", "b"], NO_CORNER)
         assert breakpoints(g) == [0, 0.5, 1]
@@ -310,11 +310,11 @@ class TestCumulativeMin:
         capped = 0
         for _ in range(60):
             f = random_pwq(rng)
-            tags = [f"piece{k}" for k in range(len(f))]
+            tags = [f"piece{k}" for k in range(len(f.raw))]
             ref, _, _ = prefix_min(f)
             k = rng.uniform(-2.5, 2.5)
             g, args, out_tags = pw.cumulative_min(f, tags, (k, "corner"))
-            assert len(g) <= 3 * len(f)
+            assert len(g.raw) <= 3 * len(f.raw)
             for j in range(40):
                 t = j / 39.0
                 assert g.value(t) == pytest.approx(min(ref.value(t), k), abs=1e-9)
@@ -689,6 +689,13 @@ class TestValidateAndSerialise:
         with pytest.raises(AttributeError):
             f.extra = 1
         assert pickle.loads(pickle.dumps(f)) == f
+
+    def test_named_tuple_contract(self):
+        # One field, whatever the piece count: len(f.raw) counts pieces.
+        f = pwq((0, 1, 0, 0, 1), (0, -1, 2, 1, 2))
+        assert len(f) == len(tuple(f)) == 1 and tuple(f) == (f.raw,)
+        assert pw.PiecewiseQuadratic._make(tuple(f)) == f
+        assert f._replace(raw=TENT.raw) == TENT
 
 
 @settings(max_examples=100, deadline=None)

@@ -14,6 +14,8 @@ from cdtw.errors import InvariantViolation, OutOfDomain
 from cdtw.propagation import (
     PREF_BOTTOM,
     PREF_LEFT,
+    C2_HEAD,
+    C2T_HEAD,
     BoundaryCost,
     Prov,
     _across,
@@ -103,7 +105,7 @@ def random_consistent_input(rng, cell: Cell, side: str) -> BoundaryCost:
     f, _ = pw.lower_envelope(items, lo, hi)
     g = reduced(cell, side, f)
     pref = PREF_BOTTOM if side == "bottom" else PREF_LEFT
-    g, _ = apply_edge_travel(g, [Prov(pref, "base", side)] * len(g), NO_CORNER)
+    g, _ = apply_edge_travel(g, [Prov(pref, "base", side)] * len(g.raw), NO_CORNER)
     mn, _ = minimum(full(cell, side, g))
     g = lifted(g, 0.1 - min(mn, 0.0))
     tags = tuple(Prov(pref, "base", side) for _ in g.pieces)
@@ -404,9 +406,9 @@ class TestTypeA:
         Q = build_curve([1, 0])
         cell = cell_info(P, Q, 1, 1)
         zero = reduced(cell, "bottom", pw.constant(0.0, *cell.x_range))
-        bc = BoundaryCost(zero, (Prov(PREF_BOTTOM, "base", "bottom"),) * len(zero))
+        bc = BoundaryCost(zero, (Prov(PREF_BOTTOM, "base", "bottom"),) * len(zero.raw))
         dear = reduced(cell, "left", pw.constant(100.0, *cell.y_range))
-        left = BoundaryCost(dear, (Prov(PREF_LEFT, "base", "left"),) * len(dear))
+        left = BoundaryCost(dear, (Prov(PREF_LEFT, "base", "left"),) * len(dear.raw))
         (top, tags), _right = type_a(cell, bc, left)
         assert {tag.kind for tag in tags} == {"Av"}
         top = full(cell, "top", top)
@@ -440,7 +442,7 @@ class TestTypeA:
         eps = 1e-13
         pieces = [(0.0, 0.0, 1.0, x0, x0 + eps), (0.0, 0.0, 1.0, x0 + eps, x1)]
         f, _ = pw.normalize([(*p, None) for p in pieces], x0, x1)
-        assert len(f) == 1  # hygiene collapses the sliver before propagation
+        assert len(f.raw) == 1  # hygiene collapses the sliver before propagation
 
     def test_one_cut_matches_the_envelope(self):
         # capped takes pieces that clear the cap whole and compares only
@@ -456,7 +458,7 @@ class TestTypeA:
                 want, want_tags = pw.lower_envelope(
                     [(lifted_f.raw, tag), (pw.constant(cap, lo, hi).raw, cap_tag)], lo, hi)
                 assert got_tags == want_tags
-                assert len(got) == len(want)
+                assert len(got.raw) == len(want.raw)
                 for p, q in zip(got.raw, want.raw):
                     for x, y in zip(p, q):
                         assert abs(x - y) <= 1e-12 * (1.0 + abs(y))
@@ -543,8 +545,8 @@ class TestTypeB:
         (vx0, vy0), (vx1, vy1) = cell.valley
         zero_b = reduced(cell, "bottom", pw.constant(0.0, *cell.x_range))
         zero_l = reduced(cell, "left", pw.constant(0.0, *cell.y_range))
-        bottom = BoundaryCost(zero_b, (Prov(PREF_BOTTOM, "base", "bottom"),) * len(zero_b))
-        left = BoundaryCost(zero_l, (Prov(PREF_LEFT, "base", "left"),) * len(zero_l))
+        bottom = BoundaryCost(zero_b, (Prov(PREF_BOTTOM, "base", "bottom"),) * len(zero_b.raw))
+        left = BoundaryCost(zero_l, (Prov(PREF_LEFT, "base", "left"),) * len(zero_l.raw))
         top, _right = type_b(cell, bottom, left)
         (b3_top, _), = top
         b3_top = full(cell, "top", pw.from_raw(b3_top))
@@ -619,7 +621,8 @@ class TestTypeC:
         # the piece from t = -(1 - 1) / 1 = -0.0 on: a tie with Y0 = 0.0,
         # which keeps Y0, as max(0.0, -0.0) does.
         f = pw.from_raw([(1.0, -2.0, 0.0, 0.0, 1.0)])
-        ((piece,), alpha, beta), = _c2_catalogue(f, 0.0, 1.0, 0.0, 1.0, 0.0)
+        ((piece,), tag), = _c2_catalogue(f, 0.0, 1.0, 0.0, 1.0, 0.0, C2_HEAD)
+        alpha, beta = tag.data
         assert (alpha, beta, piece[3:]) == (-1.0, 1.0, (0.0, 0.5))
         assert math.copysign(1.0, piece[3]) > 0
 
@@ -633,8 +636,8 @@ class TestTypeC:
         y0, y1 = cell.y_range
         const_l = reduced(cell, "left", pw.constant(k, y0, y1))
         const_b = reduced(cell, "bottom", pw.constant(0.0, *cell.x_range))
-        bottom = BoundaryCost(const_b, (Prov(PREF_BOTTOM, "base", "bottom"),) * len(const_b))
-        left = BoundaryCost(const_l, (Prov(PREF_LEFT, "base", "left"),) * len(const_l))
+        bottom = BoundaryCost(const_b, (Prov(PREF_BOTTOM, "base", "bottom"),) * len(const_b.raw))
+        left = BoundaryCost(const_l, (Prov(PREF_LEFT, "base", "left"),) * len(const_l.raw))
         _top, right = type_c(cell, bottom, left)
         c1 = next(
             (f, t) for f, t in right if t.kind == "C1"
@@ -859,15 +862,15 @@ class TestTypeC:
             x0, x1 = cell.x_range
             y0, y1 = cell.y_range
             c = cell.offset
-            for kind, f, (X0, X1, Y0, Y1, C) in (
-                ("C2", bottom.cost, (x0, x1, y0, y1, c)),
-                ("C2T", left.cost, (y0, y1, x0, x1, -c)),
+            for head, f, (X0, X1, Y0, Y1, C) in (
+                (C2_HEAD, bottom.cost, (x0, x1, y0, y1, c)),
+                (C2T_HEAD, left.cost, (y0, y1, x0, x1, -c)),
             ):
-                cat = _c2_catalogue(f, X0, X1, Y0, Y1, C)
-                emitted = [(g, t.data) for g, t in top + right if t.kind == kind]
-                assert emitted == [(g, (a, b)) for g, a, b in cat]
+                cat = _c2_catalogue(f, X0, X1, Y0, Y1, C, head)
+                emitted = [(g, t) for g, t in top + right if t.kind == head[1]]
+                assert emitted == cat
                 tol = 1e-9 * (1.0 + abs(X0) + abs(X1) + abs(Y0) + abs(Y1))
-                for g, a, b in cat:
+                for g, (*_, (a, b), _) in cat:
                     for t in (g[0][3], g[-1][4]):
                         s = a * t + b
                         assert X0 - tol <= s <= X1 + tol
@@ -1130,18 +1133,18 @@ class TestSolveCell:
         for _ in range(60):
             P, Q, cell = random_cell(rng)
             bottom, left = random_cell_inputs(rng, cell)
-            sources = {"bottom": len(bottom.cost), "left": len(left.cost)}
+            sources = {"bottom": len(bottom.cost.raw), "left": len(left.cost.raw)}
             if cell.same_direction:
                 top, right = type_c(cell, bottom, left)
                 if cell.valley is not None:
                     b_top, b_right = type_b(cell, bottom, left)
                     rec = valley(cell, bottom, left)
                     top, right = top + b_top, right + b_right
-                    sources[""] = len(rec.cost)
+                    sources[""] = len(rec.cost.raw)
             else:
                 (top, top_tags), (right, right_tags) = type_a(cell, bottom, left)
-                assert len(top) <= sources["bottom"] + 2
-                assert len(right) <= sources["left"] + 2
+                assert len(top.raw) <= sources["bottom"] + 2
+                assert len(right.raw) <= sources["left"] + 2
                 kinds.update(tag.kind for tag in top_tags + right_tags)
                 continue
             for frag, prov in top + right:

@@ -1,5 +1,6 @@
-"""ROADMAP item 3's pair: values at small scales are wrong by far more than
-rounding, because absolute slacks of the precision table do not scale.
+"""ROADMAP item 3's pair: the absolute slacks of the precision table do
+not scale, so cdtw_exact solves curves shorter than UNIT_FRAME_BELOW in an
+exact power-of-two frame, and small scales give the unit-frame value.
 
 The pair (CHANGES.md FOUND) is divided by lambda = max|value| and then
 multiplied by s; CDTW(sP, sQ) = s^2 CDTW(P, Q), so value / s^2 should be
@@ -9,7 +10,6 @@ the unit-frame value (s = 1) of the same orientation.
 import pytest
 
 from cdtw import EngineConfig, build_curve, cdtw_exact
-from cdtw.errors import CoverageGap
 
 from helpers import mp_curve, mp_twin
 
@@ -36,15 +36,22 @@ def scale_error(orientation, s):
     return value / (s * s) / unit - 1.0
 
 
-# Measured: at 1e-10 all three raise CoverageGap; at 1e-6 value / s^2 is
-# off by +64.8% forward, -100% reversed (0.0) and -24.4% swapped; at 1e-4
-# by -5.4%, -44.9% and -1.5%.
-@pytest.mark.xfail(strict=True, raises=(AssertionError, CoverageGap),
-                   reason="ROADMAP item 3: absolute slacks do not scale")
+# Without the frame, at 1e-10 all three raise CoverageGap; at 1e-6
+# value / s^2 is off by +64.8% forward, -100% reversed (0.0) and -24.4%
+# swapped; at 1e-4 by -5.4%, -44.9% and -1.5%.
 @pytest.mark.parametrize("orientation", list(ORIENTATIONS))
 @pytest.mark.parametrize("s", [1e-10, 1e-6, 1e-4])
-def test_found_pair_wrong_at_small_scales(s, orientation):
+def test_found_pair_right_at_small_scales(s, orientation):
     assert abs(scale_error(orientation, s)) <= 1e-12
+
+
+# Without the frame, each raises CoverageGap "no candidate fragments" at
+# cell (1,1).
+@pytest.mark.parametrize("s", [1e-12, 1e-10, 1e-9])
+def test_short_segment_against_itself_is_free(s):
+    result = cdtw_exact(build_curve([0.0, s]), build_curve([0.0, s]))
+    assert result.value == 0.0
+    assert result.path.points[-1] == (s, s)
 
 
 # Measured worst: 1.4e-14 (swapped, s = 1e3).
