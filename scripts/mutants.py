@@ -18,10 +18,11 @@ and no run reuses another's examples.
 
 The list holds every entry of the precision table in ``piecewise`` at ten
 times its value (looser), the sites that share an entry at ten times their
-slack, and the ten mutants of the first raise-site census: the distance
-scaled by 0.99, 1.01 and 1 +- 1e-9, single-turn (C2T) fragments shifted by
--1e-8 and +1e-10, ``PREF_BOTTOM`` 2.5, and the ``_nonincreasing`` and
-``_pin_end`` slacks at 100 and 10,000 times.  Three more edit the
+slack, and nine of the ten mutants of the first raise-site census (the
+tenth loosened a corner rewrite that is gone): the distance scaled by
+0.99, 1.01 and 1 +- 1e-9, single-turn (C2T) fragments shifted by -1e-8
+and +1e-10, ``PREF_BOTTOM`` 2.5, and the ``_nonincreasing`` slack at 100
+times.  Three more edit the
 conditional clamps that stand for builtin ``max`` and ``min``: ``_leg``'s
 clamps with the flipped tie order, ``_leg``'s overlap test closed, and
 ``_c2_catalogue``'s range updates taking a tie, at its lower bound and
@@ -30,7 +31,9 @@ from 80 steps to 8.  Two more drop the checks that stand for a cell-type
 guard: the path trace's test for a valley before it re-derives one, and
 ``cell_info``'s fast index test, taking index 0.  One maps the value of a
 solve in ``cdtw_exact``'s short-curve frame back with its power of two
-off by one.  Edits write no float literal below 1e-3 (they scale ``TOLERANCE``), so
+off by one.  The last two put ``solve_cell``'s far-corner check at 10,000
+times its bound and drop each cell's last C2T fragment.  Edits write no
+float literal below 1e-3 (they scale ``TOLERANCE``), so
 the census test of such literals does not stand in for the test that
 should kill them.
 
@@ -83,7 +86,6 @@ MUTANTS = [
      "tol = 10 * TOLERANCE * (1.0 + abs(lo) + abs(hi))", 1),
     ("coefficient-merge-x10", PW, "<= tol * (1.0 + abs(p", "<= 10 * tol * (1.0 + abs(p", 3),
     ("nonincreasing-x10", PROP, "> low + pw.TOLERANCE:", "> low + 10 * pw.TOLERANCE:", 1),
-    ("pin-end-x10", PROP, "> pw.DRIFT_SLACK *", "> 10 * pw.DRIFT_SLACK *", 1),
     ("negative-distance-x10", ENG, "< -pw.DRIFT_SLACK *", "< -10 * pw.DRIFT_SLACK *", 1),
     ("step-back-x10", ENG, "< -drift", "< -10 * drift", 2),
     ("valley-leg-x10", ENG, "<= drift", "<= 10 * drift", 2),
@@ -98,7 +100,6 @@ MUTANTS = [
     ("c2t-plus-1e-10", PROP, C2T, c2t_shifted("pw.TOLERANCE / 10"), 1),
     ("pref-bottom-2.5", PROP, "PREF_BOTTOM = 1.0", "PREF_BOTTOM = 2.5", 1),
     ("nonincreasing-x100", PROP, "> low + pw.TOLERANCE:", "> low + 100 * pw.TOLERANCE:", 1),
-    ("pin-end-x1e4", PROP, "> pw.DRIFT_SLACK *", "> 1e4 * pw.DRIFT_SLACK *", 1),
     # the conditional clamps that stand for builtin max and min
     ("leg-flipped-ties", PROP, LEG_CLAMP, "l if l > lo else lo, h if h < hi else hi", 1),
     ("leg-overlap-closed", PROP, "if l < hi and h > lo:", "if l <= hi and h > lo:", 1),
@@ -112,6 +113,11 @@ MUTANTS = [
     ("cell-index-low", "src/cdtw/curves.py", "(0 < i < len(vp) and", "(0 <= i < len(vp) and", 1),
     # the short-curve frame, mapping the value back with its exponent off by one
     ("frame-value-exponent", ENG, "ldexp(value, -2 * shift)", "ldexp(value, 1 - 2 * shift)", 1),
+    # solve_cell's far-corner check at 1e4 times its bound, and a cell's
+    # last single-turn (C2T) fragment dropped
+    ("corner-check-x1e4", PROP, "> pw.TOLERANCE * (1.0 + abs(at_top)",
+     "> 1e4 * pw.TOLERANCE * (1.0 + abs(at_top)", 1),
+    ("c2t-drop-last", PROP, C2T, C2T.replace("C2T_HEAD)", "C2T_HEAD)[:-1]"), 1),
 ]
 
 

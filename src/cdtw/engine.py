@@ -6,7 +6,7 @@ value does not depend on the sampling rate.  Cells are solved in
 nondecreasing level order (level = i + j), so both input edges of a cell
 are ready when it is visited.  The final distance is the cost at the
 top-right corner, the smaller of the last cell's two output edges read
-there, as every cell reads its far corner.  The edges are the sweep's
+there (solve_cell checks that such reads agree).  The edges are the sweep's
 only state; their per-piece provenance supports exact path
 reconstruction by backtracking.
 """

@@ -32,13 +32,12 @@ from .errors import CoverageGap, OutOfDomain
 # Absolute in slivers, degenerate coefficients, roots, the comparisons of
 # cumulative_min and _env_merge and _nonincreasing's start; relative to the
 # operands in locate, _s_combination_raw, _c2_catalogue, capped's clearance,
-# _span_entry's tie and normalize's merge.
+# _span_entry's tie, normalize's merge and solve_cell's far-corner check.
 TOLERANCE = 1e-9
 # A hole in an edge's coverage, relative to its ends: a thousand TOLERANCE.
 COVERAGE_SLACK = 1e3 * TOLERANCE
-# TOLERANCE per cell summed over a solve, relative to _pin_end's target or
-# to the curves' lengths (a negative distance, a path leg stepping back or
-# riding the valley).
+# TOLERANCE per cell summed over a solve, relative to the curves' lengths:
+# a negative distance, a path leg stepping back or riding the valley.
 DRIFT_SLACK = 1e-6
 # _polish_path merges points this close, relative to the curves' lengths.
 PATH_MERGE_SLACK = 1e-9

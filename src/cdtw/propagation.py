@@ -240,7 +240,7 @@ def edge_height_running(cell: Cell, side: str) -> PiecewiseQuadratic:
 
 def far_corner_cost(cell: Cell, top: BoundaryCost, right: BoundaryCost) -> float:
     """The cost at a cell's top-right corner from its output edges: the
-    smaller of the two end reads that solve_cell pins to each other."""
+    smaller of the two end reads, which solve_cell checks agree."""
     _, _, h_top, v_right = _edge_integrals(cell)
     return min(_end_value(top.cost, -1) + h_top, _end_value(right.cost, -1) + v_right)
 
@@ -504,34 +504,13 @@ def apply_edge_travel(
     ]
 
 
-def _pin_end(
-    f: PiecewiseQuadratic, idx: int, cur: float, target: float
-) -> PiecewiseQuadratic:
-    """Nudge the end piece f.raw[idx] (0 or -1), whose end value is cur,
-    so that the end value matches target exactly.
-
-    Suppresses sub-tolerance drift at cell corners; a genuine mismatch is
-    an invariant violation.
-    """
-    delta = target - cur
-    if delta == 0.0:
-        return f
-    if abs(delta) > pw.DRIFT_SLACK * (1.0 + abs(target)):
-        raise InvariantViolation(
-            f"corner value mismatch: {cur} vs {target} at {'hi' if idx else 'lo'} end"
-        )
-    a, b, c, lo, hi = f.raw[idx]
-    pieces = list(f.raw)
-    pieces[idx] = (a, b, c + delta, lo, hi)
-    return pw.from_raw(pieces)
-
-
 def solve_cell(
     cell: Cell, bottom: BoundaryCost, left: BoundaryCost
 ) -> Tuple[BoundaryCost, BoundaryCost]:
     """Output-edge reduced costs (top, right) of one cell from its
     input-edge reduced costs.  The inputs must never rise, as every
-    base-case edge and every output of this function does.
+    base-case edge and every output of this function does.  Outputs whose
+    far-corner reads differ past rounding raise InvariantViolation.
     """
     h_bottom, v_left, h_top, v_right = _edge_integrals(cell)
     top_k, right_k = _corner_routes(bottom, left, h_bottom, v_left)
@@ -548,28 +527,12 @@ def solve_cell(
         fin_right, prov_right = apply_edge_travel(
             *pw.lower_envelope(frags_right, *cell.y_range), right_k)
 
-    # Corner continuity: the output functions meet known costs at three
-    # corners; pin away sub-tolerance drift.  Every edge function spans
-    # its edge, so its corner values are those of its end pieces, and an
-    # edge's cost at its end is the reduced cost plus the edge's integral.
-    # A start corner is pinned down to its corner route where it reads above.
-    a, b, c, s, _ = fin_top.raw[0]
-    top_lo = (a * s + b) * s + c
-    a, b, c, s, _ = fin_right.raw[0]
-    right_lo = (a * s + b) * s + c
-    if right_lo > right_k[0]:
-        fin_right = _pin_end(fin_right, 0, right_lo, right_k[0])
-    if top_lo > top_k[0]:
-        fin_top = _pin_end(fin_top, 0, top_lo, top_k[0])
-    a, b, c, _, s = fin_top.raw[-1]
-    top_hi = (a * s + b) * s + c
-    a, b, c, _, s = fin_right.raw[-1]
-    right_hi = (a * s + b) * s + c
-    at_top, at_right = top_hi + h_top, right_hi + v_right
-    if at_top < at_right:
-        fin_right = _pin_end(fin_right, -1, right_hi, at_top - v_right)
-    elif at_right < at_top:
-        fin_top = _pin_end(fin_top, -1, top_hi, at_right - h_top)
+    # Both output edges end at the far corner, so each prices it in full:
+    # the families reach it on either edge.  Their reads agree to rounding.
+    at_top = _end_value(fin_top, -1) + h_top
+    at_right = _end_value(fin_right, -1) + v_right
+    if abs(at_top - at_right) > pw.TOLERANCE * (1.0 + abs(at_top) + abs(at_right)):
+        raise InvariantViolation(f"corner value mismatch: top {at_top} vs right {at_right}")
 
     return (tuple.__new__(BoundaryCost, (fin_top, tuple(prov_top))),
             tuple.__new__(BoundaryCost, (fin_right, tuple(prov_right))))

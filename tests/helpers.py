@@ -654,21 +654,30 @@ def mp_twin(dps: int = 40, shrink: float = 1e-20) -> Iterator[None]:
 
     Binds math in piecewise, propagation and engine to a shim with
     mpmath's sqrt, inf, isfinite, frexp and ldexp (engine's short-curve
-    frame), sets mpmath.mp.dps, and scales TOLERANCE and every *_SLACK
-    entry of the precision table but DRIFT_SLACK by shrink, with the copies
-    of ARC_SLACK and VALLEY_POINT_SLACK that curves imports (the frame's
-    UNIT_FRAME_BELOW is a length, not a slack, and stays).  DRIFT_SLACK
-    stays: it bounds _pin_end's far-corner gap, which does not shrink with
-    precision (ROADMAP item 18).  Everything is restored on exit, also
-    after an exception.
+    frame), and piecewise.from_raw, which makes every function the solver
+    stores, to a wrapper that lifts each piece's coefficients a, b, c to
+    mpf.  Leading coefficients grow from float literals alone (the base
+    case's 0.0, a transport's 1.0), so without the lift they stay floats
+    and round the single turn's source map alpha = -2 / (2a) to binary64.
+    Sets mpmath.mp.dps, and scales TOLERANCE and every *_SLACK entry of
+    the precision table by shrink, with the copies of ARC_SLACK and
+    VALLEY_POINT_SLACK that curves imports (the frame's UNIT_FRAME_BELOW
+    is a length, not a slack, and stays).  Everything is restored on exit,
+    also after an exception.
     """
     import mpmath
 
     shim = types.SimpleNamespace(sqrt=mpmath.sqrt, inf=mpmath.inf, isfinite=mpmath.isfinite,
                                  frexp=mpmath.frexp, ldexp=mpmath.ldexp)
+    mpf, from_raw = mpmath.mpf, pw.from_raw
+
+    def from_raw_mpf(raw):
+        return from_raw([(mpf(a), mpf(b), mpf(c), lo, hi) for a, b, c, lo, hi in raw])
+
     table = [name for name in vars(pw) if name == "TOLERANCE" or name.endswith("_SLACK")]
     new = {(module, "math"): shim for module in (pw, propagation, engine)}
-    new.update({(pw, name): getattr(pw, name) * shrink for name in table if name != "DRIFT_SLACK"})
+    new[(pw, "from_raw")] = from_raw_mpf
+    new.update({(pw, name): getattr(pw, name) * shrink for name in table})
     new.update({(curves, name): getattr(curves, name) * shrink
                 for name in ("ARC_SLACK", "VALLEY_POINT_SLACK")})
     old = {key: getattr(*key) for key in new}

@@ -3,11 +3,12 @@ envelope merging, edge travel, and the closed-form through-cost oracle."""
 
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cdtw import build_curve, cell_info, point_at
+from cdtw import build_curve, cdtw_exact, cell_info, point_at, propagation
 from cdtw import piecewise as pw
 from cdtw.curves import Cell
 from cdtw.errors import InvariantViolation, OutOfDomain
@@ -23,7 +24,6 @@ from cdtw.propagation import (
     _corner_routes,
     _edge_integrals,
     _leg,
-    _pin_end,
     _s_combination_raw,
     apply_edge_travel,
     base_case,
@@ -912,18 +912,41 @@ class TestLeg:
         assert math.copysign(1.0, _leg([(*piece, -1.0, -0.0)], 0.0, piece, -1.0, 0.0)[0][4]) < 0
 
 
-class TestPinEnd:
-    def test_mismatch_past_bound_raises(self):
-        with pytest.raises(InvariantViolation, match="corner value mismatch"):
-            _pin_end(pw.constant(1.0, 0.0, 1.0), -1, 1.0, 1.0 + 1e-4)
-        # The bound is 1e-6 * (1 + |target|): 3e-6 * (1 + 2) past target 2.
-        with pytest.raises(InvariantViolation, match="corner value mismatch"):
-            _pin_end(pw.constant(2.0 - 9e-6, 0.0, 1.0), 0, 2.0 - 9e-6, 2.0)
+class TestFarCornerCheck:
+    @staticmethod
+    def solve_with_c2t(monkeypatch, edit):
+        """cdtw_exact on the first seed-41 solve_noise pair, with each
+        cell's C2T fragments passed through edit."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        from corpus import noise_pairs
 
-    def test_drift_within_bound_is_pinned_exactly(self):
-        target = 1.0 + 1e-7
-        g = _pin_end(pw.constant(1.0, 0.0, 1.0), -1, 1.0, target)
-        assert g.value(1.0) == target
+        catalogue = propagation._c2_catalogue
+
+        def edited(f, X0, X1, Y0, Y1, C, head):
+            out = catalogue(f, X0, X1, Y0, Y1, C, head)
+            return edit(out) if head is C2T_HEAD else out
+
+        monkeypatch.setattr(propagation, "_c2_catalogue", edited)
+        p, q = noise_pairs(41, 1)[0]
+        with pytest.raises(InvariantViolation,
+                           match=r"^cell \(\d+,\d+\), level \d+ .*corner value mismatch"):
+            cdtw_exact(build_curve(p), build_curve(q))
+
+    def test_a_missing_single_turn_raises_naming_the_cell(self, monkeypatch):
+        # Without the last C2T fragment of each cell, a top edge can miss
+        # the route that prices the far corner on the right edge: 18 of the
+        # pair's 1,292 cells then read it apart past the check's bound, by
+        # up to 9.8e-3 relative.
+        self.solve_with_c2t(monkeypatch, lambda frags: frags[:-1])
+
+    def test_a_single_turn_off_by_100_tolerance_raises(self, monkeypatch):
+        # Far-corner reads of about 1 apart by 1e-7: past the check's bound
+        # of about 3e-9, inside a bound 1e4 times looser.
+        def raised(frags):
+            return [([(a, b, c + 100 * pw.TOLERANCE, lo, hi) for a, b, c, lo, hi in frag], tag)
+                    for frag, tag in frags]
+
+        self.solve_with_c2t(monkeypatch, raised)
 
 
 class TestSolveCell:
@@ -955,7 +978,8 @@ class TestSolveCell:
             bottom, left = random_cell_inputs(rng, cell)
             top, right = outputs(cell, *solve_cell(cell, bottom, left))
             bottom, left = costs(cell, bottom, left)
-            assert top.value(top.hi) == pytest.approx(right.value(right.hi), abs=1e-9)
+            at_top, at_right = top.value(top.hi), right.value(right.hi)
+            assert abs(at_top - at_right) <= pw.TOLERANCE * (1.0 + abs(at_top) + abs(at_right))
             # output corner meeting an input edge equals the input's value
             assert right.value(right.lo) == pytest.approx(bottom.value(bottom.hi), abs=1e-9)
             assert top.value(top.lo) == pytest.approx(left.value(left.hi), abs=1e-9)

@@ -17,6 +17,7 @@ mpmath = pytest.importorskip("mpmath")
 
 from cdtw import EngineConfig, build_curve, cdtw_exact, curves, engine, propagation  # noqa: E402
 from cdtw import piecewise as pw  # noqa: E402
+from cdtw.errors import InvariantViolation  # noqa: E402
 
 from helpers import mp_curve, mp_twin  # noqa: E402
 
@@ -46,6 +47,7 @@ def twin_pairs(seed, count, lo, hi):
 def bindings():
     table = [name for name in vars(pw) if name == "TOLERANCE" or name.endswith("_SLACK")]
     got = {(m.__name__, "math"): m.math for m in (pw, propagation, engine)}
+    got[("piecewise", "from_raw")] = pw.from_raw
     got.update({("piecewise", name): getattr(pw, name) for name in table})
     got.update({("curves", name): getattr(curves, name)
                 for name in ("ARC_SLACK", "VALLEY_POINT_SLACK")})
@@ -73,8 +75,9 @@ def test_every_binding_is_restored(fail):
     for key, value in before.items():
         if key[1] == "math":
             assert inside[key].sqrt is mpmath.sqrt and inside[key].inf == mpmath.inf
-        elif key[1] == "DRIFT_SLACK":
-            assert inside[key] == value
+        elif key[1] == "from_raw":
+            assert all(isinstance(x, mpmath.mpf)
+                       for x in inside[key]([(0.5, 1.0, 2.0, 0.0, 1.0)]).raw[0][:3])
         elif key != "dps":
             assert inside[key] == value * 1e-10, key
 
@@ -89,6 +92,22 @@ def test_float_value_within_1e_12_of_the_twin():
     for k, (f, t) in enumerate(zip(floats, twins)):
         assert isinstance(t, mpmath.mpf)
         assert abs(f - t) <= 1e-12 * abs(t), (k, f, t)
+
+
+def test_lifted_coefficients_price_the_far_corner_alike():
+    # With every slack scaled, solve_cell's far-corner check is live in the
+    # twin.  Unlifted, the leading coefficients stay floats, alpha = -2/(2a)
+    # of a single turn rounds, and the two reads of cell (8,1)'s far corner
+    # differ by 9.1e-15; lifted, they agree.
+    p, q = twin_pairs(8, 40, 2, 12)[3]
+    value = cdtw_exact(build_curve(p), build_curve(q), NO_PATH).value
+    from_raw = pw.from_raw
+    with mp_twin():
+        assert abs(cdtw_exact(mp_curve(p), mp_curve(q)).value - value) <= 1e-12 * value
+        pw.from_raw = from_raw  # unlifted; mp_twin restores the binding on exit
+        with pytest.raises(InvariantViolation,
+                           match=r"cell \(8,1\), level 9 .*corner value mismatch"):
+            cdtw_exact(mp_curve(p), mp_curve(q), NO_PATH)
 
 
 def test_twin_at_40_and_60_digits_agrees():
