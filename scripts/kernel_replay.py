@@ -27,12 +27,27 @@ equal files mean bit-identical kernels on these inputs.  Only outputs are
 written, so a recording made while ``lower_envelope`` took fragments as
 ``PiecewiseQuadratic`` objects checks the raw-list form as well.
 
+Each version records its own inputs, so a change to one kernel also
+changes the inputs of the calls after it.  ``--save-inputs FILE``
+pickles the recorded calls, and ``--inputs FILE`` replays those instead
+of recording new ones; ``--out`` and ``--check`` then compare two
+versions on the same inputs, so only the calls whose own kernel changed
+differ:
+
+    PYTHONPATH=../parent/src python scripts/kernel_replay.py --save-inputs in.pkl --out before.txt
+    PYTHONPATH=src python scripts/kernel_replay.py --inputs in.pkl --check before.txt
+
+The pickle names the package's record classes by module and name, so
+both versions must define them there.  Give ``--inputs`` only a file
+that ``--save-inputs`` wrote: unpickling can run code.
+
 Only the standard library is used.
 """
 
 import argparse
 import gc
 import os
+import pickle
 import sys
 import time
 
@@ -129,9 +144,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="write every call's output to this file")
     parser.add_argument("--check", help="compare every call's output with this file")
+    parser.add_argument("--save-inputs", help="pickle the recorded calls to this file")
+    parser.add_argument("--inputs", help="replay the calls pickled in this file")
     args = parser.parse_args(argv)
 
-    calls = record(noise_pairs(SEED, PAIRS))
+    if args.inputs:
+        with open(args.inputs, "rb") as fh:
+            calls = pickle.load(fh)
+    else:
+        calls = record(noise_pairs(SEED, PAIRS))
+    if args.save_inputs:
+        with open(args.save_inputs, "wb") as fh:
+            pickle.dump(calls, fh, protocol=pickle.HIGHEST_PROTOCOL)
     for name in KERNELS:
         if calls[name]:
             per_call = replay(getattr(pw, name), calls[name], REPEAT)

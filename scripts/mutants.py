@@ -21,15 +21,16 @@ times its value (looser), the sites that share an entry at ten times their
 slack, and nine of the ten mutants of the first raise-site census (the
 tenth loosened a corner rewrite that is gone): the distance scaled by
 0.99, 1.01 and 1 +- 1e-9, single-turn (C2T) fragments shifted by -1e-8
-and +1e-10, ``PREF_BOTTOM`` 2.5, and the ``_nonincreasing`` slack at 100
-times.  Three more edit the
-conditional clamps that stand for builtin ``max`` and ``min``: ``_leg``'s
-clamps with the flipped tie order, ``_leg``'s overlap test closed, and
-``_c2_catalogue``'s range updates taking a tie, at its lower bound and
-at its two upper bounds.  One cuts the bisection of ``_root_of_piece``
-from 80 steps to 8.  Two more drop the checks that stand for a cell-type
-guard: the path trace's test for a valley before it re-derives one, and
-``cell_info``'s fast index test, taking index 0.  One maps the value of a
+and +1e-10, ``PREF_BOTTOM`` 2.5, and the start slack of the travel
+shortcut ``is_own_minimum`` at 100 times.  Two set the slope slack of
+the travel rule ``_travel_rule`` to ten times and to none.  Three more
+edit the conditional clamps that stand for builtin ``max`` and ``min``:
+``_leg``'s clamps with the flipped tie order, ``_leg``'s overlap test
+closed, and ``_c2_catalogue``'s range updates taking a tie, at its
+lower bound and at its two upper bounds.  One cuts the bisection of
+``_root_of_piece`` from 80 steps to 8.  Two more drop the checks that
+stand for a cell-type guard: the path trace's test for a valley before
+it re-derives one, and ``cell_info``'s fast index test, taking index 0.  One maps the value of a
 solve in ``cdtw_exact``'s short-curve frame back with its power of two
 off by one.  The last two put ``solve_cell``'s far-corner check at 10,000
 times its bound and drop each cell's last C2T fragment.  Edits write no
@@ -85,7 +86,7 @@ MUTANTS = [
     ("locate-x10", PW, "tol = TOLERANCE * (1.0 + abs(lo) + abs(hi))",
      "tol = 10 * TOLERANCE * (1.0 + abs(lo) + abs(hi))", 1),
     ("coefficient-merge-x10", PW, "<= tol * (1.0 + abs(p", "<= 10 * tol * (1.0 + abs(p", 3),
-    ("nonincreasing-x10", PROP, "> low + pw.TOLERANCE:", "> low + 10 * pw.TOLERANCE:", 1),
+    ("nonincreasing-x10", PW, "> low + TOLERANCE:", "> low + 10 * TOLERANCE:", 1),
     ("negative-distance-x10", ENG, "< -pw.DRIFT_SLACK *", "< -10 * pw.DRIFT_SLACK *", 1),
     ("step-back-x10", ENG, "< -drift", "< -10 * drift", 2),
     ("valley-leg-x10", ENG, "<= drift", "<= 10 * drift", 2),
@@ -99,12 +100,15 @@ MUTANTS = [
     ("c2t-minus-1e-8", PROP, C2T, c2t_shifted("-10 * pw.TOLERANCE"), 1),
     ("c2t-plus-1e-10", PROP, C2T, c2t_shifted("pw.TOLERANCE / 10"), 1),
     ("pref-bottom-2.5", PROP, "PREF_BOTTOM = 1.0", "PREF_BOTTOM = 2.5", 1),
-    ("nonincreasing-x100", PROP, "> low + pw.TOLERANCE:", "> low + 100 * pw.TOLERANCE:", 1),
+    ("nonincreasing-x100", PW, "> low + TOLERANCE:", "> low + 100 * TOLERANCE:", 1),
     # the conditional clamps that stand for builtin max and min
     ("leg-flipped-ties", PROP, LEG_CLAMP, "l if l > lo else lo, h if h < hi else hi", 1),
     ("leg-overlap-closed", PROP, "if l < hi and h > lo:", "if l <= hi and h > lo:", 1),
     ("c2-range-tie", PROP, "if x > t_lo:", "if x >= t_lo:", 1),
     ("c2-upper-tie", PROP, "if x < t_hi:", "if x <= t_hi:", 2),
+    # the travel rule's slope slack, looser and none
+    ("slope-slack-x10", PW, "slack = TOLERANCE", "slack = 10 * TOLERANCE", 1),
+    ("slope-slack-0", PW, "slack = TOLERANCE", "slack = 0 * TOLERANCE", 1),
     # cumulative_min's bisection fallback, stopped early
     ("bisect-steps-8", PW, "for _ in range(80):", "for _ in range(8):", 1),
     # the checks that stand for the cell-type guards: the trace's valley

@@ -29,10 +29,11 @@ from .errors import CoverageGap, OutOfDomain
 # so that it rounds the same.  Constants, not knobs: moving one moves values.
 
 # The algebra's rounding, a few ulps of order-1 values after a few steps.
-# Absolute in slivers, degenerate coefficients, roots, the comparisons of
-# cumulative_min and _env_merge and _nonincreasing's start; relative to the
-# operands in locate, _s_combination_raw, _c2_catalogue, capped's clearance,
-# _span_entry's tie, normalize's merge and solve_cell's far-corner check.
+# Absolute in slivers, degenerate coefficients, roots, end slopes (the
+# travel rule) and the comparisons of cumulative_min, _env_merge and
+# is_own_minimum's start; relative to the operands in locate,
+# _s_combination_raw, _c2_catalogue, capped's clearance, _span_entry's tie,
+# normalize's merge and solve_cell's far-corner check.
 TOLERANCE = 1e-9
 # A hole in an edge's coverage, relative to its ends: a thousand TOLERANCE.
 COVERAGE_SLACK = 1e3 * TOLERANCE
@@ -247,6 +248,41 @@ def _root_of_piece(p: Raw, target: float, lo: float, hi: float) -> float:
 # cumulative minimum
 
 
+def _travel_rule(a: float, b: float, l: float, h: float) -> Tuple[bool, float]:
+    """(follow, x): the prefix minimum of the piece a*s^2 + b*s + c on
+    [l, h] follows it on [l, x] if follow, else is flat at its start value
+    there, and does the other on [x, h]; x = h for no switch.  From the
+    slopes at the ends, with TOLERANCE the slack: both at most it, the
+    piece falls (near-constant ones keep their direct provenance); both at
+    least minus it, it rises; else they differ in sign, so a != 0 and x is
+    the vertex v of a convex piece or 2v - l, where a concave one is back
+    at its start value (no switch if past h)."""
+    slack = TOLERANCE
+    d0 = 2.0 * a * l + b
+    d1 = 2.0 * a * h + b
+    if d0 <= slack and d1 <= slack:
+        return True, h
+    if d0 >= -slack and d1 >= -slack:
+        return False, h
+    v = -b / (2.0 * a)
+    x = v if a > 0.0 else 2.0 * v - l
+    return a > 0.0, x if x < h - TOLERANCE else h
+
+
+def is_own_minimum(f: PiecewiseQuadratic, low: float) -> bool:
+    """True when cumulative_min of f started at low follows every piece of
+    f whole: _travel_rule follows each to its end, and none starts more
+    than TOLERANCE above low or the lowest value before it (an envelope of
+    partial fragments can jump upward at a breakpoint)."""
+    for a, b, c, l, h in f.raw:
+        if _travel_rule(a, b, l, h) != (True, h) or (a * l + b) * l + c > low + TOLERANCE:
+            return False
+        end = (a * h + b) * h + c
+        if end < low:
+            low = end
+    return True
+
+
 def cumulative_min(
     f: PiecewiseQuadratic, tags: Sequence[Any], start: Tuple[float, Any]
 ) -> Tuple[PiecewiseQuadratic, List[Optional[float]], List[Any]]:
@@ -270,68 +306,38 @@ def cumulative_min(
 
     for k, p in enumerate(raw):
         a, b, c, l, h = p
-        # Split the piece into monotone stages of its own prefix minimum:
-        # 'follow' stages where the prefix minimum is the piece itself
-        # (nonincreasing stretches) and 'const' stages where it is flat,
-        # each (kind, lo, hi, arg).
-        if a > tol:
-            v = -b / (2.0 * a)
-            if v <= l + tol:
-                stages = (("const", l, h, l),)
-            elif v >= h - tol:
-                stages = (("follow", l, h, 0.0),)
-            else:
-                stages = (("follow", l, v, 0.0), ("const", v, h, v))
-        elif a < -tol:
-            v = -b / (2.0 * a)
-            if l >= v - tol:
-                stages = (("follow", l, h, 0.0),)
-            elif h <= v + tol:
-                stages = (("const", l, h, l),)
-            else:
-                x2 = 2.0 * v - l  # where the concave arc returns to its start value
-                if x2 >= h - tol:
-                    stages = (("const", l, h, l),)
-                else:
-                    stages = (("const", l, x2, l), ("follow", x2, h, 0.0))
-        elif b > tol:
-            stages = (("const", l, h, l),)
-        else:
-            # Constant or decreasing linear pieces follow themselves;
-            # constants count as 'follow' so no-op travel keeps direct
-            # provenance on ties.
-            stages = (("follow", l, h, 0.0),)
-
-        # Each stage is flat at m on [sl, flat_hi], then follows f on
+        follow, x = _travel_rule(a, b, l, h)
+        # Each stage [sl, sh] of the piece's own prefix minimum, follow or
+        # flat, is flat at m on [sl, flat_hi], then follows f on
         # [follow_lo, sh]; either part may be absent (None).
-        for kind, sl, sh, arg in stages:
+        sl = l
+        for sh in (x, h) if x < h else (h,):
             flat_hi = follow_lo = None
-            if kind == "const":
-                w = (a * arg + b) * arg + c
+            if not follow:
+                w = (a * sl + b) * sl + c
                 if w < m:
-                    m, m_arg, m_key = w, arg, None
+                    m, m_arg, m_key = w, sl, None
                 flat_hi = sh
             else:
-                v_start = (a * sl + b) * sl + c
                 v_end = (a * sh + b) * sh + c
-                if v_start <= m + tol:
+                if (a * sl + b) * sl + c <= m + tol:
                     follow_lo = sl
                 elif v_end >= m - tol:
                     flat_hi = sh
                 else:
                     flat_hi = follow_lo = _root_of_piece(p, m, sl, sh)
-            if flat_hi is not None and flat_hi >= sl:
+            if flat_hi is not None:
                 if m_key is None:
                     m_key = (m_arg, tags[locate(raw, m_arg)])
                 out.append((0.0, 0.0, m, sl, flat_hi, m_key))
             if follow_lo is not None:
-                if sh >= follow_lo:
-                    out.append((a, b, c, follow_lo, sh, (None, tags[k])))
+                out.append((a, b, c, follow_lo, sh, (None, tags[k])))
                 if v_end < m:
                     m, m_arg, m_key = v_end, sh, None
+            follow, sl = not follow, sh
 
     # The stages tile f's domain, so the end rewrite changes nothing.  A
-    # piece has at most two stages, a const stage appends one entry and a
+    # piece has at most two stages, a flat stage appends one entry and a
     # follow stage two, and a piece with two stages has one of each, so g
     # has at most 3 * len(raw) pieces by construction.
     g, keys = normalize(out, raw[0][3], raw[-1][4])

@@ -46,7 +46,8 @@ cannot change a cell's output is skipped:
   pieces (the valley entries and exits, like the transports, are one
   pass over an input, _leg); each output edge is normalised once, by
   piecewise.normalize, which ends capped, the envelope and travel alike.
-* travel returns the envelope as it is when it never rises from k.
+* travel returns the envelope as it is when its minimum from k follows
+  every piece (piecewise.is_own_minimum).
 """
 
 from __future__ import annotations
@@ -121,11 +122,10 @@ Fragment = Tuple[Sequence[pw.Raw], Prov]
 Corner = Tuple[float, Prov]
 
 
-def _end_value(f: PiecewiseQuadratic, idx: int) -> float:
-    """f at its lower (idx 0) or upper (idx -1) end, from the end piece."""
-    a, b, c, lo, hi = f.raw[idx]
-    s = hi if idx else lo
-    return (a * s + b) * s + c
+def _end_value(f: PiecewiseQuadratic) -> float:
+    """f at its upper end, from the end piece."""
+    a, b, c, _, hi = f.raw[-1]
+    return (a * hi + b) * hi + c
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +242,7 @@ def far_corner_cost(cell: Cell, top: BoundaryCost, right: BoundaryCost) -> float
     """The cost at a cell's top-right corner from its output edges: the
     smaller of the two end reads, which solve_cell checks agree."""
     _, _, h_top, v_right = _edge_integrals(cell)
-    return min(_end_value(top.cost, -1) + h_top, _end_value(right.cost, -1) + v_right)
+    return min(_end_value(top.cost) + h_top, _end_value(right.cost) + v_right)
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +282,12 @@ def _corner_routes(
 ) -> Tuple[Corner, Corner]:
     """The routes to the top and the right edge through their start corners:
     an input's end cost plus V (or H), then free travel along the edge."""
-    return ((_end_value(left.cost, -1) + v_left, CORNER_LEFT_TAG),
-            (_end_value(bottom.cost, -1) + h_bottom, CORNER_BOTTOM_TAG))
+    return ((_end_value(left.cost) + v_left, CORNER_LEFT_TAG),
+            (_end_value(bottom.cost) + h_bottom, CORNER_BOTTOM_TAG))
 
 
 def propagate_type_a(
-    cell: Cell, bottom: BoundaryCost, left: BoundaryCost, h_bottom: float, v_left: float,
+    bottom: BoundaryCost, left: BoundaryCost, h_bottom: float, v_left: float,
     top_k: Corner, right_k: Corner,
 ) -> Tuple[Tuple[PiecewiseQuadratic, List], Tuple[PiecewiseQuadratic, List]]:
     """(top, right) outputs of an opposite-direction cell, each with one
@@ -466,23 +466,6 @@ def propagate_type_c(
 # travel along an output edge, cell driver
 
 
-def _nonincreasing(raw: Sequence[pw.Raw], low: float) -> bool:
-    """True when every piece has a derivative <= 0 at both ends and no
-    piece starts above low or the lowest value before it by more than the
-    slack cumulative_min allows (an envelope of partial fragments can
-    jump upward at a breakpoint).  The cumulative minimum of such a
-    function, started at low, follows it everywhere."""
-    for a, b, c, lo, hi in raw:
-        if 2.0 * a * lo + b > 0.0 or 2.0 * a * hi + b > 0.0:
-            return False
-        if (a * lo + b) * lo + c > low + pw.TOLERANCE:
-            return False
-        end = (a * hi + b) * hi + c
-        if end < low:
-            low = end
-    return True
-
-
 def apply_edge_travel(
     env: PiecewiseQuadratic, tags: Sequence[Prov], start: Corner
 ) -> Tuple[PiecewiseQuadratic, Sequence[Prov]]:
@@ -490,12 +473,12 @@ def apply_edge_travel(
 
     Travel along the edge is free in reduced costs, so the result is the
     tagged cumulative minimum of env started at the corner route start =
-    (k, tag), or env and tags themselves (not copied) when env never
-    rises and starts at or below k.  Flat pieces at k keep tag; ties
-    prefer the direct fragment (no travel).
+    (k, tag), or env and tags themselves (not copied) when that minimum
+    follows every piece of env (piecewise.is_own_minimum).  Flat pieces
+    at k keep tag; ties prefer the direct fragment (no travel).
     """
-    if _nonincreasing(env.raw, start[0]):
-        return env, tags  # no travel wins: env is its own minimum
+    if pw.is_own_minimum(env, start[0]):
+        return env, tags  # no travel wins
     g, args, mtags = pw.cumulative_min(env, tags, start)
     # A flat piece departs from the argmin s*: wrap its source's provenance.
     return g, [
@@ -516,7 +499,7 @@ def solve_cell(
     top_k, right_k = _corner_routes(bottom, left, h_bottom, v_left)
     if not cell.same_direction:
         (fin_top, prov_top), (fin_right, prov_right) = propagate_type_a(
-            cell, bottom, left, h_bottom, v_left, top_k, right_k)
+            bottom, left, h_bottom, v_left, top_k, right_k)
     else:
         frags_top, frags_right = propagate_type_c(cell, bottom, left, h_bottom, v_left)
         if cell.valley is not None:
@@ -529,8 +512,8 @@ def solve_cell(
 
     # Both output edges end at the far corner, so each prices it in full:
     # the families reach it on either edge.  Their reads agree to rounding.
-    at_top = _end_value(fin_top, -1) + h_top
-    at_right = _end_value(fin_right, -1) + v_right
+    at_top = _end_value(fin_top) + h_top
+    at_right = _end_value(fin_right) + v_right
     if abs(at_top - at_right) > pw.TOLERANCE * (1.0 + abs(at_top) + abs(at_right)):
         raise InvariantViolation(f"corner value mismatch: top {at_top} vs right {at_right}")
 

@@ -410,12 +410,121 @@ class TestOffsetCumulativeMin:
         assert gtags[-1].data == (1.0,)
 
     def test_upward_step_past_slack_gets_travel(self):
-        # A step up by 1e-8, ten times the slack _nonincreasing allows: the
+        # A step up by 1e-8, ten times the slack is_own_minimum allows: the
         # envelope is not its own minimum, and travel holds the value at 1.
         env = pwq((0, 0, 1.0, 0, 0.5), (0, 0, 1.0 + 1e-8, 0.5, 1))
         tags = [Prov(1.0, "C2", "bottom", (0.0, 0.0)), Prov(2.0, "C1", "left")]
         g, _ = apply_edge_travel(env, tags, NO_CORNER)
         assert g.value(0.75) <= 1.0 + 2e-9
+
+
+def piece_about(a, d, y, lo, hi):
+    """The raw piece a (s - lo)^2 + d (s - lo) + y on [lo, hi]."""
+    return (a, d - 2.0 * a * lo, (a * lo - d) * lo + y, lo, hi)
+
+
+def random_travel_input(rng):
+    """One to four abutting pieces at an offset up to 100, each drawn about
+    its own start: near-constant (slope up to 2 TOLERANCE either way),
+    near-linear (|a| up to TOLERANCE), a falling line or any quadratic,
+    with a jump at each start of 0, +-TOLERANCE / 2, +-2 TOLERANCE or
+    anything up to 0.5."""
+    tol = pw.TOLERANCE
+    lo = rng.choice([0.0, 1.0, 10.0, 100.0]) + rng.random()
+    y = rng.uniform(-1.0, 1.0)
+    raw = []
+    for _ in range(rng.randint(1, 4)):
+        hi = lo + rng.uniform(0.1, 1.5)
+        kind = rng.randrange(4)
+        sign = rng.choice([-1.0, 1.0])
+        if kind == 0:
+            a, d = 0.0, sign * rng.uniform(0.0, 2.0) * tol
+        elif kind == 1:
+            a, d = sign * rng.uniform(0.0, 1.0) * tol, rng.uniform(-3.0, 3.0) * tol
+        elif kind == 2:
+            a, d = 0.0, -rng.uniform(0.0, 2.0)
+        else:
+            a, d = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+        y += rng.choice([0.0, 0.5 * tol, -0.5 * tol, 2.0 * tol, -2.0 * tol,
+                         rng.uniform(-0.5, 0.5)])
+        raw.append(piece_about(a, d, y, lo, hi))
+        y += (a * (hi - lo) + d) * (hi - lo)
+        lo = hi
+    return pw.from_raw(raw)
+
+
+class TestTravelRule:
+    """One rule, from the slopes at a piece's ends with TOLERANCE as the
+    slope slack, decides whether cumulative_min follows a piece, and the
+    shortcut is_own_minimum asks the same rule."""
+
+    # Near-linear pieces far from 0, where |a| <= TOLERANCE but 2 a s is
+    # not small beside b: each falls or rises by 5.5e-9 or 1.66e-7.
+    FALLING = [(-5e-10, 5e-9, 0.0, 10.0, 11.0), (-9e-10, 1.5e-8, 0.0, 100.0, 101.0)]
+    RISING = [(5e-10, -5e-9, 0.0, 10.0, 11.0), (9e-10, -1.5e-8, 0.0, 100.0, 101.0)]
+
+    @pytest.mark.parametrize("slope", [0.5 * pw.TOLERANCE, -0.5 * pw.TOLERANCE])
+    def test_constant_within_the_slope_slack_keeps_its_tag(self, slope):
+        f = pwq((0.0, slope, 1.0, 0.0, 1.0))
+        # started at k = 2, above the piece: no flat piece at k either
+        assert pw.cumulative_min(f, ["f"], (2.0, "k")) == (f, [None], ["f"])
+        assert pw.is_own_minimum(f, 2.0)
+
+    def test_slope_past_the_slack_gives_a_flat_piece(self):
+        f = pwq((0.0, 2.0 * pw.TOLERANCE, 1.0, 0.0, 1.0))
+        g, args, tags = pw.cumulative_min(f, ["f"], NO_CORNER)
+        assert g.raw == ((0.0, 0.0, 1.0, 0.0, 1.0),)
+        assert args == [0.0] and tags == ["f"]
+        assert not pw.is_own_minimum(f, math.inf)
+
+    @pytest.mark.parametrize("piece", FALLING)
+    def test_falling_near_linear_piece_is_followed(self, piece):
+        f = pwq(piece)
+        assert f.value(piece[4]) < f.value(piece[3]) - 5e-9
+        assert pw.cumulative_min(f, ["f"], NO_CORNER) == (f, [None], ["f"])
+        assert pw.is_own_minimum(f, math.inf)
+
+    @pytest.mark.parametrize("piece", RISING)
+    def test_rising_near_linear_piece_is_flat_at_its_start(self, piece):
+        f = pwq(piece)
+        start = f.value(piece[3])
+        assert f.value(piece[4]) > start + 5e-9
+        g, args, tags = pw.cumulative_min(f, ["f"], NO_CORNER)
+        assert g.raw == ((0.0, 0.0, start, piece[3], piece[4]),)
+        assert args == [piece[3]] and tags == ["f"]
+        assert not pw.is_own_minimum(f, math.inf)
+
+    def test_shortcut_holds_exactly_when_the_pass_follows_every_piece(self, monkeypatch):
+        # The entries the pass hands normalize show what it did: it follows
+        # every piece whole exactly when they are f's pieces, each tagged
+        # (None, its own tag).  Then cumulative_min returns f itself.  (The
+        # converse at the level of the result would not hold: a flat part
+        # narrower than TOLERANCE, cut off a piece that starts just past
+        # the start slack, is dropped by normalize.)
+        entries = []
+        normalize = pw.normalize
+
+        def spy(out, lo, hi):
+            entries[:] = out
+            return normalize(out, lo, hi)
+
+        monkeypatch.setattr(pw, "normalize", spy)
+        rng = random.Random(35)
+        tol = pw.TOLERANCE
+        own = 0
+        for _ in range(3000):
+            f = random_travel_input(rng)
+            a, b, c, lo, _ = f.raw[0]
+            k = rng.choice([math.inf, (a * lo + b) * lo + c + rng.choice(
+                [0.0, 0.5 * tol, -0.5 * tol, 2.0 * tol, -2.0 * tol, 0.1, -0.1])])
+            tags = [f"p{j}" for j in range(len(f.raw))]
+            g, args, out_tags = pw.cumulative_min(f, tags, (k, "k"))
+            whole = entries == [(*p, (None, t)) for p, t in zip(f.raw, tags)]
+            assert pw.is_own_minimum(f, k) == whole, (f.raw, k)
+            if whole:
+                own += 1
+                assert (g, args, out_tags) == (f, [None] * len(tags), tags)
+        assert 0.2 * 3000 < own < 0.8 * 3000
 
 
 class TestLowerEnvelope:

@@ -70,7 +70,7 @@ def type_a(cell: Cell, bottom: BoundaryCost, left: BoundaryCost):
     solve_cell hands it."""
     h_bottom, v_left, _, _ = _edge_integrals(cell)
     corners = _corner_routes(bottom, left, h_bottom, v_left)
-    return propagate_type_a(cell, bottom, left, h_bottom, v_left, *corners)
+    return propagate_type_a(bottom, left, h_bottom, v_left, *corners)
 
 
 def type_c(cell: Cell, bottom: BoundaryCost, left: BoundaryCost):
